@@ -100,7 +100,7 @@ def batch_final_b_sets(
     trusting = betas[None, :] <= bp[:, None] + TIE_TOL
     gain = _news_gain(params, c, betas)
     deg = network.degrees.astype(np.float64)[:, None]
-    adj_f = network.adjacency_f
+    neighbour_counts = network.neighbour_counts
 
     on_b = np.zeros((n, n_cols), dtype=bool)
     traces: list[list[frozenset]] = [[] for _ in range(n_cols)] if collect_trace else []
@@ -112,7 +112,7 @@ def batch_final_b_sets(
         with np.errstate(over="ignore"):
             p_recv = np.where(dist >= 0, params.p ** np.maximum(dist, 0), 0.0)
         psi_gain = np.where(trusting, p_recv * gain, 0.0)
-        n_b = adj_f @ on_b
+        n_b = neighbour_counts(on_b)
         # V_B - V_A; the A side earns the no-signal payoff, which cancels
         # against the trusting-branch base term of Psi_B
         diff = n_b * params.b_b - (deg - n_b) * params.b_a + psi_gain
@@ -198,7 +198,7 @@ def platform_values(
         p_eff * (params.mu * (1.0 - c) - (1.0 - params.mu) * beta * c),
         0.0,
     )
-    n_b = network.adjacency_f @ assignment.on_b.astype(np.float64)
+    n_b = network.neighbour_counts(assignment.on_b.astype(np.float64))
     n_a = network.degrees - n_b
     v_a = n_a * params.b_a + base
     v_b = n_b * params.b_b + base
@@ -224,7 +224,7 @@ def best_response(
         side = assignment.sender_platform
         on_side = assignment.on_b if side is Platform.B else ~assignment.on_b
         attached = bool(network.sender_mask[user]) or bool(
-            (network.adjacency[user] & on_side).any()
+            on_side[network.neighbours(user)].any()
         )
         return side if attached else assignment.platform_of(user)
     return Platform.B if d > 0 else Platform.A
@@ -272,11 +272,11 @@ def cascade_thresholds(
     # propagate the prefix minimum outward from the root
     order = np.argsort(depth, kind="stable")
     m = thr.copy()
-    adjacency = network.adjacency
     for u in order:
         if u == root:
             continue
-        parents = np.nonzero(adjacency[u] & (depth == depth[u] - 1))[0]
+        friends = network.neighbours(u)
+        parents = friends[depth[friends] == depth[u] - 1]
         m[u] = min(m[u], m[parents[0]])
     return depth, m
 

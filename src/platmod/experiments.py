@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .adoption import Assignment, run_adoption
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, InvariantViolationError
 from .graph import Network, SbmSpec, gen_linear, gen_regular_tree, gen_sbm, gen_star_chain
 from .model import ModelParams, Platform, trust_threshold
 from .regulation import (
@@ -168,6 +168,8 @@ def _column_results(task) -> tuple[int, int, list]:
             params = ModelParams(mu=mu, p=float(p), b_a=float(b_a), b_b=b_b)
             res = strictest_effective_regulation(network, params, grid_fallback=grid_fallback)
             out.append((res.kind.value, res.rho_se))
+        except InvariantViolationError:
+            raise  # a program fault, never one bad cell
         except Exception as exc:  # recorded per cell, sweep continues
             out.append(("error", f"{type(exc).__name__}: {exc}"))
     return seed, p_idx, out

@@ -5,14 +5,30 @@ Distance convention: edges from the sender to its directly-linked users cost
 receives the signal with probability p**k. This is the only convention that
 reproduces the geometric-series sender utility on a line exactly (directly
 linked user receives with probability 1), so it is used everywhere.
+
+Representation: a Network with at most DENSE_MAX_USERS users keeps a dense
+float64 adjacency, so its BFS layers and neighbour counts are BLAS matmuls.
+Above the cutoff it keeps only CSR edge arrays and never builds an n x n
+matrix: the graph takes O(n + E) memory, and each BFS batch of B columns
+adds n * ceil(B / 64) uint64 words of packed frontier bits. gen_sbm still
+draws all n(n-1)/2 pairs, so SBM generation itself stays quadratic.
+
+The cutoff is the measured crossover of one strictest_effective_regulation
+solve (2-vCPU machine, numpy 2.4.6, one BLAS thread). On 3-community chain
+SBMs with mean degree about 22, CSR took 1.8x the dense time at n = 90,
+1.26x at 270, 0.75x at 360 and 0.45x at 480; on a line linked to the sender
+at both ends, 1.28x at 90, 0.86x at 150 and 0.35x at 270. 256 sits between
+the two crossovers (about 310 and 140 users).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import InvalidParamsError
@@ -23,6 +39,27 @@ MAX_GENERATED_USERS = 10**7
 
 UNREACHED = -1
 
+# Networks with more users than this keep CSR edge arrays instead of the
+# dense adjacency (measured crossover in the module docstring).
+DENSE_MAX_USERS = 256
+
+_WORD_BITS = 64
+
+
+class Csr(NamedTuple):
+    """Compressed sparse rows of the symmetric adjacency.
+
+    User u's neighbours, ascending, are indices[indptr[u]:indptr[u + 1]].
+    rows lists the users with at least one neighbour and starts their offsets
+    into indices: ufunc.reduceat reads an empty segment as one element, so
+    reductions run over those rows only.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+
 
 @dataclass(eq=False)
 class Network:
@@ -30,7 +67,8 @@ class Network:
 
     The sender is not a user node: it contributes to nobody's friend count
     and appears only through sender_links, the set of users it can signal
-    directly.
+    directly. `dense` records the representation chosen at construction:
+    True when n_users <= DENSE_MAX_USERS.
     """
 
     n_users: int
@@ -63,22 +101,47 @@ class Network:
         if links[0] < 0 or links[-1] >= n:
             raise InvalidParamsError("sender_links out of range")
         object.__setattr__(self, "sender_links", tuple(links))
+        # the representation is fixed once, by size alone
+        object.__setattr__(self, "dense", n <= DENSE_MAX_USERS)
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n_users, self.n_users), dtype=bool)
-        for i, j in self.edges:
-            adj[i, j] = adj[j, i] = True
-        return adj
+    def edge_array(self) -> np.ndarray:
+        return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
 
     @cached_property
     def adjacency_f(self) -> np.ndarray:
-        # float64 copy kept for matmuls in the adoption engine
-        return self.adjacency.astype(np.float64)
+        """Dense float64 adjacency, the BLAS operand of small networks."""
+        adj = np.zeros((self.n_users, self.n_users))
+        i, j = self.edge_array.T
+        adj[i, j] = adj[j, i] = 1.0
+        return adj
+
+    @cached_property
+    def csr(self) -> Csr:
+        i, j = self.edge_array.T
+        src = np.concatenate([i, j])
+        dst = np.concatenate([j, i])
+        indptr = np.zeros(self.n_users + 1, dtype=np.intp)
+        np.cumsum(self.degrees, out=indptr[1:])
+        rows = np.flatnonzero(self.degrees)
+        return Csr(indptr, dst[np.lexsort((dst, src))], rows, indptr[rows])
+
+    def neighbours(self, user: int) -> np.ndarray:
+        """The user's neighbours, ascending (a view into the CSR arrays)."""
+        indptr, indices = self.csr[:2]
+        return indices[indptr[user]:indptr[user + 1]]
+
+    @cached_property
+    def neighbour_counts(self):
+        """Callable mapping an (n_users,) or (n_users, B) 0/1 array to each
+        user's count of marked neighbours, as float64 of the same shape."""
+        if self.dense:
+            return self.adjacency_f.__matmul__
+        return partial(_csr_neighbour_counts, self.csr)
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1).astype(np.int64)
+        return np.bincount(self.edge_array.ravel(), minlength=self.n_users)
 
     @cached_property
     def sender_mask(self) -> np.ndarray:
@@ -313,6 +376,8 @@ def through_platform_distances(network: Network, on_side: np.ndarray) -> np.ndar
     hypothetical entry distance for everyone else. UNREACHED marks users with
     no path.
     """
+    if not network.dense:
+        return _packed_distances(network, on_side)
     n, b = on_side.shape
     dist = np.full((n, b), UNREACHED, dtype=np.int32)
     touched = np.broadcast_to(network.sender_mask[:, None], (n, b)).copy()
@@ -329,6 +394,53 @@ def through_platform_distances(network: Network, on_side: np.ndarray) -> np.ndar
         dist[new] = d
         frontier = new & on_side
     return dist
+
+
+def _packed_distances(network: Network, on_side: np.ndarray) -> np.ndarray:
+    """through_platform_distances on CSR arrays, with the batch columns
+    packed 64 to a uint64 word so one OR per neighbour serves 64 columns."""
+    n, b = on_side.shape
+    csr = network.csr
+    words = -(-b // _WORD_BITS)
+    padded = np.zeros((n, words * _WORD_BITS), dtype=bool)
+    padded[:, :b] = on_side
+    on = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+    dist = np.full((n, b), UNREACHED, dtype=np.int32)
+    sender = network.sender_mask
+    dist[sender] = 0
+    seen = np.zeros((n, words), dtype=np.uint64)
+    seen[sender] = ~np.uint64(0)
+    frontier = seen & on
+    reach = np.zeros_like(seen)
+    d = 0
+    while frontier.any():
+        d += 1
+        if csr.rows.size:
+            reach[csr.rows] = np.bitwise_or.reduceat(frontier[csr.indices], csr.starts, axis=0)
+        new = reach & ~seen
+        hit = np.flatnonzero(new.any(axis=1))
+        if not hit.size:
+            break
+        seen[hit] |= new[hit]
+        bits = np.unpackbits(new[hit].view(np.uint8), axis=1, count=b, bitorder="little")
+        block = dist[hit]
+        block[bits.view(bool)] = d
+        dist[hit] = block
+        frontier = new & on
+    return dist
+
+
+def _csr_neighbour_counts(csr: Csr, marked: np.ndarray) -> np.ndarray:
+    # reduce along the last axis of the transposed batch, where each user's
+    # neighbour segment is contiguous
+    per_col = np.asarray(marked).T.astype(np.uint8, order="C")
+    counts = np.zeros(per_col.shape)
+    if csr.rows.size:
+        counts[..., csr.rows] = np.add.reduceat(
+            per_col.take(csr.indices, axis=-1), csr.starts, axis=-1, dtype=np.int32
+        )
+    return counts.T
 
 
 def receive_probs(network: Network, params: ModelParams, assignment) -> np.ndarray:

@@ -8,6 +8,7 @@ be checked against something that never touches the production formulas.
 import numpy as np
 import pytest
 
+import platmod.graph
 from platmod import ModelParams, Network, SbmSpec, UserProfile, gen_sbm, trust_threshold
 
 
@@ -70,6 +71,30 @@ def random_sbm_instance(rng: np.random.Generator):
     )
     beta = float(rng.uniform(0.0, 1.0))
     return network, params, beta
+
+
+def widened_sbm_instance(rng: np.random.Generator):
+    """random_sbm_instance plus up to two isolated users and a second sender
+    link; returns the Network fields (not a Network, so a test can choose
+    the graph representation before building one), params and beta."""
+    network, params, beta = random_sbm_instance(rng)
+    n = network.n_users + int(rng.integers(0, 3))
+    first = network.sender_links[0]
+    second = int(rng.choice([u for u in range(n) if u != first]))
+    fields = dict(
+        n_users=n,
+        edges=network.edges,
+        sender_links=(first, second),
+        profiles=network.profiles + network.profiles[:1] * (n - network.n_users),
+    )
+    return fields, params, beta
+
+
+def build_network(monkeypatch, dense_max_users: int, fields: dict) -> Network:
+    """Build a Network with DENSE_MAX_USERS patched: the representation is
+    fixed when the Network is built (0 forces CSR, a huge value dense)."""
+    monkeypatch.setattr(platmod.graph, "DENSE_MAX_USERS", dense_max_users)
+    return Network(**fields)
 
 
 def diamond_network() -> Network:

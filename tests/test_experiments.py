@@ -3,6 +3,7 @@ import pytest
 
 from platmod import (
     HeatmapGrid,
+    InvariantViolationError,
     ModelParams,
     NetworkRecipe,
     Platform,
@@ -195,6 +196,18 @@ def test_cell_failures_recorded_without_aborting():
     for cell in grid.cells:
         assert cell.samples == 0
         assert "InvalidParamsError" in cell.error
+
+
+def test_sweep_reraises_invariant_violation(monkeypatch):
+    # a broken invariant is a program fault: it must not become a cell error
+    import platmod.experiments as experiments
+
+    def broken_solver(*args, **kwargs):
+        raise InvariantViolationError("faulty kernel")
+
+    monkeypatch.setattr(experiments, "strictest_effective_regulation", broken_solver)
+    with pytest.raises(InvariantViolationError, match="faulty kernel"):
+        sweep(small_line_spec())
 
 
 def test_pgm_moderate_gray_formula():

@@ -20,8 +20,9 @@ from platmod import (
     validate_profiles,
 )
 from platmod.adoption import Assignment
+from platmod.graph import through_platform_distances
 
-from conftest import diamond_network, default_params
+from conftest import build_network, diamond_network, default_params, widened_sbm_instance
 
 
 def degrees(net):
@@ -259,3 +260,34 @@ def test_is_cascade_tree():
         profiles=(UserProfile(c=0.3),) * 3,
     )
     assert not forest.is_cascade_tree
+
+
+@pytest.mark.parametrize("n_cols", [1, 63, 64, 65, 130])
+def test_sparse_distances_match_dense(monkeypatch, n_cols):
+    rng = np.random.default_rng(n_cols)
+    for _ in range(20):
+        fields, _, _ = widened_sbm_instance(rng)
+        dense = build_network(monkeypatch, 10**9, fields)
+        sparse = build_network(monkeypatch, 0, fields)
+        assert dense.dense and not sparse.dense
+        on_side = rng.random((fields["n_users"], n_cols)) < rng.uniform(0.2, 1.0)
+        assert np.array_equal(
+            through_platform_distances(sparse, on_side),
+            through_platform_distances(dense, on_side),
+        )
+        assert np.array_equal(sparse.neighbour_counts(on_side), dense.neighbour_counts(on_side))
+        marked = on_side[:, 0].astype(np.float64)
+        assert np.array_equal(sparse.neighbour_counts(marked), dense.neighbour_counts(marked))
+        assert sparse.degrees.tolist() == degrees(sparse)
+        assert "adjacency_f" not in sparse.__dict__
+
+
+def test_sparse_neighbours_ascending(monkeypatch):
+    sparse = build_network(monkeypatch, 0, dict(
+        n_users=5,
+        edges=((3, 1), (0, 3), (3, 4)),
+        sender_links=(0,),
+        profiles=(UserProfile(c=0.3),) * 5,
+    ))
+    assert sparse.neighbours(3).tolist() == [0, 1, 4]
+    assert sparse.neighbours(2).tolist() == []

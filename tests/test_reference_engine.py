@@ -10,18 +10,28 @@ from math import isclose
 import numpy as np
 import pytest
 
+import platmod.graph
 from platmod import (
     ModelParams,
+    Network,
     Platform,
     gen_linear,
+    gen_regular_tree,
     gen_star_chain,
     run_adoption,
     strictest_effective_regulation,
     RegulationKind,
 )
-from platmod.adoption import nash_check
+from platmod.adoption import (
+    Assignment,
+    batch_final_b_sets,
+    best_response,
+    cascade_final_b_sets,
+    nash_check,
+)
+from platmod.graph import UNREACHED, through_platform_distances
 
-from conftest import random_sbm_instance
+from conftest import build_network, random_sbm_instance, widened_sbm_instance
 
 TOL = 1e-12
 
@@ -152,7 +162,93 @@ def test_reference_fixed_points_are_nash():
         if network.n_users > 20:
             continue
         ref_on_b, _ = ref_adoption(network, params, beta)
-        from platmod.adoption import Assignment
-
         state = Assignment(np.array(ref_on_b), Platform.B)
         assert nash_check(network, params, beta, state) == []
+
+
+def _ref_distance_column(net, on_side):
+    dist = ref_distances(net, on_side)
+    return [dist.get(u, UNREACHED) for u in range(net.n_users)]
+
+
+@pytest.mark.parametrize("n_cols", [1, 63, 64, 65, 130])
+def test_sparse_engine_agrees_with_dense_and_reference(monkeypatch, n_cols):
+    # isolated users, two sender links and batches around the 64-column word
+    rng = np.random.default_rng(500 + n_cols)
+    checked = 0
+    while checked < 6:
+        fields, params, beta = widened_sbm_instance(rng)
+        if fields["n_users"] > 25:
+            continue
+        checked += 1
+        dense = build_network(monkeypatch, 10**9, fields)
+        sparse = build_network(monkeypatch, 0, fields)
+        assert dense.dense and not sparse.dense
+
+        on_side = rng.random((sparse.n_users, n_cols)) < rng.uniform(0.2, 1.0)
+        dist = through_platform_distances(sparse, on_side)
+        assert np.array_equal(dist, through_platform_distances(dense, on_side))
+        for j in range(n_cols):
+            assert dist[:, j].tolist() == _ref_distance_column(sparse, on_side[:, j].tolist())
+
+        betas = rng.uniform(0.0, 1.0, n_cols)
+        got = batch_final_b_sets(sparse, params, betas, collect_trace=True)
+        want = batch_final_b_sets(dense, params, betas, collect_trace=True)
+        for g, w in zip(got[:3], want[:3]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got[3] == want[3]
+        on_b, _, _, traces = got
+        for j in range(n_cols):
+            ref_on_b, ref_trace = ref_adoption(sparse, params, float(betas[j]))
+            assert on_b[:, j].tolist() == ref_on_b
+            assert traces[j] == ref_trace
+
+        ref_on_b, ref_trace = ref_adoption(sparse, params, beta)
+        assert run_adoption(sparse, params, beta, Platform.B).trace == ref_trace
+        assert run_adoption(dense, params, beta, Platform.B).trace == ref_trace
+        state = Assignment(np.array(ref_on_b), Platform.B)
+        assert nash_check(sparse, params, beta, state) == []
+        for user in range(sparse.n_users):
+            assert best_response(sparse, params, beta, state, user) is \
+                best_response(dense, params, beta, state, user)
+
+        # no social payoff and no trust at beta = 1: every user is exactly
+        # indifferent, so the tie rule's attachment test decides
+        tie_params = ModelParams(mu=params.mu, p=params.p, b_a=0.0, b_b=0.0)
+        on_b = rng.random(sparse.n_users) < 0.5
+        state = Assignment(on_b, Platform.B)
+        adj = _adjacency(sparse)
+        for user in range(sparse.n_users):
+            attached = user in sparse.sender_links or any(on_b[v] for v in adj[user])
+            want = Platform.B if attached else state.platform_of(user)
+            assert best_response(sparse, tie_params, 1.0, state, user) is want
+        assert "adjacency_f" not in sparse.__dict__
+
+
+def test_sparse_cascade_matches_engine_above_cutoff():
+    tree = gen_regular_tree(2, 8)
+    assert tree.n_users > platmod.graph.DENSE_MAX_USERS and not tree.dense
+    params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
+    betas = np.linspace(0.0, 0.6, 13)
+    engine, _, _, _ = batch_final_b_sets(tree, params, betas)
+    fast, _ = cascade_final_b_sets(tree, params, betas)
+    assert np.array_equal(engine, fast)
+    assert "adjacency_f" not in tree.__dict__
+
+
+def test_line_above_cutoff_with_two_sender_links(monkeypatch):
+    line = gen_linear(300)
+    fields = dict(n_users=300, edges=line.edges, sender_links=(0, 299), profiles=line.profiles)
+    net = Network(**fields)
+    assert net.n_users > platmod.graph.DENSE_MAX_USERS and not net.dense
+    params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
+    res = strictest_effective_regulation(net, params)
+    assert "adjacency" not in net.__dict__ and "adjacency_f" not in net.__dict__
+    for beta in (0.1, res.beta_star_b, 0.3):
+        ref_on_b, ref_trace = ref_adoption(net, params, beta)
+        out = run_adoption(net, params, beta, Platform.B)
+        assert out.assignment.on_b.tolist() == ref_on_b
+        assert out.trace == ref_trace
+    dense = build_network(monkeypatch, 10**9, fields)
+    assert dense.dense
+    assert strictest_effective_regulation(dense, params) == res

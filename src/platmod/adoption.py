@@ -1,10 +1,10 @@
 """Synchronous best-response adoption from the all-in-A state.
 
-The engine is vectorized over a batch of deceit levels: platform search in
-the regulation module evaluates many beta values against the same network,
-and every column of the batch is an independent run of the exact same
-synchronous update. A scalar wrapper provides the public trace-carrying
-operation.
+The engine is vectorized over a batch of columns: platform search in the
+regulation module evaluates many (beta, p, b_a, b_b) combinations against the
+same network and mu, and every column of the batch is an independent run of
+the exact same synchronous update. A scalar wrapper provides the public
+trace-carrying operation.
 
 On connected acyclic networks with a single sender link the process is a
 root-to-leaf wave (each user decides exactly once, when its parent has just
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import Network, UNREACHED, receive_probs, through_platform_distances, validate_profiles
+from .graph import Network, UNREACHED, receive_probs, through_platform_distances, validate_mu
 from .model import ModelParams, Platform, TIE_TOL
 
 ITERATION_CAP_SLACK = 1  # cap = n_users + 1, loud failure beyond it
@@ -39,11 +39,6 @@ class Assignment:
     @classmethod
     def all_a(cls, n_users: int, sender_platform: Platform) -> "Assignment":
         return cls(np.zeros(n_users, dtype=bool), sender_platform)
-
-    @classmethod
-    def from_platforms(cls, platforms, sender_platform: Platform) -> "Assignment":
-        on_b = np.array([p is Platform.B or p == "B" for p in platforms], dtype=bool)
-        return cls(on_b, sender_platform)
 
     def platform_of(self, user: int) -> Platform:
         return Platform.B if self.on_b[user] else Platform.A
@@ -65,24 +60,32 @@ class EquilibriumOutcome:
     converged: bool
 
 
-def _beta_primes(network: Network, params: ModelParams) -> np.ndarray:
-    validate_profiles(network, params)
+def _beta_primes(network: Network, mu: float) -> np.ndarray:
+    validate_mu(network, mu)
     c = network.c_values
-    return params.mu * (1.0 - c) / ((1.0 - params.mu) * c)
+    return mu * (1.0 - c) / ((1.0 - mu) * c)
 
 
-def _news_gain(params: ModelParams, c: np.ndarray, betas: np.ndarray) -> np.ndarray:
+def _news_gain(mu: float, c: np.ndarray, betas: np.ndarray) -> np.ndarray:
     # expected estimation gain per unit receive probability, trusting branch
-    return params.mu * (1.0 - c[:, None]) - (1.0 - params.mu) * betas[None, :] * c[:, None]
+    return mu * (1.0 - c[:, None]) - (1.0 - mu) * betas[None, :] * c[:, None]
 
 
 def batch_final_b_sets(
     network: Network,
-    params: ModelParams,
+    mu: float,
     betas: np.ndarray,
+    p,
+    b_a,
+    b_b,
     collect_trace: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[frozenset]]]:
-    """Run the synchronous adoption (sender on B) for a batch of beta values.
+    """Run the synchronous adoption (sender on B) for a batch of columns.
+
+    Column j runs at deceit level betas[j] with diffusiveness p[j] and
+    qualities b_a[j], b_b[j]; each of p, b_a, b_b is one value per column or
+    a scalar shared by all. mu is shared: it fixes the trust thresholds.
+    Callers validate p, b_a and b_b (ModelParams does).
 
     Returns (on_b, dist, productive_rounds, traces): membership and distance
     matrices of shape (n_users, len(betas)), per-column productive round
@@ -93,50 +96,66 @@ def batch_final_b_sets(
     would falsify the one-way migration property this process relies on.
     """
     betas = np.asarray(betas, dtype=np.float64)
+    p, b_a, b_b = (np.full(betas.shape, x, dtype=np.float64)[None, :] for x in (p, b_a, b_b))
     n = network.n_users
     n_cols = betas.size
-    bp = _beta_primes(network, params)
+    bp = _beta_primes(network, mu)
     c = network.c_values
     trusting = betas[None, :] <= bp[:, None] + TIE_TOL
-    gain = _news_gain(params, c, betas)
+    gain = _news_gain(mu, c, betas)
     deg = network.degrees.astype(np.float64)[:, None]
     neighbour_counts = network.neighbour_counts
 
+    # a column whose round switches nobody has reached its fixed point and
+    # stays there; once half the live columns have, they are set aside and
+    # later rounds work only on the rest
     on_b = np.zeros((n, n_cols), dtype=bool)
+    final_dist = np.full((n, n_cols), UNREACHED, dtype=np.int32)
+    live = np.arange(n_cols)
+    cur = on_b.copy()  # on_b of the live columns
     traces: list[list[frozenset]] = [[] for _ in range(n_cols)] if collect_trace else []
     rounds = np.zeros(n_cols, dtype=np.int64)
 
     total_rounds = 0
     while True:
-        dist = through_platform_distances(network, on_b)
+        dist = through_platform_distances(network, cur)
         with np.errstate(over="ignore"):
-            p_recv = np.where(dist >= 0, params.p ** np.maximum(dist, 0), 0.0)
+            p_recv = np.where(dist >= 0, p ** np.maximum(dist, 0), 0.0)
         psi_gain = np.where(trusting, p_recv * gain, 0.0)
-        n_b = neighbour_counts(on_b)
+        n_b = neighbour_counts(cur)
         # V_B - V_A; the A side earns the no-signal payoff, which cancels
         # against the trusting-branch base term of Psi_B
-        diff = n_b * params.b_b - (deg - n_b) * params.b_a + psi_gain
-        if (on_b & (diff < -TIE_TOL)).any():
+        diff = n_b * b_b - (deg - n_b) * b_a + psi_gain
+        if (cur & (diff < -TIE_TOL)).any():
             raise InvariantViolationError("a user on B strictly prefers A; one-way migration violated")
         # exact ties go to the sender's platform, but only for users with an
         # attachment there (direct link or a friend already on it): a user
         # indifferent between two platforms it has no connection to stays put
         attached = network.sender_mask[:, None] | (n_b >= 0.5)
-        switch = (~on_b) & ((diff > TIE_TOL) | ((np.abs(diff) <= TIE_TOL) & attached))
-        if not switch.any():
+        switch = (~cur) & ((diff > TIE_TOL) | ((np.abs(diff) <= TIE_TOL) & attached))
+        moving = switch.any(axis=0)
+        if 2 * np.count_nonzero(moving) <= live.size:
+            settled = ~moving
+            on_b[:, live[settled]] = cur[:, settled]
+            final_dist[:, live[settled]] = dist[:, settled]
+            live = live[moving]
+            cur, switch, trusting, gain, p, b_a, b_b = (
+                x[:, moving] for x in (cur, switch, trusting, gain, p, b_a, b_b)
+            )
+            moving = moving[moving]
+        if not live.size:
             break
         total_rounds += 1
         if total_rounds > n + ITERATION_CAP_SLACK:
             raise InvariantViolationError(
                 f"adoption exceeded the {n + ITERATION_CAP_SLACK}-round cap"
             )
-        cols = switch.any(axis=0)
-        rounds[cols] += 1
+        rounds[live[moving]] += 1
         if collect_trace:
-            for j in np.nonzero(cols)[0]:
-                traces[j].append(frozenset(np.nonzero(switch[:, j])[0].tolist()))
-        on_b |= switch
-    return on_b, dist, rounds, traces
+            for k in np.flatnonzero(moving):
+                traces[live[k]].append(frozenset(np.nonzero(switch[:, k])[0].tolist()))
+        cur |= switch
+    return on_b, final_dist, rounds, traces
 
 
 def run_adoption(
@@ -161,7 +180,8 @@ def run_adoption(
             converged=True,
         )
     on_b, dist, rounds, traces = batch_final_b_sets(
-        network, params, np.array([beta]), collect_trace=True
+        network, params.mu, np.array([beta]), params.p, params.b_a, params.b_b,
+        collect_trace=True,
     )
     assignment = Assignment(on_b[:, 0], Platform.B)
     with np.errstate(over="ignore"):
@@ -186,7 +206,7 @@ def platform_values(
     probability they would get by moving alone. Off-sender values carry no
     signal payoff beyond the default guess.
     """
-    bp = _beta_primes(network, params)
+    bp = _beta_primes(network, params.mu)
     c = network.c_values
     on_side = assignment.on_b if assignment.sender_platform is Platform.B else ~assignment.on_b
     dist = through_platform_distances(network, on_side[:, None])[:, 0]
@@ -253,7 +273,7 @@ def cascade_thresholds(
     """
     if not network.is_cascade_tree:
         raise InvariantViolationError("cascade thresholds need a connected acyclic single-link network")
-    bp = _beta_primes(network, params)
+    bp = _beta_primes(network, params.mu)
     c = network.c_values
     root = network.sender_links[0]
     depth = through_platform_distances(

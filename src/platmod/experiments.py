@@ -18,13 +18,17 @@ import numpy as np
 
 from .adoption import Assignment, run_adoption
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import Network, SbmSpec, gen_linear, gen_regular_tree, gen_sbm, gen_star_chain
-from .model import ModelParams, Platform, trust_threshold
-from .regulation import (
-    RegulationKind,
-    sender_equilibrium,
-    strictest_effective_regulation,
+from .graph import (
+    Network,
+    SbmSpec,
+    gen_linear,
+    gen_regular_tree,
+    gen_sbm,
+    gen_star_chain,
+    validate_profiles,
 )
+from .model import ModelParams, Platform, trust_threshold
+from .regulation import RegulationKind, sender_equilibrium, solve_cells
 
 SWEEP_CSV_HEADER = "p,b_A,samples,n_no_effective,n_any,n_moderate,mean_rho_se,seed_base"
 A1_CSV_HEADER = "theta_JJ,seed,n_users_B,irregular_choices"
@@ -159,41 +163,73 @@ class HeatmapGrid:
         return None
 
 
-def _column_results(task) -> tuple[int, int, list]:
-    recipe, seed, mu, b_b, p_idx, p, ba_values, grid_fallback = task
+def _error(exc: Exception) -> tuple[str, str]:
+    return "error", f"{type(exc).__name__}: {exc}"
+
+
+def _column_results(task) -> tuple[int, int, list[list]]:
+    """Every (p, b_a) cell of a block of p columns on one sampled network.
+
+    Returns (seed, index of the block's first p, one result list per p
+    column). Cells with invalid params record their error and the others are
+    solved together by solve_cells.
+    """
+    recipe, seed, mu, b_b, p_start, p_block, ba_values, grid_fallback = task
     network = recipe.build(seed)
-    out = []
-    for b_a in ba_values:
-        try:
-            params = ModelParams(mu=mu, p=float(p), b_a=float(b_a), b_b=b_b)
-            res = strictest_effective_regulation(network, params, grid_fallback=grid_fallback)
-            out.append((res.kind.value, res.rho_se))
-        except InvariantViolationError:
-            raise  # a program fault, never one bad cell
-        except Exception as exc:  # recorded per cell, sweep continues
-            out.append(("error", f"{type(exc).__name__}: {exc}"))
-    return seed, p_idx, out
+    out = [[None] * len(ba_values) for _ in p_block]
+    cells, slots = [], []
+    for i, p in enumerate(p_block):
+        for j, b_a in enumerate(ba_values):
+            try:
+                params = ModelParams(mu=mu, p=float(p), b_a=float(b_a), b_b=b_b)
+                validate_profiles(network, params)
+            except InvalidParamsError as exc:  # recorded per cell, the rest still run
+                out[i][j] = _error(exc)
+                continue
+            cells.append(params)
+            slots.append((i, j))
+    try:
+        solved = [
+            (res.kind.value, res.rho_se)
+            for res in solve_cells(network, cells, grid_fallback=grid_fallback)
+        ]
+    except InvariantViolationError:
+        raise  # a program fault, never one bad cell
+    except Exception as exc:  # the cells share one search: each records the error
+        solved = [_error(exc)] * len(cells)
+    for (i, j), res in zip(slots, solved):
+        out[i][j] = res
+    return seed, p_start, out
 
 
 def sweep(spec: SweepSpec, workers: int = 1, grid_fallback: bool = False) -> HeatmapGrid:
     """Evaluate strictest_effective_regulation over the grid.
 
-    Tasks are one (sample, p column) each; results depend only on the spec
-    and sample index, never on scheduling.
+    Serially a task is one sample: all its cells are solved together on one
+    network (solve_cells). With workers > 1 each sample's p columns split
+    into min(workers, p steps) contiguous blocks, one task each. Results
+    depend only on the spec and sample index, never on scheduling.
     """
     p_values = spec.p_values()
-    ba_values = spec.ba_values()
+    ba_values = tuple(spec.ba_values())
+    n_blocks = min(max(workers, 1), len(p_values))
+    blocks = np.array_split(np.arange(len(p_values)), n_blocks)
     tasks = [
-        (spec.recipe, seed, spec.mu, spec.b_b, p_idx, p, tuple(ba_values), grid_fallback)
+        (spec.recipe, seed, spec.mu, spec.b_b, int(block[0]), tuple(p_values[block]),
+         ba_values, grid_fallback)
         for seed in spec.seeds()
-        for p_idx, p in enumerate(p_values)
+        for block in blocks
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_column_results, tasks, chunksize=1))
     else:
         results = [_column_results(t) for t in tasks]
-    by_key = {(seed, p_idx): out for seed, p_idx, out in results}
+    by_key = {
+        (seed, p_start + k): column
+        for seed, p_start, columns in results
+        for k, column in enumerate(columns)
+    }
 
     cells: list[CellStats] = []
     for p_idx, p in enumerate(p_values):
@@ -332,10 +368,7 @@ def a1_csv_text(report: A1Report) -> str:
 def emit_csv(obj, path) -> None:
     """Write a sweep grid or an assumption report as CSV."""
     text = sweep_csv_text(obj) if isinstance(obj, HeatmapGrid) else a1_csv_text(obj)
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
+    Path(path).write_text(text)
 
 
 def read_sweep_csv(path) -> list[dict]:
@@ -390,7 +423,4 @@ def pgm_text(grid: HeatmapGrid, beta_prime: float | None = None) -> str:
 
 
 def emit_pgm(grid: HeatmapGrid, path, beta_prime: float | None = None) -> None:
-    try:
-        Path(path).write_text(pgm_text(grid, beta_prime))
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
+    Path(path).write_text(pgm_text(grid, beta_prime))

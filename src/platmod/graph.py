@@ -209,10 +209,15 @@ class Network:
 
 def validate_profiles(network: Network, params: ModelParams) -> None:
     """Check mu < c_i < 1/2 for every user against concrete params."""
-    bad = np.nonzero(network.c_values <= params.mu)[0]
+    validate_mu(network, params.mu)
+
+
+def validate_mu(network: Network, mu: float) -> None:
+    """validate_profiles for a bare mu, the one parameter the check reads."""
+    bad = np.nonzero(network.c_values <= mu)[0]
     if bad.size:
         raise InvalidParamsError(
-            f"user {int(bad[0])} has c={network.c_values[bad[0]]} <= mu={params.mu}"
+            f"user {int(bad[0])} has c={network.c_values[bad[0]]} <= mu={mu}"
         )
 
 

@@ -139,7 +139,9 @@ def test_adopter_sets_monotone_in_beta():
     for _ in range(25):
         network, params, _ = random_sbm_instance(rng)
         betas = np.sort(rng.uniform(0.0, 1.0, 6))
-        on_b, _, _, _ = batch_final_b_sets(network, params, betas)
+        on_b, _, _, _ = batch_final_b_sets(
+            network, params.mu, betas, params.p, params.b_a, params.b_b
+        )
         for lo, hi in zip(range(5), range(1, 6)):
             assert (on_b[:, hi] <= on_b[:, lo]).all()
 
@@ -168,7 +170,9 @@ def test_cascade_matches_engine_on_trees():
                 generator_meta=net.generator_meta,
             )
             betas = rng.uniform(0.0, 1.0, 8)
-            engine, _, _, _ = batch_final_b_sets(net_c, params, betas)
+            engine, _, _, _ = batch_final_b_sets(
+                net_c, params.mu, betas, params.p, params.b_a, params.b_b
+            )
             fast, _ = cascade_final_b_sets(net_c, params, betas)
             assert (engine == fast).all()
 

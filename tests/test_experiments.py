@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,21 +94,22 @@ def test_sample_results_independent_of_order():
 
     shuffled = []
     tasks = [
-        (recipe, seed, 0.2, 0.0, p_idx, p, tuple(spec_a.ba_values()), False)
+        (recipe, seed, 0.2, 0.0, p_idx, (p,), tuple(spec_a.ba_values()), False)
         for p_idx, p in enumerate(spec_a.p_values())
         for seed in reversed(spec_a.seeds())
     ]
     for t in tasks:
         shuffled.append(_column_results(t))
-    by_key = {(seed, p_idx): out for seed, p_idx, out in shuffled}
+    by_key = {(seed, p_idx): out[0] for seed, p_idx, out in shuffled}
+    # one task per sample, all p columns at once, as a serial sweep runs it
     tasks_fwd = [
-        (recipe, seed, 0.2, 0.0, p_idx, p, tuple(spec_a.ba_values()), False)
+        (recipe, seed, 0.2, 0.0, 0, tuple(spec_a.p_values()), tuple(spec_a.ba_values()), False)
         for seed in spec_a.seeds()
-        for p_idx, p in enumerate(spec_a.p_values())
     ]
-    for recipe_, seed, mu, bb, p_idx, p, bas, gf in tasks_fwd:
-        again = _column_results((recipe_, seed, mu, bb, p_idx, p, bas, gf))
-        assert by_key[(seed, p_idx)] == again[2]
+    for recipe_, seed, mu, bb, p_start, ps, bas, gf in tasks_fwd:
+        again = _column_results((recipe_, seed, mu, bb, p_start, ps, bas, gf))
+        for p_idx, column in enumerate(again[2]):
+            assert by_key[(seed, p_idx)] == column
 
 
 def test_irregular_choices_values():
@@ -196,6 +199,43 @@ def test_cell_failures_recorded_without_aborting():
     for cell in grid.cells:
         assert cell.samples == 0
         assert "InvalidParamsError" in cell.error
+        assert cell.error == "InvalidParamsError: user 0 has c=0.3 <= mu=0.45"
+
+
+def test_invalid_cells_leave_the_others_unchanged():
+    # p = 1 is outside the model: those cells record the error while the
+    # cells of the same sampled networks are solved as without them
+    recipe = NetworkRecipe("sbm", {"sizes": [8, 8], "theta": [[0.8, 0.05], [0.05, 0.8]]})
+    full = sweep(SweepSpec(
+        p_range=(0.5, 1.0, 3), ba_range=(0.0, 0.01, 3), recipe=recipe, samples=3, base_seed=2
+    ))
+    valid = sweep(SweepSpec(
+        p_range=(0.5, 0.75, 2), ba_range=(0.0, 0.01, 3), recipe=recipe, samples=3, base_seed=2
+    ))
+    assert full.cells[:6] == valid.cells
+    for cell in full.cells[6:]:
+        assert cell.p == 1.0 and cell.samples == 0
+        assert cell.error == "; ".join(["InvalidParamsError: p must lie in (0, 1), got 1.0"] * 3)
+
+
+def test_small_chain_sweep_csv_is_pinned():
+    # the CSV of cells solved one at a time, before a sample's cells were
+    # searched together; parallel blocks of p columns must give it too
+    spec = SweepSpec(
+        p_range=(0.5, 0.9, 3),
+        ba_range=(0.0, 0.02, 4),
+        recipe=NetworkRecipe(
+            "sbm",
+            {"sizes": [10, 10, 10], "theta": [list(r) for r in chain_theta((10, 10, 10), 0.75)]},
+        ),
+        samples=4,
+        base_seed=0,
+    )
+    for workers in (1, 2):
+        text = sweep_csv_text(sweep(spec, workers=workers))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "cd7e34f03faa8b3e4cc62aca228bba736bbc92249aaefe35c08ab36d6b1ce2de"
+        )
 
 
 def test_sweep_reraises_invariant_violation(monkeypatch):
@@ -205,7 +245,7 @@ def test_sweep_reraises_invariant_violation(monkeypatch):
     def broken_solver(*args, **kwargs):
         raise InvariantViolationError("faulty kernel")
 
-    monkeypatch.setattr(experiments, "strictest_effective_regulation", broken_solver)
+    monkeypatch.setattr(experiments, "solve_cells", broken_solver)
     with pytest.raises(InvariantViolationError, match="faulty kernel"):
         sweep(small_line_spec())
 

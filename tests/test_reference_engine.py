@@ -20,6 +20,7 @@ from platmod import (
     gen_star_chain,
     run_adoption,
     strictest_effective_regulation,
+    trust_threshold,
     RegulationKind,
 )
 from platmod.adoption import (
@@ -192,8 +193,12 @@ def test_sparse_engine_agrees_with_dense_and_reference(monkeypatch, n_cols):
             assert dist[:, j].tolist() == _ref_distance_column(sparse, on_side[:, j].tolist())
 
         betas = rng.uniform(0.0, 1.0, n_cols)
-        got = batch_final_b_sets(sparse, params, betas, collect_trace=True)
-        want = batch_final_b_sets(dense, params, betas, collect_trace=True)
+        got = batch_final_b_sets(
+            sparse, params.mu, betas, params.p, params.b_a, params.b_b, collect_trace=True
+        )
+        want = batch_final_b_sets(
+            dense, params.mu, betas, params.p, params.b_a, params.b_b, collect_trace=True
+        )
         for g, w in zip(got[:3], want[:3]):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert got[3] == want[3]
@@ -230,7 +235,9 @@ def test_sparse_cascade_matches_engine_above_cutoff():
     assert tree.n_users > platmod.graph.DENSE_MAX_USERS and not tree.dense
     params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
     betas = np.linspace(0.0, 0.6, 13)
-    engine, _, _, _ = batch_final_b_sets(tree, params, betas)
+    engine, _, _, _ = batch_final_b_sets(
+        tree, params.mu, betas, params.p, params.b_a, params.b_b
+    )
     fast, _ = cascade_final_b_sets(tree, params, betas)
     assert np.array_equal(engine, fast)
     assert "adjacency_f" not in tree.__dict__
@@ -252,3 +259,41 @@ def test_line_above_cutoff_with_two_sender_links(monkeypatch):
     dense = build_network(monkeypatch, 10**9, fields)
     assert dense.dense
     assert strictest_effective_regulation(dense, params) == res
+
+
+@pytest.mark.parametrize("dense_max_users", [10**9, 0])
+def test_engine_columns_carry_their_own_params(monkeypatch, dense_max_users):
+    # one batch mixes p, b_a and b_b across its columns; columns finish in
+    # different rounds, so later rounds run on a subset of them
+    rng = np.random.default_rng(41)
+    checked = 0
+    while checked < 6:
+        fields, params, _ = widened_sbm_instance(rng)
+        if fields["n_users"] > 25:
+            continue
+        checked += 1
+        net = build_network(monkeypatch, dense_max_users, fields)
+        assert net.dense == (dense_max_users > 0)
+        n_cols = 12
+        bp = trust_threshold(params.mu, fields["profiles"][0].c)
+        betas = rng.uniform(0.0, 1.1 * bp, n_cols)  # mostly trusted, so users move
+        p = rng.uniform(0.2, 0.95, n_cols)
+        b_a = rng.uniform(0.0, 0.02, n_cols)
+        b_b = rng.uniform(0.0, 0.01, n_cols)
+        on_b, dist, rounds, traces = batch_final_b_sets(
+            net, params.mu, betas, p, b_a, b_b, collect_trace=True
+        )
+        for j in range(n_cols):
+            col_params = ModelParams(
+                mu=params.mu, p=float(p[j]), b_a=float(b_a[j]), b_b=float(b_b[j])
+            )
+            ref_on_b, ref_trace = ref_adoption(net, col_params, float(betas[j]))
+            assert on_b[:, j].tolist() == ref_on_b
+            assert traces[j] == ref_trace
+            assert dist[:, j].tolist() == _ref_distance_column(net, ref_on_b)
+            one = batch_final_b_sets(
+                net, params.mu, betas[j:j + 1], p[j], b_a[j], b_b[j], collect_trace=True
+            )
+            assert np.array_equal(one[0][:, 0], on_b[:, j])
+            assert np.array_equal(one[1][:, 0], dist[:, j])
+            assert one[2][0] == rounds[j] and one[3][0] == traces[j]

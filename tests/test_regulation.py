@@ -3,24 +3,39 @@ import math
 import numpy as np
 import pytest
 
+import platmod.regulation
 from platmod import (
+    InvalidParamsError,
+    InvariantViolationError,
     ModelParams,
+    Network,
+    NetworkRecipe,
     Platform,
     RegulationKind,
+    SbmSpec,
+    SweepSpec,
     gen_linear,
     gen_regular_tree,
+    gen_sbm,
     gen_star_chain,
     optimal_B,
     sender_equilibrium,
     strictest_effective_regulation,
+    sweep,
     trust_threshold,
     utility_on_A,
 )
 from platmod.analytic import big_f
-from platmod.regulation import _SetCache, _candidate_betas, BISECT_WIDTH
+from platmod.regulation import (
+    BISECT_WIDTH,
+    _SetCache,
+    _candidate_betas,
+    _ensure_all,
+    solve_cells,
+)
 from platmod.adoption import _beta_primes
 
-from conftest import default_params, random_sbm_instance
+from conftest import default_params, random_sbm_instance, widened_sbm_instance
 
 BETA_PRIME = trust_threshold(0.2, 0.3)
 
@@ -145,12 +160,12 @@ def test_bisection_brackets_are_set_constant():
     params = ModelParams(mu=0.2, p=0.85, b_a=0.01, b_b=0.0)
     cache = _SetCache(net, params)
     assert not cache.use_cascade
-    candidates = _candidate_betas(cache, _beta_primes(net, params))
+    [candidates] = _candidate_betas([cache], _beta_primes(net, params.mu))
     changed = 0
     for lo, hi in zip(candidates, candidates[1:]):
         if cache.set_key(lo) == cache.set_key(hi):
             mid = (lo + hi) / 2
-            cache.ensure([mid])
+            _ensure_all([(cache, [mid])])
             assert cache.set_key(mid) == cache.set_key(lo)
         else:
             assert hi - lo <= 2 * BISECT_WIDTH
@@ -166,11 +181,11 @@ def test_cascade_candidates_sit_on_piece_tops():
     params = ModelParams(mu=0.2, p=0.85, b_a=0.03, b_b=0.0)
     cache = _SetCache(net, params)
     assert cache.use_cascade
-    candidates = _candidate_betas(cache, _beta_primes(net, params))
+    [candidates] = _candidate_betas([cache], _beta_primes(net, params.mu))
     changed = 0
     for lo, hi in zip(candidates, candidates[1:]):
         mid = (lo + hi) / 2
-        cache.ensure([mid])
+        _ensure_all([(cache, [mid])])
         if cache.set_key(lo) == cache.set_key(hi):
             assert cache.set_key(mid) == cache.set_key(lo)
         else:
@@ -233,3 +248,88 @@ def test_moderate_zero_boundary_reported_as_any():
         gen_linear(2), ModelParams(mu=0.2, p=0.9, b_a=0.3, b_b=0.0)
     )
     assert res2.kind is RegulationKind.ANY_REGULATION and res2.rho_se == 0.0
+
+
+def _random_cells(rng, mu, k):
+    return [
+        ModelParams(
+            mu=mu,
+            p=float(rng.uniform(0.2, 0.95)),
+            b_a=float(rng.uniform(0.0, 0.03)),
+            b_b=float(rng.uniform(0.0, 0.01)),
+        )
+        for _ in range(k)
+    ]
+
+
+def test_lockstep_cells_equal_one_cell_solves():
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(4):
+        network, params, _ = random_sbm_instance(rng)
+        cases.append((network, params.mu))
+    fields, params, _ = widened_sbm_instance(rng)
+    cases.append((Network(**fields), params.mu))  # two sender links
+    per_community_c = gen_sbm(SbmSpec(
+        sizes=(8, 8, 8),
+        theta=((0.8, 0.05, 0.0), (0.05, 0.8, 0.05), (0.0, 0.05, 0.8)),
+        seed=5,
+        c_by_community=(0.25, 0.35, 0.45),
+    ))
+    cases.append((per_community_c, 0.2))
+    tree = gen_star_chain(4, 2)
+    assert tree.is_cascade_tree
+    cases.append((tree, 0.2))
+    kinds = set()
+    for network, mu in cases:
+        cells = _random_cells(rng, mu, 10)
+        together = solve_cells(network, cells)
+        assert together == [strictest_effective_regulation(network, c) for c in cells]
+        kinds.update(res.kind for res in together)
+    assert kinds == set(RegulationKind)
+    for network, mu in (cases[4], cases[-1]):
+        cells = _random_cells(rng, mu, 2)
+        assert solve_cells(network, cells, grid_fallback=True) == [
+            strictest_effective_regulation(network, c, grid_fallback=True) for c in cells
+        ]
+    with pytest.raises(InvalidParamsError, match="share mu"):
+        solve_cells(tree, [default_params(), default_params(mu=0.1)])
+
+
+def test_set_cache_rejects_non_nested_sets():
+    net = gen_star_chain(3, 2)  # 6 users
+    cache = _SetCache(net, default_params())
+    sets = lambda *cols: np.array([[u in col for col in cols] for u in range(6)])
+    dist = np.zeros((6, 2), dtype=np.int32)
+    cache.store([0.0, 0.5], sets({0, 1}, {0}), dist)
+    cache.store([0.4], sets({0, 1}), dist[:, :1])  # nested between its neighbours
+    for bad in ({0, 2}, {1}):  # not within the lower set; not holding the upper one
+        fresh = _SetCache(net, default_params())
+        fresh.store([0.0, 0.5], sets({0, 1}, {0}), dist)
+        with pytest.raises(InvariantViolationError, match="not a subset"):
+            fresh.store([0.25], sets(bad), dist[:, :1])
+
+
+def test_non_nested_engine_output_raises(monkeypatch):
+    # an engine whose adopter sets grow with beta breaks the nesting the
+    # bisection relies on; solves and sweeps must fail loudly
+    def growing_sets(network, mu, betas, p, b_a, b_b, collect_trace=False):
+        betas = np.asarray(betas)
+        on_b = np.broadcast_to(betas > 0.1, (network.n_users, betas.size)).copy()
+        dist = np.zeros(on_b.shape, dtype=np.int32)
+        return on_b, dist, np.zeros(betas.size, dtype=np.int64), []
+
+    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", growing_sets)
+    net = gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=4))
+    assert not net.is_cascade_tree
+    with pytest.raises(InvariantViolationError, match="not a subset"):
+        strictest_effective_regulation(net, default_params())
+    spec = SweepSpec(
+        p_range=(0.5, 0.9, 2),
+        ba_range=(0.0, 0.01, 2),
+        recipe=NetworkRecipe("sbm", {"sizes": [6, 6], "theta": [[0.9, 0.08], [0.08, 0.9]]}),
+        samples=2,
+        base_seed=4,
+    )
+    with pytest.raises(InvariantViolationError, match="not a subset"):
+        sweep(spec)

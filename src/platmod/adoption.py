@@ -4,7 +4,8 @@ The engine is vectorized over a batch of columns: platform search in the
 regulation module evaluates many (beta, p, b_a, b_b) combinations against the
 same network and mu, and every column of the batch is an independent run of
 the exact same synchronous update. A scalar wrapper provides the public
-trace-carrying operation.
+trace-carrying operation. The engine, best_response and nash_check compare
+the same sender-side advantage, with the tie rule, from the model's kernel.
 
 On connected acyclic networks with a single sender link the process is a
 root-to-leaf wave (each user decides exactly once, when its parent has just
@@ -19,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import Network, UNREACHED, receive_probs, through_platform_distances, validate_mu
-from .model import ModelParams, Platform, TIE_TOL
+from .graph import (Network, UNREACHED, all_relay_distances, receive_map, receive_probs,
+                    through_platform_distances, validate_mu)
+from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_side_advantage,
+                    trust_threshold, trusts)
 
 ITERATION_CAP_SLACK = 1  # cap = n_users + 1, loud failure beyond it
 
@@ -62,13 +65,7 @@ class EquilibriumOutcome:
 
 def _beta_primes(network: Network, mu: float) -> np.ndarray:
     validate_mu(network, mu)
-    c = network.c_values
-    return mu * (1.0 - c) / ((1.0 - mu) * c)
-
-
-def _news_gain(mu: float, c: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    # expected estimation gain per unit receive probability, trusting branch
-    return mu * (1.0 - c[:, None]) - (1.0 - mu) * betas[None, :] * c[:, None]
+    return trust_threshold(mu, network.c_values)
 
 
 def batch_final_b_sets(
@@ -100,10 +97,11 @@ def batch_final_b_sets(
     n = network.n_users
     n_cols = betas.size
     bp = _beta_primes(network, mu)
-    c = network.c_values
-    trusting = betas[None, :] <= bp[:, None] + TIE_TOL
-    gain = _news_gain(mu, c, betas)
+    c = network.c_values[:, None]
+    trusting = trusts(betas[None, :], bp[:, None])
+    gain = news_gain(mu, c, betas[None, :])
     deg = network.degrees.astype(np.float64)[:, None]
+    linked = network.sender_mask[:, None]
     neighbour_counts = network.neighbour_counts
 
     # a column whose round switches nobody has reached its fixed point and
@@ -119,20 +117,13 @@ def batch_final_b_sets(
     total_rounds = 0
     while True:
         dist = through_platform_distances(network, cur)
-        with np.errstate(over="ignore"):
-            p_recv = np.where(dist >= 0, p ** np.maximum(dist, 0), 0.0)
-        psi_gain = np.where(trusting, p_recv * gain, 0.0)
         n_b = neighbour_counts(cur)
-        # V_B - V_A; the A side earns the no-signal payoff, which cancels
-        # against the trusting-branch base term of Psi_B
-        diff = n_b * b_b - (deg - n_b) * b_a + psi_gain
+        diff, joins = sender_side_advantage(
+            n_b, deg, b_b, b_a, trusting, receive_map(p, dist), gain, linked
+        )
         if (cur & (diff < -TIE_TOL)).any():
             raise InvariantViolationError("a user on B strictly prefers A; one-way migration violated")
-        # exact ties go to the sender's platform, but only for users with an
-        # attachment there (direct link or a friend already on it): a user
-        # indifferent between two platforms it has no connection to stays put
-        attached = network.sender_mask[:, None] | (n_b >= 0.5)
-        switch = (~cur) & ((diff > TIE_TOL) | ((np.abs(diff) <= TIE_TOL) & attached))
+        switch = (~cur) & joins
         moving = switch.any(axis=0)
         if 2 * np.count_nonzero(moving) <= live.size:
             settled = ~moving
@@ -169,85 +160,56 @@ def run_adoption(
     """
     if not 0.0 <= beta <= 1.0:
         raise InvalidParamsError(f"beta must lie in [0, 1], got {beta}")
-    n = network.n_users
     if sender_platform is Platform.A:
-        assignment = Assignment.all_a(n, Platform.A)
-        return EquilibriumOutcome(
-            assignment=assignment,
-            p_recv=receive_probs(network, params, assignment),
-            iterations=0,
-            trace=[],
-            converged=True,
+        assignment, iterations, trace = Assignment.all_a(network.n_users, Platform.A), 0, []
+    else:
+        on_b, _, rounds, traces = batch_final_b_sets(
+            network, params.mu, np.array([beta]), params.p, params.b_a, params.b_b,
+            collect_trace=True,
         )
-    on_b, dist, rounds, traces = batch_final_b_sets(
-        network, params.mu, np.array([beta]), params.p, params.b_a, params.b_b,
-        collect_trace=True,
-    )
-    assignment = Assignment(on_b[:, 0], Platform.B)
-    with np.errstate(over="ignore"):
-        p_recv = np.where(dist[:, 0] >= 0, params.p ** np.maximum(dist[:, 0], 0), 0.0)
-    p_recv[~assignment.on_b] = 0.0
+        assignment = Assignment(on_b[:, 0], Platform.B)
+        iterations, trace = int(rounds[0]), traces[0]
     return EquilibriumOutcome(
         assignment=assignment,
-        p_recv=p_recv,
-        iterations=int(rounds[0]),
-        trace=traces[0],
+        p_recv=receive_probs(network, params, assignment),
+        iterations=iterations,
+        trace=trace,
         converged=True,
     )
 
 
-def platform_values(
+def _sender_side_advantage(
     network: Network, params: ModelParams, beta: float, assignment: Assignment
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user utilities (V_A, V_B) under an assignment.
-
-    For users on the sender's platform the sender-side value uses their
-    actual receive probability; for everyone else it uses the hypothetical
-    probability they would get by moving alone. Off-sender values carry no
-    signal payoff beyond the default guess.
-    """
-    bp = _beta_primes(network, params.mu)
-    c = network.c_values
-    on_side = assignment.on_b if assignment.sender_platform is Platform.B else ~assignment.on_b
-    dist = through_platform_distances(network, on_side[:, None])[:, 0]
-    with np.errstate(over="ignore"):
-        p_eff = np.where(dist >= 0, params.p ** np.maximum(dist, 0), 0.0)
-    base = (1.0 - params.mu) * c
-    gain = np.where(
-        beta <= bp + TIE_TOL,
-        p_eff * (params.mu * (1.0 - c) - (1.0 - params.mu) * beta * c),
-        0.0,
-    )
-    n_b = network.neighbour_counts(assignment.on_b.astype(np.float64))
-    n_a = network.degrees - n_b
-    v_a = n_a * params.b_a + base
-    v_b = n_b * params.b_b + base
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(users on the sender's platform, V_sender - V_other, picks the sender's
+    platform) per user under an assignment. Users on the sender's platform
+    get their actual receive probability, everyone else the hypothetical one
+    of moving there alone."""
     if assignment.sender_platform is Platform.B:
-        v_b = v_b + gain
+        on_side, b_side, b_other = assignment.on_b, params.b_b, params.b_a
     else:
-        v_a = v_a + gain
-    return v_a, v_b
+        on_side, b_side, b_other = ~assignment.on_b, params.b_a, params.b_b
+    dist = through_platform_distances(network, on_side[:, None])[:, 0]
+    n_side = network.neighbour_counts(on_side.astype(np.float64))
+    trusting = trusts(beta, _beta_primes(network, params.mu))
+    return (on_side,) + sender_side_advantage(
+        n_side, network.degrees, b_side, b_other, trusting, receive_map(params.p, dist),
+        news_gain(params.mu, network.c_values, beta), network.sender_mask,
+    )
 
 
 def best_response(
     network: Network, params: ModelParams, beta: float, assignment: Assignment, user: int
 ) -> Platform:
-    """Single-user best response.
-
-    Exact ties go to the sender's platform when the user has an attachment
-    there (a direct sender link or at least one friend on it); a user with
-    no connection to either option of a zero-value tie keeps its platform.
-    """
-    v_a, v_b = platform_values(network, params, beta, assignment)
-    d = v_b[user] - v_a[user]
-    if abs(d) <= TIE_TOL:
-        side = assignment.sender_platform
-        on_side = assignment.on_b if side is Platform.B else ~assignment.on_b
-        attached = bool(network.sender_mask[user]) or bool(
-            on_side[network.neighbours(user)].any()
-        )
-        return side if attached else assignment.platform_of(user)
-    return Platform.B if d > 0 else Platform.A
+    """Single-user best response. Exact ties go to the sender's platform when
+    the user has an attachment there (a direct sender link or at least one
+    friend on it); a user with no connection to either option of a zero-value
+    tie keeps its platform (the tie rule of model.sender_side_advantage)."""
+    _, advantage, joins = _sender_side_advantage(network, params, beta, assignment)
+    side = assignment.sender_platform
+    if joins[user]:
+        return side
+    return side.other() if advantage[user] < -TIE_TOL else assignment.platform_of(user)
 
 
 def nash_check(
@@ -255,8 +217,8 @@ def nash_check(
 ) -> list[int]:
     """Users whose unilateral platform switch strictly improves their utility
     beyond tolerance. Empty list == the assignment is an equilibrium."""
-    v_a, v_b = platform_values(network, params, beta, assignment)
-    gain = np.where(assignment.on_b, v_a - v_b, v_b - v_a)
+    on_side, advantage, _ = _sender_side_advantage(network, params, beta, assignment)
+    gain = np.where(on_side, -advantage, advantage)
     return np.nonzero(gain > TIE_TOL)[0].tolist()
 
 
@@ -273,19 +235,17 @@ def cascade_thresholds(
     """
     if not network.is_cascade_tree:
         raise InvariantViolationError("cascade thresholds need a connected acyclic single-link network")
-    bp = _beta_primes(network, params.mu)
+    validate_mu(network, params.mu)
     c = network.c_values
     root = network.sender_links[0]
-    depth = through_platform_distances(
-        network, np.ones((network.n_users, 1), dtype=bool)
-    )[:, 0].astype(np.int64)
+    depth = all_relay_distances(network).astype(np.int64)
 
     deg = network.degrees
     gap = (deg - 1) * params.b_a - params.b_b
     gap[root] = deg[root] * params.b_a
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         thr = (
-            params.mu * (1.0 - c) - gap / params.p ** depth.astype(np.float64)
+            params.mu * (1.0 - c) - gap / receive_map(params.p, depth)
         ) / ((1.0 - params.mu) * c)
     thr = np.where(gap <= TIE_TOL, np.inf, thr)
 

@@ -154,7 +154,7 @@ def _cmd_adoption(args) -> int:
 def _cmd_rho_se(args) -> int:
     net = _load_network(args)
     params = _params_from(args)
-    res = strictest_effective_regulation(net, params, grid_fallback=args.grid_fallback)
+    res = strictest_effective_regulation(net, params)
     doc = {
         "kind": res.kind.value,
         "u_star_b": res.u_star_b,
@@ -214,7 +214,7 @@ def _cmd_sweep(args) -> int:
         samples=samples,
         base_seed=args.seed if args.seed is not None else 0,
     )
-    grid = sweep(spec, workers=args.workers or 1, grid_fallback=args.grid_fallback)
+    grid = sweep(spec, workers=args.workers or 1)
     text = pgm_text(grid) if args.format == "pgm" else sweep_csv_text(grid)
     _write_or_print(text, args.out)
     return 0
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(r)
     r.add_argument("--network", required=True)
     r.add_argument("--c", type=float, default=None, help="override every user's c")
-    r.add_argument("--grid-fallback", dest="grid_fallback", action="store_true")
     r.set_defaults(func=_cmd_rho_se)
 
     an = sub.add_parser("analytic", help="closed-form family thresholds over a p range")
@@ -307,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--bB", type=float, default=None)
     sw.add_argument("--samples", type=int, default=None)
     sw.add_argument("--workers", type=int, default=None)
-    sw.add_argument("--grid-fallback", dest="grid_fallback", action="store_true")
     sw.set_defaults(func=_cmd_sweep)
 
     va = sub.add_parser("validate-a1", help="bloc-migration metric under a zero cap")

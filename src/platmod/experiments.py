@@ -174,7 +174,7 @@ def _column_results(task) -> tuple[int, int, list[list]]:
     column). Cells with invalid params record their error and the others are
     solved together by solve_cells.
     """
-    recipe, seed, mu, b_b, p_start, p_block, ba_values, grid_fallback = task
+    recipe, seed, mu, b_b, p_start, p_block, ba_values = task
     network = recipe.build(seed)
     out = [[None] * len(ba_values) for _ in p_block]
     cells, slots = [], []
@@ -189,10 +189,7 @@ def _column_results(task) -> tuple[int, int, list[list]]:
             cells.append(params)
             slots.append((i, j))
     try:
-        solved = [
-            (res.kind.value, res.rho_se)
-            for res in solve_cells(network, cells, grid_fallback=grid_fallback)
-        ]
+        solved = [(res.kind.value, res.rho_se) for res in solve_cells(network, cells)]
     except InvariantViolationError:
         raise  # a program fault, never one bad cell
     except Exception as exc:  # the cells share one search: each records the error
@@ -202,7 +199,7 @@ def _column_results(task) -> tuple[int, int, list[list]]:
     return seed, p_start, out
 
 
-def sweep(spec: SweepSpec, workers: int = 1, grid_fallback: bool = False) -> HeatmapGrid:
+def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
     """Evaluate strictest_effective_regulation over the grid.
 
     Serially a task is one sample: all its cells are solved together on one
@@ -215,8 +212,7 @@ def sweep(spec: SweepSpec, workers: int = 1, grid_fallback: bool = False) -> Hea
     n_blocks = min(max(workers, 1), len(p_values))
     blocks = np.array_split(np.arange(len(p_values)), n_blocks)
     tasks = [
-        (spec.recipe, seed, spec.mu, spec.b_b, int(block[0]), tuple(p_values[block]),
-         ba_values, grid_fallback)
+        (spec.recipe, seed, spec.mu, spec.b_b, int(block[0]), tuple(p_values[block]), ba_values)
         for seed in spec.seeds()
         for block in blocks
     ]

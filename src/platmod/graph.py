@@ -172,10 +172,7 @@ class Network:
         exact root-to-leaf wave on such networks (fast path in regulation)."""
         if len(self.sender_links) != 1 or len(self.edges) != self.n_users - 1:
             return False
-        dist = through_platform_distances(
-            self, np.ones((self.n_users, 1), dtype=bool)
-        )[:, 0]
-        return bool((dist != UNREACHED).all())
+        return bool((all_relay_distances(self) != UNREACHED).all())
 
     def to_json_dict(self) -> dict:
         return {
@@ -401,6 +398,12 @@ def through_platform_distances(network: Network, on_side: np.ndarray) -> np.ndar
     return dist
 
 
+def all_relay_distances(network: Network) -> np.ndarray:
+    """through_platform_distances with every user on the sender's platform:
+    the plain sender-to-user hop counts, one per user."""
+    return through_platform_distances(network, np.ones((network.n_users, 1), dtype=bool))[:, 0]
+
+
 def _packed_distances(network: Network, on_side: np.ndarray) -> np.ndarray:
     """through_platform_distances on CSR arrays, with the batch columns
     packed 64 to a uint64 word so one OR per neighbour serves 64 columns."""
@@ -448,6 +451,13 @@ def _csr_neighbour_counts(csr: Csr, marked: np.ndarray) -> np.ndarray:
     return counts.T
 
 
+def receive_map(p, dist: np.ndarray) -> np.ndarray:
+    """Receive probability p**dist at each through-platform distance, 0 where
+    dist is UNREACHED. p is a scalar or broadcasts against dist (one value
+    per batch column); with p in (0, 1) and dist >= 0 nothing overflows."""
+    return np.where(dist >= 0, p ** np.maximum(dist, 0), 0.0)
+
+
 def receive_probs(network: Network, params: ModelParams, assignment) -> np.ndarray:
     """Per-user signal receive probability p**distance under an assignment.
 
@@ -456,7 +466,7 @@ def receive_probs(network: Network, params: ModelParams, assignment) -> np.ndarr
     on_side = (assignment.on_b if assignment.sender_platform is Platform.B
                else ~assignment.on_b)
     dist = through_platform_distances(network, on_side[:, None])[:, 0]
-    probs = np.where(dist >= 0, params.p ** np.maximum(dist, 0), 0.0)
+    probs = receive_map(params.p, dist)
     probs[~on_side] = 0.0
     return probs
 
@@ -471,5 +481,4 @@ def hypothetical_receive_prob(
     on_side = (assignment.on_b if assignment.sender_platform is Platform.B
                else ~assignment.on_b)
     dist = through_platform_distances(network, on_side[:, None])[:, 0]
-    d = dist[user]
-    return float(params.p ** d) if d >= 0 else 0.0
+    return float(receive_map(params.p, dist[user]))

@@ -1,9 +1,13 @@
-"""Scalar parameters and closed-form payoff/utility formulas.
+"""Parameters and the payoff kernel.
 
 All randomness of the signaling interaction (world state, signal, user
 estimates) is marginalized analytically; the functions below return
 expectations. A Monte-Carlo oracle for the underlying game lives in the
 test suite only.
+
+The kernel functions below take numpy arrays (per user, or per user and batch
+column) and are the one place the trust test, payoffs and tie rule are
+written. The public scalar functions are one-element views of them.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ContractViolationError, InvalidParamsError
 
@@ -77,20 +83,52 @@ class UserProfile:
             raise InvalidParamsError("community label must be >= 0")
 
 
-def trust_threshold(mu: float, c: float) -> float:
+def trust_threshold(mu: float, c):
     """Largest deceit level at which a signal is still worth acting on.
 
     Equals mu*(1-c) / ((1-mu)*c) and lies in (0, 1) on the valid domain
-    mu < c < 1/2.
+    mu < c < 1/2. c is one payoff or an array of them, one per user.
     """
-    if not 0.0 < mu < c < 0.5:
+    cs = np.asarray(c)
+    if not (0.0 < mu and (mu < cs).all() and (cs < 0.5).all()):
         raise InvalidParamsError(f"need 0 < mu < c < 1/2, got mu={mu}, c={c}")
     return mu * (1.0 - c) / ((1.0 - mu) * c)
 
 
-def trusts(beta: float, beta_prime: float) -> bool:
+def trusts(beta, beta_prime):
     """Tie at beta == beta_prime counts as trusting (closed upper interval)."""
     return beta <= beta_prime + TIE_TOL
+
+
+def news_gain(mu: float, c, beta):
+    """Gain over the no-signal payoff (1-mu)*c per unit of receive probability
+    of a user who trusts the signal."""
+    return mu * (1.0 - c) - (1.0 - mu) * beta * c
+
+
+def sender_weight(mu: float, beta):
+    """Persuasion rate of one user who receives and trusts the signal."""
+    return mu + (1.0 - mu) * beta
+
+
+def sender_payoff(mu: float, beta: float, p_recv: np.ndarray, persuaded: np.ndarray) -> float:
+    """Expected number of persuaded users among the mask persuaded."""
+    return sender_weight(mu, beta) * float(p_recv[persuaded].sum())
+
+
+def sender_side_advantage(n_side, degree, b_side, b_other, trusting, p_recv, gain, linked):
+    """(V_sender - V_other, joins the sender's platform) for each user.
+
+    n_side counts the user's friends on the sender's platform, p_recv is its
+    receive probability there; the no-signal payoff of the other platform
+    cancels. Tie rule: the sender's platform wins beyond TIE_TOL, and on an
+    exact tie for users attached there (direct link or a friend on it); a
+    user indifferent between two platforms it has no connection to stays put.
+    """
+    news = np.where(trusting, p_recv * gain, 0.0)
+    advantage = n_side * b_side - (degree - n_side) * b_other + news
+    attached = linked | (n_side >= 0.5)
+    return advantage, (advantage > TIE_TOL) | ((np.abs(advantage) <= TIE_TOL) & attached)
 
 
 def news_payoff(mu: float, c: float, beta: float, p_recv: float) -> float:
@@ -104,9 +142,8 @@ def news_payoff(mu: float, c: float, beta: float, p_recv: float) -> float:
         raise InvalidParamsError(f"beta must lie in [0, 1], got {beta}")
     if not 0.0 <= p_recv <= 1.0:
         raise InvalidParamsError(f"p_recv must lie in [0, 1], got {p_recv}")
-    if trusts(beta, trust_threshold(mu, c)):
-        return mu * p_recv * (1.0 - c) + (1.0 - mu) * (1.0 - beta * p_recv) * c
-    return (1.0 - mu) * c
+    gain = p_recv * news_gain(mu, c, beta) if trusts(beta, trust_threshold(mu, c)) else 0.0
+    return (1.0 - mu) * c + gain
 
 
 def social_payoff(n_friends: int, b: float) -> float:
@@ -152,5 +189,5 @@ def sender_utility(
     """
     if not 0.0 <= beta <= 1.0:
         raise InvalidParamsError(f"beta must lie in [0, 1], got {beta}")
-    weight = mu + (1.0 - mu) * beta
-    return weight * sum(p for p, bp in receivers if trusts(beta, bp))
+    p_recv, beta_prime = np.array(list(receivers), dtype=np.float64).reshape(-1, 2).T
+    return sender_payoff(mu, beta, p_recv, trusts(beta, beta_prime))

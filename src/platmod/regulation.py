@@ -12,8 +12,11 @@ pending deceit levels in one batched engine call, so a level costs one
 engine call for the whole network instead of one per cell. Each cell still
 evaluates the same betas with the same arithmetic as it would alone.
 strictest_effective_regulation and optimal_B are its one-cell views. Cascade
-trees (closed form, nothing to bisect) and the grid fallback (thousands of
-columns per cell) solve their cells one after another.
+trees (closed form, nothing to bisect) solve their cells one after another.
+
+On A every user stays with the sender, so one search over the trust tiers
+up to a cap (_search_on_A) serves the classification, the full-game outcome
+and utility_on_A. Payoffs and the trust test come from the model's kernel.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from .adoption import (
     _beta_primes,
 )
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import Network, through_platform_distances
-from .model import ModelParams, Platform, TIE_TOL
+from .graph import Network, all_relay_distances, receive_map
+from .model import ModelParams, Platform, TIE_TOL, sender_payoff, sender_weight, trusts
 
 BISECT_WIDTH = 1e-9
-GRID_FALLBACK_STEP = 1e-4
 
 
 class RegulationKind(Enum):
@@ -60,15 +62,22 @@ class RegulationResult:
     sum_p_a: float
 
 
-def _all_a_distances(network: Network) -> np.ndarray:
-    return through_platform_distances(
-        network, np.ones((network.n_users, 1), dtype=bool)
-    )[:, 0]
-
-
-def _receive(p: float, dist: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.where(dist >= 0, p ** np.maximum(dist, 0), 0.0)
+def _search_on_A(
+    mu: float, p_a: np.ndarray, bp: np.ndarray, cap: float
+) -> tuple[dict[float, float], float, float]:
+    """The sender's options on A under a deceit cap: its utility is linear in
+    beta within a trust tier, so the candidates are the cap and every trust
+    threshold at or below it. Returns ({candidate: summed p_a of the users
+    trusting it}, best beta, best utility); a larger candidate wins only by
+    more than TIE_TOL."""
+    tiers = {}
+    best_beta, best_u = 0.0, -1.0
+    for b in sorted({cap} | {float(x) for x in np.unique(bp) if x <= cap + TIE_TOL}):
+        tiers[b] = t = float(p_a[trusts(b, bp)].sum())
+        u = sender_weight(mu, b) * t
+        if u > best_u + TIE_TOL:
+            best_beta, best_u = b, u
+    return tiers, best_beta, best_u
 
 
 def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
@@ -77,22 +86,14 @@ def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
     Sums receive probabilities over users whose individual trust threshold
     admits beta; homogeneous users reduce to (mu + (1-mu)beta) * sum_i p_iA.
     """
-    p_a = _receive(params.p, _all_a_distances(network))
-    bp = _beta_primes(network, params.mu)
-    mask = beta <= bp + TIE_TOL
-    return (params.mu + (1.0 - params.mu) * beta) * float(p_a[mask].sum())
-
-
-def _utility_at(
-    params: ModelParams, beta: float, on_b: np.ndarray, dist: np.ndarray, bp: np.ndarray
-) -> float:
-    p_recv = _receive(params.p, dist)
-    mask = on_b & (beta <= bp + TIE_TOL)
-    return (params.mu + (1.0 - params.mu) * beta) * float(p_recv[mask].sum())
+    p_a = receive_map(params.p, all_relay_distances(network))
+    tiers, _, _ = _search_on_A(params.mu, p_a, _beta_primes(network, params.mu), beta)
+    return sender_weight(params.mu, beta) * tiers[beta]
 
 
 class _SetCache:
-    """Equilibrium adopter sets of one cell, keyed by beta.
+    """Equilibrium adopter sets of one cell, keyed by beta, and the receive
+    probabilities of each distinct set (a set fixes its distances).
 
     Storing a set checks it against its neighbours in beta order: a set at a
     higher beta must be a subset of the set at a lower beta. The bisection
@@ -103,7 +104,8 @@ class _SetCache:
         self.network = network
         self.params = params
         self.use_cascade = network.is_cascade_tree
-        self._data: dict[float, tuple[np.ndarray, np.ndarray, bytes]] = {}
+        self._data: dict[float, tuple[np.ndarray, bytes]] = {}
+        self._p_recv: dict[bytes, np.ndarray] = {}
         self._betas: list[float] = []  # ascending
 
     def missing(self, betas) -> list[float]:
@@ -112,7 +114,10 @@ class _SetCache:
     def store(self, betas: list[float], on_b: np.ndarray, dist: np.ndarray) -> None:
         """Add the sets of new betas, given as columns of on_b and dist."""
         for k, b in enumerate(betas):
-            self._data[b] = (on_b[:, k], dist[:, k], on_b[:, k].tobytes())
+            key = on_b[:, k].tobytes()
+            self._data[b] = (on_b[:, k], key)
+            if key not in self._p_recv:
+                self._p_recv[key] = receive_map(self.params.p, dist[:, k])
             bisect.insort(self._betas, b)
         fresh = set(betas)
         for b in betas:
@@ -123,18 +128,20 @@ class _SetCache:
                 self._check_nested(b, self._betas[i + 1])
 
     def _check_nested(self, lo: float, hi: float) -> None:
-        (lo_set, _, lo_key), (hi_set, _, hi_key) = self._data[lo], self._data[hi]
+        (lo_set, lo_key), (hi_set, hi_key) = self._data[lo], self._data[hi]
         if lo_key != hi_key and np.count_nonzero(hi_set > lo_set):
             raise InvariantViolationError(
                 f"adopter set at beta={hi!r} is not a subset of the set at beta={lo!r}"
             )
 
     def set_key(self, beta: float) -> bytes:
-        return self._data[beta][2]
+        return self._data[beta][1]
 
-    def at(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
-        on_b, dist, _ = self._data[beta]
-        return on_b, dist
+    def utility(self, beta: float, bp: np.ndarray) -> float:
+        """Sender utility on B at a stored beta: its adopters who trust beta,
+        weighted by their receive probabilities."""
+        on_b, key = self._data[beta]
+        return sender_payoff(self.params.mu, beta, self._p_recv[key], on_b & trusts(beta, bp))
 
     def betas(self) -> list[float]:
         return list(self._betas)
@@ -225,26 +232,14 @@ def _candidate_betas(caches: list[_SetCache], bp: np.ndarray) -> list[list[float
     return [cache.betas() for cache in caches]
 
 
-def _decisions(
-    network: Network, cells: list[ModelParams], bp: np.ndarray, grid_fallback: bool
-) -> list[SenderDecision]:
+def _decisions(network: Network, cells: list[ModelParams], bp: np.ndarray) -> list[SenderDecision]:
     """optimal_B for cells of one network and one mu, searched in lockstep."""
     caches = [_SetCache(network, params) for params in cells]
-    if grid_fallback:
-        beta_max = float(bp.max())
-        grid = np.arange(0.0, beta_max + GRID_FALLBACK_STEP, GRID_FALLBACK_STEP)
-        grid = np.clip(grid, 0.0, beta_max)
-        points = list(grid) + [float(x) for x in np.unique(bp)]
-        _ensure_all([(cache, points) for cache in caches])
-        candidates = [cache.betas() for cache in caches]
-    else:
-        candidates = _candidate_betas(caches, bp)
     decisions = []
-    for cache, cache_candidates in zip(caches, candidates):
+    for cache, candidates in zip(caches, _candidate_betas(caches, bp)):
         best_beta, best_u = 0.0, -1.0
-        for b in cache_candidates:
-            on_b, dist = cache.at(b)
-            u = _utility_at(cache.params, b, on_b, dist, bp)
+        for b in candidates:
+            u = cache.utility(b, bp)
             if u > best_u + TIE_TOL:
                 best_beta, best_u = b, u
         if best_u <= 0.0:
@@ -253,21 +248,12 @@ def _decisions(
     return decisions
 
 
-def optimal_B(
-    network: Network, params: ModelParams, grid_fallback: bool = False
-) -> SenderDecision:
-    """Sender's best deceit level and utility on the unregulated platform B.
-
-    grid_fallback replaces the breakpoint search with a dense beta grid
-    (step GRID_FALLBACK_STEP) for cross-checking.
-    """
-    bp = _beta_primes(network, params.mu)
-    return _decisions(network, [params], bp, grid_fallback)[0]
+def optimal_B(network: Network, params: ModelParams) -> SenderDecision:
+    """Sender's best deceit level and utility on the unregulated platform B."""
+    return _decisions(network, [params], _beta_primes(network, params.mu))[0]
 
 
-def strictest_effective_regulation(
-    network: Network, params: ModelParams, grid_fallback: bool = False
-) -> RegulationResult:
+def strictest_effective_regulation(network: Network, params: ModelParams) -> RegulationResult:
     """Classify regulation on platform A against the sender's outside option.
 
     NoEffectiveRegulation: even the unregulated optimum on A cannot beat the
@@ -277,12 +263,10 @@ def strictest_effective_regulation(
     U_A(rho) >= U*_B, which for homogeneous users is
     (U*_B / sum_i p_iA - mu) / (1 - mu).
     """
-    return solve_cells(network, [params], grid_fallback=grid_fallback)[0]
+    return solve_cells(network, [params])[0]
 
 
-def solve_cells(
-    network: Network, cells, grid_fallback: bool = False
-) -> list[RegulationResult]:
+def solve_cells(network: Network, cells) -> list[RegulationResult]:
     """strictest_effective_regulation for every cell (a ModelParams) of one
     network, in order. All cells must share mu; the search runs in lockstep
     across them (see the module docstring)."""
@@ -293,13 +277,12 @@ def solve_cells(
     if any(params.mu != mu for params in cells):
         raise InvalidParamsError("cells solved together must share mu")
     bp = _beta_primes(network, mu)
-    dist_a = _all_a_distances(network)
-    lockstep = not (grid_fallback or network.is_cascade_tree)
-    groups = [cells] if lockstep else [[params] for params in cells]
+    dist_a = all_relay_distances(network)
+    groups = [[params] for params in cells] if network.is_cascade_tree else [cells]
     results = []
     for group in groups:
-        for params, decision in zip(group, _decisions(network, group, bp, grid_fallback)):
-            results.append(_classify(params, _receive(params.p, dist_a), bp, decision))
+        for params, decision in zip(group, _decisions(network, group, bp)):
+            results.append(_classify(params, receive_map(params.p, dist_a), bp, decision))
     return results
 
 
@@ -308,11 +291,8 @@ def _classify(
 ) -> RegulationResult:
     sum_p_a = float(p_a.sum())
     u_star_b = decision.utility
-
-    weight = lambda b: params.mu + (1.0 - params.mu) * b
-    kinks = [float(x) for x in np.unique(bp)]
-    tier_sum = {k: float(p_a[k <= bp + TIE_TOL].sum()) for k in kinks}
-    u_a_unregulated = max(weight(k) * tier_sum[k] for k in kinks)
+    tiers, _, _ = _search_on_A(params.mu, p_a, bp, float(bp.max()))
+    u_a_unregulated = max(sender_weight(params.mu, k) * t for k, t in tiers.items())
     u_a0 = params.mu * sum_p_a
 
     if u_a_unregulated <= u_star_b + TIE_TOL:
@@ -325,8 +305,7 @@ def _classify(
             RegulationKind.ANY_REGULATION, 0.0, u_star_b, decision.beta_star, sum_p_a
         )
     # moderate: walk trust tiers upward; within a tier the utility is linear
-    for k in kinks:
-        t = tier_sum[k]
+    for k, t in tiers.items():
         if t > 0.0:
             rho = (u_star_b / t - params.mu) / (1.0 - params.mu)
             if rho <= k + TIE_TOL:
@@ -342,15 +321,10 @@ def _classify(
 def sender_equilibrium(network: Network, params: ModelParams) -> SenderDecision:
     """Full game outcome under the cap params.rho_a: the sender stays on A
     whenever its best admissible utility there at least ties platform B."""
-    bp = _beta_primes(network, params.mu)
-    p_a = _receive(params.p, _all_a_distances(network))
-    cap = params.rho_a
-    candidates = sorted({cap} | {float(x) for x in np.unique(bp) if x <= cap + TIE_TOL})
-    best_beta_a, best_u_a = 0.0, -1.0
-    for b in candidates:
-        u = (params.mu + (1.0 - params.mu) * b) * float(p_a[b <= bp + TIE_TOL].sum())
-        if u > best_u_a + TIE_TOL:
-            best_beta_a, best_u_a = b, u
+    p_a = receive_map(params.p, all_relay_distances(network))
+    _, best_beta_a, best_u_a = _search_on_A(
+        params.mu, p_a, _beta_primes(network, params.mu), params.rho_a
+    )
     decision_b = optimal_B(network, params)
     if best_u_a >= decision_b.utility - TIE_TOL:
         return SenderDecision(Platform.A, best_beta_a, best_u_a)

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 
 import platmod.graph
-from platmod import ModelParams, Network, SbmSpec, UserProfile, gen_sbm, trust_threshold
+from platmod import (
+    ModelParams,
+    Network,
+    RegulationKind,
+    SbmSpec,
+    UserProfile,
+    gen_sbm,
+    trust_threshold,
+)
+from platmod.adoption import batch_final_b_sets
+from platmod.graph import through_platform_distances
 
 
 def default_params(**overrides) -> ModelParams:
@@ -90,6 +100,17 @@ def widened_sbm_instance(rng: np.random.Generator):
     return fields, params, beta
 
 
+def per_community_c_sbm() -> Network:
+    """A 3x8 community chain whose communities have c = 0.25, 0.35, 0.45, so
+    its users fall into three trust tiers."""
+    return gen_sbm(SbmSpec(
+        sizes=(8, 8, 8),
+        theta=((0.8, 0.05, 0.0), (0.05, 0.8, 0.05), (0.0, 0.05, 0.8)),
+        seed=5,
+        c_by_community=(0.25, 0.35, 0.45),
+    ))
+
+
 def build_network(monkeypatch, dense_max_users: int, fields: dict) -> Network:
     """Build a Network with DENSE_MAX_USERS patched: the representation is
     fixed when the Network is built (0 forces CSR, a huge value dense)."""
@@ -105,3 +126,41 @@ def diamond_network() -> Network:
         sender_links=(0,),
         profiles=tuple(UserProfile(c=0.3) for _ in range(4)),
     )
+
+
+def dense_beta_regulation(network: Network, params: ModelParams, u_tol: float = 2e-4):
+    """Dense-beta oracle for strictest_effective_regulation.
+
+    U*_B is the best sender utility on B over a uniform beta grid plus every
+    trust threshold, with the adopter sets of the batched engine (no
+    breakpoint search, no cascade closed form). Between grid points the
+    utility rises by at most (1-mu) * step * sum_i p_iA, so the step (at
+    most 1e-4) keeps the grid's shortfall under u_tol. The classification
+    then follows its definition over the trust tiers of the all-A receive
+    probabilities. Returns (kind, rho_se, u_star_b).
+    """
+    mu, tol = params.mu, 1e-12
+    c = network.c_values
+    bp = mu * (1.0 - c) / ((1.0 - mu) * c)
+    on_a = np.ones((network.n_users, 1), dtype=bool)
+    dist_a = through_platform_distances(network, on_a)[:, 0]
+    p_a = np.where(dist_a >= 0, params.p ** np.maximum(dist_a, 0), 0.0)
+
+    step = min(1e-4, u_tol / ((1.0 - mu) * p_a.sum()))
+    betas = np.unique(np.concatenate([np.arange(0.0, bp.max(), step), bp]))
+    on_b, dist, _, _ = batch_final_b_sets(network, mu, betas, params.p, params.b_a, params.b_b)
+    persuaded = on_b & (dist >= 0) & (betas[None, :] <= bp[:, None] + tol)
+    reach = np.where(persuaded, params.p ** np.maximum(dist, 0), 0.0).sum(axis=0)
+    u_star_b = max(float(((mu + (1.0 - mu) * betas) * reach).max()), 0.0)
+
+    tiers = [(k, p_a[bp >= k - tol].sum()) for k in np.unique(bp)]
+    if max((mu + (1.0 - mu) * k) * t for k, t in tiers) <= u_star_b + tol:
+        return RegulationKind.NO_EFFECTIVE_REGULATION, None, u_star_b
+    if mu * p_a.sum() >= u_star_b - tol:
+        return RegulationKind.ANY_REGULATION, 0.0, u_star_b
+    # the smallest cap whose tier, at its linear utility, reaches U*_B
+    for k, t in tiers:
+        rho = (u_star_b / t - mu) / (1.0 - mu) if t > 0 else np.inf
+        if rho <= k + tol:
+            return RegulationKind.MODERATE, max(rho, 0.0), u_star_b
+    raise AssertionError("no trust tier reaches U*_B")

@@ -1,6 +1,9 @@
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +163,18 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_users"] == 2
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # the benchmark's tracer wraps these functions by module and name, and
+    # its workloads import the scalar trust threshold
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED
+    for module_name, func_name, _ in spans.WRAPPED:
+        assert callable(getattr(importlib.import_module(module_name), func_name))
+    from platmod.model import trust_threshold
+
+    assert isinstance(trust_threshold(0.2, 0.3), float)

@@ -94,7 +94,7 @@ def test_sample_results_independent_of_order():
 
     shuffled = []
     tasks = [
-        (recipe, seed, 0.2, 0.0, p_idx, (p,), tuple(spec_a.ba_values()), False)
+        (recipe, seed, 0.2, 0.0, p_idx, (p,), tuple(spec_a.ba_values()))
         for p_idx, p in enumerate(spec_a.p_values())
         for seed in reversed(spec_a.seeds())
     ]
@@ -103,11 +103,11 @@ def test_sample_results_independent_of_order():
     by_key = {(seed, p_idx): out[0] for seed, p_idx, out in shuffled}
     # one task per sample, all p columns at once, as a serial sweep runs it
     tasks_fwd = [
-        (recipe, seed, 0.2, 0.0, 0, tuple(spec_a.p_values()), tuple(spec_a.ba_values()), False)
+        (recipe, seed, 0.2, 0.0, 0, tuple(spec_a.p_values()), tuple(spec_a.ba_values()))
         for seed in spec_a.seeds()
     ]
-    for recipe_, seed, mu, bb, p_start, ps, bas, gf in tasks_fwd:
-        again = _column_results((recipe_, seed, mu, bb, p_start, ps, bas, gf))
+    for recipe_, seed, mu, bb, p_start, ps, bas in tasks_fwd:
+        again = _column_results((recipe_, seed, mu, bb, p_start, ps, bas))
         for p_idx, column in enumerate(again[2]):
             assert by_key[(seed, p_idx)] == column
 

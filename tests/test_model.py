@@ -16,6 +16,7 @@ from platmod import (
     trust_threshold,
     user_utility,
 )
+from platmod.model import news_gain, sender_payoff, trusts
 
 from conftest import mc_news_payoff, mc_persuasion_rate
 
@@ -205,3 +206,22 @@ def test_user_profile_validation():
         UserProfile(c=0.6)
     with pytest.raises(InvalidParamsError):
         UserProfile(c=0.3, community=-1)
+
+
+def test_scalar_views_equal_the_kernel_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        mu = float(rng.uniform(0.01, 0.45))
+        c = rng.uniform(mu + 1e-3, 0.5 - 1e-3, 16)
+        p_recv = rng.uniform(0.0, 1.0, 16)
+        bp = trust_threshold(mu, c)
+        # betas at, just around and away from the thresholds
+        beta = np.clip(np.where(rng.random(16) < 0.3, bp, rng.uniform(0.0, 1.0, 16)), 0.0, 1.0)
+        news = (1.0 - mu) * c + np.where(trusts(beta, bp), p_recv * news_gain(mu, c, beta), 0.0)
+        for i in range(16):
+            ci, bi, pi = float(c[i]), float(beta[i]), float(p_recv[i])
+            assert trust_threshold(mu, ci) == bp[i]
+            assert news_payoff(mu, ci, bi, pi) == news[i]
+        b = float(beta[0])
+        column = sender_payoff(mu, b, p_recv, trusts(b, bp))
+        assert sender_utility(mu, b, zip(p_recv.tolist(), bp.tolist())) == column

@@ -115,6 +115,31 @@ def ref_sender_utility(net, params, beta, on_b):
     return (params.mu + (1 - params.mu) * beta) * total
 
 
+def ref_unilateral(net, params, beta, on_b, sender_platform):
+    """Per user: V_sender - V_other, computed alone, and whether the user is
+    attached to the sender's platform (direct link or a friend on it). A user
+    off the sender's platform gets the receive probability of moving alone."""
+    adj = _adjacency(net)
+    if sender_platform is Platform.B:
+        on_side, b_side, b_other = list(on_b), params.b_b, params.b_a
+    else:
+        on_side, b_side, b_other = [not x for x in on_b], params.b_a, params.b_b
+    dist = ref_distances(net, on_side)
+    out = []
+    for u in range(net.n_users):
+        c = net.profiles[u].c
+        bp = params.mu * (1 - c) / ((1 - params.mu) * c)
+        n_side = sum(1 for v in adj[u] if on_side[v])
+        n_other = len(adj[u]) - n_side
+        p_recv = params.p ** dist[u] if u in dist else 0.0
+        gain = 0.0
+        if beta <= bp + TOL:
+            gain = p_recv * (params.mu * (1 - c) - (1 - params.mu) * beta * c)
+        diff = n_side * b_side - n_other * b_other + gain
+        out.append((diff, u in net.sender_links or n_side >= 1))
+    return on_side, out
+
+
 def test_reference_agrees_on_random_instances():
     rng = np.random.default_rng(99)
     for _ in range(40):
@@ -297,3 +322,37 @@ def test_engine_columns_carry_their_own_params(monkeypatch, dense_max_users):
             assert np.array_equal(one[0][:, 0], on_b[:, j])
             assert np.array_equal(one[1][:, 0], dist[:, j])
             assert one[2][0] == rounds[j] and one[3][0] == traces[j]
+
+
+@pytest.mark.parametrize("dense_max_users", [10**9, 0])
+def test_best_response_and_nash_check_match_reference(monkeypatch, dense_max_users):
+    # cyclic networks with two sender links, the sender on either platform,
+    # random assignments and zero-quality ties where the attachment decides
+    rng = np.random.default_rng(77)
+    checked = 0
+    while checked < 8:
+        fields, params, beta = widened_sbm_instance(rng)
+        if fields["n_users"] > 25 or len(fields["edges"]) < fields["n_users"]:
+            continue
+        checked += 1
+        net = build_network(monkeypatch, dense_max_users, fields)
+        assert net.dense == (dense_max_users > 0)
+        tie_params = ModelParams(mu=params.mu, p=params.p, b_a=0.0, b_b=0.0)
+        for sender in (Platform.A, Platform.B):
+            on_b = rng.random(net.n_users) < rng.uniform(0.2, 0.8)
+            state = Assignment(on_b, sender)
+            for case_params, case_beta in ((params, beta), (params, 0.0), (tie_params, 1.0)):
+                on_side, ref = ref_unilateral(net, case_params, case_beta, on_b.tolist(), sender)
+                for user, (diff, attached) in enumerate(ref):
+                    if diff > TOL or (abs(diff) <= TOL and attached):
+                        want = sender
+                    elif diff < -TOL:
+                        want = sender.other()
+                    else:
+                        want = state.platform_of(user)
+                    assert best_response(net, case_params, case_beta, state, user) is want
+                unstable = [
+                    user for user, (diff, _) in enumerate(ref)
+                    if (diff < -TOL if on_side[user] else diff > TOL)
+                ]
+                assert nash_check(net, case_params, case_beta, state) == unstable

@@ -35,7 +35,13 @@ from platmod.regulation import (
 )
 from platmod.adoption import _beta_primes
 
-from conftest import default_params, random_sbm_instance, widened_sbm_instance
+from conftest import (
+    default_params,
+    dense_beta_regulation,
+    per_community_c_sbm,
+    random_sbm_instance,
+    widened_sbm_instance,
+)
 
 BETA_PRIME = trust_threshold(0.2, 0.3)
 
@@ -195,15 +201,32 @@ def test_cascade_candidates_sit_on_piece_tops():
 
 
 def test_grid_fallback_agrees():
-    net = gen_star_chain(4, 2)
-    for b_a in (0.01, 0.03, 0.06):
-        params = ModelParams(mu=0.2, p=0.8, b_a=b_a, b_b=0.0)
+    # the breakpoint search against the dense-beta oracle on a cascade tree,
+    # a cyclic SBM with two sender links and an SBM with one c per community
+    star_chain = gen_star_chain(4, 2)
+    cases = [
+        (star_chain, ModelParams(mu=0.2, p=0.8, b_a=b_a, b_b=0.0)) for b_a in (0.01, 0.03, 0.06)
+    ]
+    rng = np.random.default_rng(3)
+    while len(cases) < 6:
+        fields, params, _ = widened_sbm_instance(rng)
+        network = Network(**fields)
+        if len(network.edges) >= network.n_users:  # a cycle
+            cases.append((network, params))
+    cases += [
+        (per_community_c_sbm(), ModelParams(mu=0.2, p=p, b_a=b_a, b_b=0.0))
+        for p, b_a in ((0.8, 0.005), (0.6, 0.01), (0.9, 0.03))
+    ]
+    kinds = set()
+    for net, params in cases:
         exact = strictest_effective_regulation(net, params)
-        grid = strictest_effective_regulation(net, params, grid_fallback=True)
-        assert grid.kind is exact.kind
-        assert grid.u_star_b == pytest.approx(exact.u_star_b, abs=2e-4)
+        kind, rho_se, u_star_b = dense_beta_regulation(net, params)
+        assert kind is exact.kind
+        assert u_star_b == pytest.approx(exact.u_star_b, abs=2e-4)
         if exact.rho_se is not None:
-            assert grid.rho_se == pytest.approx(exact.rho_se, abs=1e-3)
+            assert rho_se == pytest.approx(exact.rho_se, abs=1e-3)
+        kinds.add(kind)
+    assert RegulationKind.MODERATE in kinds
 
 
 def test_sender_equilibrium_unregulated_stays_on_a():
@@ -270,13 +293,7 @@ def test_lockstep_cells_equal_one_cell_solves():
         cases.append((network, params.mu))
     fields, params, _ = widened_sbm_instance(rng)
     cases.append((Network(**fields), params.mu))  # two sender links
-    per_community_c = gen_sbm(SbmSpec(
-        sizes=(8, 8, 8),
-        theta=((0.8, 0.05, 0.0), (0.05, 0.8, 0.05), (0.0, 0.05, 0.8)),
-        seed=5,
-        c_by_community=(0.25, 0.35, 0.45),
-    ))
-    cases.append((per_community_c, 0.2))
+    cases.append((per_community_c_sbm(), 0.2))
     tree = gen_star_chain(4, 2)
     assert tree.is_cascade_tree
     cases.append((tree, 0.2))
@@ -287,11 +304,6 @@ def test_lockstep_cells_equal_one_cell_solves():
         assert together == [strictest_effective_regulation(network, c) for c in cells]
         kinds.update(res.kind for res in together)
     assert kinds == set(RegulationKind)
-    for network, mu in (cases[4], cases[-1]):
-        cells = _random_cells(rng, mu, 2)
-        assert solve_cells(network, cells, grid_fallback=True) == [
-            strictest_effective_regulation(network, c, grid_fallback=True) for c in cells
-        ]
     with pytest.raises(InvalidParamsError, match="share mu"):
         solve_cells(tree, [default_params(), default_params(mu=0.1)])
 

@@ -41,7 +41,6 @@ from .graph import (
     gen_regular_tree,
     gen_sbm,
     gen_star_chain,
-    hypothetical_receive_prob,
     receive_probs,
     validate_profiles,
 )

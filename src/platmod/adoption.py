@@ -60,7 +60,6 @@ class EquilibriumOutcome:
     p_recv: np.ndarray
     iterations: int
     trace: list[frozenset]
-    converged: bool
 
 
 def _beta_primes(network: Network, mu: float) -> np.ndarray:
@@ -76,6 +75,7 @@ def batch_final_b_sets(
     b_a,
     b_b,
     collect_trace: bool = False,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[frozenset]]]:
     """Run the synchronous adoption (sender on B) for a batch of columns.
 
@@ -83,6 +83,12 @@ def batch_final_b_sets(
     qualities b_a[j], b_b[j]; each of p, b_a, b_b is one value per column or
     a scalar shared by all. mu is shared: it fixes the trust thresholds.
     Callers validate p, b_a and b_b (ModelParams does).
+
+    Every column starts from all-A, or from start (an (n_users, len(betas))
+    boolean on-B matrix) when given. The process is monotone and reaches the
+    least fixed point above its start, so a start inside that column's
+    equilibrium set (such as the set of the same column at a higher beta)
+    ends at the same set as a run from all-A.
 
     Returns (on_b, dist, productive_rounds, traces): membership and distance
     matrices of shape (n_users, len(betas)), per-column productive round
@@ -110,7 +116,8 @@ def batch_final_b_sets(
     on_b = np.zeros((n, n_cols), dtype=bool)
     final_dist = np.full((n, n_cols), UNREACHED, dtype=np.int32)
     live = np.arange(n_cols)
-    cur = on_b.copy()  # on_b of the live columns
+    # on_b of the live columns
+    cur = on_b.copy() if start is None else np.array(start, dtype=bool)
     traces: list[list[frozenset]] = [[] for _ in range(n_cols)] if collect_trace else []
     rounds = np.zeros(n_cols, dtype=np.int64)
 
@@ -174,7 +181,6 @@ def run_adoption(
         p_recv=receive_probs(network, params, assignment),
         iterations=iterations,
         trace=trace,
-        converged=True,
     )
 
 

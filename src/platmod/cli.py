@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -48,7 +49,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the --config JSON document."""
     if not getattr(args, "config", None):
         return args
-    doc = json.loads(open(args.config).read())
+    doc = json.loads(Path(args.config).read_text())
     for key, value in doc.items():
         attr = key.replace("-", "_")
         current = getattr(args, attr, None)
@@ -59,8 +60,6 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        from pathlib import Path
-
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -143,7 +142,6 @@ def _cmd_adoption(args) -> int:
             {
                 "final": [pl.value for pl in outcome.assignment.platforms()],
                 "iterations": outcome.iterations,
-                "converged": outcome.converged,
             }
         )
     )

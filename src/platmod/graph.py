@@ -470,15 +470,3 @@ def receive_probs(network: Network, params: ModelParams, assignment) -> np.ndarr
     probs[~on_side] = 0.0
     return probs
 
-
-def hypothetical_receive_prob(
-    network: Network, params: ModelParams, assignment, user: int, platform: Platform
-) -> float:
-    """Receive probability the user would have after unilaterally moving to
-    `platform`, everyone else fixed."""
-    if platform is not assignment.sender_platform:
-        return 0.0
-    on_side = (assignment.on_b if assignment.sender_platform is Platform.B
-               else ~assignment.on_b)
-    dist = through_platform_distances(network, on_side[:, None])[:, 0]
-    return float(receive_map(params.p, dist[user]))

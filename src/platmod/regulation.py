@@ -2,17 +2,23 @@
 
 The sender utility on B is piecewise linear in beta: increasing while the
 equilibrium adopter set stays constant, with downward jumps where the set
-shrinks or a user stops trusting. Because adopter sets are nested and
-monotone in beta, the breakpoints are found by set-identity bisection (or in
-closed form on cascade trees); the optimum is then a finite-candidate max.
+shrinks or a user stops trusting. A cell's pieces are a list
+[(top, on_b, p_recv), ...] with tops descending; each piece holds its set on
+(next top, top]. The optimum (_decide) is a max over every top, every trust
+threshold and 0, each scored on the set of the piece that holds it.
 
-solve_cells answers many (p, b_a, b_b) cells of one network and one mu at
-once. Their bisections run in lockstep: each level evaluates every cell's
-pending deceit levels in one batched engine call, so a level costs one
-engine call for the whole network instead of one per cell. Each cell still
-evaluates the same betas with the same arithmetic as it would alone.
-strictest_effective_regulation and optimal_B are its one-cell views. Cascade
-trees (closed form, nothing to bisect) solve their cells one after another.
+On general networks _walk builds the lists from beta_max down. The
+synchronous process from all-A reaches the least fixed point of a monotone
+map, so a set stays the equilibrium until an outsider's advantage, linear in
+beta while it trusts, reaches the join tie; that breakpoint is closed form
+in the current set, and a run warm-started from the current set reaches the
+set below it (parametric search, Megiddo 1983; Milgrom & Roberts 1990). The
+walk runs in lockstep across the cells of one network: one engine call at
+beta_max, then one per step for every cell with a breakpoint left. On
+cascade trees cascade_thresholds gives the tops and cascade_final_b_sets the
+sets, one cell at a time. solve_cells answers many (p, b_a, b_b) cells of one
+network and one mu; strictest_effective_regulation and optimal_B are its
+one-cell views.
 
 On A every user stays with the sender, so one search over the trust tiers
 up to a cap (_search_on_A) serves the classification, the full-game outcome
@@ -21,7 +27,6 @@ and utility_on_A. Payoffs and the trust test come from the model's kernel.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,9 +40,12 @@ from .adoption import (
 )
 from .errors import InvalidParamsError, InvariantViolationError
 from .graph import Network, all_relay_distances, receive_map
-from .model import ModelParams, Platform, TIE_TOL, sender_payoff, sender_weight, trusts
+from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_payoff,
+                    sender_side_advantage, sender_weight, trusts)
 
-BISECT_WIDTH = 1e-9
+# a breakpoint is predicted where an outsider's advantage reaches -_JOIN_MARGIN:
+# inside the tie band, so the engine's roundoff still lets the outsider join
+_JOIN_MARGIN = TIE_TOL / 2
 
 
 class RegulationKind(Enum):
@@ -91,166 +99,109 @@ def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
     return sender_weight(params.mu, beta) * tiers[beta]
 
 
-class _SetCache:
-    """Equilibrium adopter sets of one cell, keyed by beta, and the receive
-    probabilities of each distinct set (a set fixes its distances).
+def _walk(network: Network, cells: list[ModelParams], bp: np.ndarray) -> list[list]:
+    """Pieces of every cell of one network and one mu, walked down from
+    beta_max in lockstep.
 
-    Storing a set checks it against its neighbours in beta order: a set at a
-    higher beta must be a subset of the set at a lower beta. The bisection
-    relies on this nesting, so a violation raises InvariantViolationError.
+    Within a piece no outsider's advantage reaches the join tie, so the
+    next breakpoint is the largest level below the current one where an
+    outsider's advantage, linear in beta while it trusts, reaches
+    -_JOIN_MARGIN; the engine, warm-started from the current set, gives the
+    set there. A predicted joiner the engine leaves out is tried once more at
+    its exact root (advantage 0); leaving it out there raises, and so does a
+    new set that does not contain its start.
     """
-
-    def __init__(self, network: Network, params: ModelParams):
-        self.network = network
-        self.params = params
-        self.use_cascade = network.is_cascade_tree
-        self._data: dict[float, tuple[np.ndarray, bytes]] = {}
-        self._p_recv: dict[bytes, np.ndarray] = {}
-        self._betas: list[float] = []  # ascending
-
-    def missing(self, betas) -> list[float]:
-        return sorted({float(b) for b in betas} - self._data.keys())
-
-    def store(self, betas: list[float], on_b: np.ndarray, dist: np.ndarray) -> None:
-        """Add the sets of new betas, given as columns of on_b and dist."""
-        for k, b in enumerate(betas):
-            key = on_b[:, k].tobytes()
-            self._data[b] = (on_b[:, k], key)
-            if key not in self._p_recv:
-                self._p_recv[key] = receive_map(self.params.p, dist[:, k])
-            bisect.insort(self._betas, b)
-        fresh = set(betas)
-        for b in betas:
-            i = bisect.bisect_left(self._betas, b)
-            if i > 0:
-                self._check_nested(self._betas[i - 1], b)
-            if i + 1 < len(self._betas) and self._betas[i + 1] not in fresh:
-                self._check_nested(b, self._betas[i + 1])
-
-    def _check_nested(self, lo: float, hi: float) -> None:
-        (lo_set, lo_key), (hi_set, hi_key) = self._data[lo], self._data[hi]
-        if lo_key != hi_key and np.count_nonzero(hi_set > lo_set):
+    mu = cells[0].mu
+    p, b_a, b_b = (np.array([getattr(params, name) for params in cells])
+                   for name in ("p", "b_a", "b_b"))
+    c = network.c_values[:, None]
+    deg = network.degrees.astype(np.float64)[:, None]
+    linked = network.sender_mask[:, None]
+    beta = np.full(len(cells), float(bp.max()))
+    on_b, dist, _, _ = batch_final_b_sets(network, mu, beta, p, b_a, b_b)
+    live = np.arange(len(cells))
+    pieces = [[] for _ in cells]
+    while True:
+        p_recv = receive_map(p[live], dist)
+        for k, j in enumerate(live):
+            pieces[j].append((float(beta[k]), on_b[:, k], p_recv[:, k]))
+        # each outsider's advantage at beta = 0, where everyone trusts
+        adv0, _ = sender_side_advantage(
+            network.neighbour_counts(on_b), deg, b_b[live], b_a[live], True, p_recv,
+            news_gain(mu, c, 0.0), linked,
+        )
+        slope = (1.0 - mu) * c * p_recv
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first, exact = (adv0 + _JOIN_MARGIN) / slope, adv0 / slope
+        level = np.where(~on_b & (p_recv > 0.0), np.where(first < beta, first, exact), -np.inf)
+        missed = (level >= beta).any(axis=0)
+        if missed.any():
             raise InvariantViolationError(
-                f"adopter set at beta={hi!r} is not a subset of the set at beta={lo!r}"
+                f"the engine left out a user whose advantage at beta={float(beta[missed][0])!r} "
+                "is not negative"
+            )
+        nxt = level.max(axis=0)
+        going = nxt >= 0.0
+        if not going.any():
+            return pieces
+        start, above, live, beta = on_b[:, going], beta[going], live[going], nxt[going]
+        on_b, dist, _, _ = batch_final_b_sets(
+            network, mu, beta, p[live], b_a[live], b_b[live], start=start
+        )
+        shrunk = (start > on_b).any(axis=0)
+        if shrunk.any():
+            k = int(np.argmax(shrunk))
+            raise InvariantViolationError(
+                f"adopter set at beta={float(above[k])!r} is not a subset of the set at "
+                f"beta={float(beta[k])!r}"
             )
 
-    def set_key(self, beta: float) -> bytes:
-        return self._data[beta][1]
 
-    def utility(self, beta: float, bp: np.ndarray) -> float:
-        """Sender utility on B at a stored beta: its adopters who trust beta,
-        weighted by their receive probabilities."""
-        on_b, key = self._data[beta]
-        return sender_payoff(self.params.mu, beta, self._p_recv[key], on_b & trusts(beta, bp))
-
-    def betas(self) -> list[float]:
-        return list(self._betas)
-
-
-def _ensure_all(requests) -> None:
-    """Evaluate the missing betas of (cache, betas) requests on one network.
-
-    All columns go into one batched engine call; on cascade trees each cache
-    gets its closed-form sets instead.
-    """
-    todo = [(cache, new) for cache, betas in requests if (new := cache.missing(betas))]
-    if not todo:
-        return
-    network = todo[0][0].network
-    if network.is_cascade_tree:
-        for cache, new in todo:
-            on_b, dist = cascade_final_b_sets(network, cache.params, np.array(new))
-            cache.store(new, on_b, dist)
-        return
-    counts = [len(new) for _, new in todo]
-    per_column = lambda name: np.repeat([getattr(c.params, name) for c, _ in todo], counts)
-    on_b, dist, _, _ = batch_final_b_sets(
-        network,
-        todo[0][0].params.mu,
-        np.array([b for _, new in todo for b in new]),
-        per_column("p"),
-        per_column("b_a"),
-        per_column("b_b"),
-    )
-    start = 0
-    for (cache, new), k in zip(todo, counts):
-        cache.store(new, on_b[:, start:start + k], dist[:, start:start + k])
-        start += k
-
-
-def _candidate_betas(caches: list[_SetCache], bp: np.ndarray) -> list[list[float]]:
-    """Candidate deceit levels for the sender's optimum on B, one list per cache.
-
-    Exact candidates are 0, every distinct trust threshold, and (on cascade
-    trees) every distinct wave threshold; on general networks the remaining
-    adopter-set breakpoints are bracketed to width BISECT_WIDTH by bisection,
-    refining only intervals whose endpoint sets differ. Within a constant-set
-    piece the utility increases with beta, so the right end of each piece
-    dominates it and ties adopt at equality.
-
-    The caches share one network and one mu. Their bisections run in
-    lockstep: the base points, and then each level's midpoints, of every
-    cache are evaluated together.
-    """
+def _cascade_pieces(network: Network, params: ModelParams, bp: np.ndarray) -> list:
+    """Pieces of one cell on a cascade tree: the wave thresholds in
+    [0, beta_max] and beta_max are the tops, the closed form the sets."""
     beta_max = float(bp.max())
-    base = {0.0, beta_max}
-    base.update(float(x) for x in np.unique(bp))
-    if caches[0].use_cascade:
-        requests = []
-        for cache in caches:
-            _, m = cascade_thresholds(cache.network, cache.params)
-            requests.append(
-                (cache, base | {float(x) for x in np.unique(m) if 0.0 <= x <= beta_max})
-            )
-        _ensure_all(requests)
-        return [cache.betas() for cache in caches]
-
-    points = sorted(base)
-    _ensure_all([(cache, points) for cache in caches])
-    intervals = [
-        [
-            (lo, hi)
-            for lo, hi in zip(points, points[1:])
-            if cache.set_key(lo) != cache.set_key(hi) and hi - lo > BISECT_WIDTH
-        ]
-        for cache in caches
-    ]
-    while any(intervals):
-        mids = [[(lo + hi) / 2.0 for lo, hi in pending] for pending in intervals]
-        _ensure_all(list(zip(caches, mids)))
-        refined = []
-        for cache, pending, cache_mids in zip(caches, intervals, mids):
-            kept = []
-            for (lo, hi), mid in zip(pending, cache_mids):
-                k_lo, k_mid, k_hi = cache.set_key(lo), cache.set_key(mid), cache.set_key(hi)
-                if k_mid != k_lo and mid - lo > BISECT_WIDTH:
-                    kept.append((lo, mid))
-                if k_mid != k_hi and hi - mid > BISECT_WIDTH:
-                    kept.append((mid, hi))
-            refined.append(kept)
-        intervals = refined
-    return [cache.betas() for cache in caches]
+    _, m = cascade_thresholds(network, params)
+    tops = sorted({beta_max} | {float(x) for x in np.unique(m) if 0.0 <= x <= beta_max},
+                  reverse=True)
+    on_b, dist = cascade_final_b_sets(network, params, np.array(tops))
+    p_recv = receive_map(params.p, dist)
+    return [(top, on_b[:, k], p_recv[:, k]) for k, top in enumerate(tops)]
 
 
-def _decisions(network: Network, cells: list[ModelParams], bp: np.ndarray) -> list[SenderDecision]:
-    """optimal_B for cells of one network and one mu, searched in lockstep."""
-    caches = [_SetCache(network, params) for params in cells]
-    decisions = []
-    for cache, candidates in zip(caches, _candidate_betas(caches, bp)):
-        best_beta, best_u = 0.0, -1.0
-        for b in candidates:
-            u = cache.utility(b, bp)
-            if u > best_u + TIE_TOL:
-                best_beta, best_u = b, u
-        if best_u <= 0.0:
-            best_beta, best_u = 0.0, max(best_u, 0.0)
-        decisions.append(SenderDecision(Platform.B, best_beta, best_u))
-    return decisions
+def _pieces(network: Network, cells: list[ModelParams], bp: np.ndarray):
+    """One piece list per cell, in order. Cascade trees give them one cell at
+    a time, so a large grid never holds every cell's sets at once."""
+    if network.is_cascade_tree:
+        return (_cascade_pieces(network, params, bp) for params in cells)
+    return _walk(network, cells, bp)
+
+
+def _decide(mu: float, bp: np.ndarray, pieces: list) -> SenderDecision:
+    """The sender's optimum on B over a cell's pieces. Within a piece the
+    utility rises with beta except where a user stops trusting, so the
+    candidates are every top, every trust threshold and 0, each scored on the
+    set of the piece that holds it; a larger candidate wins only by more
+    than TIE_TOL."""
+    best_beta, best_u = 0.0, -1.0
+    k = len(pieces) - 1  # the piece with the lowest top
+    for b in sorted({0.0} | {top for top, _, _ in pieces} | {float(x) for x in np.unique(bp)}):
+        while pieces[k][0] < b:
+            k -= 1
+        _, on_b, p_recv = pieces[k]
+        u = sender_payoff(mu, b, p_recv, on_b & trusts(b, bp))
+        if u > best_u + TIE_TOL:
+            best_beta, best_u = b, u
+    if best_u <= 0.0:
+        best_beta, best_u = 0.0, max(best_u, 0.0)
+    return SenderDecision(Platform.B, best_beta, best_u)
 
 
 def optimal_B(network: Network, params: ModelParams) -> SenderDecision:
     """Sender's best deceit level and utility on the unregulated platform B."""
-    return _decisions(network, [params], _beta_primes(network, params.mu))[0]
+    bp = _beta_primes(network, params.mu)
+    [pieces] = _pieces(network, [params], bp)
+    return _decide(params.mu, bp, pieces)
 
 
 def strictest_effective_regulation(network: Network, params: ModelParams) -> RegulationResult:
@@ -278,12 +229,10 @@ def solve_cells(network: Network, cells) -> list[RegulationResult]:
         raise InvalidParamsError("cells solved together must share mu")
     bp = _beta_primes(network, mu)
     dist_a = all_relay_distances(network)
-    groups = [[params] for params in cells] if network.is_cascade_tree else [cells]
-    results = []
-    for group in groups:
-        for params, decision in zip(group, _decisions(network, group, bp)):
-            results.append(_classify(params, receive_map(params.p, dist_a), bp, decision))
-    return results
+    return [
+        _classify(params, receive_map(params.p, dist_a), bp, _decide(mu, bp, pieces))
+        for params, pieces in zip(cells, _pieces(network, cells, bp))
+    ]
 
 
 def _classify(

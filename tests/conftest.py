@@ -128,31 +128,31 @@ def diamond_network() -> Network:
     )
 
 
-def dense_beta_regulation(network: Network, params: ModelParams, u_tol: float = 2e-4):
-    """Dense-beta oracle for strictest_effective_regulation.
-
-    U*_B is the best sender utility on B over a uniform beta grid plus every
-    trust threshold, with the adopter sets of the batched engine (no
-    breakpoint search, no cascade closed form). Between grid points the
-    utility rises by at most (1-mu) * step * sum_i p_iA, so the step (at
-    most 1e-4) keeps the grid's shortfall under u_tol. The classification
-    then follows its definition over the trust tiers of the all-A receive
-    probabilities. Returns (kind, rho_se, u_star_b).
-    """
-    mu, tol = params.mu, 1e-12
+def _all_a_tiers(network: Network, params: ModelParams):
+    """Trust thresholds and the all-A receive probabilities, from their
+    definitions."""
     c = network.c_values
-    bp = mu * (1.0 - c) / ((1.0 - mu) * c)
+    bp = params.mu * (1.0 - c) / ((1.0 - params.mu) * c)
     on_a = np.ones((network.n_users, 1), dtype=bool)
     dist_a = through_platform_distances(network, on_a)[:, 0]
-    p_a = np.where(dist_a >= 0, params.p ** np.maximum(dist_a, 0), 0.0)
+    return bp, np.where(dist_a >= 0, params.p ** np.maximum(dist_a, 0), 0.0)
 
-    step = min(1e-4, u_tol / ((1.0 - mu) * p_a.sum()))
-    betas = np.unique(np.concatenate([np.arange(0.0, bp.max(), step), bp]))
+
+def _utilities_on_b(network: Network, params: ModelParams, betas: np.ndarray):
+    """(adopter sets, sender utility on B) of the batched engine at each beta."""
+    mu, tol = params.mu, 1e-12
+    bp, _ = _all_a_tiers(network, params)
     on_b, dist, _, _ = batch_final_b_sets(network, mu, betas, params.p, params.b_a, params.b_b)
     persuaded = on_b & (dist >= 0) & (betas[None, :] <= bp[:, None] + tol)
     reach = np.where(persuaded, params.p ** np.maximum(dist, 0), 0.0).sum(axis=0)
-    u_star_b = max(float(((mu + (1.0 - mu) * betas) * reach).max()), 0.0)
+    return on_b, (mu + (1.0 - mu) * betas) * reach
 
+
+def _classify_by_definition(network: Network, params: ModelParams, u_star_b: float):
+    """The classification from its definition over the trust tiers of the
+    all-A receive probabilities. Returns (kind, rho_se, u_star_b)."""
+    mu, tol = params.mu, 1e-12
+    bp, p_a = _all_a_tiers(network, params)
     tiers = [(k, p_a[bp >= k - tol].sum()) for k in np.unique(bp)]
     if max((mu + (1.0 - mu) * k) * t for k, t in tiers) <= u_star_b + tol:
         return RegulationKind.NO_EFFECTIVE_REGULATION, None, u_star_b
@@ -164,3 +164,56 @@ def dense_beta_regulation(network: Network, params: ModelParams, u_tol: float = 
         if rho <= k + tol:
             return RegulationKind.MODERATE, max(rho, 0.0), u_star_b
     raise AssertionError("no trust tier reaches U*_B")
+
+
+def dense_beta_regulation(network: Network, params: ModelParams, u_tol: float = 2e-4):
+    """Dense-beta oracle for strictest_effective_regulation.
+
+    U*_B is the best sender utility on B over a uniform beta grid plus every
+    trust threshold, with the adopter sets of the batched engine (no
+    breakpoint search, no cascade closed form). Between grid points the
+    utility rises by at most (1-mu) * step * sum_i p_iA, so the step (at
+    most 1e-4) keeps the grid's shortfall under u_tol. The classification
+    then follows its definition over the trust tiers of the all-A receive
+    probabilities. Returns (kind, rho_se, u_star_b).
+    """
+    bp, p_a = _all_a_tiers(network, params)
+    step = min(1e-4, u_tol / ((1.0 - params.mu) * p_a.sum()))
+    betas = np.unique(np.concatenate([np.arange(0.0, bp.max(), step), bp]))
+    _, utility = _utilities_on_b(network, params, betas)
+    return _classify_by_definition(network, params, max(float(utility.max()), 0.0))
+
+
+def bisection_regulation(network: Network, params: ModelParams, width: float = 1e-9):
+    """Interval-bisection oracle for strictest_effective_regulation, one
+    cell on its own.
+
+    The batched engine gives the adopter sets at 0 and at every trust
+    threshold; every interval whose end sets differ is then halved until it
+    is no wider than width. Within an interval of equal end sets the set is
+    constant (sets are nested in beta), so U*_B, the best utility over every
+    evaluated beta, falls short of the exact optimum by at most
+    (1-mu) * width * sum_i p_iA. Returns (kind, rho_se, u_star_b).
+    """
+    keys, best = {}, 0.0
+
+    def evaluate(betas):
+        nonlocal best
+        on_b, utility = _utilities_on_b(network, params, np.array(betas))
+        keys.update((b, on_b[:, j].tobytes()) for j, b in enumerate(betas))
+        best = max(best, float(utility.max()))
+
+    bp, _ = _all_a_tiers(network, params)
+    points = sorted({0.0} | {float(x) for x in bp})
+    evaluate(points)
+    pending = [(lo, hi) for lo, hi in zip(points, points[1:]) if keys[lo] != keys[hi]]
+    while pending:
+        mids = [(lo + hi) / 2.0 for lo, hi in pending]
+        evaluate(mids)
+        pending = [
+            (lo, hi)
+            for (a, b), mid in zip(pending, mids)
+            for lo, hi in ((a, mid), (mid, b))
+            if keys[lo] != keys[hi] and hi - lo > width
+        ]
+    return _classify_by_definition(network, params, best)

@@ -219,8 +219,9 @@ def test_invalid_cells_leave_the_others_unchanged():
 
 
 def test_small_chain_sweep_csv_is_pinned():
-    # the CSV of cells solved one at a time, before a sample's cells were
-    # searched together; parallel blocks of p columns must give it too
+    # the CSV of the exact breakpoint walk (the 1e-9 bisection before it
+    # left four mean_rho_se fields up to 3e-10 lower); parallel blocks of p
+    # columns must give it too
     spec = SweepSpec(
         p_range=(0.5, 0.9, 3),
         ba_range=(0.0, 0.02, 4),
@@ -234,7 +235,7 @@ def test_small_chain_sweep_csv_is_pinned():
     for workers in (1, 2):
         text = sweep_csv_text(sweep(spec, workers=workers))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "cd7e34f03faa8b3e4cc62aca228bba736bbc92249aaefe35c08ab36d6b1ce2de"
+            "43955b016d494a6a43e850125f0df32563ad9e958698d27eebfb8edb09c8702c"
         )
 
 

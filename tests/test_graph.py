@@ -15,12 +15,11 @@ from platmod import (
     gen_regular_tree,
     gen_sbm,
     gen_star_chain,
-    hypothetical_receive_prob,
     receive_probs,
     validate_profiles,
 )
 from platmod.adoption import Assignment
-from platmod.graph import through_platform_distances
+from platmod.graph import UNREACHED, receive_map, through_platform_distances
 
 from conftest import build_network, diamond_network, default_params, widened_sbm_instance
 
@@ -169,22 +168,23 @@ def test_receive_probs_disconnected_zero():
     assert probs[2] == 0.0
 
 
-def test_hypothetical_receive_prob():
+def test_entry_receive_probs():
+    # the receive probability a user would have after moving alone to the
+    # sender's platform: its through-platform distance, everyone else fixed
     net = gen_linear(3)
     params = default_params()
     only_zero = Assignment(np.array([True, False, False]), Platform.B)
+    dist = through_platform_distances(net, only_zero.on_b[:, None])[:, 0]
+    entry = receive_map(params.p, dist)
     # user with no path to the sender's platform
-    assert hypothetical_receive_prob(net, params, only_zero, 2, Platform.B) == 0.0
+    assert dist[2] == UNREACHED and entry[2] == 0.0
     # off the sender's platform entirely
-    assert hypothetical_receive_prob(net, params, only_zero, 1, Platform.A) == 0.0
+    assert receive_probs(net, params, only_zero)[1] == 0.0
     # one edge beyond the directly-linked user (distance convention: the
     # sender link itself costs nothing)
-    assert hypothetical_receive_prob(net, params, only_zero, 1, Platform.B) == pytest.approx(0.9)
+    assert entry[1] == pytest.approx(0.9)
     # a user already on the sender's platform sees its actual value
-    actual = receive_probs(net, params, only_zero)
-    assert hypothetical_receive_prob(net, params, only_zero, 0, Platform.B) == pytest.approx(
-        actual[0]
-    )
+    assert entry[0] == pytest.approx(receive_probs(net, params, only_zero)[0])
 
 
 def test_receive_probs_monotone_in_platform_membership():

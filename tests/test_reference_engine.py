@@ -325,6 +325,32 @@ def test_engine_columns_carry_their_own_params(monkeypatch, dense_max_users):
 
 
 @pytest.mark.parametrize("dense_max_users", [10**9, 0])
+def test_warm_start_from_a_higher_beta_reaches_the_cold_set(monkeypatch, dense_max_users):
+    # the set of a higher beta lies inside the equilibrium set of a lower
+    # one, so a run started from it reaches the set of a run from all-A
+    rng = np.random.default_rng(43)
+    checked = 0
+    while checked < 6:
+        fields, params, _ = widened_sbm_instance(rng)
+        if fields["n_users"] > 25:
+            continue
+        checked += 1
+        net = build_network(monkeypatch, dense_max_users, fields)
+        assert net.dense == (dense_max_users > 0)
+        bp = trust_threshold(params.mu, fields["profiles"][0].c)
+        high = rng.uniform(0.0, 1.1 * bp, 12)
+        low = high * rng.uniform(0.0, 1.0, 12)
+        args = (params.p, params.b_a, params.b_b)
+        start = batch_final_b_sets(net, params.mu, high, *args)[0]
+        cold = batch_final_b_sets(net, params.mu, low, *args)
+        warm = batch_final_b_sets(net, params.mu, low, *args, start=start)
+        assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
+        assert not (start > warm[0]).any()
+        for j in range(low.size):
+            assert warm[0][:, j].tolist() == ref_adoption(net, params, float(low[j]))[0]
+
+
+@pytest.mark.parametrize("dense_max_users", [10**9, 0])
 def test_best_response_and_nash_check_match_reference(monkeypatch, dense_max_users):
     # cyclic networks with two sender links, the sender on either platform,
     # random assignments and zero-quality ties where the attachment decides

@@ -26,16 +26,12 @@ from platmod import (
     utility_on_A,
 )
 from platmod.analytic import big_f
-from platmod.regulation import (
-    BISECT_WIDTH,
-    _SetCache,
-    _candidate_betas,
-    _ensure_all,
-    solve_cells,
-)
-from platmod.adoption import _beta_primes
+from platmod.regulation import _pieces, solve_cells
+from platmod.adoption import _beta_primes, batch_final_b_sets
+from platmod.model import TIE_TOL
 
 from conftest import (
+    bisection_regulation,
     default_params,
     dense_beta_regulation,
     per_community_c_sbm,
@@ -157,47 +153,32 @@ def test_u_star_b_monotone_in_qualities():
         assert optimal_B(network, richer_b).utility >= base - 1e-9
 
 
-def test_bisection_brackets_are_set_constant():
-    # generic path (cyclic network): equal-set neighbors bound a constant
-    # piece, differing-set neighbors are brackets refined to the search width
-    from platmod import SbmSpec, gen_sbm
-
-    net = gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=4))
-    params = ModelParams(mu=0.2, p=0.85, b_a=0.01, b_b=0.0)
-    cache = _SetCache(net, params)
-    assert not cache.use_cascade
-    [candidates] = _candidate_betas([cache], _beta_primes(net, params.mu))
-    changed = 0
+@pytest.mark.parametrize(
+    "net, params, cascade",
+    [
+        (gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=4)),
+         ModelParams(mu=0.2, p=0.85, b_a=0.01, b_b=0.0), False),
+        (gen_star_chain(5, 2), ModelParams(mu=0.2, p=0.85, b_a=0.03, b_b=0.0), True),
+    ],
+    ids=["cyclic-sbm", "star-chain"],
+)
+def test_candidates_sit_on_piece_tops(net, params, cascade):
+    # the walk (cyclic network) and the closed form (tree) both give exact
+    # pieces: a cold engine run at each top gives the piece's set, and one
+    # between two consecutive candidates gives the upper candidate's set
+    assert net.is_cascade_tree is cascade
+    bp = _beta_primes(net, params.mu)
+    [pieces] = _pieces(net, [params], bp)
+    cold = lambda b: batch_final_b_sets(net, params.mu, np.array([b]), params.p, params.b_a,
+                                        params.b_b)[0][:, 0]
+    for top, on_b, _ in pieces:
+        assert np.array_equal(cold(top), on_b)
+    set_at = lambda b: min((p for p in pieces if p[0] >= b), key=lambda p: p[0])[1]
+    candidates = sorted({0.0} | {top for top, _, _ in pieces} | {float(x) for x in bp})
     for lo, hi in zip(candidates, candidates[1:]):
-        if cache.set_key(lo) == cache.set_key(hi):
-            mid = (lo + hi) / 2
-            _ensure_all([(cache, [mid])])
-            assert cache.set_key(mid) == cache.set_key(lo)
-        else:
-            assert hi - lo <= 2 * BISECT_WIDTH
-            changed += 1
-    assert changed >= 1  # the instance has at least one adopter-set jump
-
-
-def test_cascade_candidates_sit_on_piece_tops():
-    # fast path (tree): breakpoints are exact, each candidate closes its
-    # piece from above, and the set just past a differing pair matches the
-    # upper neighbor
-    net = gen_star_chain(5, 2)
-    params = ModelParams(mu=0.2, p=0.85, b_a=0.03, b_b=0.0)
-    cache = _SetCache(net, params)
-    assert cache.use_cascade
-    [candidates] = _candidate_betas([cache], _beta_primes(net, params.mu))
-    changed = 0
-    for lo, hi in zip(candidates, candidates[1:]):
-        mid = (lo + hi) / 2
-        _ensure_all([(cache, [mid])])
-        if cache.set_key(lo) == cache.set_key(hi):
-            assert cache.set_key(mid) == cache.set_key(lo)
-        else:
-            assert cache.set_key(mid) == cache.set_key(hi)
-            changed += 1
-    assert changed >= 1
+        assert np.array_equal(cold((lo + hi) / 2), set_at(hi))
+    # the instance has at least one adopter-set jump
+    assert len({on_b.tobytes() for _, on_b, _ in pieces}) >= 2
 
 
 def test_grid_fallback_agrees():
@@ -308,30 +289,18 @@ def test_lockstep_cells_equal_one_cell_solves():
         solve_cells(tree, [default_params(), default_params(mu=0.1)])
 
 
-def test_set_cache_rejects_non_nested_sets():
-    net = gen_star_chain(3, 2)  # 6 users
-    cache = _SetCache(net, default_params())
-    sets = lambda *cols: np.array([[u in col for col in cols] for u in range(6)])
-    dist = np.zeros((6, 2), dtype=np.int32)
-    cache.store([0.0, 0.5], sets({0, 1}, {0}), dist)
-    cache.store([0.4], sets({0, 1}), dist[:, :1])  # nested between its neighbours
-    for bad in ({0, 2}, {1}):  # not within the lower set; not holding the upper one
-        fresh = _SetCache(net, default_params())
-        fresh.store([0.0, 0.5], sets({0, 1}, {0}), dist)
-        with pytest.raises(InvariantViolationError, match="not a subset"):
-            fresh.store([0.25], sets(bad), dist[:, :1])
-
-
 def test_non_nested_engine_output_raises(monkeypatch):
-    # an engine whose adopter sets grow with beta breaks the nesting the
-    # bisection relies on; solves and sweeps must fail loudly
-    def growing_sets(network, mu, betas, p, b_a, b_b, collect_trace=False):
-        betas = np.asarray(betas)
-        on_b = np.broadcast_to(betas > 0.1, (network.n_users, betas.size)).copy()
-        dist = np.zeros(on_b.shape, dtype=np.int32)
-        return on_b, dist, np.zeros(betas.size, dtype=np.int64), []
+    # an engine that drops a member of its start breaks the nesting the
+    # walk relies on; solves and sweeps must fail loudly
+    engine = platmod.regulation.batch_final_b_sets
 
-    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", growing_sets)
+    def dropping_start(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None):
+        on_b, dist, rounds, traces = engine(network, mu, betas, p, b_a, b_b, collect_trace, start)
+        if start is not None:
+            on_b &= ~(start & (np.cumsum(start, axis=0) == 1))  # each start's first member
+        return on_b, dist, rounds, traces
+
+    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", dropping_start)
     net = gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=4))
     assert not net.is_cascade_tree
     with pytest.raises(InvariantViolationError, match="not a subset"):
@@ -345,3 +314,58 @@ def test_non_nested_engine_output_raises(monkeypatch):
     )
     with pytest.raises(InvariantViolationError, match="not a subset"):
         sweep(spec)
+
+
+def _oracle_cases():
+    """Cyclic two-sender-link SBMs with b_B > 0, the per-community-c SBM and
+    a star chain, each with random cells and one where B is the better
+    platform."""
+    rng = np.random.default_rng(11)
+    cells = lambda mu: _random_cells(rng, mu, 7) + [ModelParams(mu=mu, p=0.8, b_a=0.0, b_b=0.005)]
+    cases = []
+    while len(cases) < 6:
+        fields, params, _ = widened_sbm_instance(rng)
+        network = Network(**fields)
+        if len(network.edges) >= network.n_users and params.b_b > 0.0:
+            cases.append((network, cells(params.mu)))
+    cases.append((per_community_c_sbm(), cells(0.2)))
+    cases.append((gen_star_chain(5, 2), cells(0.2)))
+    return cases
+
+
+def test_walk_agrees_with_the_bisection_oracle():
+    # the bisection stops up to 1e-9 short of a piece top; the walk stops
+    # half a tie tolerance's worth of advantage short of it
+    kinds = set()
+    for network, cells in _oracle_cases():
+        for params, res in zip(cells, solve_cells(network, cells)):
+            kind, _, u_oracle = bisection_regulation(network, params)
+            assert res.kind is kind
+            slack = (1.0 - params.mu) * res.sum_p_a * 1e-9
+            assert u_oracle - 1e-10 <= res.u_star_b <= u_oracle + slack + 1e-10
+            kinds.add(kind)
+    assert kinds == set(RegulationKind)
+
+
+def test_walk_retries_a_missed_join_at_its_exact_root(monkeypatch):
+    # at a margin of twice the tie tolerance the engine leaves every
+    # predicted joiner out, so every breakpoint comes from the retry
+    calls = []
+    engine = platmod.regulation.batch_final_b_sets
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", counting)
+    for network, cells in _oracle_cases()[:-1]:  # the star chain never walks
+        exact = solve_cells(network, cells)
+        n_exact = len(calls)
+        with monkeypatch.context() as patched:
+            patched.setattr(platmod.regulation, "_JOIN_MARGIN", 2 * TIE_TOL)
+            retried = solve_cells(network, cells)
+        assert len(calls) - n_exact > n_exact  # the retries cost engine calls
+        calls.clear()
+        for a, b in zip(exact, retried):
+            assert a.kind is b.kind
+            assert b.u_star_b == pytest.approx(a.u_star_b, abs=1e-9)

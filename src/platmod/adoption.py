@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import (Network, UNREACHED, all_relay_distances, receive_map, receive_probs,
-                    through_platform_distances, validate_mu)
+from .graph import (Network, UNREACHED, receive_map, receive_probs, through_platform_distances,
+                    validate_mu)
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_side_advantage,
                     trust_threshold, trusts)
 
@@ -244,7 +244,7 @@ def cascade_thresholds(
     validate_mu(network, params.mu)
     c = network.c_values
     root = network.sender_links[0]
-    depth = all_relay_distances(network).astype(np.int64)
+    depth = network.relay_distances.astype(np.int64)
 
     deg = network.degrees
     gap = (deg - 1) * params.b_a - params.b_b

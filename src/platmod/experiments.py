@@ -10,7 +10,6 @@ runs produce byte-identical files even under parallel execution.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -217,6 +216,9 @@ def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
         for block in blocks
     ]
     if workers > 1:
+        # imported here: a serial run never loads the process pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_column_results, tasks, chunksize=1))
     else:

@@ -11,7 +11,11 @@ float64 adjacency, so its BFS layers and neighbour counts are BLAS matmuls.
 Above the cutoff it keeps only CSR edge arrays and never builds an n x n
 matrix: the graph takes O(n + E) memory, and each BFS batch of B columns
 adds n * ceil(B / 64) uint64 words of packed frontier bits. gen_sbm still
-draws all n(n-1)/2 pairs, so SBM generation itself stays quadratic.
+draws all n(n-1)/2 pairs, so SBM generation takes quadratic time, but it
+draws them in chunks of whole rows, so its memory stays bounded.
+
+The plain sender-to-user hop counts (every user relaying) depend on the
+graph alone; Network.relay_distances computes them once per network.
 
 The cutoff is the measured crossover of one strictest_effective_regulation
 solve (2-vCPU machine, numpy 2.4.6, one BLAS thread). On 3-community chain
@@ -44,6 +48,9 @@ UNREACHED = -1
 DENSE_MAX_USERS = 256
 
 _WORD_BITS = 64
+
+# gen_sbm draws at most this many pairs at once (unless one row holds more)
+_SBM_PAIR_CHUNK = 1 << 16
 
 
 class Csr(NamedTuple):
@@ -172,7 +179,15 @@ class Network:
         exact root-to-leaf wave on such networks (fast path in regulation)."""
         if len(self.sender_links) != 1 or len(self.edges) != self.n_users - 1:
             return False
-        return bool((all_relay_distances(self) != UNREACHED).all())
+        return bool((self.relay_distances != UNREACHED).all())
+
+    @cached_property
+    def relay_distances(self) -> np.ndarray:
+        """through_platform_distances with every user on the sender's platform:
+        the plain sender-to-user hop counts, one per user. Read-only."""
+        dist = through_platform_distances(self, np.ones((self.n_users, 1), dtype=bool))[:, 0]
+        dist.flags.writeable = False
+        return dist
 
     def to_json_dict(self) -> dict:
         return {
@@ -326,17 +341,29 @@ def gen_sbm(spec: SbmSpec) -> Network:
     Each unordered pair (i, j) with i < j is an edge with probability
     theta[community(i)][community(j)], drawn from a seeded generator in
     row-major pair order, so identical spec+seed gives an identical edge set.
+    The draws come in chunks of whole rows, at most _SBM_PAIR_CHUNK pairs
+    each unless one row holds more; consecutive draws from one generator
+    form the same stream as a single draw, so the chunking leaves the edges
+    unchanged.
     """
     sizes = spec.sizes
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     theta = np.asarray(spec.theta, dtype=np.float64)
-    pair_prob = theta[labels][:, labels]
     rng = np.random.default_rng(spec.seed)
-    iu, ju = np.triu_indices(n, k=1)  # row-major over pairs
-    draws = rng.random(iu.size)
-    keep = draws < pair_prob[iu, ju]
-    edges = tuple(zip(iu[keep].tolist(), ju[keep].tolist()))
+    # row i holds the pairs (i, i+1..n-1); first[i] counts the pairs before it
+    per_row = np.arange(n - 1, -1, -1)
+    first = np.concatenate([[0], np.cumsum(per_row)])
+    edges = []
+    lo = 0
+    while lo < n - 1:
+        hi = max(lo + 1, int(np.searchsorted(first, first[lo] + _SBM_PAIR_CHUNK, "right")) - 1)
+        rows = np.arange(lo, hi)
+        iu = np.repeat(rows, per_row[lo:hi])
+        ju = np.arange(first[lo], first[hi]) - np.repeat(first[lo:hi] - rows - 1, per_row[lo:hi])
+        keep = rng.random(iu.size) < theta[labels[iu], labels[ju]]
+        edges.extend(zip(iu[keep].tolist(), ju[keep].tolist()))
+        lo = hi
 
     if spec.sender_attach is None:
         attach = int(sum(sizes[: spec.sender_community]))
@@ -396,12 +423,6 @@ def through_platform_distances(network: Network, on_side: np.ndarray) -> np.ndar
         dist[new] = d
         frontier = new & on_side
     return dist
-
-
-def all_relay_distances(network: Network) -> np.ndarray:
-    """through_platform_distances with every user on the sender's platform:
-    the plain sender-to-user hop counts, one per user."""
-    return through_platform_distances(network, np.ones((network.n_users, 1), dtype=bool))[:, 0]
 
 
 def _packed_distances(network: Network, on_side: np.ndarray) -> np.ndarray:

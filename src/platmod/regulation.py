@@ -39,7 +39,7 @@ from .adoption import (
     _beta_primes,
 )
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import Network, all_relay_distances, receive_map
+from .graph import Network, receive_map
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_payoff,
                     sender_side_advantage, sender_weight, trusts)
 
@@ -71,16 +71,17 @@ class RegulationResult:
 
 
 def _search_on_A(
-    mu: float, p_a: np.ndarray, bp: np.ndarray, cap: float
+    mu: float, p_a: np.ndarray, bp: np.ndarray, thresholds: list[float], cap: float
 ) -> tuple[dict[float, float], float, float]:
     """The sender's options on A under a deceit cap: its utility is linear in
     beta within a trust tier, so the candidates are the cap and every trust
-    threshold at or below it. Returns ({candidate: summed p_a of the users
-    trusting it}, best beta, best utility); a larger candidate wins only by
-    more than TIE_TOL."""
+    threshold at or below it (thresholds: the distinct values of bp,
+    ascending). Returns ({candidate: summed p_a of the users trusting it},
+    best beta, best utility); a larger candidate wins only by more than
+    TIE_TOL."""
     tiers = {}
     best_beta, best_u = 0.0, -1.0
-    for b in sorted({cap} | {float(x) for x in np.unique(bp) if x <= cap + TIE_TOL}):
+    for b in sorted({cap} | {x for x in thresholds if x <= cap + TIE_TOL}):
         tiers[b] = t = float(p_a[trusts(b, bp)].sum())
         u = sender_weight(mu, b) * t
         if u > best_u + TIE_TOL:
@@ -94,8 +95,9 @@ def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
     Sums receive probabilities over users whose individual trust threshold
     admits beta; homogeneous users reduce to (mu + (1-mu)beta) * sum_i p_iA.
     """
-    p_a = receive_map(params.p, all_relay_distances(network))
-    tiers, _, _ = _search_on_A(params.mu, p_a, _beta_primes(network, params.mu), beta)
+    bp = _beta_primes(network, params.mu)
+    p_a = receive_map(params.p, network.relay_distances)
+    tiers, _, _ = _search_on_A(params.mu, p_a, bp, np.unique(bp).tolist(), beta)
     return sender_weight(params.mu, beta) * tiers[beta]
 
 
@@ -177,15 +179,16 @@ def _pieces(network: Network, cells: list[ModelParams], bp: np.ndarray):
     return _walk(network, cells, bp)
 
 
-def _decide(mu: float, bp: np.ndarray, pieces: list) -> SenderDecision:
+def _decide(mu: float, bp: np.ndarray, thresholds: list[float], pieces: list) -> SenderDecision:
     """The sender's optimum on B over a cell's pieces. Within a piece the
     utility rises with beta except where a user stops trusting, so the
-    candidates are every top, every trust threshold and 0, each scored on the
-    set of the piece that holds it; a larger candidate wins only by more
-    than TIE_TOL."""
+    candidates are every top, every trust threshold (thresholds: the
+    distinct values of bp, ascending) and 0, each scored on the set of the
+    piece that holds it; a larger candidate wins only by more than
+    TIE_TOL."""
     best_beta, best_u = 0.0, -1.0
     k = len(pieces) - 1  # the piece with the lowest top
-    for b in sorted({0.0} | {top for top, _, _ in pieces} | {float(x) for x in np.unique(bp)}):
+    for b in sorted({0.0} | {top for top, _, _ in pieces} | set(thresholds)):
         while pieces[k][0] < b:
             k -= 1
         _, on_b, p_recv = pieces[k]
@@ -201,7 +204,7 @@ def optimal_B(network: Network, params: ModelParams) -> SenderDecision:
     """Sender's best deceit level and utility on the unregulated platform B."""
     bp = _beta_primes(network, params.mu)
     [pieces] = _pieces(network, [params], bp)
-    return _decide(params.mu, bp, pieces)
+    return _decide(params.mu, bp, np.unique(bp).tolist(), pieces)
 
 
 def strictest_effective_regulation(network: Network, params: ModelParams) -> RegulationResult:
@@ -228,19 +231,21 @@ def solve_cells(network: Network, cells) -> list[RegulationResult]:
     if any(params.mu != mu for params in cells):
         raise InvalidParamsError("cells solved together must share mu")
     bp = _beta_primes(network, mu)
-    dist_a = all_relay_distances(network)
+    thresholds = np.unique(bp).tolist()
     return [
-        _classify(params, receive_map(params.p, dist_a), bp, _decide(mu, bp, pieces))
+        _classify(params, receive_map(params.p, network.relay_distances), bp, thresholds,
+                  _decide(mu, bp, thresholds, pieces))
         for params, pieces in zip(cells, _pieces(network, cells, bp))
     ]
 
 
 def _classify(
-    params: ModelParams, p_a: np.ndarray, bp: np.ndarray, decision: SenderDecision
+    params: ModelParams, p_a: np.ndarray, bp: np.ndarray, thresholds: list[float],
+    decision: SenderDecision,
 ) -> RegulationResult:
     sum_p_a = float(p_a.sum())
     u_star_b = decision.utility
-    tiers, _, _ = _search_on_A(params.mu, p_a, bp, float(bp.max()))
+    tiers, _, _ = _search_on_A(params.mu, p_a, bp, thresholds, thresholds[-1])
     u_a_unregulated = max(sender_weight(params.mu, k) * t for k, t in tiers.items())
     u_a0 = params.mu * sum_p_a
 
@@ -270,9 +275,10 @@ def _classify(
 def sender_equilibrium(network: Network, params: ModelParams) -> SenderDecision:
     """Full game outcome under the cap params.rho_a: the sender stays on A
     whenever its best admissible utility there at least ties platform B."""
-    p_a = receive_map(params.p, all_relay_distances(network))
+    bp = _beta_primes(network, params.mu)
+    p_a = receive_map(params.p, network.relay_distances)
     _, best_beta_a, best_u_a = _search_on_A(
-        params.mu, p_a, _beta_primes(network, params.mu), params.rho_a
+        params.mu, p_a, bp, np.unique(bp).tolist(), params.rho_a
     )
     decision_b = optimal_B(network, params)
     if best_u_a >= decision_b.utility - TIE_TOL:

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import platmod
 from platmod import (
     HeatmapGrid,
     InvariantViolationError,
@@ -62,6 +67,17 @@ def test_sweep_parallel_matches_serial():
         base_seed=11,
     )
     assert sweep_csv_text(sweep(spec, workers=1)) == sweep_csv_text(sweep(spec, workers=2))
+
+
+def test_serial_import_leaves_out_the_process_pool():
+    code = ("import sys, platmod, platmod.experiments; "
+            "print('concurrent.futures.process' in sys.modules)")
+    src = str(Path(platmod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_columns_monotone_in_quality():

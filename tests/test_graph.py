@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import platmod.graph
 from platmod import (
     InvalidParamsError,
     ModelParams,
@@ -11,6 +14,7 @@ from platmod import (
     Platform,
     SbmSpec,
     UserProfile,
+    chain_theta,
     gen_linear,
     gen_regular_tree,
     gen_sbm,
@@ -76,11 +80,15 @@ def test_gen_sbm_degenerate():
     assert zero.edges == ()
     tri = gen_sbm(SbmSpec(sizes=(3,), theta=((1.0,),), seed=1))
     assert tri.edges == ((0, 1), (0, 2), (1, 2))
+    assert gen_sbm(SbmSpec(sizes=(1,), theta=((1.0,),))).edges == ()
+    assert gen_sbm(SbmSpec(sizes=(2,), theta=((1.0,),))).edges == ((0, 1),)
+    pair = SbmSpec(sizes=(1, 1), theta=((0.0, 0.5), (0.5, 0.0)))
+    assert [gen_sbm(replace(pair, seed=s)).edges for s in range(6)] == [
+        (), (), ((0, 1),), ((0, 1),), (), ()
+    ]
 
 
 def test_gen_sbm_chain_edge_count():
-    from platmod import chain_theta
-
     theta = chain_theta((30, 30, 30), 0.75)
     assert theta[0][1] == pytest.approx(4 / 900)
     net = gen_sbm(SbmSpec(sizes=(30, 30, 30), theta=theta, seed=42))
@@ -95,6 +103,37 @@ def test_gen_sbm_deterministic():
     assert gen_sbm(spec).edges == gen_sbm(spec).edges
     other = SbmSpec(sizes=(10, 10), theta=((0.5, 0.1), (0.1, 0.5)), seed=124)
     assert gen_sbm(spec).edges != gen_sbm(other).edges
+
+
+# sha256 of repr(edges), taken when every pair was drawn in one call
+_SBM_PINS = [
+    ((30, 30, 30), 0.75, 5, 1007,
+     "fec1b99dc9e23b629208be47305d55712080e61caef1a47c0d3dba541bf8e0cf"),
+    ((300, 300, 300), 0.075, 1, 10154,
+     "c8add8d5ce1a09dcbed00e0a8f2b6be8c578777664371a6e58c0374382f9ccaf"),
+    ((400, 400, 400), 0.06, 2, 14467,
+     "bc0fc60a587e66ed4321e281f268eee86ba9694b080170a1804bf11254b20197"),
+]
+
+
+def _sbm_digest(sizes, diag, seed) -> tuple[int, str]:
+    edges = gen_sbm(SbmSpec(sizes=sizes, theta=chain_theta(sizes, diag), seed=seed)).edges
+    return len(edges), hashlib.sha256(repr(edges).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("sizes, diag, seed, n_edges, digest", _SBM_PINS,
+                         ids=["3x30", "3x300", "3x400"])
+def test_gen_sbm_edges_are_pinned(sizes, diag, seed, n_edges, digest):
+    # 3x30 is one chunk of draws, 3x300 and 3x400 span several
+    assert _sbm_digest(sizes, diag, seed) == (n_edges, digest)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100, 1000])
+def test_gen_sbm_chunk_size_leaves_edges_unchanged(monkeypatch, chunk):
+    # a budget below a row's length gives that row a chunk of its own
+    monkeypatch.setattr(platmod.graph, "_SBM_PAIR_CHUNK", chunk)
+    sizes, diag, seed, n_edges, digest = _SBM_PINS[0]
+    assert _sbm_digest(sizes, diag, seed) == (n_edges, digest)
 
 
 def test_gen_sbm_sender_attach():
@@ -291,3 +330,24 @@ def test_sparse_neighbours_ascending(monkeypatch):
     ))
     assert sparse.neighbours(3).tolist() == [0, 1, 4]
     assert sparse.neighbours(2).tolist() == []
+
+
+@pytest.mark.parametrize("dense_max_users", [10**9, 0], ids=["dense", "CSR"])
+def test_relay_distances_equal_a_fresh_bfs(monkeypatch, dense_max_users):
+    rng = np.random.default_rng(17)
+    unreached = 0
+    for _ in range(20):
+        fields, _, _ = widened_sbm_instance(rng)
+        net = build_network(monkeypatch, dense_max_users, fields)
+        everyone = np.ones((net.n_users, 1), dtype=bool)
+        fresh = through_platform_distances(net, everyone)[:, 0]
+        assert np.array_equal(net.relay_distances, fresh)
+        unreached += int((fresh == UNREACHED).sum())
+    assert unreached > 0
+
+
+def test_relay_distances_are_read_only():
+    net = gen_linear(4)
+    with pytest.raises(ValueError):
+        net.relay_distances[1] = 0
+    assert net.relay_distances.tolist() == [0, 1, 2, 3]

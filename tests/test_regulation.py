@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import platmod.graph
 import platmod.regulation
 from platmod import (
     InvalidParamsError,
@@ -32,6 +33,7 @@ from platmod.model import TIE_TOL
 
 from conftest import (
     bisection_regulation,
+    build_network,
     default_params,
     dense_beta_regulation,
     per_community_c_sbm,
@@ -369,3 +371,32 @@ def test_walk_retries_a_missed_join_at_its_exact_root(monkeypatch):
         for a, b in zip(exact, retried):
             assert a.kind is b.kind
             assert b.u_star_b == pytest.approx(a.u_star_b, abs=1e-9)
+
+
+@pytest.mark.parametrize("dense_max_users", [10**9, 0], ids=["dense", "CSR"])
+@pytest.mark.parametrize("make, cascade", [(lambda: gen_star_chain(5, 2), True),
+                                           (per_community_c_sbm, False)],
+                         ids=["cascade-tree", "cyclic-sbm"])
+def test_one_relay_bfs_per_network(monkeypatch, make, cascade, dense_max_users):
+    """The solves on one network share one all-relay BFS (Network.relay_distances)."""
+    base = make()
+    net = build_network(monkeypatch, dense_max_users, dict(
+        n_users=base.n_users, edges=base.edges, sender_links=base.sender_links,
+        profiles=base.profiles,
+    ))
+    original = platmod.graph.through_platform_distances
+    relay_runs = []
+
+    def counting(network, on_side):
+        if on_side.all():
+            relay_runs.append(network)
+        return original(network, on_side)
+
+    monkeypatch.setattr(platmod.graph, "through_platform_distances", counting)
+    params = default_params(p=0.7, b_a=0.002)
+    assert net.is_cascade_tree is cascade
+    strictest_effective_regulation(net, params)
+    optimal_B(net, params)
+    sender_equilibrium(net, default_params(p=0.7, b_a=0.002, rho_a=0.0))
+    utility_on_A(net, params, 0.1)
+    assert relay_runs == [net]

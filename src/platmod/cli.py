@@ -60,7 +60,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -213,6 +215,9 @@ def _cmd_sweep(args) -> int:
         base_seed=args.seed if args.seed is not None else 0,
     )
     grid = sweep(spec, workers=args.workers or 1)
+    for cell in grid.cells:
+        if cell.error:
+            print(f"failed cell p={cell.p!r} b_A={cell.b_a!r}: {cell.error}", file=sys.stderr)
     text = pgm_text(grid) if args.format == "pgm" else sweep_csv_text(grid)
     _write_or_print(text, args.out)
     return 0

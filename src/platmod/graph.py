@@ -6,23 +6,29 @@ receives the signal with probability p**k. This is the only convention that
 reproduces the geometric-series sender utility on a line exactly (directly
 linked user receives with probability 1), so it is used everywhere.
 
-Representation: a Network with at most DENSE_MAX_USERS users keeps a dense
-float64 adjacency, so its BFS layers and neighbour counts are BLAS matmuls.
-Above the cutoff it keeps only CSR edge arrays and never builds an n x n
-matrix: the graph takes O(n + E) memory, and each BFS batch of B columns
-adds n * ceil(B / 64) uint64 words of packed frontier bits. gen_sbm still
-draws all n(n-1)/2 pairs, so SBM generation takes quadratic time, but it
-draws them in chunks of whole rows, so its memory stays bounded.
+Representation: a one-column distance query, at any size, is one FIFO queue
+walk over cached adjacency lists, O(n + E) time and memory: a
+level-synchronous numpy BFS pays a fixed cost per level, which a deep
+network (a line of 2000 has 1999 levels) multiplies. Only batches of two or
+more columns use the representation below. A Network with at most
+DENSE_MAX_USERS users keeps a dense float64 adjacency, so its batched BFS
+layers and neighbour counts are BLAS matmuls. Above the cutoff it keeps only
+CSR edge arrays and never builds an n x n matrix: the graph takes O(n + E)
+memory, and each BFS batch of B columns adds n * ceil(B / 64) uint64 words
+of packed frontier bits. gen_sbm still draws all n(n-1)/2 pairs, so SBM
+generation takes quadratic time, but it draws them in chunks of whole rows,
+so its memory stays bounded.
 
 The plain sender-to-user hop counts (every user relaying) depend on the
 graph alone; Network.relay_distances computes them once per network.
 
 The cutoff is the measured crossover of one strictest_effective_regulation
-solve (2-vCPU machine, numpy 2.4.6, one BLAS thread). On 3-community chain
-SBMs with mean degree about 22, CSR took 1.8x the dense time at n = 90,
-1.26x at 270, 0.75x at 360 and 0.45x at 480; on a line linked to the sender
-at both ends, 1.28x at 90, 0.86x at 150 and 0.35x at 270. 256 sits between
-the two crossovers (about 310 and 140 users).
+solve (2-vCPU machine, numpy 2.4.6, one BLAS thread), taken while
+one-column queries still ran the dense or packed BFS too. On 3-community
+chain SBMs with mean degree about 22, CSR took 1.8x the dense time at
+n = 90, 1.26x at 270, 0.75x at 360 and 0.45x at 480; on a line linked to
+the sender at both ends, 1.28x at 90, 0.86x at 150 and 0.35x at 270. 256
+sits between the two crossovers (about 310 and 140 users).
 """
 
 from __future__ import annotations
@@ -132,6 +138,14 @@ class Network:
         np.cumsum(self.degrees, out=indptr[1:])
         rows = np.flatnonzero(self.degrees)
         return Csr(indptr, dst[np.lexsort((dst, src))], rows, indptr[rows])
+
+    @cached_property
+    def adjacency_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Each user's neighbours, ascending, as Python ints: the operand of
+        the one-column queue BFS. Read-only (tuples)."""
+        ptr = self.csr.indptr.tolist()
+        idx = self.csr.indices.tolist()
+        return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     def neighbours(self, user: int) -> np.ndarray:
         """The user's neighbours, ascending (a view into the CSR arrays)."""
@@ -405,6 +419,8 @@ def through_platform_distances(network: Network, on_side: np.ndarray) -> np.ndar
     hypothetical entry distance for everyone else. UNREACHED marks users with
     no path.
     """
+    if on_side.shape[1] == 1:
+        return _queue_distances(network, on_side)
     if not network.dense:
         return _packed_distances(network, on_side)
     n, b = on_side.shape
@@ -423,6 +439,27 @@ def through_platform_distances(network: Network, on_side: np.ndarray) -> np.ndar
         dist[new] = d
         frontier = new & on_side
     return dist
+
+
+def _queue_distances(network: Network, on_side: np.ndarray) -> np.ndarray:
+    """through_platform_distances for one column: a FIFO queue walk over the
+    adjacency lists, O(n + E) whatever the depth, where the level-synchronous
+    BFS pays a fixed numpy cost per level."""
+    relays = on_side[:, 0].tolist()
+    neighbours = network.adjacency_lists
+    dist = [UNREACHED] * network.n_users
+    for u in network.sender_links:
+        dist[u] = 0
+    queue = [u for u in network.sender_links if relays[u]]
+    # the list grows while it is walked, so it is the FIFO queue
+    for u in queue:
+        d = dist[u] + 1
+        for v in neighbours[u]:
+            if dist[v] == UNREACHED:
+                dist[v] = d
+                if relays[v]:
+                    queue.append(v)
+    return np.array(dist, dtype=np.int32)[:, None]
 
 
 def _packed_distances(network: Network, on_side: np.ndarray) -> np.ndarray:

@@ -132,6 +132,39 @@ def test_validate_a1_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["validate-a1", "--theta-jj", "0.75", "--seeds", "1"],
+    ["sweep", "--recipe", json.dumps({"kind": "linear", "args": {"n": 5}}),
+     "--p-range", "0.3:0.7:2", "--ba-range", "0.0:0.1:2"],
+], ids=["validate-a1", "sweep"])
+def test_out_into_a_missing_directory_writes_the_printed_bytes(tmp_path, capsys, args):
+    assert run_cli(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "new" / "dir" / "result.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("fmt, want", [
+    ("csv", "p,b_A,samples,n_no_effective,n_any,n_moderate,mean_rho_se,seed_base\n"
+            "0.3,0.0,0,0,0,0,,0\n0.3,0.1,0,0,0,0,,0\n0.7,0.0,0,0,0,0,,0\n0.7,0.1,0,0,0,0,,0\n"),
+    ("pgm", "P2\n2 2\n255\n0 0\n0 0\n"),
+], ids=["csv", "pgm"])
+def test_sweep_names_failed_cells_on_stderr(capsys, fmt, want):
+    # users 0-3 have c <= mu, so every cell of every sample fails
+    recipe = {"kind": "linear", "args": {"n": 5, "c": [0.3, 0.3, 0.3, 0.3, 0.4]}}
+    code = run_cli(["sweep", "--recipe", json.dumps(recipe), "--mu", "0.35", "--samples", "2",
+                    "--p-range", "0.3:0.7:2", "--ba-range", "0.0:0.1:2", "--format", fmt])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out == want
+    lines = captured.err.splitlines()
+    cells = [(p, b_a) for p in ("0.3", "0.7") for b_a in ("0.0", "0.1")]
+    assert len(lines) == len(cells)
+    for line, (p, b_a) in zip(lines, cells):
+        assert f"p={p} b_A={b_a}: InvalidParamsError: user 0 has c=0.3 <= mu=0.35" in line
+
+
 def test_config_file_merge(tmp_path, capsys):
     net_path = tmp_path / "line.json"
     run_cli(["gen-network", "--kind", "linear", "--n", "20", "--out", str(net_path)])

@@ -22,6 +22,8 @@ from platmod import (
     strictest_effective_regulation,
     trust_threshold,
     RegulationKind,
+    SbmSpec,
+    gen_sbm,
 )
 from platmod.adoption import (
     Assignment,
@@ -30,7 +32,7 @@ from platmod.adoption import (
     cascade_final_b_sets,
     nash_check,
 )
-from platmod.graph import UNREACHED, through_platform_distances
+from platmod.graph import UNREACHED, receive_probs, through_platform_distances
 
 from conftest import build_network, random_sbm_instance, widened_sbm_instance
 
@@ -253,6 +255,79 @@ def test_sparse_engine_agrees_with_dense_and_reference(monkeypatch, n_cols):
             want = Platform.B if attached else state.platform_of(user)
             assert best_response(sparse, tie_params, 1.0, state, user) is want
         assert "adjacency_f" not in sparse.__dict__
+
+
+def _check_one_column(net, on_side):
+    """A one-column query equals the oracle and the batched BFS run on the
+    same column twice."""
+    dist = through_platform_distances(net, on_side[:, None])
+    assert dist.dtype == np.int32 and dist.shape == (net.n_users, 1)
+    assert dist[:, 0].tolist() == _ref_distance_column(net, on_side.tolist())
+    batched = through_platform_distances(net, np.repeat(on_side[:, None], 2, axis=1))
+    assert np.array_equal(batched, np.repeat(dist, 2, axis=1))
+    return dist
+
+
+@pytest.mark.parametrize("dense_max_users", [10**9, 0], ids=["dense", "CSR"])
+def test_one_column_queue_bfs_matches_reference_and_batch(monkeypatch, dense_max_users):
+    rng = np.random.default_rng(90)
+    isolated = off_side_links = 0
+    for _ in range(30):
+        fields, _, _ = widened_sbm_instance(rng)
+        net = build_network(monkeypatch, dense_max_users, fields)
+        assert net.dense == (dense_max_users > 0)
+        on_side = rng.random(net.n_users) < rng.uniform(0.2, 1.0)
+        # the second sender link sits off side half the time: it is still
+        # reached at 0 but relays nothing
+        on_side[net.sender_links[1]] = rng.random() < 0.5
+        off_side_links += int(not on_side[net.sender_links[1]])
+        isolated += int((net.degrees == 0).sum())
+        _check_one_column(net, on_side)
+    assert isolated > 0 and off_side_links > 0
+
+
+def _chain_sbm_3x300():
+    return gen_sbm(SbmSpec(
+        sizes=(300, 300, 300),
+        theta=((0.075, 0.003, 0.0), (0.003, 0.075, 0.003), (0.0, 0.003, 0.075)),
+        seed=4,
+    ))
+
+
+def test_one_column_queue_bfs_above_cutoff():
+    line = gen_linear(400)
+    two_link = Network(n_users=400, edges=line.edges, sender_links=(0, 399),
+                       profiles=line.profiles)
+    rng = np.random.default_rng(91)
+    for net in (gen_linear(2000), two_link, _chain_sbm_3x300()):
+        assert not net.dense
+        everyone = np.ones(net.n_users, dtype=bool)
+        assert np.array_equal(_check_one_column(net, everyone)[:, 0], net.relay_distances)
+        _check_one_column(net, rng.random(net.n_users) < 0.9)
+    assert two_link.relay_distances.max() == 199
+
+
+def test_one_column_queries_need_neither_matmul_nor_packed_words(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a one-column query took the batched BFS")
+
+    monkeypatch.setattr(platmod.graph, "_packed_distances", refuse)
+    monkeypatch.setattr(Network, "adjacency_f", property(refuse))
+    params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
+    for net in (gen_linear(12), gen_linear(300)):
+        state = Assignment(np.arange(net.n_users) < 5, Platform.B)
+        assert net.relay_distances.tolist() == list(range(net.n_users))
+        assert receive_probs(net, params, state).tolist() == [0.9**k for k in range(5)] + \
+            [0.0] * (net.n_users - 5)
+
+
+def test_adjacency_lists_are_read_only():
+    net = gen_linear(4)
+    assert net.adjacency_lists == ((1,), (0, 2), (1, 3), (2,))
+    with pytest.raises(TypeError):
+        net.adjacency_lists[1] = ()
+    with pytest.raises(TypeError):
+        net.adjacency_lists[1][0] = 3
 
 
 def test_sparse_cascade_matches_engine_above_cutoff():

@@ -1,14 +1,17 @@
 """Command-line surface: gen-network, adoption, rho-se, analytic, sweep,
 validate-a1.
 
-Reference defaults (mu=0.2, c=0.3, p=0.9, b_a-b_b=0.01) apply wherever a
-flag is omitted. A --config JSON file may supply any flag by its long name
-(dashes as underscores); explicit flags win over the file.
+Each subcommand declares only the flags it reads, and its reference
+defaults are the argparse defaults, so `platmod <command> --help` shows
+them. A --config JSON file may supply any of the subcommand's flags by its
+long name (dashes as underscores); explicit flags win over the file.
+Malformed input exits 2 with one `invalid parameters: ...` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .adoption import run_adoption
-from .analytic import FamilySpec, rho_se_linear_infinite
+from .analytic import FamilySpec, rho_se_linear_infinite, threshold_rho0
 from .errors import InvalidParamsError, InvariantViolationError
 from .experiments import (
     NetworkRecipe,
@@ -27,35 +30,38 @@ from .experiments import (
     sweep_csv_text,
     validate_assumption1,
 )
-from .graph import Network, SbmSpec, gen_linear, gen_regular_tree, gen_sbm, gen_star_chain
+from .graph import Network
 from .model import ModelParams, Platform, UserProfile
 from .regulation import strictest_effective_regulation
 
-
-def _parse_range(text: str) -> tuple[float, float, int]:
-    lo, hi, steps = text.split(":")
-    return float(lo), float(hi), int(steps)
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
+# sweep's (p range, b_A range, samples) when not given; the full profile
+# samples an SBM recipe 50 times and a deterministic one once
+_SWEEP_FULL = ("0.1:0.9:50", "0.0:0.2:50", 50)
+_SWEEP_FAST = ("0.1:0.9:20", "0.0:0.2:20", 10)
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+def _parse_range(text, flag: str) -> tuple[float, float, int]:
+    try:
+        lo, hi, steps = text.split(":")
+        return float(lo), float(hi), int(steps)
+    except (AttributeError, ValueError):
+        raise InvalidParamsError(f"{flag} wants lo:hi:steps, got {text!r}") from None
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the --config JSON document."""
-    if not getattr(args, "config", None):
-        return args
-    doc = json.loads(Path(args.config).read_text())
-    for key, value in doc.items():
-        attr = key.replace("-", "_")
-        current = getattr(args, attr, None)
-        if current is None or current is False:  # unset flag or untouched switch
-            setattr(args, attr, value)
-    return args
+def _parse_list(value, convert, flag: str) -> list:
+    """A comma list; a --config file may give a JSON list or number instead."""
+    items = value.split(",") if isinstance(value, str) else np.atleast_1d(value).tolist()
+    try:
+        return [convert(x) for x in items if x != ""]
+    except (TypeError, ValueError):
+        raise InvalidParamsError(f"{flag} wants a comma list of numbers, got {value!r}") from None
+
+
+def _parse_json(text, flag: str):
+    try:
+        return json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParamsError(f"{flag} is not JSON: {exc}") from None
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -68,73 +74,38 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_gen_network(args) -> int:
-    c = args.c if args.c is not None else 0.3
-    if isinstance(c, str):
-        vals = _parse_floats(c)
-        c = vals[0] if len(vals) == 1 else vals
-    if args.kind == "linear":
-        if args.n is None:
-            raise InvalidParamsError("linear generation needs --n")
-        net = gen_linear(args.n, c=c)
-    elif args.kind == "star-chain":
-        if args.n_hubs is None or args.r is None:
-            raise InvalidParamsError("star-chain generation needs --n-hubs and --r")
-        net = gen_star_chain(args.n_hubs, args.r, c=c)
-    elif args.kind == "tree":
-        if args.r is None or args.depth is None:
-            raise InvalidParamsError("tree generation needs --r and --depth")
-        net = gen_regular_tree(args.r, args.depth, c=c)
-    elif args.kind == "sbm":
-        theta = json.loads(args.theta) if args.theta else None
-        if theta is None:
-            raise InvalidParamsError("sbm generation needs --theta (JSON matrix)")
-        net = gen_sbm(
-            SbmSpec(
-                sizes=tuple(_parse_ints(args.sizes)),
-                theta=tuple(tuple(float(x) for x in row) for row in theta),
-                sender_community=args.sender_community or 0,
-                seed=args.seed or 0,
-                c_by_community=tuple(c) if isinstance(c, list) else c,
-            )
-        )
-    else:
-        raise InvalidParamsError(f"unknown kind {args.kind!r}")
-    text = json.dumps(net.to_json_dict()) + "\n"
-    _write_or_print(text, args.out)
+    c = _parse_list(args.c, float, "--c")
+    recipe = NetworkRecipe(
+        args.kind.replace("-", "_"),
+        {
+            "n": args.n,
+            "n_hubs": args.n_hubs,
+            "r": args.r,
+            "depth": args.depth,
+            "sizes": None if args.sizes is None else _parse_list(args.sizes, int, "--sizes"),
+            "theta": None if args.theta is None else _parse_json(args.theta, "--theta"),
+            "sender_community": args.sender_community,
+            "c": c[0] if len(c) == 1 else c,
+        },
+    )
+    _write_or_print(json.dumps(recipe.build(args.seed).to_json_dict()) + "\n", args.out)
     return 0
 
 
 def _load_network(args) -> Network:
-    net = Network.load(args.network)
-    if getattr(args, "c", None) is not None:
-        profiles = tuple(
-            UserProfile(c=float(args.c), community=u.community) for u in net.profiles
-        )
-        net = Network(
-            n_users=net.n_users,
-            edges=net.edges,
-            sender_links=net.sender_links,
-            profiles=profiles,
-            generator_meta=net.generator_meta,
-        )
+    try:
+        net = Network.load(args.network)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidParamsError(f"cannot read --network {args.network}: {exc}") from None
+    if args.c is not None:
+        profiles = tuple(UserProfile(c=args.c, community=u.community) for u in net.profiles)
+        net = dataclasses.replace(net, profiles=profiles)
     return net
 
 
-def _params_from(args) -> ModelParams:
-    return ModelParams(
-        mu=args.mu if args.mu is not None else 0.2,
-        p=args.p if args.p is not None else 0.9,
-        b_a=args.bA if args.bA is not None else 0.01,
-        b_b=args.bB if args.bB is not None else 0.0,
-        rho_a=getattr(args, "rhoA", None) if getattr(args, "rhoA", None) is not None else 1.0,
-    )
-
-
 def _cmd_adoption(args) -> int:
-    net = _load_network(args)
-    params = _params_from(args)
-    sender = Platform(args.sender_platform)
-    outcome = run_adoption(net, params, args.beta, sender)
+    params = ModelParams(mu=args.mu, p=args.p, b_a=args.bA, b_b=args.bB)
+    outcome = run_adoption(_load_network(args), params, args.beta, Platform(args.sender_platform))
     lines = []
     if args.trace:
         for t, switchers in enumerate(outcome.trace):
@@ -152,9 +123,8 @@ def _cmd_adoption(args) -> int:
 
 
 def _cmd_rho_se(args) -> int:
-    net = _load_network(args)
-    params = _params_from(args)
-    res = strictest_effective_regulation(net, params)
+    params = ModelParams(mu=args.mu, p=args.p, b_a=args.bA, b_b=args.bB)
+    res = strictest_effective_regulation(_load_network(args), params)
     doc = {
         "kind": res.kind.value,
         "u_star_b": res.u_star_b,
@@ -168,23 +138,15 @@ def _cmd_rho_se(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
-    lo, hi, steps = _parse_range(args.p_range)
-    b_b = args.bB if args.bB is not None else 0.0
-    c = args.c if args.c is not None else 0.3
-    lines = ["p,threshold_b_gap" + (",rho_se" if args.family == "linear-infinite" and args.bA is not None else "")]
-    for p in np.linspace(lo, hi, steps):
-        params = ModelParams(
-            mu=args.mu if args.mu is not None else 0.2,
-            p=float(p),
-            b_a=args.bA if args.bA is not None else 0.01,
-            b_b=b_b,
-        )
-        fam = FamilySpec(kind=args.family, params=params, c=c, n=args.n, r=args.r)
-        from .analytic import threshold_rho0
-
+    with_rho = args.family == "linear-infinite" and args.bA is not None
+    lines = ["p,threshold_b_gap" + (",rho_se" if with_rho else "")]
+    for p in np.linspace(*_parse_range(args.p_range, "--p-range")):
+        # the threshold reads neither quality; b_A only enters the rho_se column
+        params = ModelParams(mu=args.mu, p=float(p), b_a=args.bA or 0.0, b_b=args.bB)
+        fam = FamilySpec(kind=args.family, params=params, c=args.c, n=args.n, r=args.r)
         row = f"{float(p)!r},{float(threshold_rho0(fam))!r}"
-        if args.family == "linear-infinite" and args.bA is not None:
-            res = rho_se_linear_infinite(params, c)
+        if with_rho:
+            res = rho_se_linear_infinite(params, args.c)
             row += "," + ("" if res.rho_se is None else repr(res.rho_se))
         lines.append(row)
     _write_or_print("\n".join(lines) + "\n", args.out)
@@ -192,29 +154,25 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    recipe_doc = json.loads(args.recipe) if args.recipe else None
-    if recipe_doc is None:
+    if args.recipe is None:
         raise InvalidParamsError("sweep needs --recipe (JSON) or a config supplying it")
-    if args.fast:
-        p_range = args.p_range or "0.1:0.9:20"
-        ba_range = args.ba_range or "0.0:0.2:20"
-        samples = args.samples if args.samples is not None else 10
-    else:
-        p_range = args.p_range or "0.1:0.9:50"
-        ba_range = args.ba_range or "0.0:0.2:50"
-        samples = args.samples if args.samples is not None else (
-            50 if recipe_doc.get("kind") == "sbm" else 1
-        )
+    doc = _parse_json(args.recipe, "--recipe")
+    if not (isinstance(doc, dict) and "kind" in doc and isinstance(doc.get("args", {}), dict)):
+        raise InvalidParamsError('--recipe wants {"kind": ..., "args": {...}}')
+    recipe = NetworkRecipe(kind=doc["kind"], args=doc.get("args", {}))
+    p_range, ba_range, samples = _SWEEP_FAST if args.fast else _SWEEP_FULL
+    if not args.fast and recipe.deterministic:
+        samples = 1
     spec = SweepSpec(
-        p_range=_parse_range(p_range),
-        ba_range=_parse_range(ba_range),
-        recipe=NetworkRecipe(kind=recipe_doc["kind"], args=recipe_doc.get("args", {})),
-        mu=args.mu if args.mu is not None else 0.2,
-        b_b=args.bB if args.bB is not None else 0.0,
-        samples=samples,
-        base_seed=args.seed if args.seed is not None else 0,
+        p_range=_parse_range(args.p_range or p_range, "--p-range"),
+        ba_range=_parse_range(args.ba_range or ba_range, "--ba-range"),
+        recipe=recipe,
+        mu=args.mu,
+        b_b=args.bB,
+        samples=samples if args.samples is None else args.samples,
+        base_seed=args.seed,
     )
-    grid = sweep(spec, workers=args.workers or 1)
+    grid = sweep(spec, workers=args.workers)
     for cell in grid.cells:
         if cell.error:
             print(f"failed cell p={cell.p!r} b_A={cell.b_a!r}: {cell.error}", file=sys.stderr)
@@ -224,109 +182,131 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate_a1(args) -> int:
-    thetas = _parse_floats(args.theta_jj) if args.theta_jj else [0.75, 0.0625]
-    n_seeds = args.seeds if args.seeds is not None else 50
-    base = args.seed if args.seed is not None else 0
     report = validate_assumption1(
-        thetas,
-        seeds=range(base, base + n_seeds),
-        sizes=tuple(_parse_ints(args.sizes)) if args.sizes else (30, 30, 30),
-        mu=args.mu if args.mu is not None else 0.2,
-        c=args.c if args.c is not None else 0.3,
-        p=args.p if args.p is not None else 0.7,
-        b_a=args.bA if args.bA is not None else 0.002,
-        b_b=args.bB if args.bB is not None else 0.0,
+        _parse_list(args.theta_jj, float, "--theta-jj"),
+        seeds=range(args.seed, args.seed + args.seeds),
+        sizes=tuple(_parse_list(args.sizes, int, "--sizes")),
+        mu=args.mu,
+        c=args.c,
+        p=args.p,
+        b_a=args.bA,
+        b_b=args.bB,
     )
     _write_or_print(a1_csv_text(report), args.out)
     return 0
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON file supplying any flag by long name")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=["csv", "pgm"], default="csv")
-    sp.add_argument("--fast", action="store_true", help="reduced CI-scale profile")
+class _DefaultsHelp(argparse.ArgumentDefaultsHelpFormatter):
+    """Show each flag's default, unless it is unset or a switch."""
+
+    def _get_help_string(self, action):
+        if action.default is None or isinstance(action.default, bool):
+            return action.help
+        return super()._get_help_string(action)
 
 
-def _add_params(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--bA", type=float, default=None)
-    sp.add_argument("--bB", type=float, default=None)
+def _add_params(sp: argparse.ArgumentParser, p: float = 0.9, b_a: float = 0.01) -> None:
+    sp.add_argument("--mu", type=float, default=0.2, help="prior of the surprising state")
+    sp.add_argument("--p", type=float, default=p, help="diffusiveness per edge")
+    sp.add_argument("--bA", type=float, default=b_a, help="quality per friend on A")
+    sp.add_argument("--bB", type=float, default=0.0, help="quality per friend on B")
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="platmod")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-network", help="emit a network JSON document")
-    _add_common(g)
+    def command(name, func, help):
+        # no abbreviations: a flag a subcommand lacks must not become a
+        # prefix of one it has (analytic --p would read as --p-range)
+        sp = sub.add_parser(name, help=help, formatter_class=_DefaultsHelp, allow_abbrev=False)
+        sp.add_argument("--config", help="JSON file supplying any flag below by long name")
+        sp.add_argument("--out", help="write here instead of stdout")
+        sp.set_defaults(func=func, parser=sp)
+        return sp
+
+    g = command("gen-network", _cmd_gen_network, "emit a network JSON document")
     g.add_argument("--kind", required=True, choices=["linear", "star-chain", "tree", "sbm"])
-    g.add_argument("--n", type=int, default=None)
-    g.add_argument("--n-hubs", dest="n_hubs", type=int, default=None)
-    g.add_argument("--r", type=int, default=None)
-    g.add_argument("--depth", type=int, default=None)
-    g.add_argument("--sizes", default=None, help="comma list, e.g. 30,30,30")
-    g.add_argument("--theta", default=None, help="JSON matrix")
-    g.add_argument("--sender-community", dest="sender_community", type=int, default=None)
-    g.add_argument("--c", default=None, help="scalar or comma list per user/community")
-    g.set_defaults(func=_cmd_gen_network)
+    g.add_argument("--n", type=int, help="linear: user count")
+    g.add_argument("--n-hubs", type=int, help="star-chain: hub count")
+    g.add_argument("--r", type=int, help="star-chain: users per hub; tree: branching")
+    g.add_argument("--depth", type=int, help="tree: generations below the root")
+    g.add_argument("--sizes", help="sbm: comma list of community sizes, e.g. 30,30,30")
+    g.add_argument("--theta", help="sbm: JSON link-probability matrix")
+    g.add_argument("--sender-community", type=int, default=0, help="sbm: the sender's community")
+    g.add_argument("--seed", type=int, default=0, help="sbm: sampling seed")
+    g.add_argument("--c", default=0.3, help="scalar or comma list per user (sbm: per community)")
 
-    a = sub.add_parser("adoption", help="run the synchronous adoption process")
-    _add_common(a)
+    a = command("adoption", _cmd_adoption, "run the synchronous adoption process")
     _add_params(a)
-    a.add_argument("--network", required=True)
-    a.add_argument("--beta", type=float, required=True)
-    a.add_argument("--sender-platform", dest="sender_platform", choices=["A", "B"], default="B")
-    a.add_argument("--trace", action="store_true")
-    a.add_argument("--c", type=float, default=None, help="override every user's c")
-    a.set_defaults(func=_cmd_adoption)
+    a.add_argument("--network", required=True, help="network JSON file")
+    a.add_argument("--beta", type=float, required=True, help="the sender's deceit level")
+    a.add_argument("--sender-platform", choices=["A", "B"], default="B", help="sender's platform")
+    a.add_argument("--trace", action="store_true", help="print each round's switchers")
+    a.add_argument("--c", type=float, help="override every user's c (default: the network's)")
 
-    r = sub.add_parser("rho-se", help="strictest effective regulation on a network")
-    _add_common(r)
+    r = command("rho-se", _cmd_rho_se, "strictest effective regulation on a network")
     _add_params(r)
-    r.add_argument("--network", required=True)
-    r.add_argument("--c", type=float, default=None, help="override every user's c")
-    r.set_defaults(func=_cmd_rho_se)
+    r.add_argument("--network", required=True, help="network JSON file")
+    r.add_argument("--c", type=float, help="override every user's c (default: the network's)")
 
-    an = sub.add_parser("analytic", help="closed-form family thresholds over a p range")
-    _add_common(an)
-    _add_params(an)
+    an = command("analytic", _cmd_analytic, "closed-form family thresholds over a p range")
     an.add_argument("--family", required=True, choices=list(FamilySpec.KINDS))
-    an.add_argument("--p-range", dest="p_range", required=True, help="lo:hi:steps")
-    an.add_argument("--n", type=int, default=None)
-    an.add_argument("--r", type=int, default=None)
-    an.add_argument("--c", type=float, default=None)
-    an.set_defaults(func=_cmd_analytic)
+    an.add_argument("--p-range", required=True, help="lo:hi:steps")
+    an.add_argument("--n", type=int, help="finite families: users, hubs or generations")
+    an.add_argument("--r", type=int, help="star-chain and tree families: branching")
+    an.add_argument("--c", type=float, default=0.3, help="every user's c")
+    an.add_argument("--mu", type=float, default=0.2, help="prior of the surprising state")
+    an.add_argument("--bA", type=float, help="linear-infinite: add a rho_se column at this b_A")
+    an.add_argument("--bB", type=float, default=0.0, help="quality per friend on B")
 
-    sw = sub.add_parser("sweep", help="(p, b_a) heatmap of regulation outcomes")
-    _add_common(sw)
-    sw.add_argument("--recipe", default=None, help='JSON, e.g. {"kind":"linear","args":{"n":20}}')
-    sw.add_argument("--p-range", dest="p_range", default=None, help="lo:hi:steps")
-    sw.add_argument("--ba-range", dest="ba_range", default=None, help="lo:hi:steps")
-    sw.add_argument("--mu", type=float, default=None)
-    sw.add_argument("--bB", type=float, default=None)
-    sw.add_argument("--samples", type=int, default=None)
-    sw.add_argument("--workers", type=int, default=None)
-    sw.set_defaults(func=_cmd_sweep)
+    sw = command("sweep", _cmd_sweep, "(p, b_a) heatmap of regulation outcomes")
+    full, fast = _SWEEP_FULL, _SWEEP_FAST
+    sw.add_argument("--recipe", help='JSON, e.g. {"kind":"linear","args":{"n":20}}')
+    sw.add_argument("--p-range", help=f"lo:hi:steps (default: {full[0]}; --fast: {fast[0]})")
+    sw.add_argument("--ba-range", help=f"lo:hi:steps (default: {full[1]}; --fast: {fast[1]})")
+    sw.add_argument("--samples", type=int, help=f"networks per cell (default: {full[2]} for sbm,"
+                                                f" else 1; --fast: {fast[2]})")
+    sw.add_argument("--fast", action="store_true", help="reduced CI-scale profile")
+    sw.add_argument("--seed", type=int, default=0, help="seed of the first sample")
+    sw.add_argument("--workers", type=int, default=1, help="worker processes")
+    sw.add_argument("--mu", type=float, default=0.2, help="prior of the surprising state")
+    sw.add_argument("--bB", type=float, default=0.0, help="quality per friend on B")
+    sw.add_argument("--format", choices=["csv", "pgm"], default="csv", help="output format")
 
-    va = sub.add_parser("validate-a1", help="bloc-migration metric under a zero cap")
-    _add_common(va)
-    _add_params(va)
-    va.add_argument("--theta-jj", dest="theta_jj", default=None, help="comma list of diagonals")
-    va.add_argument("--seeds", type=int, default=None, help="number of seeds")
-    va.add_argument("--sizes", default=None)
-    va.add_argument("--c", type=float, default=None)
-    va.set_defaults(func=_cmd_validate_a1)
+    va = command("validate-a1", _cmd_validate_a1, "bloc-migration metric under a zero cap")
+    _add_params(va, p=0.7, b_a=0.002)
+    va.add_argument("--theta-jj", default="0.75,0.0625", help="comma list of theta_JJ values")
+    va.add_argument("--seeds", type=int, default=50, help="number of seeds")
+    va.add_argument("--seed", type=int, default=0, help="first seed")
+    va.add_argument("--sizes", default="30,30,30", help="comma list of community sizes")
+    va.add_argument("--c", type=float, default=0.3, help="every user's c")
     return ap
+
+
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The --config document as defaults for the chosen subcommand's flags."""
+    try:
+        doc = json.loads(Path(args.config).read_text())
+    except (OSError, ValueError) as exc:
+        raise InvalidParamsError(f"cannot read --config {args.config}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidParamsError("--config wants a JSON object")
+    defaults = {key.replace("-", "_"): value for key, value in doc.items()}
+    flags = set(vars(args)) - {"command", "config", "func", "parser"}
+    unknown = sorted(set(defaults) - flags)
+    if unknown:
+        raise InvalidParamsError(f"{args.command} has no flag for --config keys {unknown}")
+    return defaults
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        args = _merge_config(args)
+        if args.config:
+            args.parser.set_defaults(**_config_defaults(args))
+            args = ap.parse_args(argv)
         return args.func(args)
     except InvalidParamsError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ runs produce byte-identical files even under parallel execution.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,38 +60,52 @@ def complete_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float
     return tuple(tuple(row) for row in th)
 
 
+# the arguments each recipe kind cannot do without, in the order the
+# deterministic kinds' generators take them
+_RECIPE_NEEDS = {
+    "linear": ("n",),
+    "star_chain": ("n_hubs", "r"),
+    "tree": ("r", "depth"),
+    "sbm": ("sizes", "theta"),
+}
+_GENERATORS = {"linear": gen_linear, "star_chain": gen_star_chain, "tree": gen_regular_tree}
+
+
 @dataclass(frozen=True)
 class NetworkRecipe:
     """Generator kind plus arguments; builds a concrete network per seed.
 
     Deterministic kinds (linear, star_chain, tree) ignore the seed. The c
     payoffs live here because they are user attributes, not world params.
+    An unknown kind or a missing required argument raises InvalidParamsError
+    at construction.
     """
 
     kind: str
     args: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.kind not in _RECIPE_NEEDS:
+            raise InvalidParamsError(f"unknown recipe kind {self.kind!r}")
+        missing = [k for k in _RECIPE_NEEDS[self.kind] if self.args.get(k) is None]
+        if missing:
+            raise InvalidParamsError(f"{self.kind} recipe needs {', '.join(missing)}")
+
     def build(self, seed: int = 0) -> Network:
         a = self.args
-        if self.kind == "linear":
-            return gen_linear(a["n"], c=a.get("c", 0.3))
-        if self.kind == "star_chain":
-            return gen_star_chain(a["n_hubs"], a["r"], c=a.get("c", 0.3))
-        if self.kind == "tree":
-            return gen_regular_tree(a["r"], a["depth"], c=a.get("c", 0.3))
-        if self.kind == "sbm":
-            c = a.get("c", 0.3)
-            return gen_sbm(
-                SbmSpec(
-                    sizes=tuple(a["sizes"]),
-                    theta=tuple(tuple(row) for row in a["theta"]),
-                    sender_community=a.get("sender_community", 0),
-                    sender_attach=a.get("sender_attach"),
-                    seed=seed,
-                    c_by_community=tuple(c) if not np.isscalar(c) else c,
-                )
+        c = a.get("c", 0.3)
+        if self.kind in _GENERATORS:
+            return _GENERATORS[self.kind](*(a[k] for k in _RECIPE_NEEDS[self.kind]), c=c)
+        return gen_sbm(
+            SbmSpec(
+                sizes=tuple(a["sizes"]),
+                theta=tuple(tuple(float(x) for x in row) for row in a["theta"]),
+                sender_community=a.get("sender_community", 0),
+                sender_attach=a.get("sender_attach"),
+                seed=seed,
+                c_by_community=tuple(c) if not np.isscalar(c) else c,
             )
-        raise InvalidParamsError(f"unknown recipe kind {self.kind!r}")
+        )
 
     @property
     def deterministic(self) -> bool:
@@ -256,7 +271,11 @@ def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
                     n_moderate=n_mod,
                     mean_rho_se=(sum(rhos) / len(rhos)) if rhos else None,
                     seeds=spec.seeds(),
-                    error="; ".join(errors) if errors else None,
+                    # each distinct sample error once, counted when it repeats
+                    error="; ".join(
+                        msg if n == 1 else f"{msg} ({n} samples)"
+                        for msg, n in Counter(errors).items()
+                    ) if errors else None,
                 )
             )
     return HeatmapGrid(spec=spec, cells=cells)

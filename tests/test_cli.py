@@ -1,13 +1,16 @@
+import hashlib
 import importlib
 import importlib.util
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from platmod import Network
+from platmod import Network, gen_linear
 from platmod.cli import main
 
 
@@ -211,3 +214,223 @@ def test_benchmark_tracer_bindings_resolve():
     from platmod.model import trust_threshold
 
     assert isinstance(trust_threshold(0.2, 0.3), float)
+
+
+# sha256 of stdout for one or more invocations per subcommand: every
+# valid invocation keeps printing the same bytes; "{net}" is a line of 20
+# users and "{cfg}" a config file, both written by the test
+PINNED_STDOUT = {
+    "gen-linear": ("gen-network --kind linear --n 6",
+        "85b29f715b47cf9645937925f125f04022b2de3fed464c05283ef0dfc3033703"),
+    "gen-linear-c-list": ("gen-network --kind linear --n 3 --c 0.3,0.35,0.4",
+        "4b0829a475021ca32f4931747a8c8c7282fec32769f2118efe38d6daae991e65"),
+    "gen-star-chain": ("gen-network --kind star-chain --n-hubs 3 --r 2 --c 0.35",
+        "36ee2f53af50488dd79081742bf6b28d34795048c5cc611a701bc8205061a6bd"),
+    "gen-tree": ("gen-network --kind tree --r 2 --depth 2",
+        "6ec747f692bc2be1c25ad489e6ff0277570518f60cc0f39381462a590bc5b9c6"),
+    "gen-sbm-int-theta": (
+        "gen-network --kind sbm --sizes 4,4 --theta '[[1,0],[0,1]]' --seed 3",
+        "30a5e93cfb2e1757562e8cbf5410ce71111e014b1884f5527dd378b51f2dd607"),
+    "gen-sbm-c-list": (
+        "gen-network --kind sbm --sizes 5,5 --theta '[[0.5,0.1],[0.1,0.5]]'"
+        " --sender-community 1 --c 0.3,0.4 --seed 1",
+        "c393d549e56d977425ee7548b15e59cca89d98410e2197c7f6bd137b442f733c"),
+    "adoption-trace": ("adoption --network {net} --beta 0.2 --trace",
+        "b33a11c8bfb8d0cba24cbf12f8f837ff7809a035f47957e37501e1b7a5c90066"),
+    "adoption-A": (
+        "adoption --network {net} --beta 0.05 --sender-platform A --p 0.5 --bA 0.02",
+        "3bf3bd576133f084d4e38ca6ea72a51069ce7b3f57da597c23f6a929baab610a"),
+    "rho-se": ("rho-se --network {net}",
+        "26639ee93732864449f0b2086add1f956904df885ff8d4d0484e9bdc4e650bdf"),
+    "rho-se-c": ("rho-se --network {net} --c 0.35 --bA 0.001",
+        "cc1a4f421f2677a49c4bf27814568153c271cf8f0a7addc3128dfdcc07cc7b29"),
+    "rho-se-config": ("rho-se --network {net} --config {cfg} --bA 0.0",
+        "eee295dd03752145964abbc81005195689bbefd6c53ce529f7c4d8320e77c094"),
+    "analytic-bA": ("analytic --family linear-infinite --p-range 0.1:0.9:5 --bA 0.01",
+        "87238bc43ce590df18c9850023f3862a775227facd3e634b66063c4bf78301f2"),
+    "analytic-tree": (
+        "analytic --family tree-finite --n 4 --r 2 --p-range 0.2:0.8:4 --c 0.35 --mu 0.25",
+        "44afcfdfa2bf8f9e71a79bba35c5e1c8f5b108d26e7ab6834dbf0f28746e284b"),
+    "sweep-csv": ("sweep --recipe '{\"kind\":\"linear\",\"args\":{\"n\":5}}'",
+        "fb57e4378d2f6e92ba354b372dab6510141b503bc2e4d5c968b356e354d9f0b7"),
+    "sweep-pgm": (
+        "sweep --recipe '{\"kind\":\"star_chain\",\"args\":{\"n_hubs\":3,\"r\":2}}'"
+        " --p-range 0.2:0.9:6 --ba-range 0.0:0.1:5 --format pgm",
+        "5fcdf0dc5f94fb9462d329937897c8ffb3e8c6ade1af48b8322a46512c057196"),
+    "sweep-fast": ("sweep --recipe '{\"kind\":\"linear\",\"args\":{\"n\":5}}' --fast",
+        "4359e9923c82f4fdc11d25125de569f040faa1e8bb577ca019f58d01825c2e0b"),
+    "sweep-sbm": (
+        "sweep --recipe '{\"kind\":\"sbm\",\"args\":{\"sizes\":[6,6],"
+        "\"theta\":[[0.6,0.1],[0.1,0.6]]}}' --samples 2 --seed 4"
+        " --p-range 0.3:0.9:3 --ba-range 0.0:0.05:3",
+        "fac5174e9c52479425808933bd37257ca85120d6a3bb44c671592b1393e25c7e"),
+    "validate-a1": ("validate-a1 --theta-jj 0.75 --seeds 2",
+        "18c344ff8217ac3b889e677160a3d1585b6388ac970b9763843b9c62b7996fd8"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(tmp_path, capsys, name):
+    gen_linear(20).save(tmp_path / "net.json")
+    (tmp_path / "cfg.json").write_text(json.dumps({"mu": 0.2, "p": 0.9, "bA": 0.2, "bB": 0.0}))
+    command, digest = PINNED_STDOUT[name]
+    argv = [a.format(net=tmp_path / "net.json", cfg=tmp_path / "cfg.json")
+            if a in ("{net}", "{cfg}") else a for a in shlex.split(command)]
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# every flag of every subcommand with the default its --help shows (None:
+# no default shown); sweep's profile flags spell out both profiles
+CLI_SURFACE = {
+    "gen-network": {
+        "--config": None, "--out": None, "--kind": None, "--n": None, "--n-hubs": None,
+        "--r": None, "--depth": None, "--sizes": None, "--theta": None,
+        "--sender-community": "0", "--seed": "0", "--c": "0.3",
+    },
+    "adoption": {
+        "--config": None, "--out": None, "--mu": "0.2", "--p": "0.9", "--bA": "0.01",
+        "--bB": "0.0", "--network": None, "--beta": None, "--sender-platform": "B",
+        "--trace": None, "--c": "the network's",
+    },
+    "rho-se": {
+        "--config": None, "--out": None, "--mu": "0.2", "--p": "0.9", "--bA": "0.01",
+        "--bB": "0.0", "--network": None, "--c": "the network's",
+    },
+    "analytic": {
+        "--config": None, "--out": None, "--family": None, "--p-range": None, "--n": None,
+        "--r": None, "--c": "0.3", "--mu": "0.2", "--bA": None, "--bB": "0.0",
+    },
+    "sweep": {
+        "--config": None, "--out": None, "--recipe": None,
+        "--p-range": "0.1:0.9:50; --fast: 0.1:0.9:20",
+        "--ba-range": "0.0:0.2:50; --fast: 0.0:0.2:20",
+        "--samples": "50 for sbm, else 1; --fast: 10", "--fast": None, "--seed": "0",
+        "--workers": "1", "--mu": "0.2", "--bB": "0.0", "--format": "csv",
+    },
+    "validate-a1": {
+        "--config": None, "--out": None, "--mu": "0.2", "--p": "0.7", "--bA": "0.002",
+        "--bB": "0.0", "--theta-jj": "0.75,0.0625", "--seeds": "50", "--seed": "0",
+        "--sizes": "30,30,30", "--c": "0.3",
+    },
+}
+
+
+def _help_flags(command, capsys) -> dict:
+    """{flag: default shown or None} from a subcommand's --help."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    entries = []
+    for line in capsys.readouterr().out.split("options:\n", 1)[1].splitlines():
+        if line.startswith("  --"):
+            entries.append(line.split(None, 1))
+        elif entries:  # a wrapped help line
+            entries[-1].append(line)
+    flags = {}
+    for flag, *text in entries:
+        shown = re.search(r"\(default: ([^)]*)\)$", " ".join(" ".join(text).split()))
+        flags[flag] = shown and shown.group(1)
+    return flags
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
+    assert {command: _help_flags(command, capsys) for command in CLI_SURFACE} == CLI_SURFACE
+    assert sum(len(flags) for flags in CLI_SURFACE.values()) == 64
+
+
+@pytest.mark.parametrize("args", [
+    ["rho-se", "--network", "net.json", "--format", "pgm"],
+    ["analytic", "--family", "linear-infinite", "--p-range", "0.1:0.9:3", "--p", "0.5"],
+    ["analytic", "--family", "linear-infinite", "--p", "0.5", "--p-range", "0.1:0.9:3"],
+    ["analytic", "--family", "linear-infinite", "--p-range", "0.1:0.9:3", "--seed", "1"],
+    ["adoption", "--network", "net.json", "--beta", "0.1", "--fast"],
+    ["gen-network", "--kind", "linear", "--n", "3", "--format", "csv"],
+    ["validate-a1", "--fast"],
+], ids=["rho-se-format", "analytic-p", "analytic-p-first", "analytic-seed", "adoption-fast",
+        "gen-network-format", "validate-a1-fast"])
+def test_a_flag_the_subcommand_never_reads_exits_2(args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+
+
+LINE = json.dumps({"kind": "linear", "args": {"n": 5}})
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--recipe", LINE, "--p-range", "0.3:0.7"],
+    ["sweep", "--recipe", LINE, "--ba-range", "0:x:2"],
+    ["analytic", "--family", "linear-infinite", "--p-range", "0.3:0.7"],
+    ["sweep", "--recipe", "{kind: linear}"],
+    ["sweep", "--recipe", "[1, 2]"],
+    ["sweep", "--recipe", json.dumps({"kind": "linear"})],
+    ["sweep", "--recipe", json.dumps({"kind": "ring", "args": {"n": 5}})],
+    ["sweep"],
+    ["gen-network", "--kind", "sbm", "--sizes", "3,3", "--theta", "[[0.5, 0.1]"],
+    ["gen-network", "--kind", "sbm", "--theta", "[[0.5]]"],
+    ["gen-network", "--kind", "star-chain", "--n-hubs", "3"],
+    ["gen-network", "--kind", "linear", "--n", "3", "--c", "0.3,x"],
+    ["validate-a1", "--sizes", "30,,x"],
+    ["rho-se", "--network", "{missing}"],
+    ["adoption", "--network", "{malformed}", "--beta", "0.1"],
+    ["rho-se", "--network", "{not_a_network}"],
+    ["rho-se", "--network", "{net}", "--config", "{missing}"],
+    ["rho-se", "--network", "{net}", "--config", "{malformed}"],
+    ["rho-se", "--network", "{net}", "--config", "{config_with_seed}"],
+], ids=["p-range", "ba-range", "analytic-p-range", "recipe-not-json", "recipe-not-object",
+        "recipe-missing-arg", "recipe-unknown-kind", "no-recipe", "theta-not-json",
+        "sbm-missing-sizes", "star-chain-missing-r", "c-list", "sizes-list",
+        "network-missing", "network-malformed", "network-not-an-object", "config-missing",
+        "config-malformed", "config-unknown-key"])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, args):
+    gen_linear(5).save(tmp_path / "net.json")
+    (tmp_path / "malformed.json").write_text('{"n_users": 2')
+    (tmp_path / "not_a_network.json").write_text("[1, 2]")
+    (tmp_path / "config_with_seed.json").write_text('{"seed": 3}')
+    names = ("net", "missing", "malformed", "not_a_network", "config_with_seed")
+    paths = {f"{{{name}}}": str(tmp_path / f"{name}.json") for name in names}
+    assert run_cli([paths.get(a, a) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("invalid parameters: ")
+
+
+def test_sweep_counts_a_repeated_cell_error_once(capsys):
+    recipe = {"kind": "linear", "args": {"n": 5, "c": [0.3, 0.3, 0.3, 0.3, 0.4]}}
+    code = run_cli(["sweep", "--recipe", json.dumps(recipe), "--mu", "0.35", "--samples", "3",
+                    "--p-range", "0.3:0.7:2", "--ba-range", "0.0:0.1:2"])
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        assert line.count("InvalidParamsError") == 1
+        assert line.endswith("InvalidParamsError: user 0 has c=0.3 <= mu=0.35 (3 samples)")
+
+
+def test_config_supplies_flags_of_every_kind(tmp_path, capsys):
+    # a number, a switch, a string parsed like the flag, a JSON list for a
+    # comma-list flag; the explicit --samples still wins over the file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"recipe": LINE, "fast": True, "p-range": "0.3:0.7:2",
+                               "ba_range": "0.0:0.1:2", "samples": 5, "mu": 0.2}))
+    assert run_cli(["sweep", "--config", str(cfg), "--samples", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 5 and all(row.split(",")[2] == "1" for row in rows[1:])
+    cfg.write_text(json.dumps({"c": [0.3, 0.35, 0.4]}))
+    assert run_cli(["gen-network", "--kind", "linear", "--n", "3", "--config", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [u["c"] for u in doc["profiles"]] == [0.3, 0.35, 0.4]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.strip()]
+    assert len(commands) >= 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "platmod"
+        assert run_cli(argv[1:]) == 0, argv

@@ -10,6 +10,7 @@ import pytest
 import platmod
 from platmod import (
     HeatmapGrid,
+    InvalidParamsError,
     InvariantViolationError,
     ModelParams,
     NetworkRecipe,
@@ -218,6 +219,17 @@ def test_cell_failures_recorded_without_aborting():
         assert cell.error == "InvalidParamsError: user 0 has c=0.3 <= mu=0.45"
 
 
+@pytest.mark.parametrize("kind, args, missing", [
+    ("linear", {"c": 0.3}, "n"),
+    ("star_chain", {"n_hubs": 3}, "r"),
+    ("tree", {}, "r, depth"),
+    ("sbm", {"sizes": [4], "theta": None}, "theta"),
+])
+def test_recipe_names_its_missing_arguments(kind, args, missing):
+    with pytest.raises(InvalidParamsError, match=f"^{kind} recipe needs {missing}$"):
+        NetworkRecipe(kind, args)
+
+
 def test_invalid_cells_leave_the_others_unchanged():
     # p = 1 is outside the model: those cells record the error while the
     # cells of the same sampled networks are solved as without them
@@ -231,7 +243,7 @@ def test_invalid_cells_leave_the_others_unchanged():
     assert full.cells[:6] == valid.cells
     for cell in full.cells[6:]:
         assert cell.p == 1.0 and cell.samples == 0
-        assert cell.error == "; ".join(["InvalidParamsError: p must lie in (0, 1), got 1.0"] * 3)
+        assert cell.error == "InvalidParamsError: p must lie in (0, 1), got 1.0 (3 samples)"
 
 
 def test_small_chain_sweep_csv_is_pinned():

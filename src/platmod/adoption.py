@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import (Network, UNREACHED, receive_map, receive_probs, through_platform_distances,
-                    validate_mu)
+from .graph import (Network, UNREACHED, receive_map, receive_probs, relax,
+                    through_platform_distances, validate_mu)
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_side_advantage,
                     trust_threshold, trusts)
 
@@ -76,6 +76,7 @@ def batch_final_b_sets(
     b_b,
     collect_trace: bool = False,
     start: np.ndarray | None = None,
+    start_state: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[frozenset]]]:
     """Run the synchronous adoption (sender on B) for a batch of columns.
 
@@ -88,7 +89,15 @@ def batch_final_b_sets(
     boolean on-B matrix) when given. The process is monotone and reaches the
     least fixed point above its start, so a start inside that column's
     equilibrium set (such as the set of the same column at a higher beta)
-    ends at the same set as a run from all-A.
+    ends at the same set as a run from all-A. start_state, given only with
+    start, holds the start's distances and B-neighbour counts,
+    (through_platform_distances(network, start), network.neighbour_counts(start));
+    without it the engine computes them.
+
+    The distances and counts are carried across rounds: users only move from
+    A to B, so after a round the switchers' counts are added to the counts
+    (exact integers) and the distances are relaxed from the switchers
+    (graph.relax), with the same results as recomputing both from scratch.
 
     Returns (on_b, dist, productive_rounds, traces): membership and distance
     matrices of shape (n_users, len(betas)), per-column productive round
@@ -118,13 +127,17 @@ def batch_final_b_sets(
     live = np.arange(n_cols)
     # on_b of the live columns
     cur = on_b.copy() if start is None else np.array(start, dtype=bool)
+    if start_state is None:
+        dist, n_b = through_platform_distances(network, cur), neighbour_counts(cur)
+    else:
+        # copies: the rounds update both in place
+        dist = np.array(start_state[0], dtype=np.int32)
+        n_b = np.array(start_state[1], dtype=np.float64)
     traces: list[list[frozenset]] = [[] for _ in range(n_cols)] if collect_trace else []
     rounds = np.zeros(n_cols, dtype=np.int64)
 
     total_rounds = 0
     while True:
-        dist = through_platform_distances(network, cur)
-        n_b = neighbour_counts(cur)
         diff, joins = sender_side_advantage(
             n_b, deg, b_b, b_a, trusting, receive_map(p, dist), gain, linked
         )
@@ -137,8 +150,8 @@ def batch_final_b_sets(
             on_b[:, live[settled]] = cur[:, settled]
             final_dist[:, live[settled]] = dist[:, settled]
             live = live[moving]
-            cur, switch, trusting, gain, p, b_a, b_b = (
-                x[:, moving] for x in (cur, switch, trusting, gain, p, b_a, b_b)
+            cur, switch, dist, n_b, trusting, gain, p, b_a, b_b = (
+                x[:, moving] for x in (cur, switch, dist, n_b, trusting, gain, p, b_a, b_b)
             )
             moving = moving[moving]
         if not live.size:
@@ -153,6 +166,8 @@ def batch_final_b_sets(
             for k in np.flatnonzero(moving):
                 traces[live[k]].append(frozenset(np.nonzero(switch[:, k])[0].tolist()))
         cur |= switch
+        n_b += neighbour_counts(switch)
+        relax(network, dist, cur, switch)
     return on_b, final_dist, rounds, traces
 
 

@@ -4,8 +4,8 @@ validate-a1.
 Each subcommand declares only the flags it reads, and its reference
 defaults are the argparse defaults, so `platmod <command> --help` shows
 them. A --config JSON file may supply any of the subcommand's flags by its
-long name (dashes as underscores); explicit flags win over the file.
-Malformed input exits 2 with one `invalid parameters: ...` line on stderr.
+long name (dashes as underscores), checked against the flag's type and
+choices; explicit flags win over the file. Malformed input exits 2 with one `invalid parameters: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -297,7 +297,31 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     unknown = sorted(set(defaults) - flags)
     if unknown:
         raise InvalidParamsError(f"{args.command} has no flag for --config keys {unknown}")
-    return defaults
+    actions = {action.dest: action for action in args.parser._actions}
+    return {key: _config_value(actions[key], value) for key, value in defaults.items()}
+
+
+def _config_value(action: argparse.Action, value):
+    """A --config value checked as argparse checks the flag's own text, since
+    argparse converts only string defaults: a switch wants a JSON boolean, a
+    typed flag a number or string its type parses, and choices are kept."""
+    flag = f"--config {action.option_strings[0]}"
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise InvalidParamsError(f"{flag} wants true or false, got {value!r}")
+        return value
+    if action.type is not None:
+        wrong = InvalidParamsError(f"{flag} wants {action.type.__name__}, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise wrong
+        try:
+            # through its text, so a float never truncates to an int
+            value = action.type(str(value))
+        except ValueError:
+            raise wrong from None
+    if action.choices is not None and value not in action.choices:
+        raise InvalidParamsError(f"{flag} wants one of {list(action.choices)}, got {value!r}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,7 @@ runs produce byte-identical files even under parallel execution.
 from __future__ import annotations
 
 import csv
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,14 +72,41 @@ _RECIPE_NEEDS = {
 _GENERATORS = {"linear": gen_linear, "star_chain": gen_star_chain, "tree": gen_regular_tree}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_list(x) -> bool:
+    return isinstance(x, (list, tuple))
+
+
+# the type test, and its wording, of each recipe argument that has one
+_RECIPE_TYPES = {
+    "n": (_is_int, "an int"),
+    "n_hubs": (_is_int, "an int"),
+    "r": (_is_int, "an int"),
+    "depth": (_is_int, "an int"),
+    "sizes": (lambda x: _is_list(x) and all(_is_int(s) and s >= 1 for s in x),
+              "a list of positive ints"),
+    "theta": (lambda x: _is_list(x) and all(
+        _is_list(row) and len(row) == len(x) and all(_is_real(v) for v in row) for row in x
+    ), "a square list of number lists"),
+}
+
+
 @dataclass(frozen=True)
 class NetworkRecipe:
     """Generator kind plus arguments; builds a concrete network per seed.
 
     Deterministic kinds (linear, star_chain, tree) ignore the seed. The c
     payoffs live here because they are user attributes, not world params.
-    An unknown kind or a missing required argument raises InvalidParamsError
-    at construction.
+    An unknown kind, a missing required argument or one of the wrong type
+    (sizes a list of positive ints, theta a square list of number lists, n,
+    n_hubs, r and depth ints) raises InvalidParamsError at construction.
     """
 
     kind: str
@@ -90,6 +118,10 @@ class NetworkRecipe:
         missing = [k for k in _RECIPE_NEEDS[self.kind] if self.args.get(k) is None]
         if missing:
             raise InvalidParamsError(f"{self.kind} recipe needs {', '.join(missing)}")
+        for key, (fits, want) in _RECIPE_TYPES.items():
+            value = self.args.get(key)
+            if value is not None and not fits(value):
+                raise InvalidParamsError(f"{self.kind} recipe wants {key} as {want}, got {value!r}")
 
     def build(self, seed: int = 0) -> Network:
         a = self.args

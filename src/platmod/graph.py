@@ -6,29 +6,32 @@ receives the signal with probability p**k. This is the only convention that
 reproduces the geometric-series sender utility on a line exactly (directly
 linked user receives with probability 1), so it is used everywhere.
 
-Representation: a one-column distance query, at any size, is one FIFO queue
-walk over cached adjacency lists, O(n + E) time and memory: a
-level-synchronous numpy BFS pays a fixed cost per level, which a deep
-network (a line of 2000 has 1999 levels) multiplies. Only batches of two or
-more columns use the representation below. A Network with at most
-DENSE_MAX_USERS users keeps a dense float64 adjacency, so its batched BFS
-layers and neighbour counts are BLAS matmuls. Above the cutoff it keeps only
-CSR edge arrays and never builds an n x n matrix: the graph takes O(n + E)
-memory, and each BFS batch of B columns adds n * ceil(B / 64) uint64 words
-of packed frontier bits. gen_sbm still draws all n(n-1)/2 pairs, so SBM
-generation takes quadratic time, but it draws them in chunks of whole rows,
-so its memory stays bounded.
+Representation: distances only shrink as users join a platform, so every
+distance query is one relaxation (relax): from the sender links over an
+all-UNREACHED start for a full query (through_platform_distances), or from
+the users who just joined over the distances before they did, as the
+adoption engine does each round. A one-column relaxation is a FIFO queue
+walk over cached adjacency lists that visits only the users whose distance
+falls and their neighbours, O(n + E) at most: a level-synchronous numpy
+loop pays a fixed cost per level, which a deep network (a line of 2000 has
+1999 levels) multiplies. A batch of two or more columns runs one level loop
+whose reach step is Network.neighbour_counts. A Network with at most
+DENSE_MAX_USERS users keeps a dense float64 adjacency, so those counts are
+BLAS matmuls; above the cutoff it keeps only CSR edge arrays and the counts
+are np.add.reduceat over them, so it never builds an n x n matrix and takes
+O(n + E) memory plus O((n + E) * B) bytes per batch of B columns. gen_sbm
+still draws all n(n-1)/2 pairs, so SBM generation takes quadratic time, but
+it draws them in chunks of whole rows, so its memory stays bounded.
 
 The plain sender-to-user hop counts (every user relaying) depend on the
 graph alone; Network.relay_distances computes them once per network.
 
-The cutoff is the measured crossover of one strictest_effective_regulation
-solve (2-vCPU machine, numpy 2.4.6, one BLAS thread), taken while
-one-column queries still ran the dense or packed BFS too. On 3-community
-chain SBMs with mean degree about 22, CSR took 1.8x the dense time at
-n = 90, 1.26x at 270, 0.75x at 360 and 0.45x at 480; on a line linked to
-the sender at both ends, 1.28x at 90, 0.86x at 150 and 0.35x at 270. 256
-sits between the two crossovers (about 310 and 140 users).
+The cutoff sits between the measured crossovers of solve_cells over the
+5 x 11 (p, b_A) grid of the C5 chain sweep on one network (2-vCPU machine,
+numpy 2.4.6, one BLAS thread). On 3-community chain SBMs with mean degree
+about 22, CSR took 1.11x the dense time at n = 90, 1.14x at 270, 1.05x at
+360 and 0.73x at 480; on a line linked to the sender at both ends, 1.09x at
+90, 1.06x at 150, 0.92x at 270 and 0.73x at 400.
 """
 
 from __future__ import annotations
@@ -48,12 +51,12 @@ from .model import ModelParams, Platform, UserProfile
 MAX_GENERATED_USERS = 10**7
 
 UNREACHED = -1
+# UNREACHED as a uint32 distance: larger than every real one
+_UNSIGNED_UNREACHED = np.uint32(UNREACHED & 0xFFFFFFFF)
 
 # Networks with more users than this keep CSR edge arrays instead of the
 # dense adjacency (measured crossover in the module docstring).
 DENSE_MAX_USERS = 256
-
-_WORD_BITS = 64
 
 # gen_sbm draws at most this many pairs at once (unless one row holds more)
 _SBM_PAIR_CHUNK = 1 << 16
@@ -142,7 +145,7 @@ class Network:
     @cached_property
     def adjacency_lists(self) -> tuple[tuple[int, ...], ...]:
         """Each user's neighbours, ascending, as Python ints: the operand of
-        the one-column queue BFS. Read-only (tuples)."""
+        the one-column relaxation. Read-only (tuples)."""
         ptr = self.csr.indptr.tolist()
         idx = self.csr.indices.tolist()
         return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
@@ -417,84 +420,89 @@ def through_platform_distances(network: Network, on_side: np.ndarray) -> np.ndar
     A user's own membership does not gate being reached, only relaying: the
     returned value is therefore the actual distance for on-side users and the
     hypothetical entry distance for everyone else. UNREACHED marks users with
-    no path.
+    no path. It is relax from the sender links alone, every relay joining.
     """
-    if on_side.shape[1] == 1:
-        return _queue_distances(network, on_side)
-    if not network.dense:
-        return _packed_distances(network, on_side)
-    n, b = on_side.shape
-    dist = np.full((n, b), UNREACHED, dtype=np.int32)
-    touched = np.broadcast_to(network.sender_mask[:, None], (n, b)).copy()
-    dist[touched] = 0
-    frontier = touched & on_side
-    adj_f = network.adjacency_f
-    d = 0
-    while frontier.any():
-        d += 1
-        reach = (adj_f @ frontier) > 0.0
-        new = reach & (dist == UNREACHED)
-        if not new.any():
-            break
-        dist[new] = d
-        frontier = new & on_side
+    dist = np.full(on_side.shape, UNREACHED, dtype=np.int32)
+    dist[network.sender_mask] = 0
+    return relax(network, dist, on_side, on_side)
+
+
+def relax(network: Network, dist: np.ndarray, on_side: np.ndarray,
+          joined: np.ndarray) -> np.ndarray:
+    """Lower dist, in place, through the relays that just joined.
+
+    dist (n_users, B) int32 holds the through_platform_distances of the relay
+    set on_side & ~joined; afterwards it holds those of on_side (joined must
+    lie inside it). Distances only shrink as relays join, so only the joined
+    relays that are reached and the relays they bring closer need passing
+    on, each column in increasing distance. Returns dist.
+    """
+    if dist.shape[1] == 1:
+        _relax_column(network, dist[:, 0], on_side[:, 0], joined[:, 0])
+        return dist
+    # relays whose distance was set or lowered but not yet passed on
+    pending = joined & (dist != UNREACHED)
+    # UNREACHED reads as the largest uint32 here, so one comparison finds
+    # both the unreached users and those a new path brings closer
+    as_unsigned = dist.view(np.uint32)
+    neighbour_counts = network.neighbour_counts
+    while pending.any():
+        # each column passes on its own lowest pending level; a column with
+        # none pending gets the largest uint32, and its step (wrapped to 0)
+        # reaches nobody
+        level = np.where(pending, as_unsigned, _UNSIGNED_UNREACHED).min(axis=0)
+        active = pending & (as_unsigned == level)
+        pending ^= active
+        step = level + 1
+        lower = (neighbour_counts(active) > 0.0) & (as_unsigned > step)
+        np.copyto(as_unsigned, step, where=lower)
+        pending |= lower & on_side
     return dist
 
 
-def _queue_distances(network: Network, on_side: np.ndarray) -> np.ndarray:
-    """through_platform_distances for one column: a FIFO queue walk over the
-    adjacency lists, O(n + E) whatever the depth, where the level-synchronous
-    BFS pays a fixed numpy cost per level."""
-    relays = on_side[:, 0].tolist()
+def _relax_column(network: Network, dist: np.ndarray, on_side: np.ndarray,
+                  joined: np.ndarray) -> None:
+    """relax for one column: FIFO queue walks over the adjacency lists. It
+    visits only the users whose distance falls and their neighbours, where a
+    level-synchronous numpy loop pays a fixed cost per level.
+
+    Each walk starts from the joined relays of the lowest level left, and the
+    queue stays in increasing distance: the joined relays of the next level
+    enter it before the first user at that level does. A gap between levels
+    ends the walk, and the next one starts past it.
+    """
+    seeds = (joined & (dist != UNREACHED)).nonzero()[0].tolist()
+    if not seeds:
+        return
+    as_unsigned = dist.view(np.uint32)
+    d = as_unsigned.tolist()
+    seeds.sort(key=d.__getitem__)
+    keys = [d[u] for u in seeds] + [UNREACHED]  # no level matches the end mark
+    relays = on_side.tolist()
     neighbours = network.adjacency_lists
-    dist = [UNREACHED] * network.n_users
-    for u in network.sender_links:
-        dist[u] = 0
-    queue = [u for u in network.sender_links if relays[u]]
-    # the list grows while it is walked, so it is the FIFO queue
-    for u in queue:
-        d = dist[u] + 1
-        for v in neighbours[u]:
-            if dist[v] == UNREACHED:
-                dist[v] = d
-                if relays[v]:
-                    queue.append(v)
-    return np.array(dist, dtype=np.int32)[:, None]
-
-
-def _packed_distances(network: Network, on_side: np.ndarray) -> np.ndarray:
-    """through_platform_distances on CSR arrays, with the batch columns
-    packed 64 to a uint64 word so one OR per neighbour serves 64 columns."""
-    n, b = on_side.shape
-    csr = network.csr
-    words = -(-b // _WORD_BITS)
-    padded = np.zeros((n, words * _WORD_BITS), dtype=bool)
-    padded[:, :b] = on_side
-    on = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-
-    dist = np.full((n, b), UNREACHED, dtype=np.int32)
-    sender = network.sender_mask
-    dist[sender] = 0
-    seen = np.zeros((n, words), dtype=np.uint64)
-    seen[sender] = ~np.uint64(0)
-    frontier = seen & on
-    reach = np.zeros_like(seen)
-    d = 0
-    while frontier.any():
-        d += 1
-        if csr.rows.size:
-            reach[csr.rows] = np.bitwise_or.reduceat(frontier[csr.indices], csr.starts, axis=0)
-        new = reach & ~seen
-        hit = np.flatnonzero(new.any(axis=1))
-        if not hit.size:
-            break
-        seen[hit] |= new[hit]
-        bits = np.unpackbits(new[hit].view(np.uint8), axis=1, count=b, bitorder="little")
-        block = dist[hit]
-        block[bits.view(bool)] = d
-        dist[hit] = block
-        frontier = new & on
-    return dist
+    # a seed whose distance fell below its key since sorting is skipped
+    # there: it was queued when it fell
+    k = 0
+    while k < len(seeds):
+        queue = []
+        level = keys[k]
+        while keys[k] == level:
+            if d[seeds[k]] == level:
+                queue.append(seeds[k])
+            k += 1
+        # the list grows while it is walked, so it is the FIFO queue
+        for u in queue:
+            du = d[u] + 1
+            while keys[k] == du:
+                if d[seeds[k]] == du:
+                    queue.append(seeds[k])
+                k += 1
+            for v in neighbours[u]:
+                if d[v] > du:
+                    d[v] = du
+                    if relays[v]:
+                        queue.append(v)
+    as_unsigned[:] = d
 
 
 def _csr_neighbour_counts(csr: Csr, marked: np.ndarray) -> np.ndarray:

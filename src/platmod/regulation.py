@@ -108,8 +108,10 @@ def _walk(network: Network, cells: list[ModelParams], bp: np.ndarray) -> list[li
     Within a piece no outsider's advantage reaches the join tie, so the
     next breakpoint is the largest level below the current one where an
     outsider's advantage, linear in beta while it trusts, reaches
-    -_JOIN_MARGIN; the engine, warm-started from the current set, gives the
-    set there. A predicted joiner the engine leaves out is tried once more at
+    -_JOIN_MARGIN; the engine, warm-started from the current set with its
+    distances and B-neighbour counts (the counts the step computes for the
+    advantages), gives the set there, so a step runs no full distance query.
+    A predicted joiner the engine leaves out is tried once more at
     its exact root (advantage 0); leaving it out there raises, and so does a
     new set that does not contain its start.
     """
@@ -128,9 +130,9 @@ def _walk(network: Network, cells: list[ModelParams], bp: np.ndarray) -> list[li
         for k, j in enumerate(live):
             pieces[j].append((float(beta[k]), on_b[:, k], p_recv[:, k]))
         # each outsider's advantage at beta = 0, where everyone trusts
+        n_b = network.neighbour_counts(on_b)
         adv0, _ = sender_side_advantage(
-            network.neighbour_counts(on_b), deg, b_b[live], b_a[live], True, p_recv,
-            news_gain(mu, c, 0.0), linked,
+            n_b, deg, b_b[live], b_a[live], True, p_recv, news_gain(mu, c, 0.0), linked,
         )
         slope = (1.0 - mu) * c * p_recv
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -148,7 +150,8 @@ def _walk(network: Network, cells: list[ModelParams], bp: np.ndarray) -> list[li
             return pieces
         start, above, live, beta = on_b[:, going], beta[going], live[going], nxt[going]
         on_b, dist, _, _ = batch_final_b_sets(
-            network, mu, beta, p[live], b_a[live], b_b[live], start=start
+            network, mu, beta, p[live], b_a[live], b_b[live], start=start,
+            start_state=(dist[:, going], n_b[:, going]),
         )
         shrunk = (start > on_b).any(axis=0)
         if shrunk.any():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from platmod import Network, gen_linear
+from platmod import Network, NetworkRecipe, SweepSpec, gen_linear, sweep, validate_assumption1
 from platmod.cli import main
 
 
@@ -201,19 +201,44 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["n_users"] == 2
 
 
-def test_benchmark_tracer_bindings_resolve():
-    # the benchmark's tracer wraps these functions by module and name, and
-    # its workloads import the scalar trust threshold
+def _bench_spans():
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # the benchmark's tracer wraps these functions by module and name, and
+    # its workloads import the scalar trust threshold
+    spans = _bench_spans()
     assert spans.WRAPPED
     for module_name, func_name, _ in spans.WRAPPED:
         assert callable(getattr(importlib.import_module(module_name), func_name))
     from platmod.model import trust_threshold
 
     assert isinstance(trust_threshold(0.2, 0.3), float)
+
+
+def test_benchmark_tracer_reads_the_engine_and_the_bfs():
+    # the tracer's counters unpack the engine's result and read the BFS
+    # result's shape, so a change to either shows here
+    spec = SweepSpec(
+        p_range=(0.5, 0.9, 2),
+        ba_range=(0.0, 0.01, 2),
+        recipe=NetworkRecipe("sbm", {"sizes": [6, 6], "theta": [[0.9, 0.08], [0.08, 0.9]]}),
+        samples=2,
+        base_seed=4,
+    )
+    tracer = _bench_spans().Tracer()
+    with tracer:
+        sweep(spec)
+        validate_assumption1([0.75], seeds=range(2), sizes=(6, 6, 6))
+    metrics = tracer.metrics()
+    assert metrics["adoption.engine_calls"] > 0
+    assert metrics["graph.bfs_calls"] > 0
+    assert metrics["adoption.engine_rounds"] > 0
 
 
 # sha256 of stdout for one or more invocations per subcommand: every
@@ -378,17 +403,27 @@ LINE = json.dumps({"kind": "linear", "args": {"n": 5}})
     ["rho-se", "--network", "{net}", "--config", "{missing}"],
     ["rho-se", "--network", "{net}", "--config", "{malformed}"],
     ["rho-se", "--network", "{net}", "--config", "{config_with_seed}"],
+    ["validate-a1", "--config", "{config_float_seeds}"],
+    ["sweep", "--config", "{config_svg_format}"],
+    ["sweep", "--recipe", json.dumps({"kind": "sbm", "args": {"sizes": 5, "theta": [[0.5]]}}),
+     "--p-range", "0.3:0.7:2", "--ba-range", "0:0.1:2"],
 ], ids=["p-range", "ba-range", "analytic-p-range", "recipe-not-json", "recipe-not-object",
         "recipe-missing-arg", "recipe-unknown-kind", "no-recipe", "theta-not-json",
         "sbm-missing-sizes", "star-chain-missing-r", "c-list", "sizes-list",
         "network-missing", "network-malformed", "network-not-an-object", "config-missing",
-        "config-malformed", "config-unknown-key"])
+        "config-malformed", "config-unknown-key", "config-float-for-int",
+        "config-value-outside-choices", "recipe-sizes-not-a-list"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, args):
     gen_linear(5).save(tmp_path / "net.json")
     (tmp_path / "malformed.json").write_text('{"n_users": 2')
     (tmp_path / "not_a_network.json").write_text("[1, 2]")
     (tmp_path / "config_with_seed.json").write_text('{"seed": 3}')
-    names = ("net", "missing", "malformed", "not_a_network", "config_with_seed")
+    (tmp_path / "config_float_seeds.json").write_text('{"seeds": 2.5}')
+    (tmp_path / "config_svg_format.json").write_text(json.dumps(
+        {"format": "svg", "recipe": LINE, "p-range": "0.3:0.7:2", "ba-range": "0:0.1:2"}
+    ))
+    names = ("net", "missing", "malformed", "not_a_network", "config_with_seed",
+             "config_float_seeds", "config_svg_format")
     paths = {f"{{{name}}}": str(tmp_path / f"{name}.json") for name in names}
     assert run_cli([paths.get(a, a) for a in args]) == 2
     captured = capsys.readouterr()

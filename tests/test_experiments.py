@@ -230,6 +230,23 @@ def test_recipe_names_its_missing_arguments(kind, args, missing):
         NetworkRecipe(kind, args)
 
 
+@pytest.mark.parametrize("kind, args, key", [
+    ("sbm", {"sizes": 5, "theta": [[0.5]]}, "sizes"),
+    ("sbm", {"sizes": [4, 0], "theta": [[0.5, 0.1], [0.1, 0.5]]}, "sizes"),
+    ("sbm", {"sizes": [4, 2.5], "theta": [[0.5, 0.1], [0.1, 0.5]]}, "sizes"),
+    ("sbm", {"sizes": [4], "theta": 0.5}, "theta"),
+    ("sbm", {"sizes": [4, 4], "theta": [[0.5, 0.1], [0.1]]}, "theta"),
+    ("sbm", {"sizes": [4], "theta": [["0.5"]]}, "theta"),
+    ("linear", {"n": 2.5}, "n"),
+    ("linear", {"n": True}, "n"),
+    ("star_chain", {"n_hubs": "3", "r": 2}, "n_hubs"),
+    ("tree", {"r": 2, "depth": [3]}, "depth"),
+])
+def test_recipe_names_an_argument_of_the_wrong_type(kind, args, key):
+    with pytest.raises(InvalidParamsError, match=f"^{kind} recipe wants {key} as "):
+        NetworkRecipe(kind, args)
+
+
 def test_invalid_cells_leave_the_others_unchanged():
     # p = 1 is outside the model: those cells record the error while the
     # cells of the same sampled networks are solved as without them

@@ -32,7 +32,7 @@ from platmod.adoption import (
     cascade_final_b_sets,
     nash_check,
 )
-from platmod.graph import UNREACHED, receive_probs, through_platform_distances
+from platmod.graph import UNREACHED, receive_probs, relax, through_platform_distances
 
 from conftest import build_network, random_sbm_instance, widened_sbm_instance
 
@@ -307,11 +307,12 @@ def test_one_column_queue_bfs_above_cutoff():
     assert two_link.relay_distances.max() == 199
 
 
-def test_one_column_queries_need_neither_matmul_nor_packed_words(monkeypatch):
+def test_one_column_queries_need_neither_matmul_nor_level_loop(monkeypatch):
     def refuse(*_):
         raise AssertionError("a one-column query took the batched BFS")
 
-    monkeypatch.setattr(platmod.graph, "_packed_distances", refuse)
+    # the batched level loop reaches through neighbour_counts
+    monkeypatch.setattr(Network, "neighbour_counts", property(refuse))
     monkeypatch.setattr(Network, "adjacency_f", property(refuse))
     params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
     for net in (gen_linear(12), gen_linear(300)):
@@ -319,6 +320,55 @@ def test_one_column_queries_need_neither_matmul_nor_packed_words(monkeypatch):
         assert net.relay_distances.tolist() == list(range(net.n_users))
         assert receive_probs(net, params, state).tolist() == [0.9**k for k in range(5)] + \
             [0.0] * (net.n_users - 5)
+
+
+@pytest.mark.parametrize("n_cols", [1, 7], ids=["one-column", "batch"])
+@pytest.mark.parametrize("dense_max_users", [10**9, 0], ids=["dense", "CSR"])
+def test_relax_from_joined_relays_matches_reference(monkeypatch, dense_max_users, n_cols):
+    # the distances of a relay set, lowered through the relays that join it,
+    # are those of the grown set; joiners may be unreached before they join
+    # (and reached through another joiner), and the second sender link may
+    # sit off side
+    rng = np.random.default_rng(95 + n_cols)
+    isolated = off_side_links = unreached_joiners = reached_through_joiners = 0
+    for _ in range(20):
+        fields, _, _ = widened_sbm_instance(rng)
+        net = build_network(monkeypatch, dense_max_users, fields)
+        assert net.dense == (dense_max_users > 0)
+        old = rng.random((net.n_users, n_cols)) < rng.uniform(0.0, 0.6)
+        joined = ~old & (rng.random(old.shape) < rng.uniform(0.1, 0.9))
+        if rng.random() < 0.5:
+            old[net.sender_links[1]] = joined[net.sender_links[1]] = False
+            off_side_links += 1
+        grown = old | joined
+        dist = through_platform_distances(net, old)
+        before = dist.copy()
+        assert relax(net, dist, grown, joined) is dist
+        assert dist.dtype == np.int32
+        assert not ((before != UNREACHED) & ((dist > before) | (dist == UNREACHED))).any()
+        for j in range(n_cols):
+            assert dist[:, j].tolist() == _ref_distance_column(net, grown[:, j].tolist())
+        isolated += int((net.degrees == 0).sum())
+        unreached_joiners += int((joined & (before == UNREACHED)).sum())
+        reached_through_joiners += int((joined & (before == UNREACHED) & (dist >= 0)).sum())
+    assert isolated > 0 and off_side_links > 0
+    assert unreached_joiners > 0 and reached_through_joiners > 0
+
+
+@pytest.mark.parametrize("n_cols", [1, 2], ids=["one-column", "batch"])
+def test_relax_walks_past_a_gap_between_joined_levels(n_cols):
+    # a line of 10 linked to the sender at both ends: user 1 joins at level
+    # 1 and its walk stops at user 2; user 4 joins at level 5, past the gap
+    line = gen_linear(10)
+    net = Network(n_users=10, edges=line.edges, sender_links=(0, 9), profiles=line.profiles)
+    old = np.isin(np.arange(10), [0, 5, 6, 7, 8, 9])[:, None].repeat(n_cols, axis=1)
+    joined = np.isin(np.arange(10), [1, 4])[:, None].repeat(n_cols, axis=1)
+    dist = through_platform_distances(net, old)
+    assert dist[[1, 4], 0].tolist() == [1, 5] and dist[3, 0] == UNREACHED
+    relax(net, dist, old | joined, joined)
+    assert dist[:, 0].tolist() == _ref_distance_column(net, (old | joined)[:, 0].tolist())
+    assert dist[:, 0].tolist() == [0, 1, 2, 6, 5, 4, 3, 2, 1, 0]
+    assert np.array_equal(dist, np.repeat(dist[:, :1], n_cols, axis=1))
 
 
 def test_adjacency_lists_are_read_only():
@@ -423,6 +473,34 @@ def test_warm_start_from_a_higher_beta_reaches_the_cold_set(monkeypatch, dense_m
         assert not (start > warm[0]).any()
         for j in range(low.size):
             assert warm[0][:, j].tolist() == ref_adoption(net, params, float(low[j]))[0]
+
+
+@pytest.mark.parametrize("dense_max_users", [10**9, 0], ids=["dense", "CSR"])
+def test_engine_given_the_start_state_equals_computing_it(monkeypatch, dense_max_users):
+    # the distances and B-neighbour counts of a warm start, passed in, give
+    # what the engine computes from the start alone, and stay unchanged
+    rng = np.random.default_rng(47)
+    checked = 0
+    while checked < 6:
+        fields, params, _ = widened_sbm_instance(rng)
+        if fields["n_users"] > 25:
+            continue
+        checked += 1
+        net = build_network(monkeypatch, dense_max_users, fields)
+        bp = trust_threshold(params.mu, fields["profiles"][0].c)
+        high = rng.uniform(0.0, 1.1 * bp, 9)
+        low = high * rng.uniform(0.0, 1.0, 9)
+        args = (params.p, params.b_a, params.b_b)
+        start, start_dist, _, _ = batch_final_b_sets(net, params.mu, high, *args)
+        state = (start_dist, net.neighbour_counts(start))
+        kept = tuple(x.copy() for x in state)
+        given = batch_final_b_sets(net, params.mu, low, *args, collect_trace=True, start=start,
+                                   start_state=state)
+        computed = batch_final_b_sets(net, params.mu, low, *args, collect_trace=True, start=start)
+        for g, w in zip(given[:3], computed[:3]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert given[3] == computed[3]
+        assert all(np.array_equal(x, y) for x, y in zip(state, kept))
 
 
 @pytest.mark.parametrize("dense_max_users", [10**9, 0])

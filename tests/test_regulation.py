@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import platmod.adoption
 import platmod.graph
 import platmod.regulation
 from platmod import (
@@ -296,8 +297,11 @@ def test_non_nested_engine_output_raises(monkeypatch):
     # walk relies on; solves and sweeps must fail loudly
     engine = platmod.regulation.batch_final_b_sets
 
-    def dropping_start(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None):
-        on_b, dist, rounds, traces = engine(network, mu, betas, p, b_a, b_b, collect_trace, start)
+    def dropping_start(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None,
+                       start_state=None):
+        on_b, dist, rounds, traces = engine(
+            network, mu, betas, p, b_a, b_b, collect_trace, start, start_state
+        )
         if start is not None:
             on_b &= ~(start & (np.cumsum(start, axis=0) == 1))  # each start's first member
         return on_b, dist, rounds, traces
@@ -400,3 +404,38 @@ def test_one_relay_bfs_per_network(monkeypatch, make, cascade, dense_max_users):
     sender_equilibrium(net, default_params(p=0.7, b_a=0.002, rho_a=0.0))
     utility_on_A(net, params, 0.1)
     assert relay_runs == [net]
+
+
+@pytest.mark.parametrize("dense_max_users", [10**9, 0], ids=["dense", "CSR"])
+def test_warm_walk_steps_make_no_full_distance_query(monkeypatch, dense_max_users):
+    """The walk hands each warm engine call the distances and counts of its
+    start, and the engine relaxes them round by round: the one full query
+    per walk is the all-A cold start, which has no relays."""
+    base = per_community_c_sbm()
+    net = build_network(monkeypatch, dense_max_users, dict(
+        n_users=base.n_users, edges=base.edges, sender_links=base.sender_links,
+        profiles=base.profiles,
+    ))
+    net.relay_distances  # the one all-relay BFS, made before counting
+    original = platmod.graph.through_platform_distances
+    queries = []
+
+    def counting(network, on_side):
+        queries.append(on_side.copy())
+        return original(network, on_side)
+
+    engine = platmod.regulation.batch_final_b_sets
+    warm_calls = []
+
+    def counting_engine(*args, **kwargs):
+        warm_calls.append(kwargs.get("start_state") is not None)
+        return engine(*args, **kwargs)
+
+    for module in (platmod.graph, platmod.adoption):
+        monkeypatch.setattr(module, "through_platform_distances", counting)
+    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", counting_engine)
+    cells = _random_cells(np.random.default_rng(12), 0.2, 6)
+    solve_cells(net, cells)
+    assert warm_calls[0] is False and all(warm_calls[1:]) and len(warm_calls) > 3
+    [cold] = queries
+    assert cold.shape == (net.n_users, len(cells)) and not cold.any()

@@ -1,9 +1,13 @@
 """Synchronous best-response adoption from the all-in-A state.
 
 The engine is vectorized over a batch of columns: platform search in the
-regulation module evaluates many (beta, p, b_a, b_b) combinations against the
-same network and mu, and every column of the batch is an independent run of
-the exact same synchronous update. A scalar wrapper provides the public
+regulation module evaluates many (beta, p, b_a, b_b) combinations, and every
+column of the batch is an independent run of the exact same synchronous
+update. Each column carries its own network (Columns): the columns of one
+network advance in lockstep, and so do those of several networks of one
+size, whose neighbour counts and relaxations run per network while the rest
+is elementwise over per-user arrays gathered to the columns. A single
+network is the one-network case. A scalar wrapper provides the public
 trace-carrying operation. The engine, best_response and nash_check compare
 the same sender-side advantage, with the tie rule, from the model's kernel.
 
@@ -16,6 +20,7 @@ as a fast path that the regulation module uses for those networks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,8 +72,85 @@ def _beta_primes(network: Network, mu: float) -> np.ndarray:
     return trust_threshold(mu, network.c_values)
 
 
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """The network of each column of a batch.
+
+    networks share n_users, and column j runs on networks[owner[j]]; each
+    network's columns are contiguous (owner is nondecreasing), so per-network
+    work runs on column slices, in place.
+    """
+
+    networks: tuple[Network, ...]
+    owner: np.ndarray
+
+    @classmethod
+    def of(cls, networks) -> "Columns":
+        """Columns from one network per column; a network's columns must be
+        contiguous, and every network must have the same number of users."""
+        index: dict[Network, int] = {}
+        owner = np.array([index.setdefault(net, len(index)) for net in networks], dtype=np.intp)
+        if (np.diff(owner) < 0).any():
+            raise InvalidParamsError("each network's columns must be contiguous")
+        if len({net.n_users for net in index}) > 1:
+            raise InvalidParamsError("networks batched together must have the same size")
+        return cls(tuple(index), owner)
+
+    @classmethod
+    def single(cls, network: Network, n_cols: int) -> "Columns":
+        return cls((network,), np.zeros(n_cols, dtype=np.intp))
+
+    def take(self, keep) -> "Columns":
+        """The columns selected by keep (a boolean mask or indices), in order."""
+        return Columns(self.networks, self.owner[keep])
+
+    def gather(self, per_user) -> np.ndarray:
+        """per_user(network), an (n_users,) array, at each column: (n_users, 1)
+        for a single network, where it broadcasts, else (n_users, n_cols)."""
+        if len(self.networks) == 1:
+            return per_user(self.networks[0])[:, None]
+        return np.stack([per_user(net) for net in self.networks], axis=1)[:, self.owner]
+
+    @cached_property
+    def runs(self) -> list[tuple[Network, slice]]:
+        """(network, its columns) for every network with a column."""
+        if len(self.networks) == 1:
+            return [(self.networks[0], slice(None))]
+        bounds = np.searchsorted(self.owner, np.arange(len(self.networks) + 1)).tolist()
+        return [(net, slice(a, b)) for net, a, b in zip(self.networks, bounds, bounds[1:])
+                if a < b]
+
+    def neighbour_counts(self, marked: np.ndarray) -> np.ndarray:
+        """Network.neighbour_counts of each column on its own network."""
+        if len(self.networks) == 1:
+            return self.networks[0].neighbour_counts(marked)
+        counts = np.empty(marked.shape)
+        for net, cols in self.runs:
+            counts[:, cols] = net.neighbour_counts(marked[:, cols])
+        return counts
+
+    def distances(self, on_side: np.ndarray) -> np.ndarray:
+        """through_platform_distances of each column on its own network."""
+        if len(self.networks) == 1:
+            return through_platform_distances(self.networks[0], on_side)
+        dist = np.empty(on_side.shape, dtype=np.int32)
+        for net, cols in self.runs:
+            dist[:, cols] = through_platform_distances(net, on_side[:, cols])
+        return dist
+
+    def relax(self, dist: np.ndarray, on_side: np.ndarray, joined: np.ndarray) -> None:
+        """graph.relax of each column on its own network, in place."""
+        for net, cols in self.runs:
+            relax(net, dist[:, cols], on_side[:, cols], joined[:, cols])
+
+
+def _keep(x: np.ndarray, moving: np.ndarray) -> np.ndarray:
+    """x narrowed to the moving columns, unless it is one shared column."""
+    return x[:, moving] if x.shape[1] == moving.size else x
+
+
 def batch_final_b_sets(
-    network: Network,
+    network: Network | Columns,
     mu: float,
     betas: np.ndarray,
     p,
@@ -80,10 +162,11 @@ def batch_final_b_sets(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[frozenset]]]:
     """Run the synchronous adoption (sender on B) for a batch of columns.
 
-    Column j runs at deceit level betas[j] with diffusiveness p[j] and
-    qualities b_a[j], b_b[j]; each of p, b_a, b_b is one value per column or
-    a scalar shared by all. mu is shared: it fixes the trust thresholds.
-    Callers validate p, b_a and b_b (ModelParams does).
+    network is the Network every column runs on, or Columns naming each
+    column's network. Column j runs at deceit level betas[j] with
+    diffusiveness p[j] and qualities b_a[j], b_b[j]; each of p, b_a, b_b is
+    one value per column or a scalar shared by all. mu is shared: it fixes
+    the trust thresholds. Callers validate p, b_a and b_b (ModelParams does).
 
     Every column starts from all-A, or from start (an (n_users, len(betas))
     boolean on-B matrix) when given. The process is monotone and reaches the
@@ -91,13 +174,15 @@ def batch_final_b_sets(
     equilibrium set (such as the set of the same column at a higher beta)
     ends at the same set as a run from all-A. start_state, given only with
     start, holds the start's distances and B-neighbour counts,
-    (through_platform_distances(network, start), network.neighbour_counts(start));
-    without it the engine computes them.
+    (through_platform_distances(network, start), network.neighbour_counts(start))
+    column by column; without it the engine computes them.
 
     The distances and counts are carried across rounds: users only move from
     A to B, so after a round the switchers' counts are added to the counts
     (exact integers) and the distances are relaxed from the switchers
     (graph.relax), with the same results as recomputing both from scratch.
+    Only these two steps run per network; a column's result does not depend
+    on the other columns of the batch.
 
     Returns (on_b, dist, productive_rounds, traces): membership and distance
     matrices of shape (n_users, len(betas)), per-column productive round
@@ -109,15 +194,17 @@ def batch_final_b_sets(
     """
     betas = np.asarray(betas, dtype=np.float64)
     p, b_a, b_b = (np.full(betas.shape, x, dtype=np.float64)[None, :] for x in (p, b_a, b_b))
-    n = network.n_users
     n_cols = betas.size
-    bp = _beta_primes(network, mu)
-    c = network.c_values[:, None]
-    trusting = trusts(betas[None, :], bp[:, None])
+    cols = network if isinstance(network, Columns) else Columns.single(network, n_cols)
+    n = cols.networks[0].n_users
+    for net in cols.networks:
+        validate_mu(net, mu)
+    # per-user arrays: one shared column for a single network, else one per column
+    c = cols.gather(lambda net: net.c_values)
+    trusting = trusts(betas[None, :], trust_threshold(mu, c))
     gain = news_gain(mu, c, betas[None, :])
-    deg = network.degrees.astype(np.float64)[:, None]
-    linked = network.sender_mask[:, None]
-    neighbour_counts = network.neighbour_counts
+    deg = cols.gather(lambda net: net.degrees.astype(np.float64))
+    linked = cols.gather(lambda net: net.sender_mask)
 
     # a column whose round switches nobody has reached its fixed point and
     # stays there; once half the live columns have, they are set aside and
@@ -128,7 +215,7 @@ def batch_final_b_sets(
     # on_b of the live columns
     cur = on_b.copy() if start is None else np.array(start, dtype=bool)
     if start_state is None:
-        dist, n_b = through_platform_distances(network, cur), neighbour_counts(cur)
+        dist, n_b = cols.distances(cur), cols.neighbour_counts(cur)
     else:
         # copies: the rounds update both in place
         dist = np.array(start_state[0], dtype=np.int32)
@@ -150,12 +237,14 @@ def batch_final_b_sets(
             on_b[:, live[settled]] = cur[:, settled]
             final_dist[:, live[settled]] = dist[:, settled]
             live = live[moving]
-            cur, switch, dist, n_b, trusting, gain, p, b_a, b_b = (
-                x[:, moving] for x in (cur, switch, dist, n_b, trusting, gain, p, b_a, b_b)
+            if not live.size:
+                break
+            cols = cols.take(moving)
+            cur, switch, dist, n_b, trusting, gain, deg, linked, p, b_a, b_b = (
+                _keep(x, moving)
+                for x in (cur, switch, dist, n_b, trusting, gain, deg, linked, p, b_a, b_b)
             )
             moving = moving[moving]
-        if not live.size:
-            break
         total_rounds += 1
         if total_rounds > n + ITERATION_CAP_SLACK:
             raise InvariantViolationError(
@@ -166,8 +255,8 @@ def batch_final_b_sets(
             for k in np.flatnonzero(moving):
                 traces[live[k]].append(frozenset(np.nonzero(switch[:, k])[0].tolist()))
         cur |= switch
-        n_b += neighbour_counts(switch)
-        relax(network, dist, cur, switch)
+        n_b += cols.neighbour_counts(switch)
+        cols.relax(dist, cur, switch)
     return on_b, final_dist, rounds, traces
 
 

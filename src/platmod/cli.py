@@ -34,8 +34,8 @@ from .graph import Network
 from .model import ModelParams, Platform, UserProfile
 from .regulation import strictest_effective_regulation
 
-# sweep's (p range, b_A range, samples) when not given; the full profile
-# samples an SBM recipe 50 times and a deterministic one once
+# sweep's (p range, b_A range, samples) when not given; both profiles sample
+# a deterministic recipe once, since its samples would all be one network
 _SWEEP_FULL = ("0.1:0.9:50", "0.0:0.2:50", 50)
 _SWEEP_FAST = ("0.1:0.9:20", "0.0:0.2:20", 10)
 
@@ -161,7 +161,7 @@ def _cmd_sweep(args) -> int:
         raise InvalidParamsError('--recipe wants {"kind": ..., "args": {...}}')
     recipe = NetworkRecipe(kind=doc["kind"], args=doc.get("args", {}))
     p_range, ba_range, samples = _SWEEP_FAST if args.fast else _SWEEP_FULL
-    if not args.fast and recipe.deterministic:
+    if recipe.deterministic:
         samples = 1
     spec = SweepSpec(
         p_range=_parse_range(args.p_range or p_range, "--p-range"),
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--p-range", help=f"lo:hi:steps (default: {full[0]}; --fast: {fast[0]})")
     sw.add_argument("--ba-range", help=f"lo:hi:steps (default: {full[1]}; --fast: {fast[1]})")
     sw.add_argument("--samples", type=int, help=f"networks per cell (default: {full[2]} for sbm,"
-                                                f" else 1; --fast: {fast[2]})")
+                                                f" else 1; --fast: {fast[2]} for sbm, else 1)")
     sw.add_argument("--fast", action="store_true", help="reduced CI-scale profile")
     sw.add_argument("--seed", type=int, default=0, help="seed of the first sample")
     sw.add_argument("--workers", type=int, default=1, help="worker processes")

@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .adoption import Assignment, run_adoption
+from .adoption import Assignment
 from .errors import InvalidParamsError, InvariantViolationError
 from .graph import (
     Network,
@@ -29,10 +30,12 @@ from .graph import (
     validate_profiles,
 )
 from .model import ModelParams, Platform, trust_threshold
-from .regulation import RegulationKind, sender_equilibrium, solve_cells
+from .regulation import RegulationKind, sender_equilibria, solve_cells
 
 SWEEP_CSV_HEADER = "p,b_A,samples,n_no_effective,n_any,n_moderate,mean_rho_se,seed_base"
 A1_CSV_HEADER = "theta_JJ,seed,n_users_B,irregular_choices"
+# validate_assumption1 samples and walks at most this many networks together
+A1_GROUP = 6
 
 
 def chain_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float, ...], ...]:
@@ -352,31 +355,39 @@ def validate_assumption1(
     and record how raggedly communities split.
 
     Cells where even the zero cap retains the sender (so nobody moves) are
-    skipped rather than reported as trivially regular.
+    skipped rather than reported as trivially regular. Each tightness's
+    seeds are sampled and solved in groups of at most A1_GROUP networks, one
+    walk per group (regulation.sender_equilibria), so at most one group's
+    networks are held at once.
     """
     rows: list[A1Row] = []
     skipped: list[tuple[float, int]] = []
     for theta_jj in theta_jj_values:
         theta = chain_theta(sizes, theta_jj, bridge_expect)
-        for seed in seeds:
-            network = gen_sbm(
-                SbmSpec(sizes=tuple(sizes), theta=theta, seed=seed, c_by_community=c)
-            )
-            params = ModelParams(mu=mu, p=p, b_a=b_a, b_b=b_b, rho_a=0.0)
-            decision = sender_equilibrium(network, params)
-            if decision.platform is Platform.A:
-                skipped.append((float(theta_jj), seed))
-                continue
-            outcome = run_adoption(network, params, decision.beta_star, Platform.B)
-            rows.append(
-                A1Row(
-                    theta_jj=float(theta_jj),
-                    seed=seed,
-                    n_users_b=int(outcome.assignment.on_b.sum()),
-                    irregular=irregular_choices(network, outcome.assignment),
-                )
-            )
+        pending = iter(seeds)
+        while group := list(islice(pending, A1_GROUP)):
+            _a1_group(float(theta_jj), group, SbmSpec(sizes=tuple(sizes), theta=theta,
+                                                      c_by_community=c),
+                      ModelParams(mu=mu, p=p, b_a=b_a, b_b=b_b, rho_a=0.0), rows, skipped)
     return A1Report(rows=rows, skipped=skipped)
+
+
+def _a1_group(theta_jj: float, seeds: list[int], spec: SbmSpec, params: ModelParams,
+              rows: list[A1Row], skipped: list[tuple[float, int]]) -> None:
+    """validate_assumption1 for one group of seeds: appends their rows and
+    skips in seed order. Its networks die with the call."""
+    networks = [gen_sbm(replace(spec, seed=seed)) for seed in seeds]
+    for seed, network, (decision, on_b) in zip(seeds, networks,
+                                               sender_equilibria(networks, params)):
+        if decision.platform is Platform.A:
+            skipped.append((theta_jj, seed))
+            continue
+        rows.append(A1Row(
+            theta_jj=theta_jj,
+            seed=seed,
+            n_users_b=int(on_b.sum()),
+            irregular=irregular_choices(network, Assignment(on_b, Platform.B)),
+        ))
 
 
 def _fmt(x) -> str:

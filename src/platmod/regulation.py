@@ -13,12 +13,15 @@ map, so a set stays the equilibrium until an outsider's advantage, linear in
 beta while it trusts, reaches the join tie; that breakpoint is closed form
 in the current set, and a run warm-started from the current set reaches the
 set below it (parametric search, Megiddo 1983; Milgrom & Roberts 1990). The
-walk runs in lockstep across the cells of one network: one engine call at
-beta_max, then one per step for every cell with a breakpoint left. On
-cascade trees cascade_thresholds gives the tops and cascade_final_b_sets the
-sets, one cell at a time. solve_cells answers many (p, b_a, b_b) cells of one
-network and one mu; strictest_effective_regulation and optimal_B are its
-one-cell views.
+walk runs in lockstep across its columns, each a (network, cell) pair: one
+engine call at beta_max, then one per step for every column with a
+breakpoint left. solve_cells walks the cells of one network; sender_equilibria
+walks one cell on each of several networks of one size, whose per-column
+work the engine shares (adoption.Columns). On cascade trees
+cascade_thresholds gives the tops and cascade_final_b_sets the sets, one
+cell at a time. strictest_effective_regulation and optimal_B are one-cell
+views of solve_cells, sender_equilibrium the one-network view of
+sender_equilibria.
 
 On A every user stays with the sender, so one search over the trust tiers
 up to a cap (_search_on_A) serves the classification, the full-game outcome
@@ -33,6 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .adoption import (
+    Columns,
     batch_final_b_sets,
     cascade_final_b_sets,
     cascade_thresholds,
@@ -101,9 +105,9 @@ def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
     return sender_weight(params.mu, beta) * tiers[beta]
 
 
-def _walk(network: Network, cells: list[ModelParams], bp: np.ndarray) -> list[list]:
-    """Pieces of every cell of one network and one mu, walked down from
-    beta_max in lockstep.
+def _walk(cols: Columns, cells: list[ModelParams]) -> list[list]:
+    """Pieces of every column, cell cells[j] on network cols.owner[j], walked
+    down from its network's beta_max in lockstep; all cells share mu.
 
     Within a piece no outsider's advantage reaches the join tie, so the
     next breakpoint is the largest level below the current one where an
@@ -118,11 +122,12 @@ def _walk(network: Network, cells: list[ModelParams], bp: np.ndarray) -> list[li
     mu = cells[0].mu
     p, b_a, b_b = (np.array([getattr(params, name) for params in cells])
                    for name in ("p", "b_a", "b_b"))
-    c = network.c_values[:, None]
-    deg = network.degrees.astype(np.float64)[:, None]
-    linked = network.sender_mask[:, None]
-    beta = np.full(len(cells), float(bp.max()))
-    on_b, dist, _, _ = batch_final_b_sets(network, mu, beta, p, b_a, b_b)
+    # per-user arrays: one shared column for a single network, else one per cell
+    c = cols.gather(lambda net: net.c_values)
+    deg = cols.gather(lambda net: net.degrees.astype(np.float64))
+    linked = cols.gather(lambda net: net.sender_mask)
+    beta = np.array([_beta_primes(net, mu).max() for net in cols.networks])[cols.owner]
+    on_b, dist, _, _ = batch_final_b_sets(cols, mu, beta, p, b_a, b_b)
     live = np.arange(len(cells))
     pieces = [[] for _ in cells]
     while True:
@@ -130,11 +135,14 @@ def _walk(network: Network, cells: list[ModelParams], bp: np.ndarray) -> list[li
         for k, j in enumerate(live):
             pieces[j].append((float(beta[k]), on_b[:, k], p_recv[:, k]))
         # each outsider's advantage at beta = 0, where everyone trusts
-        n_b = network.neighbour_counts(on_b)
+        n_b = cols.neighbour_counts(on_b)
+        c_live, deg_live, linked_live = (x if x.shape[1] == 1 else x[:, live]
+                                         for x in (c, deg, linked))
         adv0, _ = sender_side_advantage(
-            n_b, deg, b_b[live], b_a[live], True, p_recv, news_gain(mu, c, 0.0), linked,
+            n_b, deg_live, b_b[live], b_a[live], True, p_recv, news_gain(mu, c_live, 0.0),
+            linked_live,
         )
-        slope = (1.0 - mu) * c * p_recv
+        slope = (1.0 - mu) * c_live * p_recv
         with np.errstate(divide="ignore", invalid="ignore"):
             first, exact = (adv0 + _JOIN_MARGIN) / slope, adv0 / slope
         level = np.where(~on_b & (p_recv > 0.0), np.where(first < beta, first, exact), -np.inf)
@@ -148,9 +156,10 @@ def _walk(network: Network, cells: list[ModelParams], bp: np.ndarray) -> list[li
         going = nxt >= 0.0
         if not going.any():
             return pieces
-        start, above, live, beta = on_b[:, going], beta[going], live[going], nxt[going]
+        start, above, live, beta, cols = (on_b[:, going], beta[going], live[going], nxt[going],
+                                          cols.take(going))
         on_b, dist, _, _ = batch_final_b_sets(
-            network, mu, beta, p[live], b_a[live], b_b[live], start=start,
+            cols, mu, beta, p[live], b_a[live], b_b[live], start=start,
             start_state=(dist[:, going], n_b[:, going]),
         )
         shrunk = (start > on_b).any(axis=0)
@@ -162,10 +171,9 @@ def _walk(network: Network, cells: list[ModelParams], bp: np.ndarray) -> list[li
             )
 
 
-def _cascade_pieces(network: Network, params: ModelParams, bp: np.ndarray) -> list:
+def _cascade_pieces(network: Network, params: ModelParams, beta_max: float) -> list:
     """Pieces of one cell on a cascade tree: the wave thresholds in
     [0, beta_max] and beta_max are the tops, the closed form the sets."""
-    beta_max = float(bp.max())
     _, m = cascade_thresholds(network, params)
     tops = sorted({beta_max} | {float(x) for x in np.unique(m) if 0.0 <= x <= beta_max},
                   reverse=True)
@@ -174,12 +182,22 @@ def _cascade_pieces(network: Network, params: ModelParams, bp: np.ndarray) -> li
     return [(top, on_b[:, k], p_recv[:, k]) for k, top in enumerate(tops)]
 
 
-def _pieces(network: Network, cells: list[ModelParams], bp: np.ndarray):
-    """One piece list per cell, in order. Cascade trees give them one cell at
-    a time, so a large grid never holds every cell's sets at once."""
-    if network.is_cascade_tree:
-        return (_cascade_pieces(network, params, bp) for params in cells)
-    return _walk(network, cells, bp)
+def _pieces(cols: Columns, cells: list[ModelParams]):
+    """One piece list per column, in order. Columns on cascade trees take
+    theirs from the closed form one cell at a time, so a large grid never
+    holds every cell's sets at once; the other columns share one walk."""
+    mu = cells[0].mu
+    beta_max = [float(_beta_primes(net, mu).max()) if net.is_cascade_tree else None
+                for net in cols.networks]
+    on_tree = np.array([x is not None for x in beta_max])[cols.owner]
+    walked = iter(()) if on_tree.all() else iter(
+        _walk(cols.take(~on_tree), [params for params, t in zip(cells, on_tree) if not t])
+    )
+    return (
+        _cascade_pieces(cols.networks[k], params, beta_max[k]) if beta_max[k] is not None
+        else next(walked)
+        for k, params in zip(cols.owner.tolist(), cells)
+    )
 
 
 def _decide(mu: float, bp: np.ndarray, thresholds: list[float], pieces: list) -> SenderDecision:
@@ -206,7 +224,7 @@ def _decide(mu: float, bp: np.ndarray, thresholds: list[float], pieces: list) ->
 def optimal_B(network: Network, params: ModelParams) -> SenderDecision:
     """Sender's best deceit level and utility on the unregulated platform B."""
     bp = _beta_primes(network, params.mu)
-    [pieces] = _pieces(network, [params], bp)
+    [pieces] = _pieces(Columns.single(network, 1), [params])
     return _decide(params.mu, bp, np.unique(bp).tolist(), pieces)
 
 
@@ -226,7 +244,8 @@ def strictest_effective_regulation(network: Network, params: ModelParams) -> Reg
 def solve_cells(network: Network, cells) -> list[RegulationResult]:
     """strictest_effective_regulation for every cell (a ModelParams) of one
     network, in order. All cells must share mu; the search runs in lockstep
-    across them (see the module docstring)."""
+    across them (see the module docstring), and the A side is priced once
+    per distinct p."""
     cells = list(cells)
     if not cells:
         return []
@@ -235,24 +254,41 @@ def solve_cells(network: Network, cells) -> list[RegulationResult]:
         raise InvalidParamsError("cells solved together must share mu")
     bp = _beta_primes(network, mu)
     thresholds = np.unique(bp).tolist()
-    return [
-        _classify(params, receive_map(params.p, network.relay_distances), bp, thresholds,
-                  _decide(mu, bp, thresholds, pieces))
-        for params, pieces in zip(cells, _pieces(network, cells, bp))
-    ]
+    a_sides: dict[float, _ASide] = {}
+    results = []
+    for params, pieces in zip(cells, _pieces(Columns.single(network, len(cells)), cells)):
+        a_side = a_sides.get(params.p)
+        if a_side is None:
+            a_side = a_sides[params.p] = _price_a(network, mu, params.p, bp, thresholds)
+        results.append(_classify(params, a_side, _decide(mu, bp, thresholds, pieces)))
+    return results
 
 
-def _classify(
-    params: ModelParams, p_a: np.ndarray, bp: np.ndarray, thresholds: list[float],
-    decision: SenderDecision,
-) -> RegulationResult:
-    sum_p_a = float(p_a.sum())
+@dataclass(frozen=True)
+class _ASide:
+    """The unregulated A side of one (network, mu, p): summed receive
+    probabilities, their trust tiers up to the largest threshold, and the
+    sender's best utility there."""
+
+    sum_p_a: float
+    tiers: dict[float, float]
+    u_unregulated: float
+
+
+def _price_a(network: Network, mu: float, p: float, bp: np.ndarray,
+             thresholds: list[float]) -> _ASide:
+    p_a = receive_map(p, network.relay_distances)
+    tiers, _, _ = _search_on_A(mu, p_a, bp, thresholds, thresholds[-1])
+    return _ASide(float(p_a.sum()), tiers,
+                  max(sender_weight(mu, k) * t for k, t in tiers.items()))
+
+
+def _classify(params: ModelParams, a_side: _ASide, decision: SenderDecision) -> RegulationResult:
+    sum_p_a = a_side.sum_p_a
     u_star_b = decision.utility
-    tiers, _, _ = _search_on_A(params.mu, p_a, bp, thresholds, thresholds[-1])
-    u_a_unregulated = max(sender_weight(params.mu, k) * t for k, t in tiers.items())
     u_a0 = params.mu * sum_p_a
 
-    if u_a_unregulated <= u_star_b + TIE_TOL:
+    if a_side.u_unregulated <= u_star_b + TIE_TOL:
         return RegulationResult(
             RegulationKind.NO_EFFECTIVE_REGULATION, None, u_star_b,
             decision.beta_star, sum_p_a,
@@ -262,7 +298,7 @@ def _classify(
             RegulationKind.ANY_REGULATION, 0.0, u_star_b, decision.beta_star, sum_p_a
         )
     # moderate: walk trust tiers upward; within a tier the utility is linear
-    for k, t in tiers.items():
+    for k, t in a_side.tiers.items():
         if t > 0.0:
             rho = (u_star_b / t - params.mu) / (1.0 - params.mu)
             if rho <= k + TIE_TOL:
@@ -278,12 +314,32 @@ def _classify(
 def sender_equilibrium(network: Network, params: ModelParams) -> SenderDecision:
     """Full game outcome under the cap params.rho_a: the sender stays on A
     whenever its best admissible utility there at least ties platform B."""
-    bp = _beta_primes(network, params.mu)
-    p_a = receive_map(params.p, network.relay_distances)
-    _, best_beta_a, best_u_a = _search_on_A(
-        params.mu, p_a, bp, np.unique(bp).tolist(), params.rho_a
-    )
-    decision_b = optimal_B(network, params)
-    if best_u_a >= decision_b.utility - TIE_TOL:
-        return SenderDecision(Platform.A, best_beta_a, best_u_a)
-    return decision_b
+    [(decision, _)] = sender_equilibria([network], params)
+    return decision
+
+
+def sender_equilibria(
+    networks, params: ModelParams
+) -> list[tuple[SenderDecision, np.ndarray | None]]:
+    """sender_equilibrium of one cell on each of several networks of one
+    size, in order, with their B sides walked together. Each decision comes
+    with the adopter set at its beta* when the sender picks B (the set of the
+    piece that holds beta*, which the run from all-A reaches), else None."""
+    networks = list(networks)
+    if not networks:
+        return []
+    out = []
+    for network, pieces in zip(networks, _pieces(Columns.of(networks), [params] * len(networks))):
+        bp = _beta_primes(network, params.mu)
+        thresholds = np.unique(bp).tolist()
+        p_a = receive_map(params.p, network.relay_distances)
+        _, best_beta_a, best_u_a = _search_on_A(params.mu, p_a, bp, thresholds, params.rho_a)
+        decision_b = _decide(params.mu, bp, thresholds, pieces)
+        if best_u_a >= decision_b.utility - TIE_TOL:
+            out.append((SenderDecision(Platform.A, best_beta_a, best_u_a), None))
+        else:
+            # the piece that holds beta*: the lowest top at or above it
+            _, on_b, _ = next(piece for piece in reversed(pieces)
+                              if piece[0] >= decision_b.beta_star)
+            out.append((decision_b, on_b))
+    return out

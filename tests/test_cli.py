@@ -283,7 +283,7 @@ PINNED_STDOUT = {
         " --p-range 0.2:0.9:6 --ba-range 0.0:0.1:5 --format pgm",
         "5fcdf0dc5f94fb9462d329937897c8ffb3e8c6ade1af48b8322a46512c057196"),
     "sweep-fast": ("sweep --recipe '{\"kind\":\"linear\",\"args\":{\"n\":5}}' --fast",
-        "4359e9923c82f4fdc11d25125de569f040faa1e8bb577ca019f58d01825c2e0b"),
+        "e02694fb888dd78dd9feb32b451130ba3dd4cdce4a92ec83951b83b62ebdb997"),
     "sweep-sbm": (
         "sweep --recipe '{\"kind\":\"sbm\",\"args\":{\"sizes\":[6,6],"
         "\"theta\":[[0.6,0.1],[0.1,0.6]]}}' --samples 2 --seed 4"
@@ -291,6 +291,8 @@ PINNED_STDOUT = {
         "fac5174e9c52479425808933bd37257ca85120d6a3bb44c671592b1393e25c7e"),
     "validate-a1": ("validate-a1 --theta-jj 0.75 --seeds 2",
         "18c344ff8217ac3b889e677160a3d1585b6388ac970b9763843b9c62b7996fd8"),
+    "validate-a1-groups": ("validate-a1 --theta-jj 0.75,0.0625 --seeds 13",
+        "0a9f95a76d941abda66f25434416ca76e82c5b18c58857e6cc6b0e0709cc0271"),
 }
 
 
@@ -330,7 +332,7 @@ CLI_SURFACE = {
         "--config": None, "--out": None, "--recipe": None,
         "--p-range": "0.1:0.9:50; --fast: 0.1:0.9:20",
         "--ba-range": "0.0:0.2:50; --fast: 0.0:0.2:20",
-        "--samples": "50 for sbm, else 1; --fast: 10", "--fast": None, "--seed": "0",
+        "--samples": "50 for sbm, else 1; --fast: 10 for sbm, else 1", "--fast": None, "--seed": "0",
         "--workers": "1", "--mu": "0.2", "--bB": "0.0", "--format": "csv",
     },
     "validate-a1": {

@@ -2,12 +2,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import platmod
+import platmod.experiments
 from platmod import (
     HeatmapGrid,
     InvalidParamsError,
@@ -21,12 +23,15 @@ from platmod import (
     gen_linear,
     irregular_choices,
     run_adoption,
+    sender_equilibrium,
     sweep,
     validate_assumption1,
 )
 from platmod.adoption import Assignment
 from platmod.experiments import (
+    A1_GROUP,
     SWEEP_CSV_HEADER,
+    A1Row,
     a1_csv_text,
     emit_csv,
     pgm_text,
@@ -151,6 +156,54 @@ def test_validate_assumption1_smoke():
     text = a1_csv_text(report)
     assert text.splitlines()[0] == "theta_JJ,seed,n_users_B,irregular_choices"
     assert len(text.splitlines()) == 1 + len(report.rows)
+
+
+@pytest.mark.parametrize("b_a", [0.002, 0.01])
+@pytest.mark.parametrize("n_seeds", [1, A1_GROUP, 13])
+def test_validate_assumption1_matches_one_solve_per_seed(n_seeds, b_a):
+    # the grouped walk gives each seed the decision and adopter set of its
+    # own sender_equilibrium and run_adoption; at b_A = 0.01 the zero cap
+    # keeps the sender on A for some seeds
+    thetas = [0.75, 0.25, 0.125, 0.0625]
+    seeds = range(3, 3 + n_seeds)
+    rows, skipped = [], []
+    for theta_jj in thetas:
+        theta = chain_theta((30, 30, 30), theta_jj)
+        for seed in seeds:
+            network = gen_sbm(SbmSpec(sizes=(30, 30, 30), theta=theta, seed=seed))
+            params = ModelParams(mu=0.2, p=0.7, b_a=b_a, b_b=0.0, rho_a=0.0)
+            decision = sender_equilibrium(network, params)
+            if decision.platform is Platform.A:
+                skipped.append((theta_jj, seed))
+                continue
+            on_b = run_adoption(network, params, decision.beta_star, Platform.B).assignment
+            rows.append(A1Row(theta_jj, seed, int(on_b.on_b.sum()),
+                              irregular_choices(network, on_b)))
+    report = validate_assumption1(thetas, seeds=seeds, b_a=b_a)
+    assert report.rows == rows
+    assert report.skipped == skipped
+    if b_a == 0.01 and n_seeds == 13:
+        assert rows and skipped
+
+
+def test_validate_assumption1_holds_one_group_of_networks(monkeypatch):
+    # seeds are sampled lazily, a group at a time, and a group's networks
+    # are gone before the next group is sampled
+    alive, most = [0], [0]
+
+    def counted(spec):
+        network = gen_sbm(spec)
+        alive[0] += 1
+        most[0] = max(most[0], alive[0])
+        weakref.finalize(network, lambda: alive.__setitem__(0, alive[0] - 1))
+        return network
+
+    monkeypatch.setattr(platmod.experiments, "gen_sbm", counted)
+    report = validate_assumption1([0.75, 0.0625], seeds=range(2 * A1_GROUP + 1),
+                                  sizes=(10, 10, 10))
+    assert len(report.rows) + len(report.skipped) == 2 * (2 * A1_GROUP + 1)
+    assert most[0] == A1_GROUP
+    assert alive[0] == 0
 
 
 def test_empty_grid_header_only(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import platmod.adoption
 import platmod.graph
@@ -16,6 +17,7 @@ from platmod import (
     RegulationKind,
     SbmSpec,
     SweepSpec,
+    UserProfile,
     gen_linear,
     gen_regular_tree,
     gen_sbm,
@@ -28,8 +30,8 @@ from platmod import (
     utility_on_A,
 )
 from platmod.analytic import big_f
-from platmod.regulation import _pieces, solve_cells
-from platmod.adoption import _beta_primes, batch_final_b_sets
+from platmod.regulation import _pieces, _walk, sender_equilibria, solve_cells
+from platmod.adoption import Columns, _beta_primes, batch_final_b_sets
 from platmod.model import TIE_TOL
 
 from conftest import (
@@ -171,7 +173,7 @@ def test_candidates_sit_on_piece_tops(net, params, cascade):
     # between two consecutive candidates gives the upper candidate's set
     assert net.is_cascade_tree is cascade
     bp = _beta_primes(net, params.mu)
-    [pieces] = _pieces(net, [params], bp)
+    [pieces] = _pieces(Columns.single(net, 1), [params])
     cold = lambda b: batch_final_b_sets(net, params.mu, np.array([b]), params.p, params.b_a,
                                         params.b_b)[0][:, 0]
     for top, on_b, _ in pieces:
@@ -439,3 +441,126 @@ def test_warm_walk_steps_make_no_full_distance_query(monkeypatch, dense_max_user
     assert warm_calls[0] is False and all(warm_calls[1:]) and len(warm_calls) > 3
     [cold] = queries
     assert cold.shape == (net.n_users, len(cells)) and not cold.any()
+
+
+@st.composite
+def same_size_networks(draw):
+    """Two to four networks of one size: SBM edges over the same community
+    sizes plus up to two isolated users, one or two sender links, per-user c
+    and a dense or CSR representation each."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    n = sum(sizes) + draw(st.integers(0, 2))
+    networks = []
+    for _ in range(draw(st.integers(2, 4))):
+        m = len(sizes)
+        diag = draw(st.lists(st.floats(0.3, 1.0), min_size=m, max_size=m))
+        bridge = draw(st.floats(0.0, 0.4))
+        theta = tuple(tuple(diag[i] if i == j else bridge for j in range(m)) for i in range(m))
+        base = gen_sbm(SbmSpec(tuple(sizes), theta, seed=draw(st.integers(0, 2**16))))
+        links = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        c = draw(st.lists(st.floats(0.22, 0.49), min_size=n, max_size=n))
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(platmod.graph, "DENSE_MAX_USERS", n if draw(st.booleans()) else 0)
+            networks.append(Network(n_users=n, edges=base.edges, sender_links=tuple(links),
+                                    profiles=tuple(UserProfile(c=x) for x in c)))
+    return networks
+
+
+@st.composite
+def multi_network_batches(draw):
+    """(networks, one network per column, cells) with one to three cells per
+    network at mu = 0.2, b_B > 0 in some."""
+    networks = draw(same_size_networks())
+    per_column, cells = [], []
+    for net in networks:
+        for _ in range(draw(st.integers(1, 3))):
+            per_column.append(net)
+            cells.append(ModelParams(
+                mu=0.2, p=draw(st.floats(0.2, 0.95)), b_a=draw(st.floats(0.0, 0.05)),
+                b_b=draw(st.sampled_from([0.0, 0.004, 0.015])),
+            ))
+    return networks, per_column, cells
+
+
+def _split(per_column, values):
+    """values (one per column, or an array with one column per column) cut
+    into the runs of each network, in order."""
+    out, start = [], 0
+    for k in range(1, len(per_column) + 1):
+        if k == len(per_column) or per_column[k] is not per_column[start]:
+            out.append((per_column[start], slice(start, k)))
+            start = k
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(batch=multi_network_batches(), betas=st.lists(st.floats(0.0, 1.0), min_size=12,
+                                                     max_size=12))
+def test_engine_on_several_networks_equals_one_call_per_network(batch, betas):
+    networks, per_column, cells = batch
+    betas = np.array(betas[:len(cells)])
+    p, b_a, b_b = (np.array([getattr(x, name) for x in cells]) for name in ("p", "b_a", "b_b"))
+    together = batch_final_b_sets(Columns.of(per_column), 0.2, betas, p, b_a, b_b,
+                                  collect_trace=True)
+    for net, cols in _split(per_column, cells):
+        alone = batch_final_b_sets(net, 0.2, betas[cols], p[cols], b_a[cols], b_b[cols],
+                                   collect_trace=True)
+        for mine, theirs in zip(together[:3], alone[:3]):
+            assert mine[..., cols].tobytes() == theirs.tobytes()
+        assert together[3][cols] == alone[3]
+    # the walk's pieces, warm engine starts included, are those of one walk
+    # per network
+    walked = _walk(Columns.of(per_column), cells)
+    for net, cols in _split(per_column, cells):
+        for mine, theirs in zip(walked[cols], _walk(Columns.single(net, len(cells[cols])),
+                                                    cells[cols])):
+            assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in mine] == \
+                [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
+
+
+def test_columns_need_contiguous_same_size_networks():
+    a, b = gen_linear(4), gen_linear(4)
+    with pytest.raises(InvalidParamsError, match="contiguous"):
+        Columns.of([a, b, a])
+    with pytest.raises(InvalidParamsError, match="same size"):
+        Columns.of([a, gen_linear(5)])
+    assert Columns.of([a, a, b]).owner.tolist() == [0, 0, 1]
+
+
+def test_sender_equilibria_keep_the_invariant_checks(monkeypatch):
+    # a shrinking adopter set, a missed joiner and the round cap raise on
+    # the several-network walk as on a one-network one
+    nets = [gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=s))
+            for s in (4, 5)]
+    params = default_params(rho_a=0.0)
+    engine = platmod.regulation.batch_final_b_sets
+
+    def dropping_start(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None,
+                       start_state=None):
+        on_b, dist, rounds, traces = engine(
+            network, mu, betas, p, b_a, b_b, collect_trace, start, start_state
+        )
+        if start is not None:
+            on_b &= ~(start & (np.cumsum(start, axis=0) == 1))
+        return on_b, dist, rounds, traces
+
+    with monkeypatch.context() as patched:
+        patched.setattr(platmod.regulation, "batch_final_b_sets", dropping_start)
+        with pytest.raises(InvariantViolationError, match="not a subset"):
+            sender_equilibria(nets, params)
+
+    def stalling(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None,
+                 start_state=None):
+        # a warm start moves nobody, so the predicted joiners stay out
+        if start is None:
+            return engine(network, mu, betas, p, b_a, b_b, collect_trace)
+        return start.copy(), start_state[0].copy(), np.zeros(len(betas), dtype=np.int64), []
+
+    with monkeypatch.context() as patched:
+        patched.setattr(platmod.regulation, "batch_final_b_sets", stalling)
+        with pytest.raises(InvariantViolationError, match="left out a user"):
+            sender_equilibria(nets, params)
+    with monkeypatch.context() as patched:
+        patched.setattr(platmod.adoption, "ITERATION_CAP_SLACK", -nets[0].n_users)
+        with pytest.raises(InvariantViolationError, match="round cap"):
+            sender_equilibria(nets, params)

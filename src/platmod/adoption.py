@@ -25,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import (Network, UNREACHED, receive_map, receive_probs, relax,
-                    through_platform_distances, validate_mu)
+from .graph import (Network, UNREACHED, receive_map, relax, through_platform_distances,
+                    validate_mu)
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_side_advantage,
                     trust_threshold, trusts)
 
@@ -105,11 +105,8 @@ class Columns:
         return Columns(self.networks, self.owner[keep])
 
     def gather(self, per_user) -> np.ndarray:
-        """per_user(network), an (n_users,) array, at each column: (n_users, 1)
-        for a single network, where it broadcasts, else (n_users, n_cols)."""
-        if len(self.networks) == 1:
-            return per_user(self.networks[0])[:, None]
-        return np.stack([per_user(net) for net in self.networks], axis=1)[:, self.owner]
+        """per_user(network), an (n_users,) array, at each column: (n_users, n_cols)."""
+        return np.array([per_user(net) for net in self.networks]).take(self.owner, axis=0).T
 
     @cached_property
     def runs(self) -> list[tuple[Network, slice]]:
@@ -129,24 +126,10 @@ class Columns:
             counts[:, cols] = net.neighbour_counts(marked[:, cols])
         return counts
 
-    def distances(self, on_side: np.ndarray) -> np.ndarray:
-        """through_platform_distances of each column on its own network."""
-        if len(self.networks) == 1:
-            return through_platform_distances(self.networks[0], on_side)
-        dist = np.empty(on_side.shape, dtype=np.int32)
-        for net, cols in self.runs:
-            dist[:, cols] = through_platform_distances(net, on_side[:, cols])
-        return dist
-
     def relax(self, dist: np.ndarray, on_side: np.ndarray, joined: np.ndarray) -> None:
         """graph.relax of each column on its own network, in place."""
         for net, cols in self.runs:
             relax(net, dist[:, cols], on_side[:, cols], joined[:, cols])
-
-
-def _keep(x: np.ndarray, moving: np.ndarray) -> np.ndarray:
-    """x narrowed to the moving columns, unless it is one shared column."""
-    return x[:, moving] if x.shape[1] == moving.size else x
 
 
 def batch_final_b_sets(
@@ -157,8 +140,7 @@ def batch_final_b_sets(
     b_a,
     b_b,
     collect_trace: bool = False,
-    start: np.ndarray | None = None,
-    start_state: tuple[np.ndarray, np.ndarray] | None = None,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[frozenset]]]:
     """Run the synchronous adoption (sender on B) for a batch of columns.
 
@@ -168,14 +150,15 @@ def batch_final_b_sets(
     one value per column or a scalar shared by all. mu is shared: it fixes
     the trust thresholds. Callers validate p, b_a and b_b (ModelParams does).
 
-    Every column starts from all-A, or from start (an (n_users, len(betas))
-    boolean on-B matrix) when given. The process is monotone and reaches the
-    least fixed point above its start, so a start inside that column's
-    equilibrium set (such as the set of the same column at a higher beta)
-    ends at the same set as a run from all-A. start_state, given only with
-    start, holds the start's distances and B-neighbour counts,
-    (through_platform_distances(network, start), network.neighbour_counts(start))
-    column by column; without it the engine computes them.
+    Every column starts from all-A (start=None: the sender's linked users at
+    distance 0, everyone else UNREACHED, no B-neighbours), or from the state
+    start = (on_b, dist, n_b): an (n_users, len(betas)) boolean on-B matrix
+    with its through_platform_distances and B-neighbour counts
+    (network.neighbour_counts), column by column, which the engine copies
+    and leaves unchanged. The process is monotone and reaches the least
+    fixed point above its start, so a start inside that column's equilibrium
+    set (such as the set of the same column at a higher beta) ends at the
+    same set as a run from all-A.
 
     The distances and counts are carried across rounds: users only move from
     A to B, so after a round the switchers' counts are added to the counts
@@ -199,7 +182,7 @@ def batch_final_b_sets(
     n = cols.networks[0].n_users
     for net in cols.networks:
         validate_mu(net, mu)
-    # per-user arrays: one shared column for a single network, else one per column
+    # per-user arrays, one column per batch column
     c = cols.gather(lambda net: net.c_values)
     trusting = trusts(betas[None, :], trust_threshold(mu, c))
     gain = news_gain(mu, c, betas[None, :])
@@ -212,14 +195,14 @@ def batch_final_b_sets(
     on_b = np.zeros((n, n_cols), dtype=bool)
     final_dist = np.full((n, n_cols), UNREACHED, dtype=np.int32)
     live = np.arange(n_cols)
-    # on_b of the live columns
-    cur = on_b.copy() if start is None else np.array(start, dtype=bool)
-    if start_state is None:
-        dist, n_b = cols.distances(cur), cols.neighbour_counts(cur)
+    # on_b, distances and B-neighbour counts of the live columns; copies, as
+    # the rounds update them in place
+    if start is None:
+        cur, n_b = on_b.copy(), np.zeros((n, n_cols))
+        dist = np.where(linked, 0, UNREACHED).astype(np.int32)
     else:
-        # copies: the rounds update both in place
-        dist = np.array(start_state[0], dtype=np.int32)
-        n_b = np.array(start_state[1], dtype=np.float64)
+        cur, dist, n_b = (np.array(x, dtype=t)
+                          for x, t in zip(start, (bool, np.int32, np.float64)))
     traces: list[list[frozenset]] = [[] for _ in range(n_cols)] if collect_trace else []
     rounds = np.zeros(n_cols, dtype=np.int64)
 
@@ -241,7 +224,7 @@ def batch_final_b_sets(
                 break
             cols = cols.take(moving)
             cur, switch, dist, n_b, trusting, gain, deg, linked, p, b_a, b_b = (
-                _keep(x, moving)
+                x[:, moving]
                 for x in (cur, switch, dist, n_b, trusting, gain, deg, linked, p, b_a, b_b)
             )
             moving = moving[moving]
@@ -265,27 +248,25 @@ def run_adoption(
 ) -> EquilibriumOutcome:
     """Public scalar adoption run from the all-in-A initial state.
 
-    With the sender on A the initial state is already the equilibrium. The
-    trace is 0-indexed: on acyclic networks the users switching at trace
-    position t sit exactly t edges from the sender.
+    With the sender on A the initial state is already the equilibrium, and
+    every user receives at its relay distance. The trace is 0-indexed: on
+    acyclic networks the users switching at trace position t sit exactly t
+    edges from the sender.
     """
     if not 0.0 <= beta <= 1.0:
         raise InvalidParamsError(f"beta must lie in [0, 1], got {beta}")
     if sender_platform is Platform.A:
         assignment, iterations, trace = Assignment.all_a(network.n_users, Platform.A), 0, []
+        p_recv = receive_map(params.p, network.relay_distances)
     else:
-        on_b, _, rounds, traces = batch_final_b_sets(
+        on_b, dist, rounds, traces = batch_final_b_sets(
             network, params.mu, np.array([beta]), params.p, params.b_a, params.b_b,
             collect_trace=True,
         )
         assignment = Assignment(on_b[:, 0], Platform.B)
         iterations, trace = int(rounds[0]), traces[0]
-    return EquilibriumOutcome(
-        assignment=assignment,
-        p_recv=receive_probs(network, params, assignment),
-        iterations=iterations,
-        trace=trace,
-    )
+        p_recv = np.where(on_b[:, 0], receive_map(params.p, dist[:, 0]), 0.0)
+    return EquilibriumOutcome(assignment, p_recv, iterations, trace)
 
 
 def _sender_side_advantage(

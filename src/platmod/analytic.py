@@ -177,14 +177,7 @@ def threshold_rho0(family: FamilySpec) -> float:
         n = family.n
         if n < 2:
             return 0.0
-        if np.isscalar(family.c):
-            return max(f_nk(n, k, p, mu, float(family.c)) for k in range(n - 1))
-        terms = [
-            mu * p**k - (1.0 - p**n) * mu * _c_at(family.c, k) * p**k / (1.0 - p ** (k + 1))
-            for k in range(n - 2)
-        ]
-        terms.append(mu * (1.0 - _c_at(family.c, n - 2)) * p ** (n - 2))
-        return max(terms)
+        return max(f_nk(n, k, p, mu, _c_at(family.c, k)) for k in range(n - 1))
     if kind == "star-chain-infinite":
         ks = range(k_cap(mu, p) + 1)
         return max(f_k(k, p, mu, float(family.c)) for k in ks)

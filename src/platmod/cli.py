@@ -43,9 +43,12 @@ _SWEEP_FAST = ("0.1:0.9:20", "0.0:0.2:20", 10)
 def _parse_range(text, flag: str) -> tuple[float, float, int]:
     try:
         lo, hi, steps = text.split(":")
-        return float(lo), float(hi), int(steps)
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except (AttributeError, ValueError):
         raise InvalidParamsError(f"{flag} wants lo:hi:steps, got {text!r}") from None
+    if steps < 1:
+        raise InvalidParamsError(f"{flag} wants at least 1 step, got {text!r}")
+    return lo, hi, steps
 
 
 def _parse_list(value, convert, flag: str) -> list:
@@ -182,8 +185,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate_a1(args) -> int:
+    theta_jj = _parse_list(args.theta_jj, float, "--theta-jj")
+    if not theta_jj:
+        raise InvalidParamsError("--theta-jj wants at least one value")
+    if args.seeds < 1:
+        raise InvalidParamsError(f"--seeds wants at least 1, got {args.seeds}")
     report = validate_assumption1(
-        _parse_list(args.theta_jj, float, "--theta-jj"),
+        theta_jj,
         seeds=range(args.seed, args.seed + args.seeds),
         sizes=tuple(_parse_list(args.sizes, int, "--sizes")),
         mu=args.mu,

@@ -344,7 +344,6 @@ def validate_assumption1(
     theta_jj_values,
     seeds,
     sizes=(30, 30, 30),
-    bridge_expect: float = 4.0,
     mu: float = 0.2,
     c: float = 0.3,
     p: float = 0.7,
@@ -352,7 +351,9 @@ def validate_assumption1(
     b_b: float = 0.0,
 ) -> A1Report:
     """Bloc-migration check: force the sender off platform A with a zero cap
-    and record how raggedly communities split.
+    and record how raggedly communities split. The communities form a chain
+    (chain_theta with its default bridges) whose within-community link
+    probability is each theta_jj.
 
     Cells where even the zero cap retains the sender (so nobody moves) are
     skipped rather than reported as trivially regular. Each tightness's
@@ -363,7 +364,7 @@ def validate_assumption1(
     rows: list[A1Row] = []
     skipped: list[tuple[float, int]] = []
     for theta_jj in theta_jj_values:
-        theta = chain_theta(sizes, theta_jj, bridge_expect)
+        theta = chain_theta(sizes, theta_jj)
         pending = iter(seeds)
         while group := list(islice(pending, A1_GROUP)):
             _a1_group(float(theta_jj), group, SbmSpec(sizes=tuple(sizes), theta=theta,
@@ -463,13 +464,14 @@ def _cell_gray(cell: CellStats, beta_prime: float) -> int:
     return int(round(total / cell.samples))
 
 
-def pgm_text(grid: HeatmapGrid, beta_prime: float | None = None) -> str:
-    """ASCII portable graymap: one row per b_a value, one column per p."""
+def pgm_text(grid: HeatmapGrid) -> str:
+    """ASCII portable graymap: one row per b_a value, one column per p. A
+    moderate cap's gray level scales it by beta', the trust threshold of the
+    recipe's largest c (0.3 when the recipe gives none)."""
     spec = grid.spec
-    if beta_prime is None:
-        c = spec.recipe.args.get("c", 0.3)
-        c_ref = float(np.max(c)) if not np.isscalar(c) else float(c)
-        beta_prime = trust_threshold(spec.mu, c_ref)
+    c = spec.recipe.args.get("c", 0.3)
+    c_ref = float(np.max(c)) if not np.isscalar(c) else float(c)
+    beta_prime = trust_threshold(spec.mu, c_ref)
     p_steps, ba_steps = spec.p_range[2], spec.ba_range[2]
     rows = []
     for ba_idx in range(ba_steps):
@@ -482,5 +484,5 @@ def pgm_text(grid: HeatmapGrid, beta_prime: float | None = None) -> str:
     return f"P2\n{p_steps} {ba_steps}\n255\n" + "\n".join(rows) + "\n"
 
 
-def emit_pgm(grid: HeatmapGrid, path, beta_prime: float | None = None) -> None:
-    Path(path).write_text(pgm_text(grid, beta_prime))
+def emit_pgm(grid: HeatmapGrid, path) -> None:
+    Path(path).write_text(pgm_text(grid))

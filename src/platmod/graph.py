@@ -26,12 +26,15 @@ it draws them in chunks of whole rows, so its memory stays bounded.
 The plain sender-to-user hop counts (every user relaying) depend on the
 graph alone; Network.relay_distances computes them once per network.
 
-The cutoff sits between the measured crossovers of solve_cells over the
-5 x 11 (p, b_A) grid of the C5 chain sweep on one network (2-vCPU machine,
-numpy 2.4.6, one BLAS thread). On 3-community chain SBMs with mean degree
-about 22, CSR took 1.11x the dense time at n = 90, 1.14x at 270, 1.05x at
-360 and 0.73x at 480; on a line linked to the sender at both ends, 1.09x at
-90, 1.06x at 150, 0.92x at 270 and 0.73x at 400.
+The cutoff sits just below the measured crossovers of solve_cells over the
+5 x 11 (p, b_A) grid of the C5 chain sweep (2-vCPU machine, numpy 2.4.6,
+one BLAS thread, dense and CSR runs interleaved in one process). On
+3-community chain SBMs with mean degree about 22, CSR took 1.16x the dense
+time at n = 90, 1.13x at 270, 1.08x at 330, 0.86x at 360 and 0.75x at 480;
+on a line linked to the sender at both ends, 1.14x at 90, 1.13x at 150,
+1.03x at 270, 0.78x at 320 and 0.82x at 400. At paper scale CSR took
+1.1-1.3x the dense time on the 80 sampled 3 x 30 chains of the C5 sweep and
+1.04-1.06x on validate_assumption1.
 """
 
 from __future__ import annotations

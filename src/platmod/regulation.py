@@ -14,10 +14,11 @@ beta while it trusts, reaches the join tie; that breakpoint is closed form
 in the current set, and a run warm-started from the current set reaches the
 set below it (parametric search, Megiddo 1983; Milgrom & Roberts 1990). The
 walk runs in lockstep across its columns, each a (network, cell) pair: one
-engine call at beta_max, then one per step for every column with a
-breakpoint left. solve_cells walks the cells of one network; sender_equilibria
-walks one cell on each of several networks of one size, whose per-column
-work the engine shares (adoption.Columns). On cascade trees
+engine call from all-A at beta_max, then one per step, started from the
+state the step before reached, for every column with a breakpoint left.
+solve_cells walks the cells of one network; sender_equilibria walks one
+cell on each of several networks of one size, whose per-column work the
+engine shares (adoption.Columns). On cascade trees
 cascade_thresholds gives the tops and cascade_final_b_sets the sets, one
 cell at a time. strictest_effective_regulation and optimal_B are one-cell
 views of solve_cells, sender_equilibrium the one-network view of
@@ -109,40 +110,52 @@ def _walk(cols: Columns, cells: list[ModelParams]) -> list[list]:
     """Pieces of every column, cell cells[j] on network cols.owner[j], walked
     down from its network's beta_max in lockstep; all cells share mu.
 
-    Within a piece no outsider's advantage reaches the join tie, so the
-    next breakpoint is the largest level below the current one where an
+    Every step is one engine call: the first from all-A, each later one
+    from the state (set, distances, B-neighbour counts) of the step before,
+    the counts being those the step computes for the advantages. Within a
+    piece no outsider's advantage reaches the join tie, so the next
+    breakpoint is the largest level below the current one where an
     outsider's advantage, linear in beta while it trusts, reaches
-    -_JOIN_MARGIN; the engine, warm-started from the current set with its
-    distances and B-neighbour counts (the counts the step computes for the
-    advantages), gives the set there, so a step runs no full distance query.
-    A predicted joiner the engine leaves out is tried once more at
-    its exact root (advantage 0); leaving it out there raises, and so does a
-    new set that does not contain its start.
+    -_JOIN_MARGIN, and the engine started from the current state gives the
+    set there; no step runs a full distance query. A predicted joiner the
+    engine leaves out is tried once more at its exact root (advantage 0);
+    leaving it out there raises, and so does a new set that does not
+    contain its start.
     """
     mu = cells[0].mu
     p, b_a, b_b = (np.array([getattr(params, name) for params in cells])
                    for name in ("p", "b_a", "b_b"))
-    # per-user arrays: one shared column for a single network, else one per cell
+    # per-user arrays, one column per cell: an outsider's advantage at beta = 0
+    # (everyone trusts) takes the news gain there, and its slope in beta is
+    # weight * p_recv
     c = cols.gather(lambda net: net.c_values)
+    gain0, weight = news_gain(mu, c, 0.0), (1.0 - mu) * c
     deg = cols.gather(lambda net: net.degrees.astype(np.float64))
     linked = cols.gather(lambda net: net.sender_mask)
     beta = np.array([_beta_primes(net, mu).max() for net in cols.networks])[cols.owner]
-    on_b, dist, _, _ = batch_final_b_sets(cols, mu, beta, p, b_a, b_b)
     live = np.arange(len(cells))
     pieces = [[] for _ in cells]
+    start = None
     while True:
+        on_b, dist, _, _ = batch_final_b_sets(
+            cols, mu, beta, p[live], b_a[live], b_b[live], start=start
+        )
+        shrunk = start is not None and (start[0] > on_b).any(axis=0)
+        if np.any(shrunk):
+            k = int(np.argmax(shrunk))
+            raise InvariantViolationError(
+                f"adopter set at beta={float(above[k])!r} is not a subset of the set at "
+                f"beta={float(beta[k])!r}"
+            )
         p_recv = receive_map(p[live], dist)
         for k, j in enumerate(live):
             pieces[j].append((float(beta[k]), on_b[:, k], p_recv[:, k]))
-        # each outsider's advantage at beta = 0, where everyone trusts
+        # each outsider's advantage at beta = 0
         n_b = cols.neighbour_counts(on_b)
-        c_live, deg_live, linked_live = (x if x.shape[1] == 1 else x[:, live]
-                                         for x in (c, deg, linked))
         adv0, _ = sender_side_advantage(
-            n_b, deg_live, b_b[live], b_a[live], True, p_recv, news_gain(mu, c_live, 0.0),
-            linked_live,
+            n_b, deg[:, live], b_b[live], b_a[live], True, p_recv, gain0[:, live], linked[:, live]
         )
-        slope = (1.0 - mu) * c_live * p_recv
+        slope = weight[:, live] * p_recv
         with np.errstate(divide="ignore", invalid="ignore"):
             first, exact = (adv0 + _JOIN_MARGIN) / slope, adv0 / slope
         level = np.where(~on_b & (p_recv > 0.0), np.where(first < beta, first, exact), -np.inf)
@@ -156,19 +169,8 @@ def _walk(cols: Columns, cells: list[ModelParams]) -> list[list]:
         going = nxt >= 0.0
         if not going.any():
             return pieces
-        start, above, live, beta, cols = (on_b[:, going], beta[going], live[going], nxt[going],
-                                          cols.take(going))
-        on_b, dist, _, _ = batch_final_b_sets(
-            cols, mu, beta, p[live], b_a[live], b_b[live], start=start,
-            start_state=(dist[:, going], n_b[:, going]),
-        )
-        shrunk = (start > on_b).any(axis=0)
-        if shrunk.any():
-            k = int(np.argmax(shrunk))
-            raise InvariantViolationError(
-                f"adopter set at beta={float(above[k])!r} is not a subset of the set at "
-                f"beta={float(beta[k])!r}"
-            )
+        start = (on_b[:, going], dist[:, going], n_b[:, going])
+        above, live, beta, cols = beta[going], live[going], nxt[going], cols.take(going)
 
 
 def _cascade_pieces(network: Network, params: ModelParams, beta_max: float) -> list:

@@ -105,6 +105,23 @@ def test_star_and_line_thresholds_agree_at_r_one():
         assert star == pytest.approx(line, abs=1e-12)
 
 
+def test_finite_line_schedule_runs_through_f_nk():
+    # a constant per-distance c schedule is the scalar c bit for bit, and a
+    # schedule entry at or below mu is refused as on the infinite line
+    for n in (2, 3, 7, 20):
+        for p in (0.2, 0.55, 0.9):
+            params = ModelParams(mu=0.2, p=p, b_a=0.01, b_b=0.0)
+            scalar = threshold_rho0(FamilySpec("linear-finite", params, c=0.35, n=n))
+            schedule = threshold_rho0(FamilySpec("linear-finite", params, c=(0.35,) * n, n=n))
+            assert schedule == scalar
+    params = ModelParams(mu=0.2, p=0.7, b_a=0.01, b_b=0.0)
+    for kind in ("linear-finite", "linear-infinite"):
+        with pytest.raises(InvalidParamsError, match="mu < c"):
+            threshold_rho0(FamilySpec(kind, params, c=(0.1, 0.3, 0.3, 0.3), n=4))
+        with pytest.raises(InvalidParamsError, match="mu < c"):
+            threshold_rho0(FamilySpec(kind, params, c=(0.3, 0.3, 0.2), n=4))
+
+
 def test_h_nk_limit_at_unit_reproduction():
     # p*r == 1: the ratio collapses to n/(k+1)
     val = h_nk(6, 2, 0.5, 2)

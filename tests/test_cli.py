@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from platmod import Network, NetworkRecipe, SweepSpec, gen_linear, sweep, validate_assumption1
+from platmod import (ModelParams, Network, NetworkRecipe, Platform, SweepSpec, gen_linear,
+                     run_adoption, sweep, validate_assumption1)
 from platmod.cli import main
 
 
@@ -239,6 +240,14 @@ def test_benchmark_tracer_reads_the_engine_and_the_bfs():
     assert metrics["adoption.engine_calls"] > 0
     assert metrics["graph.bfs_calls"] > 0
     assert metrics["adoption.engine_rounds"] > 0
+    # the third value of the engine's result is its per-column round count
+    tracer = _bench_spans().Tracer()
+    with tracer:
+        outcome = run_adoption(gen_linear(8), ModelParams(mu=0.2, p=0.9, b_a=0.001, b_b=0.0),
+                               0.1, Platform.B)
+    metrics = tracer.metrics()
+    assert metrics["adoption.engine_calls"] == 1
+    assert metrics["adoption.engine_rounds"] == outcome.iterations == 8
 
 
 # sha256 of stdout for one or more invocations per subcommand: every
@@ -273,6 +282,8 @@ PINNED_STDOUT = {
         "eee295dd03752145964abbc81005195689bbefd6c53ce529f7c4d8320e77c094"),
     "analytic-bA": ("analytic --family linear-infinite --p-range 0.1:0.9:5 --bA 0.01",
         "87238bc43ce590df18c9850023f3862a775227facd3e634b66063c4bf78301f2"),
+    "analytic-linear-finite": ("analytic --family linear-finite --n 6 --p-range 0.2:0.8:4",
+        "02d522da6c2ef2ef9b0d05cc75a435cccfa1fcbb982848967e778bd79adbd390"),
     "analytic-tree": (
         "analytic --family tree-finite --n 4 --r 2 --p-range 0.2:0.8:4 --c 0.35 --mu 0.25",
         "44afcfdfa2bf8f9e71a79bba35c5e1c8f5b108d26e7ab6834dbf0f28746e284b"),
@@ -389,6 +400,8 @@ LINE = json.dumps({"kind": "linear", "args": {"n": 5}})
     ["sweep", "--recipe", LINE, "--p-range", "0.3:0.7"],
     ["sweep", "--recipe", LINE, "--ba-range", "0:x:2"],
     ["analytic", "--family", "linear-infinite", "--p-range", "0.3:0.7"],
+    ["analytic", "--family", "linear-infinite", "--p-range", "0.1:0.9:-1"],
+    ["analytic", "--family", "linear-infinite", "--p-range", "0.1:0.9:0"],
     ["sweep", "--recipe", "{kind: linear}"],
     ["sweep", "--recipe", "[1, 2]"],
     ["sweep", "--recipe", json.dumps({"kind": "linear"})],
@@ -399,6 +412,9 @@ LINE = json.dumps({"kind": "linear", "args": {"n": 5}})
     ["gen-network", "--kind", "star-chain", "--n-hubs", "3"],
     ["gen-network", "--kind", "linear", "--n", "3", "--c", "0.3,x"],
     ["validate-a1", "--sizes", "30,,x"],
+    ["validate-a1", "--theta-jj", "0.75", "--seeds", "0"],
+    ["validate-a1", "--theta-jj", "0.75", "--seeds", "-3"],
+    ["validate-a1", "--theta-jj", ""],
     ["rho-se", "--network", "{missing}"],
     ["adoption", "--network", "{malformed}", "--beta", "0.1"],
     ["rho-se", "--network", "{not_a_network}"],
@@ -409,9 +425,11 @@ LINE = json.dumps({"kind": "linear", "args": {"n": 5}})
     ["sweep", "--config", "{config_svg_format}"],
     ["sweep", "--recipe", json.dumps({"kind": "sbm", "args": {"sizes": 5, "theta": [[0.5]]}}),
      "--p-range", "0.3:0.7:2", "--ba-range", "0:0.1:2"],
-], ids=["p-range", "ba-range", "analytic-p-range", "recipe-not-json", "recipe-not-object",
+], ids=["p-range", "ba-range", "analytic-p-range", "analytic-negative-steps",
+        "analytic-zero-steps", "recipe-not-json", "recipe-not-object",
         "recipe-missing-arg", "recipe-unknown-kind", "no-recipe", "theta-not-json",
         "sbm-missing-sizes", "star-chain-missing-r", "c-list", "sizes-list",
+        "validate-a1-zero-seeds", "validate-a1-negative-seeds", "validate-a1-empty-theta-jj",
         "network-missing", "network-malformed", "network-not-an-object", "config-missing",
         "config-malformed", "config-unknown-key", "config-float-for-int",
         "config-value-outside-choices", "recipe-sizes-not-a-list"])

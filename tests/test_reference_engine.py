@@ -467,8 +467,9 @@ def test_warm_start_from_a_higher_beta_reaches_the_cold_set(monkeypatch, dense_m
         low = high * rng.uniform(0.0, 1.0, 12)
         args = (params.p, params.b_a, params.b_b)
         start = batch_final_b_sets(net, params.mu, high, *args)[0]
+        state = (start, through_platform_distances(net, start), net.neighbour_counts(start))
         cold = batch_final_b_sets(net, params.mu, low, *args)
-        warm = batch_final_b_sets(net, params.mu, low, *args, start=start)
+        warm = batch_final_b_sets(net, params.mu, low, *args, start=state)
         assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
         assert not (start > warm[0]).any()
         for j in range(low.size):
@@ -477,8 +478,9 @@ def test_warm_start_from_a_higher_beta_reaches_the_cold_set(monkeypatch, dense_m
 
 @pytest.mark.parametrize("dense_max_users", [10**9, 0], ids=["dense", "CSR"])
 def test_engine_given_the_start_state_equals_computing_it(monkeypatch, dense_max_users):
-    # the distances and B-neighbour counts of a warm start, passed in, give
-    # what the engine computes from the start alone, and stay unchanged
+    # start=None runs from the all-A state built here with the full distance
+    # query and the counts; a warm start from the engine's own set and
+    # distances runs as from the state built here; neither state changes
     rng = np.random.default_rng(47)
     checked = 0
     while checked < 6:
@@ -491,16 +493,22 @@ def test_engine_given_the_start_state_equals_computing_it(monkeypatch, dense_max
         high = rng.uniform(0.0, 1.1 * bp, 9)
         low = high * rng.uniform(0.0, 1.0, 9)
         args = (params.p, params.b_a, params.b_b)
+        all_a = np.zeros((net.n_users, low.size), dtype=bool)
         start, start_dist, _, _ = batch_final_b_sets(net, params.mu, high, *args)
-        state = (start_dist, net.neighbour_counts(start))
-        kept = tuple(x.copy() for x in state)
-        given = batch_final_b_sets(net, params.mu, low, *args, collect_trace=True, start=start,
-                                   start_state=state)
-        computed = batch_final_b_sets(net, params.mu, low, *args, collect_trace=True, start=start)
-        for g, w in zip(given[:3], computed[:3]):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert given[3] == computed[3]
-        assert all(np.array_equal(x, y) for x, y in zip(state, kept))
+        for state, on_b in (
+            (None, all_a),
+            ((start, start_dist, net.neighbour_counts(start)), start),
+        ):
+            built = (on_b, through_platform_distances(net, on_b), net.neighbour_counts(on_b))
+            kept = tuple(x.copy() for x in built)
+            given = batch_final_b_sets(net, params.mu, low, *args, collect_trace=True,
+                                       start=state)
+            computed = batch_final_b_sets(net, params.mu, low, *args, collect_trace=True,
+                                          start=built)
+            for g, w in zip(given[:3], computed[:3]):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert given[3] == computed[3]
+            assert all(np.array_equal(x, y) for x, y in zip(built, kept))
 
 
 @pytest.mark.parametrize("dense_max_users", [10**9, 0])

@@ -299,13 +299,10 @@ def test_non_nested_engine_output_raises(monkeypatch):
     # walk relies on; solves and sweeps must fail loudly
     engine = platmod.regulation.batch_final_b_sets
 
-    def dropping_start(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None,
-                       start_state=None):
-        on_b, dist, rounds, traces = engine(
-            network, mu, betas, p, b_a, b_b, collect_trace, start, start_state
-        )
+    def dropping_start(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None):
+        on_b, dist, rounds, traces = engine(network, mu, betas, p, b_a, b_b, collect_trace, start)
         if start is not None:
-            on_b &= ~(start & (np.cumsum(start, axis=0) == 1))  # each start's first member
+            on_b &= ~(start[0] & (np.cumsum(start[0], axis=0) == 1))  # each start's first member
         return on_b, dist, rounds, traces
 
     monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", dropping_start)
@@ -411,8 +408,8 @@ def test_one_relay_bfs_per_network(monkeypatch, make, cascade, dense_max_users):
 @pytest.mark.parametrize("dense_max_users", [10**9, 0], ids=["dense", "CSR"])
 def test_warm_walk_steps_make_no_full_distance_query(monkeypatch, dense_max_users):
     """The walk hands each warm engine call the distances and counts of its
-    start, and the engine relaxes them round by round: the one full query
-    per walk is the all-A cold start, which has no relays."""
+    start, and the engine relaxes them round by round; the cold start builds
+    the all-A distances directly, so a walk makes no full distance query."""
     base = per_community_c_sbm()
     net = build_network(monkeypatch, dense_max_users, dict(
         n_users=base.n_users, edges=base.edges, sender_links=base.sender_links,
@@ -430,7 +427,7 @@ def test_warm_walk_steps_make_no_full_distance_query(monkeypatch, dense_max_user
     warm_calls = []
 
     def counting_engine(*args, **kwargs):
-        warm_calls.append(kwargs.get("start_state") is not None)
+        warm_calls.append(kwargs.get("start") is not None)
         return engine(*args, **kwargs)
 
     for module in (platmod.graph, platmod.adoption):
@@ -439,8 +436,7 @@ def test_warm_walk_steps_make_no_full_distance_query(monkeypatch, dense_max_user
     cells = _random_cells(np.random.default_rng(12), 0.2, 6)
     solve_cells(net, cells)
     assert warm_calls[0] is False and all(warm_calls[1:]) and len(warm_calls) > 3
-    [cold] = queries
-    assert cold.shape == (net.n_users, len(cells)) and not cold.any()
+    assert queries == []
 
 
 @st.composite
@@ -535,13 +531,10 @@ def test_sender_equilibria_keep_the_invariant_checks(monkeypatch):
     params = default_params(rho_a=0.0)
     engine = platmod.regulation.batch_final_b_sets
 
-    def dropping_start(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None,
-                       start_state=None):
-        on_b, dist, rounds, traces = engine(
-            network, mu, betas, p, b_a, b_b, collect_trace, start, start_state
-        )
+    def dropping_start(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None):
+        on_b, dist, rounds, traces = engine(network, mu, betas, p, b_a, b_b, collect_trace, start)
         if start is not None:
-            on_b &= ~(start & (np.cumsum(start, axis=0) == 1))
+            on_b &= ~(start[0] & (np.cumsum(start[0], axis=0) == 1))
         return on_b, dist, rounds, traces
 
     with monkeypatch.context() as patched:
@@ -549,12 +542,11 @@ def test_sender_equilibria_keep_the_invariant_checks(monkeypatch):
         with pytest.raises(InvariantViolationError, match="not a subset"):
             sender_equilibria(nets, params)
 
-    def stalling(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None,
-                 start_state=None):
+    def stalling(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None):
         # a warm start moves nobody, so the predicted joiners stay out
         if start is None:
             return engine(network, mu, betas, p, b_a, b_b, collect_trace)
-        return start.copy(), start_state[0].copy(), np.zeros(len(betas), dtype=np.int64), []
+        return start[0].copy(), start[1].copy(), np.zeros(len(betas), dtype=np.int64), []
 
     with monkeypatch.context() as patched:
         patched.setattr(platmod.regulation, "batch_final_b_sets", stalling)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import ModelParams, trust_threshold
+from .model import ModelParams, news_gain, sender_weight, trust_threshold
 from .regulation import RegulationKind, RegulationResult
 
 ENVELOPE_EPS = 1e-15  # mu * p**K below this can no longer win a maximum
@@ -40,7 +40,7 @@ def big_g(beta: float, params: ModelParams, c: float) -> float:
     gap = params.b_a - params.b_b
     if gap <= 0.0:
         raise InvalidParamsError("G needs b_a > b_b")
-    denom = params.mu * (1.0 - c) - (1.0 - params.mu) * beta * c
+    denom = news_gain(params.mu, c, beta)
     if denom <= 0.0:
         raise InvalidParamsError(f"G undefined at beta={beta}: nonpositive log argument")
     return math.log(gap / denom) / math.log(params.p)
@@ -102,12 +102,6 @@ def h_nk(n: int, k: int, p: float, r: int, mu: float = 0.2, c: float = 0.3) -> f
     return mu * p**k - ratio * mu * c * p**k
 
 
-def f_tilde_k(k: int, p: float, c_k: float, mu: float = 0.2) -> float:
-    """Heterogeneous-user counterpart of f_k with the payoff of user k."""
-    _check_mu_c(mu, c_k)
-    return mu * p**k - mu * c_k * p**k / (1.0 - p ** (k + 1))
-
-
 def k_cap(mu: float, p: float) -> int:
     """Terms beyond this index are bounded by mu*p**K < ENVELOPE_EPS and
     cannot win any of the maxima above."""
@@ -149,8 +143,11 @@ class FamilySpec:
         if self.kind.startswith(("star-chain", "tree")):
             if self.r is None or self.r < 1:
                 raise InvalidParamsError(f"{self.kind} needs r >= 1")
-        if not np.isscalar(self.c) and not self.kind.startswith("linear"):
-            raise InvalidParamsError("per-distance c schedules apply to linear families only")
+        if not np.isscalar(self.c):
+            if not self.kind.startswith("linear"):
+                raise InvalidParamsError("per-distance c schedules apply to linear families only")
+            if len(self.c) == 0:
+                raise InvalidParamsError("a per-distance c schedule needs at least one value")
 
 
 def _c_at(c, k: int) -> float:
@@ -172,7 +169,7 @@ def threshold_rho0(family: FamilySpec) -> float:
     kind = family.kind
     if kind == "linear-infinite":
         ks = range(k_cap(mu, p) + 1)
-        return max(f_tilde_k(k, p, _c_at(family.c, k), mu) for k in ks)
+        return max(f_k(k, p, mu, _c_at(family.c, k)) for k in ks)
     if kind == "linear-finite":
         n = family.n
         if n < 2:
@@ -222,9 +219,7 @@ def ustar_b_linear_infinite(params: ModelParams, c: float = 0.3) -> tuple[float,
         beta = big_f(k, params, c)
         if beta < 0.0:
             break
-        u = (params.mu + (1.0 - params.mu) * beta) * (1.0 - params.p ** (k + 1)) / (
-            1.0 - params.p
-        )
+        u = sender_weight(params.mu, beta) * (1.0 - params.p ** (k + 1)) / (1.0 - params.p)
         if u > best[0]:
             best = (u, beta, k)
     return best
@@ -237,12 +232,12 @@ def rho_se_linear_infinite(params: ModelParams, c: float = 0.3) -> RegulationRes
     if params.b_a <= params.b_b:
         # the wave never stops, so the outside option matches the
         # unregulated optimum on A and no cap can bite
-        u_full = (params.mu + (1.0 - params.mu) * beta_prime) * sum_p_a
+        u_full = sender_weight(params.mu, beta_prime) * sum_p_a
         return RegulationResult(
             RegulationKind.NO_EFFECTIVE_REGULATION, None, u_full, beta_prime, sum_p_a
         )
     u_star_b, beta_star_b, _ = ustar_b_linear_infinite(params, c)
-    u_a = lambda b: (params.mu + (1.0 - params.mu) * b) * sum_p_a
+    u_a = lambda b: sender_weight(params.mu, b) * sum_p_a
     if u_a(beta_prime) <= u_star_b:
         return RegulationResult(
             RegulationKind.NO_EFFECTIVE_REGULATION, None, u_star_b, beta_star_b, sum_p_a

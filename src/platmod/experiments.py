@@ -10,6 +10,7 @@ runs produce byte-identical files even under parallel execution.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -19,16 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .adoption import Assignment
-from .errors import InvalidParamsError, InvariantViolationError
-from .graph import (
-    Network,
-    SbmSpec,
-    gen_linear,
-    gen_regular_tree,
-    gen_sbm,
-    gen_star_chain,
-    validate_profiles,
-)
+from .errors import InvalidParamsError
+from .graph import Network, SbmSpec, gen_linear, gen_regular_tree, gen_sbm, gen_star_chain
 from .model import ModelParams, Platform, trust_threshold
 from .regulation import RegulationKind, sender_equilibria, solve_cells
 
@@ -219,9 +212,11 @@ def _error(exc: Exception) -> tuple[str, str]:
 def _column_results(task) -> tuple[int, int, list[list]]:
     """Every (p, b_a) cell of a block of p columns on one sampled network.
 
-    Returns (seed, index of the block's first p, one result list per p
-    column). Cells with invalid params record their error and the others are
-    solved together by solve_cells.
+    Returns (seed, index of the block's first p, one (kind, value) list per
+    p column). A cell with invalid ModelParams records its error; the others
+    are solved together by solve_cells, and when solve_cells refuses the
+    network (a user's c at or below mu) each of them records that error.
+    Any other exception is a program fault and propagates.
     """
     recipe, seed, mu, b_b, p_start, p_block, ba_values = task
     network = recipe.build(seed)
@@ -230,18 +225,14 @@ def _column_results(task) -> tuple[int, int, list[list]]:
     for i, p in enumerate(p_block):
         for j, b_a in enumerate(ba_values):
             try:
-                params = ModelParams(mu=mu, p=float(p), b_a=float(b_a), b_b=b_b)
-                validate_profiles(network, params)
+                cells.append(ModelParams(mu=mu, p=float(p), b_a=float(b_a), b_b=b_b))
             except InvalidParamsError as exc:  # recorded per cell, the rest still run
                 out[i][j] = _error(exc)
                 continue
-            cells.append(params)
             slots.append((i, j))
     try:
         solved = [(res.kind.value, res.rho_se) for res in solve_cells(network, cells)]
-    except InvariantViolationError:
-        raise  # a program fault, never one bad cell
-    except Exception as exc:  # the cells share one search: each records the error
+    except InvalidParamsError as exc:  # the network fails mu < c: every cell records it
         solved = [_error(exc)] * len(cells)
     for (i, j), res in zip(slots, solved):
         out[i][j] = res
@@ -251,18 +242,21 @@ def _column_results(task) -> tuple[int, int, list[list]]:
 def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
     """Evaluate strictest_effective_regulation over the grid.
 
-    Serially a task is one sample: all its cells are solved together on one
-    network (solve_cells). With workers > 1 each sample's p columns split
-    into min(workers, p steps) contiguous blocks, one task each. Results
-    depend only on the spec and sample index, never on scheduling.
+    A task is one sampled network: it is built once and all its cells are
+    solved together (solve_cells). With workers > 1 and fewer samples than
+    workers, each sample's p columns split into min(ceil(workers / samples),
+    p steps) contiguous blocks, one task each, so a deterministic recipe
+    still shares its grid out. Results depend only on the spec and sample
+    index, never on scheduling.
     """
     p_values = spec.p_values()
     ba_values = tuple(spec.ba_values())
-    n_blocks = min(max(workers, 1), len(p_values))
+    seeds = spec.seeds()
+    n_blocks = min(max(math.ceil(workers / spec.samples), 1), len(p_values))
     blocks = np.array_split(np.arange(len(p_values)), n_blocks)
     tasks = [
         (spec.recipe, seed, spec.mu, spec.b_b, int(block[0]), tuple(p_values[block]), ba_values)
-        for seed in spec.seeds()
+        for seed in seeds
         for block in blocks
     ]
     if workers > 1:
@@ -282,37 +276,24 @@ def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
     cells: list[CellStats] = []
     for p_idx, p in enumerate(p_values):
         for ba_idx, b_a in enumerate(ba_values):
-            n_no = n_any = n_mod = 0
-            rhos = []
-            errors = []
-            for seed in spec.seeds():
-                kind, value = by_key[(seed, p_idx)][ba_idx]
-                if kind == RegulationKind.NO_EFFECTIVE_REGULATION.value:
-                    n_no += 1
-                elif kind == RegulationKind.ANY_REGULATION.value:
-                    n_any += 1
-                elif kind == RegulationKind.MODERATE.value:
-                    n_mod += 1
-                    rhos.append(value)
-                else:
-                    errors.append(value)
-            cells.append(
-                CellStats(
-                    p=float(p),
-                    b_a=float(b_a),
-                    samples=n_no + n_any + n_mod,
-                    n_no_effective=n_no,
-                    n_any=n_any,
-                    n_moderate=n_mod,
-                    mean_rho_se=(sum(rhos) / len(rhos)) if rhos else None,
-                    seeds=spec.seeds(),
-                    # each distinct sample error once, counted when it repeats
-                    error="; ".join(
-                        msg if n == 1 else f"{msg} ({n} samples)"
-                        for msg, n in Counter(errors).items()
-                    ) if errors else None,
-                )
-            )
+            # each sample's (kind, value), in seed order
+            outcomes = [by_key[(seed, p_idx)][ba_idx] for seed in seeds]
+            kinds = Counter(kind for kind, _ in outcomes)
+            rhos = [value for kind, value in outcomes if kind == RegulationKind.MODERATE.value]
+            # each distinct sample error once, counted when it repeats
+            errors = Counter(value for kind, value in outcomes if kind == "error")
+            cells.append(CellStats(
+                p=float(p),
+                b_a=float(b_a),
+                samples=len(outcomes) - kinds["error"],
+                n_no_effective=kinds[RegulationKind.NO_EFFECTIVE_REGULATION.value],
+                n_any=kinds[RegulationKind.ANY_REGULATION.value],
+                n_moderate=len(rhos),
+                mean_rho_se=(sum(rhos) / len(rhos)) if rhos else None,
+                seeds=seeds,
+                error="; ".join(msg if n == 1 else f"{msg} ({n} samples)"
+                                for msg, n in errors.items()) or None,
+            ))
     return HeatmapGrid(spec=spec, cells=cells)
 
 
@@ -426,10 +407,9 @@ def a1_csv_text(report: A1Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(obj, path) -> None:
-    """Write a sweep grid or an assumption report as CSV."""
-    text = sweep_csv_text(obj) if isinstance(obj, HeatmapGrid) else a1_csv_text(obj)
-    Path(path).write_text(text)
+def emit_csv(grid: HeatmapGrid, path) -> None:
+    """Write a sweep grid as CSV (sweep_csv_text)."""
+    Path(path).write_text(sweep_csv_text(grid))
 
 
 def read_sweep_csv(path) -> list[dict]:

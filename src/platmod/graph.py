@@ -262,10 +262,20 @@ def _as_profiles(n: int, c) -> tuple[UserProfile, ...]:
     return tuple(UserProfile(c=float(x)) for x in cs)
 
 
+def _check_size(what: str, n: int) -> None:
+    """Refuse a generated network of more than MAX_GENERATED_USERS users,
+    before anything is allocated. The message leaves n out: a requested
+    count can have more digits than Python will print."""
+    if n > MAX_GENERATED_USERS:
+        raise InvalidParamsError(f"refusing to build {what} of more than "
+                                 f"{MAX_GENERATED_USERS} users")
+
+
 def gen_linear(n: int, c=0.3) -> Network:
     """Path graph 0-1-...-(n-1); the sender signals user 0."""
     if n < 1:
         raise InvalidParamsError("linear network needs n >= 1")
+    _check_size("a line", n)
     return Network(
         n_users=n,
         edges=tuple((i, i + 1) for i in range(n - 1)),
@@ -283,6 +293,7 @@ def gen_star_chain(n_hubs: int, r: int, c=0.3) -> Network:
     if n_hubs < 1 or r < 1:
         raise InvalidParamsError("star chain needs n_hubs >= 1 and r >= 1")
     n = n_hubs * r
+    _check_size("a star chain", n)
     edges = [(k, k + 1) for k in range(n_hubs - 1)]
     for k in range(n_hubs):
         base = n_hubs + k * (r - 1)
@@ -300,9 +311,11 @@ def gen_regular_tree(r: int, depth: int, c=0.3) -> Network:
     """Complete r-ary tree of the given depth, rooted at user 0 (sender-linked)."""
     if r < 1 or depth < 0:
         raise InvalidParamsError("tree needs r >= 1 and depth >= 0")
-    n = sum(r**k for k in range(depth + 1))
-    if n > MAX_GENERATED_USERS:
-        raise InvalidParamsError(f"refusing to build a tree with {n} users")
+    n = level = 1
+    for _ in range(depth):  # a level at a time, so a deep tree is refused early
+        level *= r
+        n += level
+        _check_size("a tree", n)
     edges = []
     next_id = 1
     frontier = [0]
@@ -368,6 +381,7 @@ def gen_sbm(spec: SbmSpec) -> Network:
     """
     sizes = spec.sizes
     n = sum(sizes)
+    _check_size("an SBM", n)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     theta = np.asarray(spec.theta, dtype=np.float64)
     rng = np.random.default_rng(spec.seed)

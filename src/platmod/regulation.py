@@ -25,8 +25,8 @@ views of solve_cells, sender_equilibrium the one-network view of
 sender_equilibria.
 
 On A every user stays with the sender, so one search over the trust tiers
-up to a cap (_search_on_A) serves the classification, the full-game outcome
-and utility_on_A. Payoffs and the trust test come from the model's kernel.
+up to a cap (_search_on_A) serves the classification and the full-game
+outcome. Payoffs and the trust test come from the model's kernel.
 """
 
 from __future__ import annotations
@@ -102,8 +102,7 @@ def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
     """
     bp = _beta_primes(network, params.mu)
     p_a = receive_map(params.p, network.relay_distances)
-    tiers, _, _ = _search_on_A(params.mu, p_a, bp, np.unique(bp).tolist(), beta)
-    return sender_weight(params.mu, beta) * tiers[beta]
+    return sender_payoff(params.mu, beta, p_a, trusts(beta, bp))
 
 
 def _walk(cols: Columns, cells: list[ModelParams]) -> list[list]:

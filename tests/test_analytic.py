@@ -26,7 +26,6 @@ from platmod.analytic import (
     big_g,
     f_k,
     f_nk,
-    f_tilde_k,
     g_nk,
     h_k,
     h_nk,
@@ -83,11 +82,6 @@ def test_f_nk_special_form():
         f_nk(3, 2, 0.5)
 
 
-def test_f_tilde_reduces_to_f_k():
-    for k in range(8):
-        assert f_tilde_k(k, 0.7, 0.3) == pytest.approx(f_k(k, 0.7), abs=1e-15)
-
-
 def test_g_h_reduce_to_f_under_r_one():
     for k in range(8):
         assert h_k(k, 0.6, 1) == pytest.approx(f_k(k, 0.6), abs=1e-15)
@@ -122,6 +116,13 @@ def test_finite_line_schedule_runs_through_f_nk():
             threshold_rho0(FamilySpec(kind, params, c=(0.3, 0.3, 0.2), n=4))
 
 
+@pytest.mark.parametrize("kind", ["linear-finite", "linear-infinite"])
+def test_empty_c_schedule_is_refused(kind):
+    params = ModelParams(mu=0.2, p=0.7, b_a=0.01, b_b=0.0)
+    with pytest.raises(InvalidParamsError, match="c schedule needs at least one value"):
+        FamilySpec(kind, params, c=(), n=4)
+
+
 def test_h_nk_limit_at_unit_reproduction():
     # p*r == 1: the ratio collapses to n/(k+1)
     val = h_nk(6, 2, 0.5, 2)
@@ -140,6 +141,15 @@ def test_threshold_rho0_linear_small_p_limit():
 def test_threshold_rho0_infinite_tree_collapses():
     params = ModelParams(mu=0.2, p=0.6, b_a=1e-9, b_b=0.0)
     assert threshold_rho0(FamilySpec(kind="tree-infinite", params=params, r=2)) == 0.0
+
+
+@pytest.mark.parametrize("p, r", [(0.3, 2), (0.2, 3)])
+def test_infinite_tree_below_unit_reproduction_matches_a_deep_finite_tree(p, r):
+    # p*r < 1: the infinite maximum over h_k is the limit of the finite one
+    params = ModelParams(mu=0.2, p=p, b_a=0.01, b_b=0.0)
+    inf = threshold_rho0(FamilySpec(kind="tree-infinite", params=params, r=r))
+    fin = threshold_rho0(FamilySpec(kind="tree-finite", params=params, n=80, r=r))
+    assert inf == pytest.approx(fin, abs=1e-12)
 
 
 def test_prop4_tighter_than_prop3():

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from platmod import (ModelParams, Network, NetworkRecipe, Platform, SweepSpec, gen_linear,
-                     run_adoption, sweep, validate_assumption1)
+import platmod.cli
+import platmod.graph
+from platmod import (InvariantViolationError, ModelParams, Network, NetworkRecipe, Platform,
+                     SweepSpec, gen_linear, run_adoption, sweep, validate_assumption1)
 from platmod.cli import main
 
 
@@ -394,6 +396,8 @@ def test_a_flag_the_subcommand_never_reads_exits_2(args):
 
 
 LINE = json.dumps({"kind": "linear", "args": {"n": 5}})
+# run against a user cap of 10, so the case builds nothing large
+OVER_THE_CAP = ["gen-network", "--kind", "linear", "--n", "11"]
 
 
 @pytest.mark.parametrize("args", [
@@ -425,6 +429,8 @@ LINE = json.dumps({"kind": "linear", "args": {"n": 5}})
     ["sweep", "--config", "{config_svg_format}"],
     ["sweep", "--recipe", json.dumps({"kind": "sbm", "args": {"sizes": 5, "theta": [[0.5]]}}),
      "--p-range", "0.3:0.7:2", "--ba-range", "0:0.1:2"],
+    OVER_THE_CAP,
+    ["gen-network", "--kind", "tree", "--r", "2", "--depth", "20000"],
 ], ids=["p-range", "ba-range", "analytic-p-range", "analytic-negative-steps",
         "analytic-zero-steps", "recipe-not-json", "recipe-not-object",
         "recipe-missing-arg", "recipe-unknown-kind", "no-recipe", "theta-not-json",
@@ -432,8 +438,11 @@ LINE = json.dumps({"kind": "linear", "args": {"n": 5}})
         "validate-a1-zero-seeds", "validate-a1-negative-seeds", "validate-a1-empty-theta-jj",
         "network-missing", "network-malformed", "network-not-an-object", "config-missing",
         "config-malformed", "config-unknown-key", "config-float-for-int",
-        "config-value-outside-choices", "recipe-sizes-not-a-list"])
-def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, args):
+        "config-value-outside-choices", "recipe-sizes-not-a-list",
+        "more-users-than-the-cap", "tree-too-deep-to-count"])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args):
+    if args == OVER_THE_CAP:
+        monkeypatch.setattr(platmod.graph, "MAX_GENERATED_USERS", 10)
     gen_linear(5).save(tmp_path / "net.json")
     (tmp_path / "malformed.json").write_text('{"n_users": 2')
     (tmp_path / "not_a_network.json").write_text("[1, 2]")
@@ -450,6 +459,18 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, args):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("invalid parameters: ")
+
+
+def test_invariant_violation_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken_solver(network, params):
+        raise InvariantViolationError("faulty kernel")
+
+    gen_linear(5).save(tmp_path / "net.json")
+    monkeypatch.setattr(platmod.cli, "strictest_effective_regulation", broken_solver)
+    assert run_cli(["rho-se", "--network", str(tmp_path / "net.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant violation: faulty kernel\n"
 
 
 def test_sweep_counts_a_repeated_cell_error_once(capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import os
 import subprocess
@@ -318,8 +319,8 @@ def test_invalid_cells_leave_the_others_unchanged():
 
 def test_small_chain_sweep_csv_is_pinned():
     # the CSV of the exact breakpoint walk (the 1e-9 bisection before it
-    # left four mean_rho_se fields up to 3e-10 lower); parallel blocks of p
-    # columns must give it too
+    # left four mean_rho_se fields up to 3e-10 lower); two workers, each
+    # solving whole samples, must give it too
     spec = SweepSpec(
         p_range=(0.5, 0.9, 3),
         ba_range=(0.0, 0.02, 4),
@@ -347,6 +348,79 @@ def test_sweep_reraises_invariant_violation(monkeypatch):
     monkeypatch.setattr(experiments, "solve_cells", broken_solver)
     with pytest.raises(InvariantViolationError, match="faulty kernel"):
         sweep(small_line_spec())
+
+
+def test_sweep_propagates_a_program_fault(monkeypatch):
+    # only solve_cells's refusal of the network is a cell error; any other
+    # exception is a bug in the program and leaves the sweep
+    def broken_solver(*args, **kwargs):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(platmod.experiments, "solve_cells", broken_solver)
+    with pytest.raises(IndexError, match="list index out of range"):
+        sweep(small_line_spec())
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run sweep's process pool in this process; returns the tasks it got."""
+    tasks = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            tasks.extend(items)
+            return map(fn, list(items))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return tasks
+
+
+def test_parallel_sbm_sweep_builds_each_sample_once(monkeypatch, inline_pool):
+    built = []
+
+    def counted(spec):
+        built.append(spec.seed)
+        return gen_sbm(spec)
+
+    monkeypatch.setattr(platmod.experiments, "gen_sbm", counted)
+    spec = SweepSpec(
+        p_range=(0.4, 0.9, 3),
+        ba_range=(0.0, 0.01, 3),
+        recipe=NetworkRecipe("sbm", {"sizes": [8, 8], "theta": [[0.8, 0.05], [0.05, 0.8]]}),
+        samples=4,
+        base_seed=11,
+    )
+    grid = sweep(spec, workers=2)
+    assert sorted(built) == [11, 12, 13, 14]
+    assert [task[5] for task in inline_pool] == [tuple(spec.p_values())] * 4
+    assert sweep_csv_text(grid) == sweep_csv_text(sweep(spec))
+
+
+def test_parallel_deterministic_sweep_splits_p(inline_pool):
+    # one sample and two workers: the p columns split into two blocks, and
+    # the bytes are those of a serial run
+    spec = SweepSpec(p_range=(0.3, 0.9, 4), ba_range=(0.0, 0.02, 3),
+                     recipe=NetworkRecipe("linear", {"n": 20}))
+    serial = sweep_csv_text(sweep(spec))
+    assert sweep_csv_text(sweep(spec, workers=2)) == serial
+    assert [task[4:6] for task in inline_pool] == [
+        (0, tuple(spec.p_values()[:2])), (2, tuple(spec.p_values()[2:]))
+    ]
+
+
+def test_parallel_deterministic_sweep_matches_serial_through_the_pool():
+    spec = SweepSpec(p_range=(0.3, 0.9, 4), ba_range=(0.0, 0.02, 3),
+                     recipe=NetworkRecipe("linear", {"n": 20}))
+    assert sweep_csv_text(sweep(spec, workers=2)) == sweep_csv_text(sweep(spec))
 
 
 def test_pgm_moderate_gray_formula():

@@ -152,6 +152,28 @@ def test_gen_sbm_sender_attach():
         )
 
 
+@pytest.mark.parametrize("build", [
+    gen_linear,
+    lambda n: gen_star_chain(n, 1),
+    lambda n: gen_regular_tree(n - 1, 1),
+    lambda n: gen_regular_tree(1, n - 1),
+    lambda n: gen_sbm(SbmSpec(sizes=(n - 5, 5), theta=((0.5, 0.1), (0.1, 0.5)))),
+], ids=["linear", "star_chain", "tree", "deep_tree", "sbm"])
+def test_every_generator_refuses_more_than_the_user_cap(monkeypatch, build):
+    monkeypatch.setattr(platmod.graph, "MAX_GENERATED_USERS", 10)
+    assert build(10).n_users == 10
+    with pytest.raises(InvalidParamsError,
+                       match="^refusing to build an? [a-zA-Z ]+ of more than 10 users$"):
+        build(11)
+
+
+def test_a_tree_too_deep_to_count_is_refused_at_once():
+    # 2**20000 users: more digits than Python will print, and too many
+    # levels to sum before the check
+    with pytest.raises(InvalidParamsError, match="^refusing to build a tree of more than "):
+        gen_regular_tree(2, 20000)
+
+
 def test_network_validation():
     prof = (UserProfile(c=0.3),) * 2
     with pytest.raises(InvalidParamsError):

@@ -377,8 +377,9 @@ def inline_pool(monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
+            items = list(items)
             tasks.extend(items)
-            return map(fn, list(items))
+            return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return tasks
@@ -399,28 +400,24 @@ def test_parallel_sbm_sweep_builds_each_sample_once(monkeypatch, inline_pool):
         samples=4,
         base_seed=11,
     )
-    grid = sweep(spec, workers=2)
+    sweep(spec, workers=2)
     assert sorted(built) == [11, 12, 13, 14]
     assert [task[5] for task in inline_pool] == [tuple(spec.p_values())] * 4
-    assert sweep_csv_text(grid) == sweep_csv_text(sweep(spec))
+
+
+LINE_4X3 = SweepSpec(p_range=(0.3, 0.9, 4), ba_range=(0.0, 0.02, 3),
+                     recipe=NetworkRecipe("linear", {"n": 20}))
 
 
 def test_parallel_deterministic_sweep_splits_p(inline_pool):
-    # one sample and two workers: the p columns split into two blocks, and
-    # the bytes are those of a serial run
-    spec = SweepSpec(p_range=(0.3, 0.9, 4), ba_range=(0.0, 0.02, 3),
-                     recipe=NetworkRecipe("linear", {"n": 20}))
-    serial = sweep_csv_text(sweep(spec))
-    assert sweep_csv_text(sweep(spec, workers=2)) == serial
-    assert [task[4:6] for task in inline_pool] == [
-        (0, tuple(spec.p_values()[:2])), (2, tuple(spec.p_values()[2:]))
-    ]
+    # one sample and two workers: the p columns split into two blocks
+    sweep(LINE_4X3, workers=2)
+    p_values = tuple(LINE_4X3.p_values())
+    assert [task[4:6] for task in inline_pool] == [(0, p_values[:2]), (2, p_values[2:])]
 
 
-def test_parallel_deterministic_sweep_matches_serial_through_the_pool():
-    spec = SweepSpec(p_range=(0.3, 0.9, 4), ba_range=(0.0, 0.02, 3),
-                     recipe=NetworkRecipe("linear", {"n": 20}))
-    assert sweep_csv_text(sweep(spec, workers=2)) == sweep_csv_text(sweep(spec))
+def test_parallel_deterministic_sweep_matches_serial():
+    assert sweep_csv_text(sweep(LINE_4X3, workers=2)) == sweep_csv_text(sweep(LINE_4X3))
 
 
 def test_pgm_moderate_gray_formula():

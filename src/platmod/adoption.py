@@ -97,16 +97,25 @@ class Columns:
         return cls(tuple(index), owner)
 
     @classmethod
-    def single(cls, network: Network, n_cols: int) -> "Columns":
-        return cls((network,), np.zeros(n_cols, dtype=np.intp))
+    def repeat(cls, networks, n_cols: int) -> "Columns":
+        """n_cols columns on each network, in order; every network must have
+        the same number of users."""
+        networks = tuple(networks)
+        if len({net.n_users for net in networks}) > 1:
+            raise InvalidParamsError("networks batched together must have the same size")
+        return cls(networks, np.repeat(np.arange(len(networks)), n_cols))
 
     def take(self, keep) -> "Columns":
         """The columns selected by keep (a boolean mask or indices), in order."""
         return Columns(self.networks, self.owner[keep])
 
+    def spread(self, rows: np.ndarray) -> np.ndarray:
+        """rows, one (n_users,) row per network, at each column: (n_users, n_cols)."""
+        return rows.take(self.owner, axis=0).T
+
     def gather(self, per_user) -> np.ndarray:
         """per_user(network), an (n_users,) array, at each column: (n_users, n_cols)."""
-        return np.array([per_user(net) for net in self.networks]).take(self.owner, axis=0).T
+        return self.spread(np.array([per_user(net) for net in self.networks]))
 
     @cached_property
     def runs(self) -> list[tuple[Network, slice]]:
@@ -178,15 +187,18 @@ def batch_final_b_sets(
     betas = np.asarray(betas, dtype=np.float64)
     p, b_a, b_b = (np.full(betas.shape, x, dtype=np.float64)[None, :] for x in (p, b_a, b_b))
     n_cols = betas.size
-    cols = network if isinstance(network, Columns) else Columns.single(network, n_cols)
+    cols = network if isinstance(network, Columns) else Columns.repeat((network,), n_cols)
     n = cols.networks[0].n_users
     for net in cols.networks:
         validate_mu(net, mu)
-    # per-user arrays, one column per batch column
+    # per-user arrays, one column per batch column; the rounds need c only
+    # through these two
     c = cols.gather(lambda net: net.c_values)
     trusting = trusts(betas[None, :], trust_threshold(mu, c))
     gain = news_gain(mu, c, betas[None, :])
-    deg = cols.gather(lambda net: net.degrees.astype(np.float64))
+    del c
+    # int32 degrees: degree - n_b casts them to float64 exactly
+    deg = cols.gather(lambda net: net.degrees.astype(np.int32))
     linked = cols.gather(lambda net: net.sender_mask)
 
     # a column whose round switches nobody has reached its fixed point and
@@ -199,7 +211,7 @@ def batch_final_b_sets(
     # the rounds update them in place
     if start is None:
         cur, n_b = on_b.copy(), np.zeros((n, n_cols))
-        dist = np.where(linked, 0, UNREACHED).astype(np.int32)
+        dist = np.where(linked, np.int32(0), np.int32(UNREACHED))
     else:
         cur, dist, n_b = (np.array(x, dtype=t)
                           for x, t in zip(start, (bool, np.int32, np.float64)))

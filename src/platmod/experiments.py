@@ -21,14 +21,17 @@ import numpy as np
 
 from .adoption import Assignment
 from .errors import InvalidParamsError
-from .graph import Network, SbmSpec, gen_linear, gen_regular_tree, gen_sbm, gen_star_chain
+from .graph import (Network, SbmSpec, gen_linear, gen_regular_tree, gen_sbm, gen_star_chain,
+                    validate_mu)
 from .model import ModelParams, Platform, trust_threshold
-from .regulation import RegulationKind, sender_equilibria, solve_cells
+from .regulation import RegulationKind, sender_equilibria, solve_pool
 
 SWEEP_CSV_HEADER = "p,b_A,samples,n_no_effective,n_any,n_moderate,mean_rho_se,seed_base"
 A1_CSV_HEADER = "theta_JJ,seed,n_users_B,irregular_choices"
 # validate_assumption1 samples and walks at most this many networks together
 A1_GROUP = 6
+# a sweep pool's first engine call holds at most this many columns
+POOL_COLUMNS = 220
 
 
 def chain_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float, ...], ...]:
@@ -209,45 +212,72 @@ def _error(exc: Exception) -> tuple[str, str]:
     return "error", f"{type(exc).__name__}: {exc}"
 
 
-def _column_results(task) -> tuple[int, int, list[list]]:
-    """Every (p, b_a) cell of a block of p columns on one sampled network.
+def _pool_results(task) -> list[tuple[int, int, list[list]]]:
+    """Every (p, b_a) cell of a block of p columns on each network of a pool
+    of sampled networks.
 
-    Returns (seed, index of the block's first p, one (kind, value) list per
-    p column). A cell with invalid ModelParams records its error; the others
-    are solved together by solve_cells, and when solve_cells refuses the
-    network (a user's c at or below mu) each of them records that error.
-    Any other exception is a program fault and propagates.
+    Returns one (seed, index of the block's first p, one (kind, value) list
+    per p column) per sample, in seed order. A cell with invalid ModelParams
+    records its error. A network with a user whose c is at or below mu
+    gives that error to each of its other cells; the other networks of the
+    pool are solved together by solve_pool. Any other exception is a program
+    fault and propagates.
     """
-    recipe, seed, mu, b_b, p_start, p_block, ba_values = task
-    network = recipe.build(seed)
-    out = [[None] * len(ba_values) for _ in p_block]
-    cells, slots = [], []
+    recipe, seeds, mu, b_b, p_start, p_block, ba_values = task
+    cells, slots, invalid = [], [], {}
     for i, p in enumerate(p_block):
         for j, b_a in enumerate(ba_values):
             try:
                 cells.append(ModelParams(mu=mu, p=float(p), b_a=float(b_a), b_b=b_b))
             except InvalidParamsError as exc:  # recorded per cell, the rest still run
-                out[i][j] = _error(exc)
+                invalid[i, j] = _error(exc)
                 continue
             slots.append((i, j))
-    try:
-        solved = [(res.kind.value, res.rho_se) for res in solve_cells(network, cells)]
-    except InvalidParamsError as exc:  # the network fails mu < c: every cell records it
-        solved = [_error(exc)] * len(cells)
-    for (i, j), res in zip(slots, solved):
-        out[i][j] = res
-    return seed, p_start, out
+    networks = [recipe.build(seed) for seed in seeds]
+    refused = {}
+    for seed, network in zip(seeds, networks):
+        try:
+            validate_mu(network, mu)
+        except InvalidParamsError as exc:  # the network fails mu < c: its cells record it
+            refused[seed] = _error(exc)
+    solved = iter(solve_pool([net for seed, net in zip(seeds, networks) if seed not in refused],
+                             cells))
+    out = []
+    for seed in seeds:
+        results = ([refused[seed]] * len(cells) if seed in refused
+                   else [(res.kind.value, res.rho_se) for res in next(solved)])
+        columns = [[invalid.get((i, j)) for j in range(len(ba_values))]
+                   for i in range(len(p_block))]
+        for (i, j), res in zip(slots, results):
+            columns[i][j] = res
+        out.append((seed, p_start, columns))
+    return out
+
+
+def _pools(seeds: tuple[int, ...], columns: int, workers: int) -> list[tuple[int, ...]]:
+    """Consecutive runs of seeds, each as long as its networks' columns
+    (columns per network) fit in POOL_COLUMNS, one network at least; with
+    workers > 1, at least min(workers, len(seeds)) runs."""
+    size = max(POOL_COLUMNS // columns, 1)
+    if workers > 1:
+        size = min(size, max(len(seeds) // workers, 1))
+    return [seeds[k:k + size] for k in range(0, len(seeds), size)]
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
     """Evaluate strictest_effective_regulation over the grid.
 
-    A task is one sampled network: it is built once and all its cells are
-    solved together (solve_cells). With workers > 1 and fewer samples than
-    workers, each sample's p columns split into min(ceil(workers / samples),
-    p steps) contiguous blocks, one task each, so a deterministic recipe
-    still shares its grid out. Results depend only on the spec and sample
-    index, never on scheduling.
+    A task is one pool of consecutive samples (_pools). Its networks are
+    built in the task, and the cells of all of them are solved together
+    (solve_pool): one walk whose first engine call holds at most
+    POOL_COLUMNS columns, or one sample's cells where those alone are more.
+    A sample is never split across pools, and only one pool's networks are
+    held at a time. With workers > 1 there are at least as many pools as
+    workers while samples last; with fewer samples than workers, each
+    sample's p columns split into min(ceil(workers / samples), p steps)
+    contiguous blocks, one task each, so a deterministic recipe still shares
+    its grid out. Results depend only on the spec and sample index, never
+    on pooling or scheduling.
     """
     p_values = spec.p_values()
     ba_values = tuple(spec.ba_values())
@@ -255,8 +285,8 @@ def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
     n_blocks = min(max(math.ceil(workers / spec.samples), 1), len(p_values))
     blocks = np.array_split(np.arange(len(p_values)), n_blocks)
     tasks = [
-        (spec.recipe, seed, spec.mu, spec.b_b, int(block[0]), tuple(p_values[block]), ba_values)
-        for seed in seeds
+        (spec.recipe, group, spec.mu, spec.b_b, int(block[0]), tuple(p_values[block]), ba_values)
+        for group in _pools(seeds, len(blocks[0]) * len(ba_values), workers)
         for block in blocks
     ]
     if workers > 1:
@@ -264,12 +294,13 @@ def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_column_results, tasks, chunksize=1))
+            results = list(pool.map(_pool_results, tasks, chunksize=1))
     else:
-        results = [_column_results(t) for t in tasks]
+        results = [_pool_results(t) for t in tasks]
     by_key = {
         (seed, p_start + k): column
-        for seed, p_start, columns in results
+        for pooled in results
+        for seed, p_start, columns in pooled
         for k, column in enumerate(columns)
     }
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -86,8 +87,11 @@ class Network:
 
     The sender is not a user node: it contributes to nobody's friend count
     and appears only through sender_links, the set of users it can signal
-    directly. `dense` records the representation chosen at construction:
-    True when n_users <= DENSE_MAX_USERS.
+    directly. Construction checks the edges and makes them canonical:
+    ascending (lo, hi) pairs, kept as given when they already are.
+    `edge_array` holds them as an (n_edges, 2) intp array, and `dense`
+    records the representation chosen at construction: True when
+    n_users <= DENSE_MAX_USERS.
     """
 
     n_users: int
@@ -102,18 +106,32 @@ class Network:
             raise InvalidParamsError("network needs at least one user")
         if len(self.profiles) != n:
             raise InvalidParamsError("profiles must cover every user")
-        canon = []
-        for i, j in self.edges:
-            if i == j:
-                raise InvalidParamsError(f"self-loop at user {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidParamsError(f"edge ({i}, {j}) out of range")
-            canon.append((i, j) if i < j else (j, i))
-        canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise InvalidParamsError(f"duplicate edge {a}")
-        object.__setattr__(self, "edges", tuple(canon))
+        edges = tuple(self.edges)
+        if set(map(len, edges)) - {2}:
+            raise InvalidParamsError("every edge must be a pair of users")
+        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.intp,
+                            count=2 * len(edges)).reshape(-1, 2)
+        # the first self-loop or out-of-range edge in input order, the
+        # first duplicate in sorted order
+        i, j = pairs.T
+        bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
+        if bad.any():
+            k = int(bad.argmax())
+            if i[k] == j[k]:
+                raise InvalidParamsError(f"self-loop at user {i[k]}")
+            raise InvalidParamsError(f"edge ({i[k]}, {j[k]}) out of range")
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        key = lo * n + hi
+        if not ((i < j).all() and (key[1:] > key[:-1]).all()):  # not ascending (lo, hi) pairs
+            order = np.argsort(key, kind="stable")
+            lo, hi, key = lo[order], hi[order], key[order]
+            dup = np.flatnonzero(key[1:] == key[:-1])
+            if dup.size:
+                raise InvalidParamsError(f"duplicate edge {(int(lo[dup[0]]), int(hi[dup[0]]))}")
+            edges = tuple(zip(lo.tolist(), hi.tolist()))
+            pairs = np.stack([lo, hi], axis=1)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edge_array", pairs)
         if not self.sender_links:
             raise InvalidParamsError("sender_links must be nonempty")
         links = sorted(set(self.sender_links))
@@ -122,10 +140,6 @@ class Network:
         object.__setattr__(self, "sender_links", tuple(links))
         # the representation is fixed once, by size alone
         object.__setattr__(self, "dense", n <= DENSE_MAX_USERS)
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
 
     @cached_property
     def adjacency_f(self) -> np.ndarray:
@@ -137,13 +151,16 @@ class Network:
 
     @cached_property
     def csr(self) -> Csr:
+        # the edges ascend by (lo, hi), so a stable sort by source lists each
+        # user's lower neighbours (from the hi column), then its higher ones,
+        # each ascending
         i, j = self.edge_array.T
-        src = np.concatenate([i, j])
-        dst = np.concatenate([j, i])
+        src = np.concatenate([j, i])
+        dst = np.concatenate([i, j])
         indptr = np.zeros(self.n_users + 1, dtype=np.intp)
         np.cumsum(self.degrees, out=indptr[1:])
         rows = np.flatnonzero(self.degrees)
-        return Csr(indptr, dst[np.lexsort((dst, src))], rows, indptr[rows])
+        return Csr(indptr, dst[np.argsort(src, kind="stable")], rows, indptr[rows])
 
     @cached_property
     def adjacency_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -437,11 +454,21 @@ def through_platform_distances(network: Network, on_side: np.ndarray) -> np.ndar
     A user's own membership does not gate being reached, only relaying: the
     returned value is therefore the actual distance for on-side users and the
     hypothetical entry distance for everyone else. UNREACHED marks users with
-    no path. It is relax from the sender links alone, every relay joining.
+    no path. It is relax from the sender links alone, every relay joining;
+    one column is the _queue_walk from them, reading the fresh distances
+    from a list rather than from the array.
     """
     dist = np.full(on_side.shape, UNREACHED, dtype=np.int32)
     dist[network.sender_mask] = 0
-    return relax(network, dist, on_side, on_side)
+    if on_side.shape[1] > 1:
+        return relax(network, dist, on_side, on_side)
+    relays = on_side[:, 0].tolist()
+    d = [int(_UNSIGNED_UNREACHED)] * network.n_users
+    for u in network.sender_links:
+        d[u] = 0
+    _queue_walk(network.adjacency_lists, d, dist.view(np.uint32)[:, 0].data, relays,
+                [u for u in network.sender_links if relays[u]])
+    return dist
 
 
 def relax(network: Network, dist: np.ndarray, on_side: np.ndarray,
@@ -479,47 +506,58 @@ def relax(network: Network, dist: np.ndarray, on_side: np.ndarray,
 
 def _relax_column(network: Network, dist: np.ndarray, on_side: np.ndarray,
                   joined: np.ndarray) -> None:
-    """relax for one column: FIFO queue walks over the adjacency lists. It
-    visits only the users whose distance falls and their neighbours, where a
-    level-synchronous numpy loop pays a fixed cost per level.
-
-    Each walk starts from the joined relays of the lowest level left, and the
-    queue stays in increasing distance: the joined relays of the next level
-    enter it before the first user at that level does. A gap between levels
-    ends the walk, and the next one starts past it.
-    """
-    seeds = (joined & (dist != UNREACHED)).nonzero()[0].tolist()
-    if not seeds:
+    """relax for one column: a _queue_walk from the joined relays that are
+    reached. It reads the distances as a list and writes each one that falls
+    straight into dist, so it costs O(n) plus the users it visits."""
+    seeds = (joined & (dist != UNREACHED)).nonzero()[0]
+    if not seeds.size:
         return
     as_unsigned = dist.view(np.uint32)
     d = as_unsigned.tolist()
-    seeds.sort(key=d.__getitem__)
-    keys = [d[u] for u in seeds] + [UNREACHED]  # no level matches the end mark
-    relays = on_side.tolist()
-    neighbours = network.adjacency_lists
-    # a seed whose distance fell below its key since sorting is skipped
-    # there: it was queued when it fell
-    k = 0
-    while k < len(seeds):
-        queue = []
-        level = keys[k]
-        while keys[k] == level:
+    _queue_walk(network.adjacency_lists, d, as_unsigned.data, on_side.data,
+                sorted(seeds.tolist(), key=d.__getitem__))
+
+
+def _queue_walk(neighbours, d, out, relays, seeds) -> None:
+    """The one-column relaxation: lower d, the distances as a list of
+    uint32 values (UNREACHED the largest), from seeds, relays sorted by
+    distance, writing each distance that falls into out as well.
+
+    While seeds are left it walks one level at a time, and the seeds of a
+    level join it there (a seed that fell below its level since sorting
+    joined when it fell); a level with nothing on it jumps to the next
+    seed's. The rest is a FIFO queue walk over the adjacency lists, which
+    visits only the users whose distance falls and their neighbours, where
+    a level-synchronous numpy loop pays a fixed cost per level.
+    """
+    keys = [d[u] for u in seeds]
+    k, end = 0, len(seeds)
+    frontier, level = [], keys[0] if seeds else 0
+    while k < end:
+        while k < end and keys[k] == level:
             if d[seeds[k]] == level:
-                queue.append(seeds[k])
+                frontier.append(seeds[k])
             k += 1
-        # the list grows while it is walked, so it is the FIFO queue
-        for u in queue:
-            du = d[u] + 1
-            while keys[k] == du:
-                if d[seeds[k]] == du:
-                    queue.append(seeds[k])
-                k += 1
+        if not frontier:
+            if k < end:
+                level = keys[k]
+            continue
+        reached, du = [], level + 1
+        for u in frontier:
             for v in neighbours[u]:
                 if d[v] > du:
-                    d[v] = du
+                    d[v] = out[v] = du
                     if relays[v]:
-                        queue.append(v)
-    as_unsigned[:] = d
+                        reached.append(v)
+        frontier, level = reached, du
+    # the list grows while it is walked, so it is the FIFO queue
+    for u in frontier:
+        du = d[u] + 1
+        for v in neighbours[u]:
+            if d[v] > du:
+                d[v] = out[v] = du
+                if relays[v]:
+                    frontier.append(v)
 
 
 def _csr_neighbour_counts(csr: Csr, marked: np.ndarray) -> np.ndarray:
@@ -538,7 +576,9 @@ def receive_map(p, dist: np.ndarray) -> np.ndarray:
     """Receive probability p**dist at each through-platform distance, 0 where
     dist is UNREACHED. p is a scalar or broadcasts against dist (one value
     per batch column); with p in (0, 1) and dist >= 0 nothing overflows."""
-    return np.where(dist >= 0, p ** np.maximum(dist, 0), 0.0)
+    probs = p ** np.maximum(dist, 0)
+    np.copyto(probs, 0.0, where=dist < 0)
+    return probs
 
 
 def receive_probs(network: Network, params: ModelParams, assignment) -> np.ndarray:

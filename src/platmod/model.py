@@ -124,11 +124,22 @@ def sender_side_advantage(n_side, degree, b_side, b_other, trusting, p_recv, gai
     cancels. Tie rule: the sender's platform wins beyond TIE_TOL, and on an
     exact tie for users attached there (direct link or a friend on it); a
     user indifferent between two platforms it has no connection to stays put.
+
+    The advantage is n_side * b_side - (degree - n_side) * b_other + news,
+    worked out in place in that order (so with the same bits), where news is
+    p_recv * gain for a trusting user and 0 otherwise; n_side * b_side must
+    have the shape of the result.
     """
-    news = np.where(trusting, p_recv * gain, 0.0)
-    advantage = n_side * b_side - (degree - n_side) * b_other + news
-    attached = linked | (n_side >= 0.5)
-    return advantage, (advantage > TIE_TOL) | ((np.abs(advantage) <= TIE_TOL) & attached)
+    advantage = n_side * b_side
+    term = np.subtract(degree, n_side)
+    term *= b_other
+    advantage -= term
+    news = np.multiply(p_recv, gain, out=term)
+    np.copyto(news, 0.0, where=np.logical_not(trusting))
+    advantage += news
+    tied = np.abs(advantage, out=term) <= TIE_TOL
+    tied &= linked | (n_side >= 0.5)  # attached
+    return advantage, (advantage > TIE_TOL) | tied
 
 
 def news_payoff(mu: float, c: float, beta: float, p_recv: float) -> float:

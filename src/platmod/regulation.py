@@ -16,13 +16,13 @@ set below it (parametric search, Megiddo 1983; Milgrom & Roberts 1990). The
 walk runs in lockstep across its columns, each a (network, cell) pair: one
 engine call from all-A at beta_max, then one per step, started from the
 state the step before reached, for every column with a breakpoint left.
-solve_cells walks the cells of one network; sender_equilibria walks one
-cell on each of several networks of one size, whose per-column work the
-engine shares (adoption.Columns). On cascade trees
-cascade_thresholds gives the tops and cascade_final_b_sets the sets, one
-cell at a time. strictest_effective_regulation and optimal_B are one-cell
-views of solve_cells, sender_equilibrium the one-network view of
-sender_equilibria.
+solve_pool walks the same cells on each of several networks of one size,
+sender_equilibria one cell on each; the engine shares their per-column
+work (adoption.Columns). On cascade trees cascade_thresholds gives the
+tops and cascade_final_b_sets the sets, one cell at a time. solve_cells is
+the one-network view of solve_pool, strictest_effective_regulation and
+optimal_B one-cell views of solve_cells, and sender_equilibrium the
+one-network view of sender_equilibria.
 
 On A every user stays with the sender, so one search over the trust tiers
 up to a cap (_search_on_A) serves the classification and the full-game
@@ -113,24 +113,15 @@ def _walk(cols: Columns, cells: list[ModelParams]) -> list[list]:
     from the state (set, distances, B-neighbour counts) of the step before,
     the counts being those the step computes for the advantages. Within a
     piece no outsider's advantage reaches the join tie, so the next
-    breakpoint is the largest level below the current one where an
-    outsider's advantage, linear in beta while it trusts, reaches
-    -_JOIN_MARGIN, and the engine started from the current state gives the
-    set there; no step runs a full distance query. A predicted joiner the
-    engine leaves out is tried once more at its exact root (advantage 0);
-    leaving it out there raises, and so does a new set that does not
-    contain its start.
+    breakpoint (_next_tops) is closed form in the current state, and the
+    engine started from that state gives the set there; no step runs a full
+    distance query. A new set that does not contain its start raises. Only
+    the start's columns of a step's state live through the next engine call.
     """
     mu = cells[0].mu
     p, b_a, b_b = (np.array([getattr(params, name) for params in cells])
                    for name in ("p", "b_a", "b_b"))
-    # per-user arrays, one column per cell: an outsider's advantage at beta = 0
-    # (everyone trusts) takes the news gain there, and its slope in beta is
-    # weight * p_recv
-    c = cols.gather(lambda net: net.c_values)
-    gain0, weight = news_gain(mu, c, 0.0), (1.0 - mu) * c
-    deg = cols.gather(lambda net: net.degrees.astype(np.float64))
-    linked = cols.gather(lambda net: net.sender_mask)
+    rows = _AdvantageRows.of(cols.networks, mu)
     beta = np.array([_beta_primes(net, mu).max() for net in cols.networks])[cols.owner]
     live = np.arange(len(cells))
     pieces = [[] for _ in cells]
@@ -146,30 +137,67 @@ def _walk(cols: Columns, cells: list[ModelParams]) -> list[list]:
                 f"adopter set at beta={float(above[k])!r} is not a subset of the set at "
                 f"beta={float(beta[k])!r}"
             )
+        start = None
         p_recv = receive_map(p[live], dist)
         for k, j in enumerate(live):
             pieces[j].append((float(beta[k]), on_b[:, k], p_recv[:, k]))
-        # each outsider's advantage at beta = 0
         n_b = cols.neighbour_counts(on_b)
-        adv0, _ = sender_side_advantage(
-            n_b, deg[:, live], b_b[live], b_a[live], True, p_recv, gain0[:, live], linked[:, live]
-        )
-        slope = weight[:, live] * p_recv
-        with np.errstate(divide="ignore", invalid="ignore"):
-            first, exact = (adv0 + _JOIN_MARGIN) / slope, adv0 / slope
-        level = np.where(~on_b & (p_recv > 0.0), np.where(first < beta, first, exact), -np.inf)
-        missed = (level >= beta).any(axis=0)
-        if missed.any():
-            raise InvariantViolationError(
-                f"the engine left out a user whose advantage at beta={float(beta[missed][0])!r} "
-                "is not negative"
-            )
-        nxt = level.max(axis=0)
+        nxt = _next_tops(cols, rows, beta, on_b, p_recv, n_b, b_a[live], b_b[live])
         going = nxt >= 0.0
         if not going.any():
             return pieces
         start = (on_b[:, going], dist[:, going], n_b[:, going])
+        del dist, n_b
         above, live, beta, cols = beta[going], live[going], nxt[going], cols.take(going)
+
+
+@dataclass(frozen=True)
+class _AdvantageRows:
+    """Per-network rows (networks x users) of an outsider's advantage at
+    beta = 0, where everyone trusts: its news gain there, its slope in beta
+    per unit of receive probability, its degree and its sender link."""
+
+    gain0: np.ndarray
+    weight: np.ndarray
+    degree: np.ndarray
+    linked: np.ndarray
+
+    @classmethod
+    def of(cls, networks, mu: float) -> "_AdvantageRows":
+        c = np.array([net.c_values for net in networks])
+        return cls(news_gain(mu, c, 0.0), (1.0 - mu) * c,
+                   np.array([net.degrees for net in networks], dtype=np.int32),
+                   np.array([net.sender_mask for net in networks]))
+
+
+def _next_tops(cols: Columns, rows: _AdvantageRows, beta: np.ndarray, on_b: np.ndarray,
+               p_recv: np.ndarray, n_b: np.ndarray, b_a: np.ndarray,
+               b_b: np.ndarray) -> np.ndarray:
+    """Each column's next breakpoint below beta, -inf where none is left:
+    the largest level where an outsider's advantage, linear in beta while it
+    trusts, reaches -_JOIN_MARGIN, or its exact root (advantage 0) when that
+    level is not below beta, so a predicted joiner the engine leaves out is
+    tried once more there. An outsider whose advantage at beta is not
+    negative was left out by the engine, which raises. The per-column
+    temporaries die with the call, before the next engine call runs."""
+    adv0, _ = sender_side_advantage(
+        n_b, cols.spread(rows.degree), b_b, b_a, True, p_recv, cols.spread(rows.gain0),
+        cols.spread(rows.linked),
+    )
+    slope = cols.spread(rows.weight) * p_recv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = adv0 / slope
+        adv0 += _JOIN_MARGIN
+        level = np.divide(adv0, slope, out=adv0)  # the level of the margin
+    np.copyto(level, exact, where=~(level < beta))
+    np.copyto(level, -np.inf, where=on_b | ~(p_recv > 0.0))
+    missed = (level >= beta).any(axis=0)
+    if missed.any():
+        raise InvariantViolationError(
+            f"the engine left out a user whose advantage at beta={float(beta[missed][0])!r} "
+            "is not negative"
+        )
+    return level.max(axis=0)
 
 
 def _cascade_pieces(network: Network, params: ModelParams, beta_max: float) -> list:
@@ -225,7 +253,7 @@ def _decide(mu: float, bp: np.ndarray, thresholds: list[float], pieces: list) ->
 def optimal_B(network: Network, params: ModelParams) -> SenderDecision:
     """Sender's best deceit level and utility on the unregulated platform B."""
     bp = _beta_primes(network, params.mu)
-    [pieces] = _pieces(Columns.single(network, 1), [params])
+    [pieces] = _pieces(Columns.repeat((network,), 1), [params])
     return _decide(params.mu, bp, np.unique(bp).tolist(), pieces)
 
 
@@ -244,25 +272,38 @@ def strictest_effective_regulation(network: Network, params: ModelParams) -> Reg
 
 def solve_cells(network: Network, cells) -> list[RegulationResult]:
     """strictest_effective_regulation for every cell (a ModelParams) of one
-    network, in order. All cells must share mu; the search runs in lockstep
-    across them (see the module docstring), and the A side is priced once
-    per distinct p."""
-    cells = list(cells)
-    if not cells:
-        return []
+    network, in order: the one-network view of solve_pool."""
+    [results] = solve_pool([network], cells)
+    return results
+
+
+def solve_pool(networks, cells) -> list[list[RegulationResult]]:
+    """solve_cells of the same cells on each of several networks of one
+    size: one result list per network, in order. All cells must share mu.
+    Every (network, cell) column walks in one lockstep walk (see the module
+    docstring); then each cell is decided and classified on its own, and
+    the A side is priced once per network and distinct p. A network with a
+    user whose c is at or below mu raises InvalidParamsError for the pool."""
+    networks, cells = list(networks), list(cells)
+    if not (networks and cells):
+        return [[] for _ in networks]
     mu = cells[0].mu
     if any(params.mu != mu for params in cells):
         raise InvalidParamsError("cells solved together must share mu")
-    bp = _beta_primes(network, mu)
-    thresholds = np.unique(bp).tolist()
-    a_sides: dict[float, _ASide] = {}
-    results = []
-    for params, pieces in zip(cells, _pieces(Columns.single(network, len(cells)), cells)):
-        a_side = a_sides.get(params.p)
-        if a_side is None:
-            a_side = a_sides[params.p] = _price_a(network, mu, params.p, bp, thresholds)
-        results.append(_classify(params, a_side, _decide(mu, bp, thresholds, pieces)))
-    return results
+    bps = [_beta_primes(network, mu) for network in networks]
+    pieces = _pieces(Columns.repeat(networks, len(cells)), cells * len(networks))
+    out = []
+    for network, bp in zip(networks, bps):
+        thresholds = np.unique(bp).tolist()
+        a_sides: dict[float, _ASide] = {}
+        results = []
+        for params in cells:
+            a_side = a_sides.get(params.p)
+            if a_side is None:
+                a_side = a_sides[params.p] = _price_a(network, mu, params.p, bp, thresholds)
+            results.append(_classify(params, a_side, _decide(mu, bp, thresholds, next(pieces))))
+        out.append(results)
+    return out
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from platmod import (
 from platmod.adoption import Assignment
 from platmod.experiments import (
     A1_GROUP,
+    POOL_COLUMNS,
     SWEEP_CSV_HEADER,
     A1Row,
     a1_csv_text,
@@ -107,32 +108,39 @@ def test_sweep_columns_monotone_in_quality():
 
 
 def test_sample_results_independent_of_order():
-    # per-sample outcomes depend only on (spec, sample index)
+    # per-sample outcomes depend only on (spec, sample index): one pool of
+    # every sample and all p columns, as a serial sweep runs it, gives each
+    # sample's columns as one-sample pools of one p column taken in reverse
     recipe = NetworkRecipe("sbm", {"sizes": [10], "theta": [[0.6]]})
-    spec_a = SweepSpec(
+    spec = SweepSpec(
         p_range=(0.5, 0.7, 2), ba_range=(0.0, 0.004, 2), recipe=recipe, samples=5, base_seed=3
     )
-    grid_a = sweep(spec_a)
-    from platmod.experiments import _column_results
+    from platmod.experiments import _pool_results
 
-    shuffled = []
-    tasks = [
-        (recipe, seed, 0.2, 0.0, p_idx, (p,), tuple(spec_a.ba_values()))
-        for p_idx, p in enumerate(spec_a.p_values())
-        for seed in reversed(spec_a.seeds())
-    ]
-    for t in tasks:
-        shuffled.append(_column_results(t))
-    by_key = {(seed, p_idx): out[0] for seed, p_idx, out in shuffled}
-    # one task per sample, all p columns at once, as a serial sweep runs it
-    tasks_fwd = [
-        (recipe, seed, 0.2, 0.0, 0, tuple(spec_a.p_values()), tuple(spec_a.ba_values()))
-        for seed in spec_a.seeds()
-    ]
-    for recipe_, seed, mu, bb, p_start, ps, bas in tasks_fwd:
-        again = _column_results((recipe_, seed, mu, bb, p_start, ps, bas))
-        for p_idx, column in enumerate(again[2]):
-            assert by_key[(seed, p_idx)] == column
+    ba_values = tuple(spec.ba_values())
+    by_key = {}
+    for p_idx, p in reversed(list(enumerate(spec.p_values()))):
+        for seed in reversed(spec.seeds()):
+            [(seed_, p_start, columns)] = _pool_results((recipe, (seed,), 0.2, 0.0, p_idx, (p,),
+                                                         ba_values))
+            by_key[seed_, p_start] = columns[0]
+    pooled = _pool_results((recipe, spec.seeds(), 0.2, 0.0, 0, tuple(spec.p_values()),
+                            ba_values))
+    assert [seed for seed, _, _ in pooled] == list(spec.seeds())
+    for seed, p_start, columns in pooled:
+        for p_idx, column in enumerate(columns, start=p_start):
+            assert by_key[seed, p_idx] == column
+    # the sweep tallies those same outcomes
+    grid = sweep(spec)
+    for p_idx in range(2):
+        for ba_idx in range(2):
+            cell = grid.cell(p_idx, ba_idx)
+            outcomes = [by_key[seed, p_idx][ba_idx] for seed in spec.seeds()]
+            kinds = [kind for kind, _ in outcomes]
+            rhos = [value for kind, value in outcomes if kind == "Moderate"]
+            assert (cell.n_no_effective, cell.n_any, cell.n_moderate) == tuple(
+                kinds.count(k) for k in ("NoEffectiveRegulation", "AnyRegulation", "Moderate"))
+            assert cell.mean_rho_se == (sum(rhos) / len(rhos) if rhos else None)
 
 
 def test_irregular_choices_values():
@@ -345,18 +353,18 @@ def test_sweep_reraises_invariant_violation(monkeypatch):
     def broken_solver(*args, **kwargs):
         raise InvariantViolationError("faulty kernel")
 
-    monkeypatch.setattr(experiments, "solve_cells", broken_solver)
+    monkeypatch.setattr(experiments, "solve_pool", broken_solver)
     with pytest.raises(InvariantViolationError, match="faulty kernel"):
         sweep(small_line_spec())
 
 
 def test_sweep_propagates_a_program_fault(monkeypatch):
-    # only solve_cells's refusal of the network is a cell error; any other
-    # exception is a bug in the program and leaves the sweep
+    # only a network failing mu < c is a cell error; any other exception is
+    # a bug in the program and leaves the sweep
     def broken_solver(*args, **kwargs):
         raise IndexError("list index out of range")
 
-    monkeypatch.setattr(platmod.experiments, "solve_cells", broken_solver)
+    monkeypatch.setattr(platmod.experiments, "solve_pool", broken_solver)
     with pytest.raises(IndexError, match="list index out of range"):
         sweep(small_line_spec())
 
@@ -402,7 +410,55 @@ def test_parallel_sbm_sweep_builds_each_sample_once(monkeypatch, inline_pool):
     )
     sweep(spec, workers=2)
     assert sorted(built) == [11, 12, 13, 14]
-    assert [task[5] for task in inline_pool] == [tuple(spec.p_values())] * 4
+    # two pools of two samples each, one per worker, every p column in each
+    assert [task[1] for task in inline_pool] == [(11, 12), (13, 14)]
+    assert [task[4:6] for task in inline_pool] == [(0, tuple(spec.p_values()))] * 2
+
+
+def test_sweep_holds_one_pool_of_networks(monkeypatch):
+    # samples are built a pool at a time, and a pool's networks are gone
+    # before the next pool is built; a pool's first engine call holds at
+    # most POOL_COLUMNS columns
+    alive, most = [0], [0]
+
+    def counted(spec):
+        network = gen_sbm(spec)
+        alive[0] += 1
+        most[0] = max(most[0], alive[0])
+        weakref.finalize(network, lambda: alive.__setitem__(0, alive[0] - 1))
+        return network
+
+    monkeypatch.setattr(platmod.experiments, "gen_sbm", counted)
+    per_pool = POOL_COLUMNS // 20
+    spec = SweepSpec(
+        p_range=(0.4, 0.9, 4),
+        ba_range=(0.0, 0.01, 5),
+        recipe=NetworkRecipe("sbm", {"sizes": [8, 8], "theta": [[0.8, 0.05], [0.05, 0.8]]}),
+        samples=2 * per_pool + 1,
+    )
+    grid = sweep(spec)
+    assert all(cell.samples == spec.samples for cell in grid.cells)
+    assert most[0] == per_pool
+    assert alive[0] == 0
+
+
+def test_chain_sweep_benchmark_grid_is_pinned():
+    # the seed-0 grid of the benchmark's chain_sweep workload: 80 sampled
+    # 3x30 chains, pooled serially and shared between two workers
+    sizes = (30, 30, 30)
+    spec = SweepSpec(
+        p_range=(0.5, 0.9, 5),
+        ba_range=(0.0, 0.02, 11),
+        recipe=NetworkRecipe("sbm", {"sizes": list(sizes), "c": [0.3] * 3,
+                                     "theta": [list(r) for r in chain_theta(sizes, 0.75)]}),
+        samples=80,
+        base_seed=0,
+    )
+    for workers in (1, 2):
+        text = sweep_csv_text(sweep(spec, workers=workers))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0708a108ed698f94d645a07fc93a4b989d861dd6ba96a0694e1a88840d4b8df3"
+        )
 
 
 LINE_4X3 = SweepSpec(p_range=(0.3, 0.9, 4), ba_range=(0.0, 0.02, 3),

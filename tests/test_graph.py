@@ -186,6 +186,36 @@ def test_network_validation():
         Network(n_users=2, edges=((0, 2),), sender_links=(0,), profiles=prof)
 
 
+def test_network_names_its_first_bad_edge():
+    # self-loops and out-of-range edges in input order, duplicates in
+    # sorted order
+    prof = (UserProfile(c=0.3),) * 4
+
+    def refusal(edges):
+        with pytest.raises(InvalidParamsError) as info:
+            Network(n_users=4, edges=edges, sender_links=(0,), profiles=prof)
+        return str(info.value)
+
+    assert refusal(((0, 1), (5, 2), (3, 3))) == "edge (5, 2) out of range"
+    assert refusal(((0, 1), (3, 3), (-1, 2))) == "self-loop at user 3"
+    assert refusal(((2, 3), (1, 0), (3, 2), (0, 1))) == "duplicate edge (0, 1)"
+    assert refusal(((0, 1), (1, 2, 3))) == "every edge must be a pair of users"
+
+
+def test_edges_canonical_as_given_or_rebuilt():
+    net = gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.7, 0.1), (0.1, 0.7)), seed=3))
+    rows = [list(e) for e in net.edges]
+    for edges in (list(net.edges), [(j, i) for i, j in reversed(net.edges)]):
+        again = Network(n_users=12, edges=edges, sender_links=(0,), profiles=net.profiles)
+        assert again.edges == net.edges and type(again.edges) is tuple
+        assert all(type(x) is int for e in again.edges for x in e)
+        assert again.edge_array.dtype == np.intp and again.edge_array.tolist() == rows
+        # each user's neighbours ascend, as a sort by (source, target) lists them
+        i, j = again.edge_array.T
+        src, dst = np.concatenate([i, j]), np.concatenate([j, i])
+        assert again.csr.indices.tolist() == dst[np.lexsort((dst, src))].tolist()
+
+
 def test_validate_profiles_against_mu():
     net = gen_linear(3, c=0.25)
     validate_profiles(net, ModelParams(mu=0.2, p=0.5, b_a=0.0, b_b=0.0))

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from platmod import (
     utility_on_A,
 )
 from platmod.analytic import big_f
-from platmod.regulation import _pieces, _walk, sender_equilibria, solve_cells
+from platmod.experiments import _pool_results
+from platmod.regulation import _pieces, _walk, sender_equilibria, solve_cells, solve_pool
 from platmod.adoption import Columns, _beta_primes, batch_final_b_sets
 from platmod.model import TIE_TOL
 
@@ -173,7 +175,7 @@ def test_candidates_sit_on_piece_tops(net, params, cascade):
     # between two consecutive candidates gives the upper candidate's set
     assert net.is_cascade_tree is cascade
     bp = _beta_primes(net, params.mu)
-    [pieces] = _pieces(Columns.single(net, 1), [params])
+    [pieces] = _pieces(Columns.repeat((net,), 1), [params])
     cold = lambda b: batch_final_b_sets(net, params.mu, np.array([b]), params.p, params.b_a,
                                         params.b_b)[0][:, 0]
     for top, on_b, _ in pieces:
@@ -440,14 +442,14 @@ def test_warm_walk_steps_make_no_full_distance_query(monkeypatch, dense_max_user
 
 
 @st.composite
-def same_size_networks(draw):
-    """Two to four networks of one size: SBM edges over the same community
+def same_size_networks(draw, most=4):
+    """Two to most networks of one size: SBM edges over the same community
     sizes plus up to two isolated users, one or two sender links, per-user c
     and a dense or CSR representation each."""
     sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
     n = sum(sizes) + draw(st.integers(0, 2))
     networks = []
-    for _ in range(draw(st.integers(2, 4))):
+    for _ in range(draw(st.integers(2, most))):
         m = len(sizes)
         diag = draw(st.lists(st.floats(0.3, 1.0), min_size=m, max_size=m))
         bridge = draw(st.floats(0.0, 0.4))
@@ -508,10 +510,48 @@ def test_engine_on_several_networks_equals_one_call_per_network(batch, betas):
     # per network
     walked = _walk(Columns.of(per_column), cells)
     for net, cols in _split(per_column, cells):
-        for mine, theirs in zip(walked[cols], _walk(Columns.single(net, len(cells[cols])),
+        for mine, theirs in zip(walked[cols], _walk(Columns.repeat((net,), len(cells[cols])),
                                                     cells[cols])):
             assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in mine] == \
                 [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
+
+
+def _bits(results):
+    """Every field of each RegulationResult, floats as their exact hex."""
+    return [(res.kind, None if res.rho_se is None else res.rho_se.hex(), res.u_star_b.hex(),
+             res.beta_star_b.hex(), res.sum_p_a.hex()) for res in results]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(networks=same_size_networks(most=6),
+       p=st.lists(st.floats(0.2, 0.95), min_size=1, max_size=3),
+       b_a=st.lists(st.floats(0.0, 0.05), min_size=1, max_size=3),
+       b_b=st.sampled_from([0.0, 0.004, 0.015]), refuse=st.booleans())
+def test_pooled_solves_equal_one_solve_per_network(networks, p, b_a, b_b, refuse):
+    if refuse:  # the middle network fails mu < c
+        mid = networks[len(networks) // 2]
+        networks[len(networks) // 2] = Network(
+            n_users=mid.n_users, edges=mid.edges, sender_links=mid.sender_links,
+            profiles=(UserProfile(c=0.15),) + mid.profiles[1:])
+    cells = [ModelParams(mu=0.2, p=x, b_a=y, b_b=b_b) for x in p for y in b_a]
+    alone = []
+    for net in networks:
+        try:
+            alone.append(solve_cells(net, cells))
+        except InvalidParamsError as exc:
+            alone.append(f"InvalidParamsError: {exc}")
+    solved = [res for res in alone if not isinstance(res, str)]
+    assert len(solved) == len(networks) - refuse
+    valid = [net for net, res in zip(networks, alone) if not isinstance(res, str)]
+    assert [_bits(res) for res in solve_pool(valid, cells)] == [_bits(res) for res in solved]
+    # a sweep task over the whole pool: the refused network's cells record
+    # its error, and every other network's cells are solved as alone
+    recipe = SimpleNamespace(build=networks.__getitem__)
+    task = (recipe, tuple(range(len(networks))), 0.2, b_b, 0, tuple(p), tuple(b_a))
+    for (_, _, grid), res in zip(_pool_results(task), alone):
+        expect = ([("error", res)] * len(cells) if isinstance(res, str)
+                  else [(r.kind.value, r.rho_se) for r in res])
+        assert [x for row in grid for x in row] == expect
 
 
 def test_columns_need_contiguous_same_size_networks():
@@ -520,6 +560,8 @@ def test_columns_need_contiguous_same_size_networks():
         Columns.of([a, b, a])
     with pytest.raises(InvalidParamsError, match="same size"):
         Columns.of([a, gen_linear(5)])
+    with pytest.raises(InvalidParamsError, match="same size"):
+        solve_pool([a, gen_linear(5)], [default_params()])
     assert Columns.of([a, a, b]).owner.tolist() == [0, 0, 1]
 
 

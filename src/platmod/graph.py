@@ -122,7 +122,8 @@ class Network:
             raise InvalidParamsError(f"edge ({i[k]}, {j[k]}) out of range")
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         key = lo * n + hi
-        if not ((i < j).all() and (key[1:] > key[:-1]).all()):  # not ascending (lo, hi) pairs
+        # kept as given only if it is already ascending (lo, hi) tuples
+        if not ((i < j).all() and (key[1:] > key[:-1]).all() and set(map(type, edges)) <= {tuple}):
             order = np.argsort(key, kind="stable")
             lo, hi, key = lo[order], hi[order], key[order]
             dup = np.flatnonzero(key[1:] == key[:-1])
@@ -454,21 +455,11 @@ def through_platform_distances(network: Network, on_side: np.ndarray) -> np.ndar
     A user's own membership does not gate being reached, only relaying: the
     returned value is therefore the actual distance for on-side users and the
     hypothetical entry distance for everyone else. UNREACHED marks users with
-    no path. It is relax from the sender links alone, every relay joining;
-    one column is the _queue_walk from them, reading the fresh distances
-    from a list rather than from the array.
+    no path. It is relax from the sender links alone, every relay joining.
     """
     dist = np.full(on_side.shape, UNREACHED, dtype=np.int32)
     dist[network.sender_mask] = 0
-    if on_side.shape[1] > 1:
-        return relax(network, dist, on_side, on_side)
-    relays = on_side[:, 0].tolist()
-    d = [int(_UNSIGNED_UNREACHED)] * network.n_users
-    for u in network.sender_links:
-        d[u] = 0
-    _queue_walk(network.adjacency_lists, d, dist.view(np.uint32)[:, 0].data, relays,
-                [u for u in network.sender_links if relays[u]])
-    return dist
+    return relax(network, dist, on_side, on_side)
 
 
 def relax(network: Network, dist: np.ndarray, on_side: np.ndarray,

@@ -121,7 +121,14 @@ def _walk(cols: Columns, cells: list[ModelParams]) -> list[list]:
     mu = cells[0].mu
     p, b_a, b_b = (np.array([getattr(params, name) for params in cells])
                    for name in ("p", "b_a", "b_b"))
-    rows = _AdvantageRows.of(cols.networks, mu)
+    # per-network rows (networks x users) of an outsider's advantage at
+    # beta = 0, where everyone trusts: its news gain there, its slope in beta
+    # per unit of receive probability, its degree and its sender link
+    c = np.array([net.c_values for net in cols.networks])
+    rows = (news_gain(mu, c, 0.0), (1.0 - mu) * c,
+            np.array([net.degrees for net in cols.networks], dtype=np.int32),
+            np.array([net.sender_mask for net in cols.networks]))
+    del c
     beta = np.array([_beta_primes(net, mu).max() for net in cols.networks])[cols.owner]
     live = np.arange(len(cells))
     pieces = [[] for _ in cells]
@@ -151,26 +158,7 @@ def _walk(cols: Columns, cells: list[ModelParams]) -> list[list]:
         above, live, beta, cols = beta[going], live[going], nxt[going], cols.take(going)
 
 
-@dataclass(frozen=True)
-class _AdvantageRows:
-    """Per-network rows (networks x users) of an outsider's advantage at
-    beta = 0, where everyone trusts: its news gain there, its slope in beta
-    per unit of receive probability, its degree and its sender link."""
-
-    gain0: np.ndarray
-    weight: np.ndarray
-    degree: np.ndarray
-    linked: np.ndarray
-
-    @classmethod
-    def of(cls, networks, mu: float) -> "_AdvantageRows":
-        c = np.array([net.c_values for net in networks])
-        return cls(news_gain(mu, c, 0.0), (1.0 - mu) * c,
-                   np.array([net.degrees for net in networks], dtype=np.int32),
-                   np.array([net.sender_mask for net in networks]))
-
-
-def _next_tops(cols: Columns, rows: _AdvantageRows, beta: np.ndarray, on_b: np.ndarray,
+def _next_tops(cols: Columns, rows: tuple, beta: np.ndarray, on_b: np.ndarray,
                p_recv: np.ndarray, n_b: np.ndarray, b_a: np.ndarray,
                b_b: np.ndarray) -> np.ndarray:
     """Each column's next breakpoint below beta, -inf where none is left:
@@ -179,12 +167,14 @@ def _next_tops(cols: Columns, rows: _AdvantageRows, beta: np.ndarray, on_b: np.n
     level is not below beta, so a predicted joiner the engine leaves out is
     tried once more there. An outsider whose advantage at beta is not
     negative was left out by the engine, which raises. The per-column
-    temporaries die with the call, before the next engine call runs."""
+    temporaries die with the call, before the next engine call runs. rows
+    are _walk's per-network rows."""
+    gain0, weight, degree, linked = rows
     adv0, _ = sender_side_advantage(
-        n_b, cols.spread(rows.degree), b_b, b_a, True, p_recv, cols.spread(rows.gain0),
-        cols.spread(rows.linked),
+        n_b, cols.spread(degree), b_b, b_a, True, p_recv, cols.spread(gain0),
+        cols.spread(linked),
     )
-    slope = cols.spread(rows.weight) * p_recv
+    slope = cols.spread(weight) * p_recv
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = adv0 / slope
         adv0 += _JOIN_MARGIN

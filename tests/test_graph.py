@@ -205,7 +205,9 @@ def test_network_names_its_first_bad_edge():
 def test_edges_canonical_as_given_or_rebuilt():
     net = gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.7, 0.1), (0.1, 0.7)), seed=3))
     rows = [list(e) for e in net.edges]
-    for edges in (list(net.edges), [(j, i) for i, j in reversed(net.edges)]):
+    # canonical tuples are kept; reversed pairs, lists and array rows rebuilt
+    for edges in (list(net.edges), [(j, i) for i, j in reversed(net.edges)], rows,
+                  np.array(rows)):
         again = Network(n_users=12, edges=edges, sender_links=(0,), profiles=net.profiles)
         assert again.edges == net.edges and type(again.edges) is tuple
         assert all(type(x) is int for e in again.edges for x in e)

@@ -11,7 +11,6 @@ choices; explicit flags win over the file. Malformed input exits 2 with one `inv
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -102,7 +101,7 @@ def _load_network(args) -> Network:
         raise InvalidParamsError(f"cannot read --network {args.network}: {exc}") from None
     if args.c is not None:
         profiles = tuple(UserProfile(c=args.c, community=u.community) for u in net.profiles)
-        net = dataclasses.replace(net, profiles=profiles)
+        net = Network(net.n_users, net.edge_array, net.sender_links, profiles, net.generator_meta)
     return net
 
 

@@ -6,6 +6,11 @@ receives the signal with probability p**k. This is the only convention that
 reproduces the geometric-series sender utility on a line exactly (directly
 linked user receives with probability 1), so it is used everywhere.
 
+Storage: a Network keeps its edges once, as one read-only array of
+ascending (lo, hi) pairs, and the generators build those arrays with numpy.
+Their users with the same c (and community) share one UserProfile, so a
+generated network holds O(n + E) numbers and n pointers, not n objects.
+
 Representation: distances only shrink as users join a platform, so every
 distance query is one relaxation (relax): from the sender links over an
 all-UNREACHED start for a full query (through_platform_distances), or from
@@ -40,7 +45,7 @@ on a line linked to the sender at both ends, 1.14x at 90, 1.13x at 150,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
@@ -81,66 +86,61 @@ class Csr(NamedTuple):
     starts: np.ndarray
 
 
-@dataclass(eq=False)
 class Network:
     """Immutable-by-convention undirected user graph plus sender attachment.
 
     The sender is not a user node: it contributes to nobody's friend count
-    and appears only through sender_links, the set of users it can signal
-    directly. Construction checks the edges and makes them canonical:
-    ascending (lo, hi) pairs, kept as given when they already are.
-    `edge_array` holds them as an (n_edges, 2) intp array, and `dense`
-    records the representation chosen at construction: True when
+    and appears only through sender_links, the users it can signal directly
+    (kept ascending, without repeats). edges is a sequence of pairs of
+    integers or an (m, 2) integer array. Construction refuses anything else,
+    self-loops, out-of-range users and repeated edges, and keeps the edges
+    only as `edge_array`, a read-only (m, 2) intp array of ascending (lo, hi)
+    pairs; `edges` is built from it when first read. `dense` records the
+    representation chosen at construction: True when
     n_users <= DENSE_MAX_USERS.
     """
 
-    n_users: int
-    edges: tuple[tuple[int, int], ...]
-    sender_links: tuple[int, ...]
-    profiles: tuple[UserProfile, ...]
-    generator_meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        n = self.n_users
+    def __init__(self, n_users: int, edges, sender_links, profiles, generator_meta=None):
+        n = self.n_users = n_users
         if n < 1:
             raise InvalidParamsError("network needs at least one user")
-        if len(self.profiles) != n:
+        if len(profiles) != n:
             raise InvalidParamsError("profiles must cover every user")
-        edges = tuple(self.edges)
-        if set(map(len, edges)) - {2}:
-            raise InvalidParamsError("every edge must be a pair of users")
-        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.intp,
-                            count=2 * len(edges)).reshape(-1, 2)
+        self.profiles = profiles
+        self.generator_meta = {} if generator_meta is None else generator_meta
+        i, j = _edge_pairs(edges).astype(np.intp, copy=False).T
         # the first self-loop or out-of-range edge in input order, the
         # first duplicate in sorted order
-        i, j = pairs.T
-        bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
         if bad.any():
             k = int(bad.argmax())
             if i[k] == j[k]:
                 raise InvalidParamsError(f"self-loop at user {i[k]}")
             raise InvalidParamsError(f"edge ({i[k]}, {j[k]}) out of range")
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        key = lo * n + hi
-        # kept as given only if it is already ascending (lo, hi) tuples
-        if not ((i < j).all() and (key[1:] > key[:-1]).all() and set(map(type, edges)) <= {tuple}):
-            order = np.argsort(key, kind="stable")
-            lo, hi, key = lo[order], hi[order], key[order]
-            dup = np.flatnonzero(key[1:] == key[:-1])
-            if dup.size:
-                raise InvalidParamsError(f"duplicate edge {(int(lo[dup[0]]), int(hi[dup[0]]))}")
-            edges = tuple(zip(lo.tolist(), hi.tolist()))
-            pairs = np.stack([lo, hi], axis=1)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "edge_array", pairs)
-        if not self.sender_links:
+        key = np.sort(lo * n + hi)
+        lo, hi = np.divmod(key, n)
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            raise InvalidParamsError(f"duplicate edge {(int(lo[dup[0]]), int(hi[dup[0]]))}")
+        self.edge_array = np.stack([lo, hi], axis=1)
+        self.edge_array.flags.writeable = False
+        links = tuple(sender_links)
+        if not links:
             raise InvalidParamsError("sender_links must be nonempty")
-        links = sorted(set(self.sender_links))
+        if not all(map(_is_user_id, links)):
+            raise InvalidParamsError(f"sender_links {links!r} are not all user ids")
+        links = sorted(set(map(int, links)))
         if links[0] < 0 or links[-1] >= n:
             raise InvalidParamsError("sender_links out of range")
-        object.__setattr__(self, "sender_links", tuple(links))
+        self.sender_links = tuple(links)
         # the representation is fixed once, by size alone
-        object.__setattr__(self, "dense", n <= DENSE_MAX_USERS)
+        self.dense = n <= DENSE_MAX_USERS
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """edge_array as a tuple of (lo, hi) pairs of Python ints."""
+        return tuple(zip(*self.edge_array.T.tolist()))
 
     @cached_property
     def adjacency_f(self) -> np.ndarray:
@@ -215,7 +215,7 @@ class Network:
     def is_cascade_tree(self) -> bool:
         """Connected, acyclic, single sender link: the adoption process is an
         exact root-to-leaf wave on such networks (fast path in regulation)."""
-        if len(self.sender_links) != 1 or len(self.edges) != self.n_users - 1:
+        if len(self.sender_links) != 1 or len(self.edge_array) != self.n_users - 1:
             return False
         return bool((self.relay_distances != UNREACHED).all())
 
@@ -230,7 +230,7 @@ class Network:
     def to_json_dict(self) -> dict:
         return {
             "n_users": self.n_users,
-            "edges": [list(e) for e in self.edges],
+            "edges": self.edge_array.tolist(),
             "sender_links": list(self.sender_links),
             "profiles": [{"c": u.c, "community": u.community} for u in self.profiles],
             "generator_meta": self.generator_meta,
@@ -238,16 +238,10 @@ class Network:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Network":
-        return cls(
-            n_users=int(doc["n_users"]),
-            edges=tuple((int(i), int(j)) for i, j in doc["edges"]),
-            sender_links=tuple(int(i) for i in doc["sender_links"]),
-            profiles=tuple(
-                UserProfile(c=float(u["c"]), community=int(u.get("community", 0)))
-                for u in doc["profiles"]
-            ),
-            generator_meta=dict(doc.get("generator_meta", {})),
-        )
+        profiles = tuple(UserProfile(c=float(u["c"]), community=int(u.get("community", 0)))
+                         for u in doc["profiles"])
+        return cls(int(doc["n_users"]), doc["edges"], doc["sender_links"], profiles,
+                   dict(doc.get("generator_meta", {})))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
@@ -272,12 +266,41 @@ def validate_mu(network: Network, mu: float) -> None:
 
 
 def _as_profiles(n: int, c) -> tuple[UserProfile, ...]:
+    """One c for every user or one per user; users with equal c share one
+    profile."""
     if np.isscalar(c):
-        return tuple(UserProfile(c=float(c)) for _ in range(n))
-    cs = list(c)
+        return (UserProfile(c=float(c)),) * n
+    cs = [float(x) for x in c]
     if len(cs) != n:
         raise InvalidParamsError(f"need {n} per-user c values, got {len(cs)}")
-    return tuple(UserProfile(c=float(x)) for x in cs)
+    shared = {x: UserProfile(c=x) for x in dict.fromkeys(cs)}
+    return tuple(map(shared.__getitem__, cs))
+
+
+def _is_user_id(x) -> bool:
+    """An integer that int64 holds, numpy's included; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and -2**63 <= x < 2**63
+
+
+def _edge_pairs(edges) -> np.ndarray:
+    """edges as an (m, 2) integer array. Refuses the first edge, in input
+    order, that is not a pair of user ids."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+        return edges
+    import struct
+
+    edges = tuple(edges)
+    try:
+        flat = np.frombuffer(struct.pack(f"{2 * len(edges)}q", *chain.from_iterable(edges)),
+                             dtype=np.int64)
+    except struct.error:  # a float, a string, an integer beyond int64 or a wrong count
+        flat = None
+    # struct packs a bool as 0 or 1, so only those values need a closer look
+    if flat is None or set(map(len, edges)) - {2} or not all(
+            _is_user_id(edges[k >> 1][k & 1]) for k in np.flatnonzero(flat >> 1 == 0).tolist()):
+        first = next(e for e in edges if len(e) != 2 or not all(map(_is_user_id, e)))
+        raise InvalidParamsError(f"edge {first!r} is not a pair of user ids")
+    return flat.reshape(-1, 2)
 
 
 def _check_size(what: str, n: int) -> None:
@@ -289,18 +312,19 @@ def _check_size(what: str, n: int) -> None:
                                  f"{MAX_GENERATED_USERS} users")
 
 
+def _tree(parents: np.ndarray, c, meta: dict) -> Network:
+    """The tree rooted at the sender-linked user 0 in which user k + 1 hangs
+    from user parents[k]."""
+    n = len(parents) + 1
+    return Network(n, np.stack([parents, np.arange(1, n)], axis=1), (0,), _as_profiles(n, c), meta)
+
+
 def gen_linear(n: int, c=0.3) -> Network:
     """Path graph 0-1-...-(n-1); the sender signals user 0."""
     if n < 1:
         raise InvalidParamsError("linear network needs n >= 1")
     _check_size("a line", n)
-    return Network(
-        n_users=n,
-        edges=tuple((i, i + 1) for i in range(n - 1)),
-        sender_links=(0,),
-        profiles=_as_profiles(n, c),
-        generator_meta={"kind": "linear", "n": n},
-    )
+    return _tree(np.arange(n - 1), c, {"kind": "linear", "n": n})
 
 
 def gen_star_chain(n_hubs: int, r: int, c=0.3) -> Network:
@@ -312,17 +336,9 @@ def gen_star_chain(n_hubs: int, r: int, c=0.3) -> Network:
         raise InvalidParamsError("star chain needs n_hubs >= 1 and r >= 1")
     n = n_hubs * r
     _check_size("a star chain", n)
-    edges = [(k, k + 1) for k in range(n_hubs - 1)]
-    for k in range(n_hubs):
-        base = n_hubs + k * (r - 1)
-        edges.extend((k, base + j) for j in range(r - 1))
-    return Network(
-        n_users=n,
-        edges=tuple(edges),
-        sender_links=(0,),
-        profiles=_as_profiles(n, c),
-        generator_meta={"kind": "star_chain", "n_hubs": n_hubs, "r": r},
-    )
+    k = np.arange(n - 1)
+    parents = np.where(k < n_hubs - 1, k, (k + 1 - n_hubs) // max(r - 1, 1))
+    return _tree(parents, c, {"kind": "star_chain", "n_hubs": n_hubs, "r": r})
 
 
 def gen_regular_tree(r: int, depth: int, c=0.3) -> Network:
@@ -334,24 +350,8 @@ def gen_regular_tree(r: int, depth: int, c=0.3) -> Network:
         level *= r
         n += level
         _check_size("a tree", n)
-    edges = []
-    next_id = 1
-    frontier = [0]
-    for _ in range(depth):
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(r):
-                edges.append((parent, next_id))
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-    return Network(
-        n_users=n,
-        edges=tuple(edges),
-        sender_links=(0,),
-        profiles=_as_profiles(n, c),
-        generator_meta={"kind": "tree", "r": r, "depth": depth},
-    )
+    # users are numbered level by level, so user u > 0 hangs from (u - 1) // r
+    return _tree(np.arange(n - 1) // r, c, {"kind": "tree", "r": r, "depth": depth})
 
 
 @dataclass(frozen=True)
@@ -406,7 +406,7 @@ def gen_sbm(spec: SbmSpec) -> Network:
     # row i holds the pairs (i, i+1..n-1); first[i] counts the pairs before it
     per_row = np.arange(n - 1, -1, -1)
     first = np.concatenate([[0], np.cumsum(per_row)])
-    edges = []
+    kept = [np.empty((0, 2), dtype=np.intp)]
     lo = 0
     while lo < n - 1:
         hi = max(lo + 1, int(np.searchsorted(first, first[lo] + _SBM_PAIR_CHUNK, "right")) - 1)
@@ -414,7 +414,7 @@ def gen_sbm(spec: SbmSpec) -> Network:
         iu = np.repeat(rows, per_row[lo:hi])
         ju = np.arange(first[lo], first[hi]) - np.repeat(first[lo:hi] - rows - 1, per_row[lo:hi])
         keep = rng.random(iu.size) < theta[labels[iu], labels[ju]]
-        edges.extend(zip(iu[keep].tolist(), ju[keep].tolist()))
+        kept.append(np.stack([iu[keep], ju[keep]], axis=1))
         lo = hi
 
     if spec.sender_attach is None:
@@ -424,18 +424,16 @@ def gen_sbm(spec: SbmSpec) -> Network:
         if not 0 <= attach < n or labels[attach] != spec.sender_community:
             raise InvalidParamsError("sender_attach must sit in the sender community")
 
-    if np.isscalar(spec.c_by_community):
-        cs = [float(spec.c_by_community)] * n
-    else:
-        cs = [float(spec.c_by_community[lab]) for lab in labels]
-    profiles = tuple(
-        UserProfile(c=cs[i], community=int(labels[i])) for i in range(n)
-    )
+    cs = spec.c_by_community
+    if np.isscalar(cs):
+        cs = [cs] * len(sizes)
+    # each community's users share one profile
+    shared = [UserProfile(c=float(x), community=k) for k, x in enumerate(cs)]
     return Network(
         n_users=n,
-        edges=edges,
+        edges=np.concatenate(kept),
         sender_links=(attach,),
-        profiles=profiles,
+        profiles=tuple(map(shared.__getitem__, labels.tolist())),
         generator_meta={
             "kind": "sbm",
             "sizes": list(sizes),

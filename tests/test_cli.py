@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import platmod.cli
@@ -222,6 +223,18 @@ def test_benchmark_tracer_bindings_resolve():
     from platmod.model import trust_threshold
 
     assert isinstance(trust_threshold(0.2, 0.3), float)
+    # its large-graph workload rebuilds each generated network from its
+    # edges every pass, and its self-check tells two seeds' SBM samples
+    # apart by comparing their edges with !=
+    graph = platmod.graph
+    recipe = NetworkRecipe("sbm", {"sizes": [6, 6], "theta": [[0.9, 0.1], [0.1, 0.9]]})
+    samples = [recipe.build(s) for s in (0, 1)]
+    for net in samples + [gen_linear(5), graph.gen_star_chain(3, 2), graph.gen_regular_tree(2, 3)]:
+        fresh = Network(n_users=net.n_users, edges=net.edges, sender_links=net.sender_links,
+                        profiles=net.profiles, generator_meta=net.generator_meta)
+        assert np.array_equal(fresh.edge_array, net.edge_array) and fresh.edges == net.edges
+    assert [samples[0].edges] != [samples[1].edges]
+    assert not [samples[0].edges] != [recipe.build(0).edges]
 
 
 def test_benchmark_tracer_reads_the_engine_and_the_bfs():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +129,37 @@ def test_gen_sbm_edges_are_pinned(sizes, diag, seed, n_edges, digest):
     assert _sbm_digest(sizes, diag, seed) == (n_edges, digest)
 
 
+# sha256 of repr(edges), taken when the generators built Python tuples
+_GENERATOR_PINS = [
+    (lambda: gen_linear(2000), 1999,
+     "45cedf77be845f9253dcc29d1a61d17d70a3b6c6a949386b8dc8697870a257fd"),
+    (lambda: gen_star_chain(40, 5), 199,
+     "cc2393e1fae53d6307900652a0bf407a8d448809cf64ee09c3e8a4380903c363"),
+    (lambda: gen_regular_tree(3, 6), 1092,
+     "d642f24ca37fb48fc294c0e2327cfa96877bf097d4e90f242f098b4d0fccb30c"),
+    (lambda: gen_regular_tree(2, 11), 4094,
+     "6a59ec1be9cfc037b494e893e6784154742bc5696059016377b98f77e796ef00"),
+]
+
+
+@pytest.mark.parametrize("build, n_edges, digest", _GENERATOR_PINS,
+                         ids=["line2000", "star_chain40x5", "tree3x6", "tree2x11"])
+def test_generator_edges_are_pinned(build, n_edges, digest):
+    edges = build().edges
+    assert (len(edges), hashlib.sha256(repr(edges).encode()).hexdigest()) == (n_edges, digest)
+
+
+def test_a_deep_tree_holds_little_memory():
+    # 65535 users: edge_array (1 MiB) and a tuple of one shared profile (0.5 MiB)
+    tracemalloc.start()
+    try:
+        net = gen_regular_tree(2, 15)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.n_users == 65535 and live < 4 * 2**20
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 100, 1000])
 def test_gen_sbm_chunk_size_leaves_edges_unchanged(monkeypatch, chunk):
     # a budget below a row's length gives that row a chunk of its own
@@ -184,6 +216,11 @@ def test_network_validation():
         Network(n_users=2, edges=(), sender_links=(), profiles=prof)
     with pytest.raises(InvalidParamsError):
         Network(n_users=2, edges=((0, 2),), sender_links=(0,), profiles=prof)
+    for links in ((0.5,), (1.0,), ("1",), (True,), (0, np.float64(1.0))):
+        with pytest.raises(InvalidParamsError, match="^sender_links .* are not all user ids$"):
+            Network(n_users=2, edges=(), sender_links=links, profiles=prof)
+    assert Network(n_users=2, edges=(), sender_links=(np.int64(1), 0, 1),
+                   profiles=prof).sender_links == (0, 1)
 
 
 def test_network_names_its_first_bad_edge():
@@ -199,19 +236,28 @@ def test_network_names_its_first_bad_edge():
     assert refusal(((0, 1), (5, 2), (3, 3))) == "edge (5, 2) out of range"
     assert refusal(((0, 1), (3, 3), (-1, 2))) == "self-loop at user 3"
     assert refusal(((2, 3), (1, 0), (3, 2), (0, 1))) == "duplicate edge (0, 1)"
-    assert refusal(((0, 1), (1, 2, 3))) == "every edge must be a pair of users"
+    assert refusal(((0, 1), (1, 2, 3))) == "edge (1, 2, 3) is not a pair of user ids"
+    # entries that are not integers are refused, not truncated or converted
+    for edge in ((0.5, 1), ("0", "1"), (True, 2), (1, np.float64(2.0)), (2**70, 1)):
+        assert refusal(((0, 1), edge, (0.5, 2))) == f"edge {edge!r} is not a pair of user ids"
+    with pytest.raises(InvalidParamsError, match=r"^edge \[0\.5, 1\] is not a pair of user ids$"):
+        Network.from_json_dict({"n_users": 2, "edges": [[0.5, 1]], "sender_links": [0],
+                                "profiles": [{"c": 0.3}] * 2})
+    # numpy integers are user ids
+    assert refusal(((np.int64(1), 0), (np.uint8(0), 1))) == "duplicate edge (0, 1)"
 
 
 def test_edges_canonical_as_given_or_rebuilt():
     net = gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.7, 0.1), (0.1, 0.7)), seed=3))
     rows = [list(e) for e in net.edges]
-    # canonical tuples are kept; reversed pairs, lists and array rows rebuilt
+    # every input gives the same read-only edge_array and edges built from it
     for edges in (list(net.edges), [(j, i) for i, j in reversed(net.edges)], rows,
                   np.array(rows)):
         again = Network(n_users=12, edges=edges, sender_links=(0,), profiles=net.profiles)
         assert again.edges == net.edges and type(again.edges) is tuple
         assert all(type(x) is int for e in again.edges for x in e)
         assert again.edge_array.dtype == np.intp and again.edge_array.tolist() == rows
+        assert not again.edge_array.flags.writeable and again.edges is again.edges
         # each user's neighbours ascend, as a sort by (source, target) lists them
         i, j = again.edge_array.T
         src, dst = np.concatenate([i, j]), np.concatenate([j, i])

@@ -85,18 +85,6 @@ class Columns:
     owner: np.ndarray
 
     @classmethod
-    def of(cls, networks) -> "Columns":
-        """Columns from one network per column; a network's columns must be
-        contiguous, and every network must have the same number of users."""
-        index: dict[Network, int] = {}
-        owner = np.array([index.setdefault(net, len(index)) for net in networks], dtype=np.intp)
-        if (np.diff(owner) < 0).any():
-            raise InvalidParamsError("each network's columns must be contiguous")
-        if len({net.n_users for net in index}) > 1:
-            raise InvalidParamsError("networks batched together must have the same size")
-        return cls(tuple(index), owner)
-
-    @classmethod
     def repeat(cls, networks, n_cols: int) -> "Columns":
         """n_cols columns on each network, in order; every network must have
         the same number of users."""

@@ -85,15 +85,15 @@ def _is_list(x) -> bool:
 
 # the type test, and its wording, of each recipe argument that has one
 _RECIPE_TYPES = {
-    "n": (_is_int, "an int"),
-    "n_hubs": (_is_int, "an int"),
-    "r": (_is_int, "an int"),
-    "depth": (_is_int, "an int"),
+    **dict.fromkeys(("n", "n_hubs", "r", "depth", "sender_community", "sender_attach"),
+                    (_is_int, "an int")),
     "sizes": (lambda x: _is_list(x) and all(_is_int(s) and s >= 1 for s in x),
               "a list of positive ints"),
     "theta": (lambda x: _is_list(x) and all(
         _is_list(row) and len(row) == len(x) and all(_is_real(v) for v in row) for row in x
     ), "a square list of number lists"),
+    "c": (lambda x: _is_real(x) or (_is_list(x) and all(_is_real(v) for v in x)),
+          "a number or a list of numbers"),
 }
 
 
@@ -104,8 +104,9 @@ class NetworkRecipe:
     Deterministic kinds (linear, star_chain, tree) ignore the seed. The c
     payoffs live here because they are user attributes, not world params.
     An unknown kind, a missing required argument or one of the wrong type
-    (sizes a list of positive ints, theta a square list of number lists, n,
-    n_hubs, r and depth ints) raises InvalidParamsError at construction.
+    (sizes a list of positive ints, theta a square list of number lists, c a
+    number or a list of numbers, n, n_hubs, r, depth, sender_community and
+    sender_attach ints) raises InvalidParamsError at construction.
     """
 
     kind: str

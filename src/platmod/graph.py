@@ -238,10 +238,22 @@ class Network:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Network":
-        profiles = tuple(UserProfile(c=float(u["c"]), community=int(u.get("community", 0)))
+        """The Network of a to_json_dict document. Refuses an n_users or
+        community that is not an integer and a c that is not a number."""
+        from numbers import Integral, Real
+
+        def typed(value, name: str, kind):
+            """value as an int (kind Integral) or a float (kind Real)."""
+            if isinstance(value, bool) or not isinstance(value, kind):
+                want = "an integer" if kind is Integral else "a number"
+                raise InvalidParamsError(f"{name} must be {want}, got {value!r}")
+            return int(value) if kind is Integral else float(value)
+
+        profiles = tuple(UserProfile(c=typed(u["c"], "c", Real),
+                                     community=typed(u.get("community", 0), "community", Integral))
                          for u in doc["profiles"])
-        return cls(int(doc["n_users"]), doc["edges"], doc["sender_links"], profiles,
-                   dict(doc.get("generator_meta", {})))
+        return cls(typed(doc["n_users"], "n_users", Integral), doc["edges"], doc["sender_links"],
+                   profiles, dict(doc.get("generator_meta", {})))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")

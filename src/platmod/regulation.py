@@ -4,29 +4,29 @@ The sender utility on B is piecewise linear in beta: increasing while the
 equilibrium adopter set stays constant, with downward jumps where the set
 shrinks or a user stops trusting. A cell's pieces are a list
 [(top, on_b, p_recv), ...] with tops descending; each piece holds its set on
-(next top, top]. The optimum (_decide) is a max over every top, every trust
-threshold and 0, each scored on the set of the piece that holds it.
+(next top, top]. On A every user stays with the sender: one piece
+(inf, all users, p_A). On either platform the optimum (_best) is a max over
+candidate levels, each scored on its piece's set, a larger one winning only
+by more than TIE_TOL: on B the tops, the trust thresholds and 0; on A under
+a cap, the cap and the trust thresholds up to it.
 
-On general networks _walk builds the lists from beta_max down. The
+On general networks _walk builds the B pieces from beta_max down. The
 synchronous process from all-A reaches the least fixed point of a monotone
 map, so a set stays the equilibrium until an outsider's advantage, linear in
 beta while it trusts, reaches the join tie; that breakpoint is closed form
 in the current set, and a run warm-started from the current set reaches the
 set below it (parametric search, Megiddo 1983; Milgrom & Roberts 1990). The
-walk runs in lockstep across its columns, each a (network, cell) pair: one
-engine call from all-A at beta_max, then one per step, started from the
-state the step before reached, for every column with a breakpoint left.
-solve_pool walks the same cells on each of several networks of one size,
-sender_equilibria one cell on each; the engine shares their per-column
-work (adoption.Columns). On cascade trees cascade_thresholds gives the
-tops and cascade_final_b_sets the sets, one cell at a time. solve_cells is
-the one-network view of solve_pool, strictest_effective_regulation and
-optimal_B one-cell views of solve_cells, and sender_equilibrium the
-one-network view of sender_equilibria.
+walk runs its (network, cell) columns in lockstep (adoption.Columns): one
+engine call from all-A at beta_max, then one per step from the state the
+step before reached, for every column with a breakpoint left. On cascade
+trees cascade_thresholds gives the tops and cascade_final_b_sets the sets.
 
-On A every user stays with the sender, so one search over the trust tiers
-up to a cap (_search_on_A) serves the classification and the full-game
-outcome. Payoffs and the trust test come from the model's kernel.
+_b_sides drives every B side: it computes each network's trust thresholds
+once, walks all columns off cascade trees together, makes a tree's pieces
+one cell at a time and hands each network its pieces. solve_pool (the same
+cells on several networks of one size), sender_equilibria (one cell on
+each) and optimal_B read it; the other entry points are views of these.
+Payoffs and the trust test come from the model's kernel.
 """
 
 from __future__ import annotations
@@ -75,23 +75,21 @@ class RegulationResult:
     sum_p_a: float
 
 
-def _search_on_A(
-    mu: float, p_a: np.ndarray, bp: np.ndarray, thresholds: list[float], cap: float
-) -> tuple[dict[float, float], float, float]:
-    """The sender's options on A under a deceit cap: its utility is linear in
-    beta within a trust tier, so the candidates are the cap and every trust
-    threshold at or below it (thresholds: the distinct values of bp,
-    ascending). Returns ({candidate: summed p_a of the users trusting it},
-    best beta, best utility); a larger candidate wins only by more than
-    TIE_TOL."""
-    tiers = {}
+def _best(mu: float, bp: np.ndarray, candidates: list[float],
+          pieces: list) -> tuple[float, float]:
+    """The sender's best (beta, utility) over candidates (ascending), each
+    scored on the set of the piece that holds it, with bp each user's trust
+    threshold; a larger candidate wins only by more than TIE_TOL."""
     best_beta, best_u = 0.0, -1.0
-    for b in sorted({cap} | {x for x in thresholds if x <= cap + TIE_TOL}):
-        tiers[b] = t = float(p_a[trusts(b, bp)].sum())
-        u = sender_weight(mu, b) * t
+    k = len(pieces) - 1  # the piece with the lowest top
+    for b in candidates:
+        while pieces[k][0] < b:
+            k -= 1
+        _, on_b, p_recv = pieces[k]
+        u = sender_payoff(mu, b, p_recv, on_b & trusts(b, bp))
         if u > best_u + TIE_TOL:
             best_beta, best_u = b, u
-    return tiers, best_beta, best_u
+    return best_beta, best_u
 
 
 def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
@@ -105,9 +103,10 @@ def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
     return sender_payoff(params.mu, beta, p_a, trusts(beta, bp))
 
 
-def _walk(cols: Columns, cells: list[ModelParams]) -> list[list]:
+def _walk(cols: Columns, cells: list[ModelParams], beta_max: np.ndarray) -> list[list]:
     """Pieces of every column, cell cells[j] on network cols.owner[j], walked
-    down from its network's beta_max in lockstep; all cells share mu.
+    down from its network's beta_max (one per network, its largest trust
+    threshold) in lockstep; all cells share mu.
 
     Every step is one engine call: the first from all-A, each later one
     from the state (set, distances, B-neighbour counts) of the step before,
@@ -129,7 +128,7 @@ def _walk(cols: Columns, cells: list[ModelParams]) -> list[list]:
             np.array([net.degrees for net in cols.networks], dtype=np.int32),
             np.array([net.sender_mask for net in cols.networks]))
     del c
-    beta = np.array([_beta_primes(net, mu).max() for net in cols.networks])[cols.owner]
+    beta = beta_max[cols.owner]
     live = np.arange(len(cells))
     pieces = [[] for _ in cells]
     start = None
@@ -201,50 +200,39 @@ def _cascade_pieces(network: Network, params: ModelParams, beta_max: float) -> l
     return [(top, on_b[:, k], p_recv[:, k]) for k, top in enumerate(tops)]
 
 
-def _pieces(cols: Columns, cells: list[ModelParams]):
-    """One piece list per column, in order. Columns on cascade trees take
-    theirs from the closed form one cell at a time, so a large grid never
-    holds every cell's sets at once; the other columns share one walk."""
+def _b_sides(networks: list[Network], cells: list[ModelParams]):
+    """For each network, in order: (bp, thresholds, pieces), its users'
+    trust thresholds, their distinct values ascending, and one piece list
+    per cell (all cells share mu). The columns off cascade trees share one
+    walk; a cascade tree's pieces come from the closed form one cell at a
+    time, so a large grid never holds every cell's sets at once."""
     mu = cells[0].mu
-    beta_max = [float(_beta_primes(net, mu).max()) if net.is_cascade_tree else None
-                for net in cols.networks]
-    on_tree = np.array([x is not None for x in beta_max])[cols.owner]
-    walked = iter(()) if on_tree.all() else iter(
-        _walk(cols.take(~on_tree), [params for params, t in zip(cells, on_tree) if not t])
-    )
-    return (
-        _cascade_pieces(cols.networks[k], params, beta_max[k]) if beta_max[k] is not None
-        else next(walked)
-        for k, params in zip(cols.owner.tolist(), cells)
-    )
+    bps = [_beta_primes(network, mu) for network in networks]
+    thresholds = [np.unique(bp).tolist() for bp in bps]
+    cols = Columns.repeat(networks, len(cells))
+    on_tree = np.array([network.is_cascade_tree for network in networks])
+    walked = iter(()) if on_tree.all() else iter(_walk(
+        cols.take(~on_tree[cols.owner]),
+        [params for tree in on_tree if not tree for params in cells],
+        np.array([t[-1] for t in thresholds]),
+    ))
+    for network, bp, t, tree in zip(networks, bps, thresholds, on_tree):
+        yield bp, t, ((_cascade_pieces(network, params, t[-1]) for params in cells) if tree
+                      else [next(walked) for _ in cells])
 
 
 def _decide(mu: float, bp: np.ndarray, thresholds: list[float], pieces: list) -> SenderDecision:
     """The sender's optimum on B over a cell's pieces. Within a piece the
     utility rises with beta except where a user stops trusting, so the
-    candidates are every top, every trust threshold (thresholds: the
-    distinct values of bp, ascending) and 0, each scored on the set of the
-    piece that holds it; a larger candidate wins only by more than
-    TIE_TOL."""
-    best_beta, best_u = 0.0, -1.0
-    k = len(pieces) - 1  # the piece with the lowest top
-    for b in sorted({0.0} | {top for top, _, _ in pieces} | set(thresholds)):
-        while pieces[k][0] < b:
-            k -= 1
-        _, on_b, p_recv = pieces[k]
-        u = sender_payoff(mu, b, p_recv, on_b & trusts(b, bp))
-        if u > best_u + TIE_TOL:
-            best_beta, best_u = b, u
-    if best_u <= 0.0:
-        best_beta, best_u = 0.0, max(best_u, 0.0)
-    return SenderDecision(Platform.B, best_beta, best_u)
+    candidates are every top, every trust threshold and 0."""
+    candidates = sorted({0.0} | {top for top, _, _ in pieces} | set(thresholds))
+    return SenderDecision(Platform.B, *_best(mu, bp, candidates, pieces))
 
 
 def optimal_B(network: Network, params: ModelParams) -> SenderDecision:
     """Sender's best deceit level and utility on the unregulated platform B."""
-    bp = _beta_primes(network, params.mu)
-    [pieces] = _pieces(Columns.repeat((network,), 1), [params])
-    return _decide(params.mu, bp, np.unique(bp).tolist(), pieces)
+    [(bp, thresholds, [pieces])] = _b_sides([network], [params])
+    return _decide(params.mu, bp, thresholds, pieces)
 
 
 def strictest_effective_regulation(network: Network, params: ModelParams) -> RegulationResult:
@@ -280,19 +268,12 @@ def solve_pool(networks, cells) -> list[list[RegulationResult]]:
     mu = cells[0].mu
     if any(params.mu != mu for params in cells):
         raise InvalidParamsError("cells solved together must share mu")
-    bps = [_beta_primes(network, mu) for network in networks]
-    pieces = _pieces(Columns.repeat(networks, len(cells)), cells * len(networks))
     out = []
-    for network, bp in zip(networks, bps):
-        thresholds = np.unique(bp).tolist()
-        a_sides: dict[float, _ASide] = {}
-        results = []
-        for params in cells:
-            a_side = a_sides.get(params.p)
-            if a_side is None:
-                a_side = a_sides[params.p] = _price_a(network, mu, params.p, bp, thresholds)
-            results.append(_classify(params, a_side, _decide(mu, bp, thresholds, next(pieces))))
-        out.append(results)
+    for network, (bp, thresholds, pieces) in zip(networks, _b_sides(networks, cells)):
+        a_sides = {p: _price_a(network, mu, p, bp, thresholds)
+                   for p in dict.fromkeys(params.p for params in cells)}
+        out.append([_classify(params, a_sides[params.p], _decide(mu, bp, thresholds, cell_pieces))
+                    for params, cell_pieces in zip(cells, pieces)])
     return out
 
 
@@ -310,37 +291,30 @@ class _ASide:
 def _price_a(network: Network, mu: float, p: float, bp: np.ndarray,
              thresholds: list[float]) -> _ASide:
     p_a = receive_map(p, network.relay_distances)
-    tiers, _, _ = _search_on_A(mu, p_a, bp, thresholds, thresholds[-1])
+    tiers = {k: float(p_a[trusts(k, bp)].sum()) for k in thresholds}
     return _ASide(float(p_a.sum()), tiers,
                   max(sender_weight(mu, k) * t for k, t in tiers.items()))
 
 
 def _classify(params: ModelParams, a_side: _ASide, decision: SenderDecision) -> RegulationResult:
-    sum_p_a = a_side.sum_p_a
-    u_star_b = decision.utility
-    u_a0 = params.mu * sum_p_a
-
+    mu, u_star_b = params.mu, decision.utility
     if a_side.u_unregulated <= u_star_b + TIE_TOL:
-        return RegulationResult(
-            RegulationKind.NO_EFFECTIVE_REGULATION, None, u_star_b,
-            decision.beta_star, sum_p_a,
-        )
-    if u_a0 >= u_star_b - TIE_TOL:
-        return RegulationResult(
-            RegulationKind.ANY_REGULATION, 0.0, u_star_b, decision.beta_star, sum_p_a
-        )
-    # moderate: walk trust tiers upward; within a tier the utility is linear
-    for k, t in a_side.tiers.items():
-        if t > 0.0:
-            rho = (u_star_b / t - params.mu) / (1.0 - params.mu)
+        kind, rho = RegulationKind.NO_EFFECTIVE_REGULATION, None
+    elif mu * a_side.sum_p_a >= u_star_b - TIE_TOL:
+        kind, rho = RegulationKind.ANY_REGULATION, 0.0
+    else:
+        # moderate: walk trust tiers upward; within a tier the utility is linear
+        kind = RegulationKind.MODERATE
+        for k, t in a_side.tiers.items():
+            rho = (u_star_b / t - mu) / (1.0 - mu) if t > 0.0 else np.inf
             if rho <= k + TIE_TOL:
                 rho = min(max(rho, 0.0), k)
-                return RegulationResult(
-                    RegulationKind.MODERATE, rho, u_star_b, decision.beta_star, sum_p_a
-                )
-    raise InvariantViolationError(
-        "moderate regulation requested but no trust tier reaches U*_B"
-    )
+                break
+        else:
+            raise InvariantViolationError(
+                "moderate regulation requested but no trust tier reaches U*_B"
+            )
+    return RegulationResult(kind, rho, u_star_b, decision.beta_star, a_side.sum_p_a)
 
 
 def sender_equilibrium(network: Network, params: ModelParams) -> SenderDecision:
@@ -361,11 +335,13 @@ def sender_equilibria(
     if not networks:
         return []
     out = []
-    for network, pieces in zip(networks, _pieces(Columns.of(networks), [params] * len(networks))):
-        bp = _beta_primes(network, params.mu)
-        thresholds = np.unique(bp).tolist()
-        p_a = receive_map(params.p, network.relay_distances)
-        _, best_beta_a, best_u_a = _search_on_A(params.mu, p_a, bp, thresholds, params.rho_a)
+    cap = params.rho_a
+    for network, (bp, thresholds, [pieces]) in zip(networks, _b_sides(networks, [params])):
+        # A keeps every user: one piece, scored at the cap and the thresholds up to it
+        on_a = [(np.inf, np.ones(network.n_users, dtype=bool),
+                 receive_map(params.p, network.relay_distances))]
+        candidates = sorted({cap} | {x for x in thresholds if x <= cap + TIE_TOL})
+        best_beta_a, best_u_a = _best(params.mu, bp, candidates, on_a)
         decision_b = _decide(params.mu, bp, thresholds, pieces)
         if best_u_a >= decision_b.utility - TIE_TOL:
             out.append((SenderDecision(Platform.A, best_beta_a, best_u_a), None))

@@ -7,6 +7,7 @@ be checked against something that never touches the production formulas.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import platmod.graph
 from platmod import (
@@ -20,6 +21,11 @@ from platmod import (
 )
 from platmod.adoption import batch_final_b_sets
 from platmod.graph import through_platform_distances
+
+# every property test draws the same examples on every run, keeps no
+# example database and has no deadline; tests set only max_examples
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def default_params(**overrides) -> ModelParams:

@@ -409,6 +409,7 @@ def test_a_flag_the_subcommand_never_reads_exits_2(args):
 
 
 LINE = json.dumps({"kind": "linear", "args": {"n": 5}})
+SBM_ARGS = {"sizes": [3, 3], "theta": [[0.5, 0.1], [0.1, 0.5]]}
 # run against a user cap of 10, so the case builds nothing large
 OVER_THE_CAP = ["gen-network", "--kind", "linear", "--n", "11"]
 
@@ -444,6 +445,11 @@ OVER_THE_CAP = ["gen-network", "--kind", "linear", "--n", "11"]
      "--p-range", "0.3:0.7:2", "--ba-range", "0:0.1:2"],
     OVER_THE_CAP,
     ["gen-network", "--kind", "tree", "--r", "2", "--depth", "20000"],
+    *(["sweep", "--recipe", json.dumps(recipe), "--p-range", "0.3:0.7:2", "--ba-range", "0:0.1:2"]
+      for recipe in ({"kind": "sbm", "args": dict(SBM_ARGS, sender_attach=0.5)},
+                     {"kind": "sbm", "args": dict(SBM_ARGS, sender_community=1.0)},
+                     {"kind": "sbm", "args": dict(SBM_ARGS, sender_community="1")},
+                     {"kind": "linear", "args": {"n": 5, "c": "x"}})),
 ], ids=["p-range", "ba-range", "analytic-p-range", "analytic-negative-steps",
         "analytic-zero-steps", "recipe-not-json", "recipe-not-object",
         "recipe-missing-arg", "recipe-unknown-kind", "no-recipe", "theta-not-json",
@@ -452,7 +458,8 @@ OVER_THE_CAP = ["gen-network", "--kind", "linear", "--n", "11"]
         "network-missing", "network-malformed", "network-not-an-object", "config-missing",
         "config-malformed", "config-unknown-key", "config-float-for-int",
         "config-value-outside-choices", "recipe-sizes-not-a-list",
-        "more-users-than-the-cap", "tree-too-deep-to-count"])
+        "more-users-than-the-cap", "tree-too-deep-to-count", "recipe-sender-attach-float",
+        "recipe-sender-community-float", "recipe-sender-community-string", "recipe-c-string"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args):
     if args == OVER_THE_CAP:
         monkeypatch.setattr(platmod.graph, "MAX_GENERATED_USERS", 10)
@@ -472,6 +479,22 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, ar
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("invalid parameters: ")
+
+
+@pytest.mark.parametrize("field, value", [("n_users", 3.7), ("n_users", "3"),
+                                          ("community", 0.9), ("c", "0.3")])
+def test_network_file_refuses_truncation_and_conversion(tmp_path, capsys, field, value):
+    doc = gen_linear(3).to_json_dict()
+    if field == "n_users":
+        doc[field] = value
+    else:
+        doc["profiles"][1][field] = value
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    assert run_cli(["rho-se", "--network", str(tmp_path / "net.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"{field} must be {'a number' if field == 'c' else 'an integer'}, "
+                        f"got {value!r}\n")
+    assert len(err.splitlines()) == 1
 
 
 def test_invariant_violation_exits_3_with_one_line(tmp_path, capsys, monkeypatch):

@@ -247,6 +247,19 @@ def test_network_names_its_first_bad_edge():
     assert refusal(((np.int64(1), 0), (np.uint8(0), 1))) == "duplicate edge (0, 1)"
 
 
+def test_network_json_refuses_what_it_would_truncate_or_convert():
+    doc = gen_linear(3).to_json_dict()
+    assert Network.from_json_dict(doc).to_json_dict() == doc
+    for field, value, want in (("n_users", 3.7, "an integer"), ("n_users", "3", "an integer"),
+                               ("n_users", True, "an integer"), ("community", 0.9, "an integer"),
+                               ("community", False, "an integer"), ("c", "0.3", "a number"),
+                               ("c", None, "a number"), ("c", True, "a number")):
+        bad = json.loads(json.dumps(doc))
+        (bad if field == "n_users" else bad["profiles"][2])[field] = value
+        with pytest.raises(InvalidParamsError, match=f"^{field} must be {want}, got "):
+            Network.from_json_dict(bad)
+
+
 def test_edges_canonical_as_given_or_rebuilt():
     net = gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.7, 0.1), (0.1, 0.7)), seed=3))
     rows = [list(e) for e in net.edges]

@@ -3,13 +3,17 @@
 The engine is vectorized over a batch of columns: platform search in the
 regulation module evaluates many (beta, p, b_a, b_b) combinations, and every
 column of the batch is an independent run of the exact same synchronous
-update. Each column carries its own network (Columns): the columns of one
-network advance in lockstep, and so do those of several networks of one
-size, whose neighbour counts and relaxations run per network while the rest
-is elementwise over per-user arrays gathered to the columns. A single
-network is the one-network case. A scalar wrapper provides the public
-trace-carrying operation. The engine, best_response and nash_check compare
-the same sender-side advantage, with the tie rule, from the model's kernel.
+update. Each column carries its own network (Columns), and the columns of
+several networks of one size share every round: neighbour counts run per
+network, the relaxation is one level loop over all columns (a queue walk per
+network where each has one column), and the rest is elementwise over
+per-user arrays gathered to the columns. A single network
+is the one-network case. A column that reaches its fixed point can be
+restarted at another deceit level from the state it reached, in the next
+round, while the others go on (the regulation module's walk does this). A
+scalar wrapper provides the public trace-carrying operation. The engine,
+best_response and nash_check compare the same sender-side advantage, with
+the tie rule, from the model's kernel.
 
 On connected acyclic networks with a single sender link the process is a
 root-to-leaf wave (each user decides exactly once, when its parent has just
@@ -25,12 +29,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import (Network, UNREACHED, receive_map, relax, through_platform_distances,
-                    validate_mu)
+from .graph import (Network, UNREACHED, receive_map, relax, relax_levels,
+                    through_platform_distances, validate_mu)
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_side_advantage,
                     trust_threshold, trusts)
 
-ITERATION_CAP_SLACK = 1  # cap = n_users + 1, loud failure beyond it
+ITERATION_CAP_SLACK = 1  # cap = n_users + 1 rounds since a (re)start, loud failure beyond it
 
 
 @dataclass(eq=False)
@@ -124,9 +128,14 @@ class Columns:
         return counts
 
     def relax(self, dist: np.ndarray, on_side: np.ndarray, joined: np.ndarray) -> None:
-        """graph.relax of each column on its own network, in place."""
-        for net, cols in self.runs:
-            relax(net, dist[:, cols], on_side[:, cols], joined[:, cols])
+        """graph.relax of each column on its own network, in place: a queue
+        walk per column where every network has one column, else one level
+        loop over every column."""
+        if self.owner.size == len(self.runs):
+            for net, cols in self.runs:
+                relax(net, dist[:, cols], on_side[:, cols], joined[:, cols])
+        else:
+            relax_levels(self.neighbour_counts, dist, on_side, joined)
 
 
 def batch_final_b_sets(
@@ -137,7 +146,7 @@ def batch_final_b_sets(
     b_a,
     b_b,
     collect_trace: bool = False,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    step=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[frozenset]]]:
     """Run the synchronous adoption (sender on B) for a batch of columns.
 
@@ -146,94 +155,117 @@ def batch_final_b_sets(
     diffusiveness p[j] and qualities b_a[j], b_b[j]; each of p, b_a, b_b is
     one value per column or a scalar shared by all. mu is shared: it fixes
     the trust thresholds. Callers validate p, b_a and b_b (ModelParams does).
-
-    Every column starts from all-A (start=None: the sender's linked users at
-    distance 0, everyone else UNREACHED, no B-neighbours), or from the state
-    start = (on_b, dist, n_b): an (n_users, len(betas)) boolean on-B matrix
-    with its through_platform_distances and B-neighbour counts
-    (network.neighbour_counts), column by column, which the engine copies
-    and leaves unchanged. The process is monotone and reaches the least
-    fixed point above its start, so a start inside that column's equilibrium
-    set (such as the set of the same column at a higher beta) ends at the
-    same set as a run from all-A.
+    Every column starts from all-A: the sender's linked users at distance 0,
+    everyone else UNREACHED, no B-neighbours.
 
     The distances and counts are carried across rounds: users only move from
     A to B, so after a round the switchers' counts are added to the counts
     (exact integers) and the distances are relaxed from the switchers
     (graph.relax), with the same results as recomputing both from scratch.
-    Only these two steps run per network; a column's result does not depend
-    on the other columns of the batch.
+    A column's result does not depend on the other columns of the batch.
 
-    Returns (on_b, dist, productive_rounds, traces): membership and distance
-    matrices of shape (n_users, len(betas)), per-column productive round
-    counts, and per-column switch-set traces when requested.
+    step, when given, is called in every round where columns reach their
+    fixed point, as step(index, beta, on_b, dist, n_b, p_recv): their batch
+    indices (ascending), their levels and their states, (n_users, k) copies
+    of the set, its through_platform_distances, the B-neighbour counts and
+    the receive probabilities receive_map(p, dist). It returns each
+    column's next level. A column given a level >= 0 restarts there from
+    its state in the next round. The process is monotone and reaches the
+    least fixed point above its start, so from a state inside the
+    equilibrium set of the new level (such as the set of a higher level) it
+    ends at the set a run from all-A reaches. A column given a negative
+    level is done; without step every column is done at its first fixed
+    point.
 
-    Raises InvariantViolationError if any column exceeds n_users + 1 rounds
-    or a user ever prefers flipping B back to A beyond tolerance; either
-    would falsify the one-way migration property this process relies on.
+    Returns (on_b, dist, productive_rounds, traces): each column's final
+    membership and distance matrices of shape (n_users, len(betas)), its
+    productive round count summed over its restarts, and its switch-set
+    trace, every restart's rounds in turn, when requested.
+
+    Raises InvariantViolationError if a column runs more than n_users + 1
+    rounds since it last (re)started, or a user ever prefers flipping B
+    back to A beyond tolerance; either would falsify the one-way migration
+    property this process relies on.
     """
-    betas = np.asarray(betas, dtype=np.float64)
-    p, b_a, b_b = (np.full(betas.shape, x, dtype=np.float64)[None, :] for x in (p, b_a, b_b))
-    n_cols = betas.size
+    level = np.array(betas, dtype=np.float64)  # a copy: restarts overwrite it
+    p, b_a, b_b = (np.full(level.shape, x, dtype=np.float64)[None, :] for x in (p, b_a, b_b))
+    n_cols = level.size
     cols = network if isinstance(network, Columns) else Columns.repeat((network,), n_cols)
     n = cols.networks[0].n_users
     for net in cols.networks:
         validate_mu(net, mu)
-    # per-user arrays, one column per batch column; the rounds need c only
-    # through these two
-    c = cols.gather(lambda net: net.c_values)
-    trusting = trusts(betas[None, :], trust_threshold(mu, c))
-    gain = news_gain(mu, c, betas[None, :])
-    del c
+    # per-network rows of c and the trust thresholds; the rounds need c only
+    # through the per-column trust mask and news gain made from them
+    c = np.array([net.c_values for net in cols.networks])
+    bp = trust_threshold(mu, c)
+    trusting = trusts(level[None, :], cols.spread(bp))
+    gain = news_gain(mu, cols.spread(c), level[None, :])
     # int32 degrees: degree - n_b casts them to float64 exactly
     deg = cols.gather(lambda net: net.degrees.astype(np.int32))
     linked = cols.gather(lambda net: net.sender_mask)
 
-    # a column whose round switches nobody has reached its fixed point and
-    # stays there; once half the live columns have, they are set aside and
-    # later rounds work only on the rest
+    # a column whose round switches nobody has reached its fixed point; a
+    # done one stays there, and once half the live columns are done, they
+    # are set aside and later rounds work only on the rest
     on_b = np.zeros((n, n_cols), dtype=bool)
     final_dist = np.full((n, n_cols), UNREACHED, dtype=np.int32)
     live = np.arange(n_cols)
-    # on_b, distances and B-neighbour counts of the live columns; copies, as
-    # the rounds update them in place
-    if start is None:
-        cur, n_b = on_b.copy(), np.zeros((n, n_cols))
-        dist = np.where(linked, np.int32(0), np.int32(UNREACHED))
-    else:
-        cur, dist, n_b = (np.array(x, dtype=t)
-                          for x, t in zip(start, (bool, np.int32, np.float64)))
+    done = np.zeros(n_cols, dtype=bool)
+    # on_b, distances and B-neighbour counts of the live columns, updated in
+    # place by the rounds
+    cur, n_b = on_b.copy(), np.zeros((n, n_cols))
+    dist = np.where(linked, np.int32(0), np.int32(UNREACHED))
     traces: list[list[frozenset]] = [[] for _ in range(n_cols)] if collect_trace else []
     rounds = np.zeros(n_cols, dtype=np.int64)
+    # rounds at each column's last (re)start
+    began = np.zeros(n_cols, dtype=np.int64)
+    cap = n + ITERATION_CAP_SLACK
 
-    total_rounds = 0
     while True:
+        p_recv = receive_map(p, dist)
         diff, joins = sender_side_advantage(
-            n_b, deg, b_b, b_a, trusting, receive_map(p, dist), gain, linked
+            n_b, deg, b_b, b_a, trusting, p_recv, gain, linked
         )
         if (cur & (diff < -TIE_TOL)).any():
             raise InvariantViolationError("a user on B strictly prefers A; one-way migration violated")
         switch = (~cur) & joins
         moving = switch.any(axis=0)
-        if 2 * np.count_nonzero(moving) <= live.size:
-            settled = ~moving
-            on_b[:, live[settled]] = cur[:, settled]
-            final_dist[:, live[settled]] = dist[:, settled]
-            live = live[moving]
+        settled = np.flatnonzero(~(moving | done))
+        # the round's temporaries go before step makes its own
+        settled_p_recv = p_recv[:, settled]
+        del diff, joins, p_recv
+        if settled.size:
+            nxt = (np.full(settled.size, -np.inf) if step is None else np.asarray(step(
+                live[settled], level[settled], cur[:, settled], dist[:, settled],
+                n_b[:, settled], settled_p_recv)))
+            going = nxt >= 0.0
+            done[settled[~going]] = True
+            again = settled[going]
+            if again.size:
+                level[again] = nxt[going]
+                restarted = cols.take(again)
+                trusting[:, again] = trusts(level[None, again], restarted.spread(bp))
+                gain[:, again] = news_gain(mu, restarted.spread(c), level[None, again])
+                began[live[again]] = rounds[live[again]]
+        if 2 * np.count_nonzero(done) >= live.size:
+            on_b[:, live[done]] = cur[:, done]
+            final_dist[:, live[done]] = dist[:, done]
+            keep = ~done
+            live = live[keep]
             if not live.size:
                 break
-            cols = cols.take(moving)
+            cols = cols.take(keep)
             cur, switch, dist, n_b, trusting, gain, deg, linked, p, b_a, b_b = (
-                x[:, moving]
+                x[:, keep]
                 for x in (cur, switch, dist, n_b, trusting, gain, deg, linked, p, b_a, b_b)
             )
-            moving = moving[moving]
-        total_rounds += 1
-        if total_rounds > n + ITERATION_CAP_SLACK:
-            raise InvariantViolationError(
-                f"adoption exceeded the {n + ITERATION_CAP_SLACK}-round cap"
-            )
-        rounds[live[moving]] += 1
+            level, moving, done = level[keep], moving[keep], done[keep]
+        if not moving.any():
+            continue
+        stepping = live[moving]
+        rounds[stepping] += 1
+        if (rounds[stepping] - began[stepping]).max() > cap:
+            raise InvariantViolationError(f"adoption exceeded the {cap}-round cap")
         if collect_trace:
             for k in np.flatnonzero(moving):
                 traces[live[k]].append(frozenset(np.nonzero(switch[:, k])[0].tolist()))

@@ -24,14 +24,12 @@ from .errors import InvalidParamsError
 from .graph import (Network, SbmSpec, gen_linear, gen_regular_tree, gen_sbm, gen_star_chain,
                     validate_mu)
 from .model import ModelParams, Platform, trust_threshold
-from .regulation import RegulationKind, sender_equilibria, solve_pool
+from .regulation import POOL_COLUMNS, RegulationKind, sender_equilibria, solve_pool
 
 SWEEP_CSV_HEADER = "p,b_A,samples,n_no_effective,n_any,n_moderate,mean_rho_se,seed_base"
 A1_CSV_HEADER = "theta_JJ,seed,n_users_B,irregular_choices"
 # validate_assumption1 samples and walks at most this many networks together
 A1_GROUP = 6
-# a sweep pool's first engine call holds at most this many columns
-POOL_COLUMNS = 220
 
 
 def chain_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float, ...], ...]:
@@ -270,14 +268,13 @@ def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
 
     A task is one pool of consecutive samples (_pools). Its networks are
     built in the task, and the cells of all of them are solved together
-    (solve_pool): one walk whose first engine call holds at most
-    POOL_COLUMNS columns, or one sample's cells where those alone are more.
-    A sample is never split across pools, and only one pool's networks are
-    held at a time. With workers > 1 there are at least as many pools as
-    workers while samples last; with fewer samples than workers, each
-    sample's p columns split into min(ceil(workers / samples), p steps)
-    contiguous blocks, one task each, so a deterministic recipe still shares
-    its grid out. Results depend only on the spec and sample index, never
+    (solve_pool) in walks of at most POOL_COLUMNS columns, so one sample's
+    cells that alone are more are walked in blocks. A sample is never split
+    across pools, and only one pool's networks are held at a time. With
+    workers > 1 there are at least as many pools as workers while samples
+    last; with fewer samples than workers, each sample's p columns split
+    into min(ceil(workers / samples), p steps) contiguous blocks, one task
+    each, so a deterministic recipe still shares its grid out. Results depend only on the spec and sample index, never
     on pooling or scheduling.
     """
     p_values = spec.p_values()

@@ -8,8 +8,9 @@ linked user receives with probability 1), so it is used everywhere.
 
 Storage: a Network keeps its edges once, as one read-only array of
 ascending (lo, hi) pairs, and the generators build those arrays with numpy.
-Their users with the same c (and community) share one UserProfile, so a
-generated network holds O(n + E) numbers and n pointers, not n objects.
+Users with the same c (and community) share one UserProfile, in a generated
+network and in a loaded one, so a network holds O(n + E) numbers and n
+pointers, not n objects.
 
 Representation: distances only shrink as users join a platform, so every
 distance query is one relaxation (relax): from the sender links over an
@@ -20,13 +21,15 @@ walk over cached adjacency lists that visits only the users whose distance
 falls and their neighbours, O(n + E) at most: a level-synchronous numpy
 loop pays a fixed cost per level, which a deep network (a line of 2000 has
 1999 levels) multiplies. A batch of two or more columns runs one level loop
-whose reach step is Network.neighbour_counts. A Network with at most
-DENSE_MAX_USERS users keeps a dense float64 adjacency, so those counts are
-BLAS matmuls; above the cutoff it keeps only CSR edge arrays and the counts
-are np.add.reduceat over them, so it never builds an n x n matrix and takes
-O(n + E) memory plus O((n + E) * B) bytes per batch of B columns. gen_sbm
-still draws all n(n-1)/2 pairs, so SBM generation takes quadratic time, but
-it draws them in chunks of whole rows, so its memory stays bounded.
+(relax_levels) whose reach step is Network.neighbour_counts, or, for the
+adoption engine's columns on several networks, one that counts each column
+on its own network. A Network with at most DENSE_MAX_USERS users keeps a
+dense float64 adjacency, so those counts are BLAS matmuls; above the cutoff
+it keeps only CSR edge arrays and the counts are np.add.reduceat over them,
+so it never builds an n x n matrix and takes O(n + E) memory plus
+O((n + E) * B) bytes per batch of B columns. gen_sbm still draws all
+n(n-1)/2 pairs, so SBM generation takes quadratic time, but it draws them
+in chunks of whole rows, so its memory stays bounded.
 
 The plain sender-to-user hop counts (every user relaying) depend on the
 graph alone; Network.relay_distances computes them once per network.
@@ -239,7 +242,8 @@ class Network:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Network":
         """The Network of a to_json_dict document. Refuses an n_users or
-        community that is not an integer and a c that is not a number."""
+        community that is not an integer and a c that is not a number. Users
+        with equal c and community share one UserProfile."""
         from numbers import Integral, Real
 
         def typed(value, name: str, kind):
@@ -249,9 +253,15 @@ class Network:
                 raise InvalidParamsError(f"{name} must be {want}, got {value!r}")
             return int(value) if kind is Integral else float(value)
 
-        profiles = tuple(UserProfile(c=typed(u["c"], "c", Real),
-                                     community=typed(u.get("community", 0), "community", Integral))
-                         for u in doc["profiles"])
+        shared = {}
+
+        def profile(u: dict) -> UserProfile:
+            key = (typed(u["c"], "c", Real), typed(u.get("community", 0), "community", Integral))
+            if key not in shared:
+                shared[key] = UserProfile(*key)
+            return shared[key]
+
+        profiles = tuple(map(profile, doc["profiles"]))
         return cls(typed(doc["n_users"], "n_users", Integral), doc["edges"], doc["sender_links"],
                    profiles, dict(doc.get("generator_meta", {})))
 
@@ -485,12 +495,19 @@ def relax(network: Network, dist: np.ndarray, on_side: np.ndarray,
     if dist.shape[1] == 1:
         _relax_column(network, dist[:, 0], on_side[:, 0], joined[:, 0])
         return dist
+    return relax_levels(network.neighbour_counts, dist, on_side, joined)
+
+
+def relax_levels(neighbour_counts, dist: np.ndarray, on_side: np.ndarray,
+                 joined: np.ndarray) -> np.ndarray:
+    """relax as one level loop over all columns, whose reach step is
+    neighbour_counts (Network.neighbour_counts, or one that counts each
+    column on its own network). Returns dist."""
     # relays whose distance was set or lowered but not yet passed on
     pending = joined & (dist != UNREACHED)
     # UNREACHED reads as the largest uint32 here, so one comparison finds
     # both the unreached users and those a new path brings closer
     as_unsigned = dist.view(np.uint32)
-    neighbour_counts = network.neighbour_counts
     while pending.any():
         # each column passes on its own lowest pending level; a column with
         # none pending gets the largest uint32, and its step (wrapped to 0)

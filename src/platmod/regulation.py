@@ -15,24 +15,30 @@ synchronous process from all-A reaches the least fixed point of a monotone
 map, so a set stays the equilibrium until an outsider's advantage, linear in
 beta while it trusts, reaches the join tie; that breakpoint is closed form
 in the current set, and a run warm-started from the current set reaches the
-set below it (parametric search, Megiddo 1983; Milgrom & Roberts 1990). The
-walk runs its (network, cell) columns in lockstep (adoption.Columns): one
-engine call from all-A at beta_max, then one per step from the state the
-step before reached, for every column with a breakpoint left. On cascade
-trees cascade_thresholds gives the tops and cascade_final_b_sets the sets.
+set below it (parametric search, Megiddo 1983; Milgrom & Roberts 1990). A
+walk of (network, cell) columns (adoption.Columns) is one engine call from
+all-A at beta_max: whenever a column settles, the walk's step callback
+records its piece and names its next breakpoint, and the engine restarts
+the column there from the state it settled in, in the next round, so each
+column runs only its own rounds (iteration-level scheduling: Yu et al.,
+Orca, OSDI 2022). On cascade trees cascade_thresholds gives the tops and
+cascade_final_b_sets the sets.
 
-_b_sides drives every B side: it computes each network's trust thresholds
-once, walks all columns off cascade trees together, makes a tree's pieces
-one cell at a time and hands each network its pieces. solve_pool (the same
-cells on several networks of one size), sender_equilibria (one cell on
-each) and optimal_B read it; the other entry points are views of these.
-Payoffs and the trust test come from the model's kernel.
+_b_sides drives every B side: it computes each network's trust test once,
+walks the columns off cascade trees in blocks of at most POOL_COLUMNS,
+makes a tree's pieces one cell at a time and hands each network its pieces.
+solve_pool (the same cells on several networks of one size),
+sender_equilibria (one cell on each) and optimal_B read it; the other entry
+points are views of these. Payoffs and the trust test come from the model's
+kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +53,15 @@ from .errors import InvalidParamsError, InvariantViolationError
 from .graph import Network, receive_map
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_payoff,
                     sender_side_advantage, sender_weight, trusts)
+
+# the most columns one walk (one engine call) holds; more are walked in blocks
+POOL_COLUMNS = 220
+
+# _next_tops takes at most this many columns at once: its temporaries, about
+# 3 KiB per column at n = 90, live beside the engine's round state. A
+# 220-column walk of four 3x30 chain samples peaks at 5.7 KiB per column with
+# it and at 7.7 KiB when every column that settles in a round goes at once
+_TOPS_COLUMNS = 32
 
 # a breakpoint is predicted where an outsider's advantage reaches -_JOIN_MARGIN:
 # inside the tie band, so the engine's roundoff still lets the outsider join
@@ -75,18 +90,35 @@ class RegulationResult:
     sum_p_a: float
 
 
-def _best(mu: float, bp: np.ndarray, candidates: list[float],
+class _Trust(NamedTuple):
+    """A network's trust test, made once: limit is each user's trust
+    threshold plus TIE_TOL, so a user trusts beta iff beta <= limit (as
+    model.trusts), and floor its smallest, at or below which every user
+    trusts."""
+
+    limit: np.ndarray
+    floor: float
+
+
+def _best(mu: float, trust: _Trust, candidates: list[float],
           pieces: list) -> tuple[float, float]:
     """The sender's best (beta, utility) over candidates (ascending), each
-    scored on the set of the piece that holds it, with bp each user's trust
-    threshold; a larger candidate wins only by more than TIE_TOL."""
+    scored on the set of the piece that holds it; a larger candidate wins
+    only by more than TIE_TOL. Where every user trusts, the persuaded users
+    are the piece's whole set, summed once per piece."""
     best_beta, best_u = 0.0, -1.0
     k = len(pieces) - 1  # the piece with the lowest top
+    summed = {}  # piece index -> summed p_recv of its whole set
     for b in candidates:
         while pieces[k][0] < b:
             k -= 1
         _, on_b, p_recv = pieces[k]
-        u = sender_payoff(mu, b, p_recv, on_b & trusts(b, bp))
+        if b > trust.floor:
+            u = sender_payoff(mu, b, p_recv, on_b & (b <= trust.limit))
+        else:
+            if k not in summed:
+                summed[k] = float(p_recv[on_b].sum())
+            u = sender_weight(mu, b) * summed[k]
         if u > best_u + TIE_TOL:
             best_beta, best_u = b, u
     return best_beta, best_u
@@ -106,16 +138,17 @@ def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
 def _walk(cols: Columns, cells: list[ModelParams], beta_max: np.ndarray) -> list[list]:
     """Pieces of every column, cell cells[j] on network cols.owner[j], walked
     down from its network's beta_max (one per network, its largest trust
-    threshold) in lockstep; all cells share mu.
+    threshold); all cells share mu.
 
-    Every step is one engine call: the first from all-A, each later one
-    from the state (set, distances, B-neighbour counts) of the step before,
-    the counts being those the step computes for the advantages. Within a
-    piece no outsider's advantage reaches the join tie, so the next
-    breakpoint (_next_tops) is closed form in the current state, and the
-    engine started from that state gives the set there; no step runs a full
-    distance query. A new set that does not contain its start raises. Only
-    the start's columns of a step's state live through the next engine call.
+    The walk is one engine call from all-A at beta_max, and step below is
+    its callback. Whenever a column settles, step records its piece and
+    returns its next breakpoint (_next_tops), and the engine restarts the
+    column there from the state it settled in (set, distances, B-neighbour
+    counts), so no step runs a full distance query. Within a piece no
+    outsider's advantage reaches the join tie, so the next breakpoint is
+    closed form in that state, and the engine started from it gives the set
+    there. Each column runs only its own rounds: one that settles early
+    restarts while the others still move.
     """
     mu = cells[0].mu
     p, b_a, b_b = (np.array([getattr(params, name) for params in cells])
@@ -128,33 +161,20 @@ def _walk(cols: Columns, cells: list[ModelParams], beta_max: np.ndarray) -> list
             np.array([net.degrees for net in cols.networks], dtype=np.int32),
             np.array([net.sender_mask for net in cols.networks]))
     del c
-    beta = beta_max[cols.owner]
-    live = np.arange(len(cells))
     pieces = [[] for _ in cells]
-    start = None
-    while True:
-        on_b, dist, _, _ = batch_final_b_sets(
-            cols, mu, beta, p[live], b_a[live], b_b[live], start=start
-        )
-        shrunk = start is not None and (start[0] > on_b).any(axis=0)
-        if np.any(shrunk):
-            k = int(np.argmax(shrunk))
-            raise InvariantViolationError(
-                f"adopter set at beta={float(above[k])!r} is not a subset of the set at "
-                f"beta={float(beta[k])!r}"
-            )
-        start = None
-        p_recv = receive_map(p[live], dist)
-        for k, j in enumerate(live):
+
+    def step(index, beta, on_b, dist, n_b, p_recv):
+        for k, j in enumerate(index.tolist()):
             pieces[j].append((float(beta[k]), on_b[:, k], p_recv[:, k]))
-        n_b = cols.neighbour_counts(on_b)
-        nxt = _next_tops(cols, rows, beta, on_b, p_recv, n_b, b_a[live], b_b[live])
-        going = nxt >= 0.0
-        if not going.any():
-            return pieces
-        start = (on_b[:, going], dist[:, going], n_b[:, going])
-        del dist, n_b
-        above, live, beta, cols = beta[going], live[going], nxt[going], cols.take(going)
+        nxt = np.empty(index.size)
+        for a in range(0, index.size, _TOPS_COLUMNS):
+            s = slice(a, a + _TOPS_COLUMNS)
+            nxt[s] = _next_tops(cols.take(index[s]), rows, beta[s], on_b[:, s], p_recv[:, s],
+                                n_b[:, s], b_a[index[s]], b_b[index[s]])
+        return nxt
+
+    batch_final_b_sets(cols, mu, beta_max[cols.owner], p, b_a, b_b, step=step)
+    return pieces
 
 
 def _next_tops(cols: Columns, rows: tuple, beta: np.ndarray, on_b: np.ndarray,
@@ -165,15 +185,15 @@ def _next_tops(cols: Columns, rows: tuple, beta: np.ndarray, on_b: np.ndarray,
     trusts, reaches -_JOIN_MARGIN, or its exact root (advantage 0) when that
     level is not below beta, so a predicted joiner the engine leaves out is
     tried once more there. An outsider whose advantage at beta is not
-    negative was left out by the engine, which raises. The per-column
-    temporaries die with the call, before the next engine call runs. rows
-    are _walk's per-network rows."""
+    negative was left out by the engine, which raises. rows are _walk's
+    per-network rows."""
     gain0, weight, degree, linked = rows
     adv0, _ = sender_side_advantage(
         n_b, cols.spread(degree), b_b, b_a, True, p_recv, cols.spread(gain0),
         cols.spread(linked),
     )
-    slope = cols.spread(weight) * p_recv
+    slope = cols.spread(weight)
+    slope *= p_recv
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = adv0 / slope
         adv0 += _JOIN_MARGIN
@@ -201,38 +221,42 @@ def _cascade_pieces(network: Network, params: ModelParams, beta_max: float) -> l
 
 
 def _b_sides(networks: list[Network], cells: list[ModelParams]):
-    """For each network, in order: (bp, thresholds, pieces), its users'
-    trust thresholds, their distinct values ascending, and one piece list
-    per cell (all cells share mu). The columns off cascade trees share one
-    walk; a cascade tree's pieces come from the closed form one cell at a
-    time, so a large grid never holds every cell's sets at once."""
+    """For each network, in order: (trust, thresholds, pieces), its users'
+    trust test (_Trust), their distinct trust thresholds ascending, and one
+    piece list per cell (all cells share mu). The columns off cascade trees
+    are walked in blocks of at most POOL_COLUMNS, each when the one before
+    is used up, so a walk's working set stays within one block; a cascade
+    tree's pieces come from the closed form one cell at a time, so a large
+    grid on a tree never holds every cell's sets at once."""
     mu = cells[0].mu
     bps = [_beta_primes(network, mu) for network in networks]
     thresholds = [np.unique(bp).tolist() for bp in bps]
-    cols = Columns.repeat(networks, len(cells))
+    beta_max = np.array([t[-1] for t in thresholds])
     on_tree = np.array([network.is_cascade_tree for network in networks])
-    walked = iter(()) if on_tree.all() else iter(_walk(
-        cols.take(~on_tree[cols.owner]),
-        [params for tree in on_tree if not tree for params in cells],
-        np.array([t[-1] for t in thresholds]),
-    ))
+    cols = Columns.repeat(networks, len(cells))
+    cols = cols.take(~on_tree[cols.owner])
+    col_cells = [params for tree in on_tree if not tree for params in cells]
+    walked = chain.from_iterable(
+        _walk(cols.take(slice(a, a + POOL_COLUMNS)), col_cells[a:a + POOL_COLUMNS], beta_max)
+        for a in range(0, len(col_cells), POOL_COLUMNS))
     for network, bp, t, tree in zip(networks, bps, thresholds, on_tree):
-        yield bp, t, ((_cascade_pieces(network, params, t[-1]) for params in cells) if tree
-                      else [next(walked) for _ in cells])
+        yield _Trust(bp + TIE_TOL, t[0] + TIE_TOL), t, (
+            (_cascade_pieces(network, params, t[-1]) for params in cells) if tree
+            else [next(walked) for _ in cells])
 
 
-def _decide(mu: float, bp: np.ndarray, thresholds: list[float], pieces: list) -> SenderDecision:
+def _decide(mu: float, trust: _Trust, thresholds: list[float], pieces: list) -> SenderDecision:
     """The sender's optimum on B over a cell's pieces. Within a piece the
     utility rises with beta except where a user stops trusting, so the
     candidates are every top, every trust threshold and 0."""
     candidates = sorted({0.0} | {top for top, _, _ in pieces} | set(thresholds))
-    return SenderDecision(Platform.B, *_best(mu, bp, candidates, pieces))
+    return SenderDecision(Platform.B, *_best(mu, trust, candidates, pieces))
 
 
 def optimal_B(network: Network, params: ModelParams) -> SenderDecision:
     """Sender's best deceit level and utility on the unregulated platform B."""
-    [(bp, thresholds, [pieces])] = _b_sides([network], [params])
-    return _decide(params.mu, bp, thresholds, pieces)
+    [(trust, thresholds, [pieces])] = _b_sides([network], [params])
+    return _decide(params.mu, trust, thresholds, pieces)
 
 
 def strictest_effective_regulation(network: Network, params: ModelParams) -> RegulationResult:
@@ -258,7 +282,7 @@ def solve_cells(network: Network, cells) -> list[RegulationResult]:
 def solve_pool(networks, cells) -> list[list[RegulationResult]]:
     """solve_cells of the same cells on each of several networks of one
     size: one result list per network, in order. All cells must share mu.
-    Every (network, cell) column walks in one lockstep walk (see the module
+    Every (network, cell) column is walked together (see the module
     docstring); then each cell is decided and classified on its own, and
     the A side is priced once per network and distinct p. A network with a
     user whose c is at or below mu raises InvalidParamsError for the pool."""
@@ -269,10 +293,10 @@ def solve_pool(networks, cells) -> list[list[RegulationResult]]:
     if any(params.mu != mu for params in cells):
         raise InvalidParamsError("cells solved together must share mu")
     out = []
-    for network, (bp, thresholds, pieces) in zip(networks, _b_sides(networks, cells)):
-        a_sides = {p: _price_a(network, mu, p, bp, thresholds)
+    for network, (trust, thresholds, pieces) in zip(networks, _b_sides(networks, cells)):
+        a_sides = {p: _price_a(network, mu, p, trust, thresholds)
                    for p in dict.fromkeys(params.p for params in cells)}
-        out.append([_classify(params, a_sides[params.p], _decide(mu, bp, thresholds, cell_pieces))
+        out.append([_classify(params, a_sides[params.p], _decide(mu, trust, thresholds, cell_pieces))
                     for params, cell_pieces in zip(cells, pieces)])
     return out
 
@@ -288,10 +312,10 @@ class _ASide:
     u_unregulated: float
 
 
-def _price_a(network: Network, mu: float, p: float, bp: np.ndarray,
+def _price_a(network: Network, mu: float, p: float, trust: _Trust,
              thresholds: list[float]) -> _ASide:
     p_a = receive_map(p, network.relay_distances)
-    tiers = {k: float(p_a[trusts(k, bp)].sum()) for k in thresholds}
+    tiers = {k: float(p_a[k <= trust.limit].sum()) for k in thresholds}
     return _ASide(float(p_a.sum()), tiers,
                   max(sender_weight(mu, k) * t for k, t in tiers.items()))
 
@@ -336,13 +360,13 @@ def sender_equilibria(
         return []
     out = []
     cap = params.rho_a
-    for network, (bp, thresholds, [pieces]) in zip(networks, _b_sides(networks, [params])):
+    for network, (trust, thresholds, [pieces]) in zip(networks, _b_sides(networks, [params])):
         # A keeps every user: one piece, scored at the cap and the thresholds up to it
         on_a = [(np.inf, np.ones(network.n_users, dtype=bool),
                  receive_map(params.p, network.relay_distances))]
         candidates = sorted({cap} | {x for x in thresholds if x <= cap + TIE_TOL})
-        best_beta_a, best_u_a = _best(params.mu, bp, candidates, on_a)
-        decision_b = _decide(params.mu, bp, thresholds, pieces)
+        best_beta_a, best_u_a = _best(params.mu, trust, candidates, on_a)
+        decision_b = _decide(params.mu, trust, thresholds, pieces)
         if best_u_a >= decision_b.utility - TIE_TOL:
             out.append((SenderDecision(Platform.A, best_beta_a, best_u_a), None))
         else:

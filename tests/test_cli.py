@@ -16,6 +16,7 @@ import platmod.graph
 from platmod import (InvariantViolationError, ModelParams, Network, NetworkRecipe, Platform,
                      SweepSpec, gen_linear, run_adoption, sweep, validate_assumption1)
 from platmod.cli import main
+from platmod.experiments import _pools
 
 
 def run_cli(args):
@@ -250,6 +251,12 @@ def test_benchmark_tracer_reads_the_engine_and_the_bfs():
     tracer = _bench_spans().Tracer()
     with tracer:
         sweep(spec)
+    metrics = tracer.metrics()
+    # one engine call per pool, of every (network, cell) column
+    assert metrics["adoption.engine_calls"] == len(_pools(spec.seeds(), 4, 1)) == 1
+    assert metrics["adoption.engine_cols"] == spec.samples * 4
+    tracer = _bench_spans().Tracer()
+    with tracer:
         validate_assumption1([0.75], seeds=range(2), sizes=(6, 6, 6))
     metrics = tracer.metrics()
     assert metrics["adoption.engine_calls"] > 0

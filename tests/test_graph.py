@@ -260,6 +260,19 @@ def test_network_json_refuses_what_it_would_truncate_or_convert():
             Network.from_json_dict(bad)
 
 
+def test_loaded_users_share_profiles():
+    # users with equal c and community share one profile, as generated ones do
+    net = gen_sbm(SbmSpec(sizes=(4, 4), theta=((0.9, 0.1), (0.1, 0.9)), seed=2,
+                          c_by_community=(0.3, 0.4)))
+    doc = net.to_json_dict()
+    doc["profiles"][1] = {"c": 0.3, "community": 1}
+    loaded = Network.from_json_dict(doc)
+    assert loaded.profiles == tuple(UserProfile(**u) for u in doc["profiles"])
+    assert len({id(u) for u in loaded.profiles}) == 3
+    assert loaded.profiles[0] is loaded.profiles[2] and loaded.profiles[1] is not loaded.profiles[0]
+    assert len({id(u) for u in Network.from_json_dict(gen_linear(5).to_json_dict()).profiles}) == 1
+
+
 def test_edges_canonical_as_given_or_rebuilt():
     net = gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.7, 0.1), (0.1, 0.7)), seed=3))
     rows = [list(e) for e in net.edges]

@@ -32,7 +32,8 @@ from platmod.adoption import (
     cascade_final_b_sets,
     nash_check,
 )
-from platmod.graph import UNREACHED, receive_probs, relax, through_platform_distances
+from platmod.graph import (UNREACHED, receive_map, receive_probs, relax,
+                           through_platform_distances)
 
 from conftest import build_network, random_sbm_instance, widened_sbm_instance
 
@@ -449,10 +450,24 @@ def test_engine_columns_carry_their_own_params(monkeypatch, dense_max_users):
             assert one[2][0] == rounds[j] and one[3][0] == traces[j]
 
 
+def _restart_once_at(levels, seen):
+    """A step callback that restarts each column once, at levels[j], and
+    appends every state it is handed to seen as (column, beta, state as
+    handed, a copy of it made then); a state is (on_b, dist, n_b, p_recv)."""
+    def step(index, beta, *state):
+        again = []
+        for k, j in enumerate(index.tolist()):
+            again.append(all(s[0] != j for s in seen))
+            given = tuple(x[:, k] for x in state)
+            seen.append((j, float(beta[k]), given, tuple(x.copy() for x in given)))
+        return np.where(again, levels[index], -1.0)
+    return step
+
+
 @pytest.mark.parametrize("dense_max_users", [10**9, 0])
 def test_warm_start_from_a_higher_beta_reaches_the_cold_set(monkeypatch, dense_max_users):
     # the set of a higher beta lies inside the equilibrium set of a lower
-    # one, so a run started from it reaches the set of a run from all-A
+    # one, so a column restarted from it reaches the set of a run from all-A
     rng = np.random.default_rng(43)
     checked = 0
     while checked < 6:
@@ -467,20 +482,27 @@ def test_warm_start_from_a_higher_beta_reaches_the_cold_set(monkeypatch, dense_m
         low = high * rng.uniform(0.0, 1.0, 12)
         args = (params.p, params.b_a, params.b_b)
         start = batch_final_b_sets(net, params.mu, high, *args)[0]
-        state = (start, through_platform_distances(net, start), net.neighbour_counts(start))
         cold = batch_final_b_sets(net, params.mu, low, *args)
-        warm = batch_final_b_sets(net, params.mu, low, *args, start=state)
+        seen = []
+        warm = batch_final_b_sets(net, params.mu, high, *args, step=_restart_once_at(low, seen))
         assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
         assert not (start > warm[0]).any()
         for j in range(low.size):
+            # the column settled at high with the cold set there, then at low
+            [(_, at_high, (set_high, *_), _), (_, at_low, (set_low, *_), _)] = [
+                x for x in seen if x[0] == j]
+            assert (at_high, at_low) == (high[j], low[j])
+            assert np.array_equal(set_high, start[:, j]) and np.array_equal(set_low, warm[0][:, j])
             assert warm[0][:, j].tolist() == ref_adoption(net, params, float(low[j]))[0]
 
 
 @pytest.mark.parametrize("dense_max_users", [10**9, 0], ids=["dense", "CSR"])
 def test_engine_given_the_start_state_equals_computing_it(monkeypatch, dense_max_users):
-    # start=None runs from the all-A state built here with the full distance
-    # query and the counts; a warm start from the engine's own set and
-    # distances runs as from the state built here; neither state changes
+    # the state the engine hands over at each fixed point, from all-A and
+    # after a restart, is the one built here with the full distance query,
+    # the counts and the receive map, bit for bit; the engine never changes
+    # a state it handed over, and a restarted column's trace runs on from
+    # its first run's
     rng = np.random.default_rng(47)
     checked = 0
     while checked < 6:
@@ -493,22 +515,24 @@ def test_engine_given_the_start_state_equals_computing_it(monkeypatch, dense_max
         high = rng.uniform(0.0, 1.1 * bp, 9)
         low = high * rng.uniform(0.0, 1.0, 9)
         args = (params.p, params.b_a, params.b_b)
-        all_a = np.zeros((net.n_users, low.size), dtype=bool)
-        start, start_dist, _, _ = batch_final_b_sets(net, params.mu, high, *args)
-        for state, on_b in (
-            (None, all_a),
-            ((start, start_dist, net.neighbour_counts(start)), start),
-        ):
-            built = (on_b, through_platform_distances(net, on_b), net.neighbour_counts(on_b))
-            kept = tuple(x.copy() for x in built)
-            given = batch_final_b_sets(net, params.mu, low, *args, collect_trace=True,
-                                       start=state)
-            computed = batch_final_b_sets(net, params.mu, low, *args, collect_trace=True,
-                                          start=built)
-            for g, w in zip(given[:3], computed[:3]):
-                assert g.dtype == w.dtype and np.array_equal(g, w)
-            assert given[3] == computed[3]
-            assert all(np.array_equal(x, y) for x, y in zip(built, kept))
+        first = batch_final_b_sets(net, params.mu, high, *args, collect_trace=True)
+        seen = []
+        on_b, dist, rounds, traces = batch_final_b_sets(
+            net, params.mu, high, *args, collect_trace=True, step=_restart_once_at(low, seen))
+        assert len(seen) == 2 * low.size
+        for _, _, given, kept in seen:
+            set_ = given[0]
+            built_dist = through_platform_distances(net, set_[:, None])[:, 0]
+            built = (set_, built_dist, net.neighbour_counts(set_.astype(np.float64)),
+                     receive_map(params.p, built_dist))
+            for g, w, k in zip(given, built, kept):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes() == k.tobytes()
+        for j in range(low.size):
+            assert traces[j][:len(first[3][j])] == first[3][j]
+            assert rounds[j] == len(traces[j]) >= first[2][j]
+            # the engine returns the state it handed over last
+            last = [given for k, _, given, _ in seen if k == j][-1]
+            assert np.array_equal(on_b[:, j], last[0]) and np.array_equal(dist[:, j], last[1])
 
 
 @pytest.mark.parametrize("dense_max_users", [10**9, 0])

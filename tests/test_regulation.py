@@ -34,6 +34,7 @@ from platmod.analytic import big_f
 from platmod.experiments import _pool_results
 from platmod.regulation import _b_sides, _walk, sender_equilibria, solve_cells, solve_pool
 from platmod.adoption import Columns, _beta_primes, batch_final_b_sets
+from platmod.graph import receive_map
 from platmod.model import TIE_TOL
 
 from conftest import (
@@ -175,13 +176,13 @@ def test_candidates_sit_on_piece_tops(net, params, cascade):
     # pieces: a cold engine run at each top gives the piece's set, and one
     # between two consecutive candidates gives the upper candidate's set
     assert net.is_cascade_tree is cascade
-    [(bp, _, [pieces])] = _b_sides([net], [params])
+    [(_, thresholds, [pieces])] = _b_sides([net], [params])
     cold = lambda b: batch_final_b_sets(net, params.mu, np.array([b]), params.p, params.b_a,
                                         params.b_b)[0][:, 0]
     for top, on_b, _ in pieces:
         assert np.array_equal(cold(top), on_b)
     set_at = lambda b: min((p for p in pieces if p[0] >= b), key=lambda p: p[0])[1]
-    candidates = sorted({0.0} | {top for top, _, _ in pieces} | {float(x) for x in bp})
+    candidates = sorted({0.0} | {top for top, _, _ in pieces} | set(thresholds))
     for lo, hi in zip(candidates, candidates[1:]):
         assert np.array_equal(cold((lo + hi) / 2), set_at(hi))
     # the instance has at least one adopter-set jump
@@ -340,21 +341,56 @@ def test_lockstep_cells_equal_one_cell_solves():
         solve_cells(tree, [default_params(), default_params(mu=0.1)])
 
 
-def test_non_nested_engine_output_raises(monkeypatch):
-    # an engine that drops a member of its start breaks the nesting the
-    # walk relies on; solves and sweeps must fail loudly
+def _patch_walk_step(patched, wrap):
+    """Make the walk's engine call wrap(step) in place of the walk's step
+    callback: the boundary where faults are injected."""
     engine = platmod.regulation.batch_final_b_sets
 
-    def dropping_start(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None):
-        on_b, dist, rounds, traces = engine(network, mu, betas, p, b_a, b_b, collect_trace, start)
-        if start is not None:
-            on_b &= ~(start[0] & (np.cumsum(start[0], axis=0) == 1))  # each start's first member
-        return on_b, dist, rounds, traces
+    def wrapped(*args, step=None, **kwargs):
+        return engine(*args, step=wrap(step), **kwargs)
 
-    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", dropping_start)
+    patched.setattr(platmod.regulation, "batch_final_b_sets", wrapped)
+
+
+def _restart_above_the_top(step):
+    """The first columns with adopters that are given a next breakpoint
+    restart at beta = 1 instead, above every top, where nobody trusts: the
+    set they carry is not inside the set there."""
+    lifted = [False]
+
+    def restart(index, beta, on_b, *state):
+        nxt = step(index, beta, on_b, *state)
+        lift = (nxt >= 0.0) & on_b.any(axis=0)
+        if not lifted[0] and lift.any():
+            lifted[0] = True
+            return np.where(lift, 1.0, nxt)
+        return nxt
+
+    return restart
+
+
+def _stalled_after_restart(step):
+    """Each column hands the walk the state it first settled in at every
+    later level, as if the engine moved nobody after a restart."""
+    first = {}
+
+    def stalled(index, beta, *state):
+        for k, j in enumerate(index.tolist()):
+            first.setdefault(j, tuple(x[:, k] for x in state))
+        return step(index, beta, *(np.stack([first[j][i] for j in index.tolist()], axis=1)
+                                   for i in range(len(state))))
+
+    return stalled
+
+
+def test_non_nested_engine_output_raises(monkeypatch):
+    # a column restarted from a set that is not inside the set at its new
+    # level has users on B who strictly prefer A; solves and sweeps must
+    # fail loudly
+    _patch_walk_step(monkeypatch, _restart_above_the_top)
     net = gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=4))
     assert not net.is_cascade_tree
-    with pytest.raises(InvariantViolationError, match="not a subset"):
+    with pytest.raises(InvariantViolationError, match="one-way migration violated"):
         strictest_effective_regulation(net, default_params())
     spec = SweepSpec(
         p_range=(0.5, 0.9, 2),
@@ -363,7 +399,7 @@ def test_non_nested_engine_output_raises(monkeypatch):
         samples=2,
         base_seed=4,
     )
-    with pytest.raises(InvariantViolationError, match="not a subset"):
+    with pytest.raises(InvariantViolationError, match="one-way migration violated"):
         sweep(spec)
 
 
@@ -401,22 +437,23 @@ def test_walk_agrees_with_the_bisection_oracle():
 def test_walk_retries_a_missed_join_at_its_exact_root(monkeypatch):
     # at a margin of twice the tie tolerance the engine leaves every
     # predicted joiner out, so every breakpoint comes from the retry
-    calls = []
-    engine = platmod.regulation.batch_final_b_sets
+    steps = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return engine(*args, **kwargs)
+    def counting(step):
+        def counted(index, *state):
+            steps.append(index.size)  # one walk step per settled column
+            return step(index, *state)
+        return counted
 
-    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", counting)
+    _patch_walk_step(monkeypatch, counting)
     for network, cells in _oracle_cases()[:-1]:  # the star chain never walks
         exact = solve_cells(network, cells)
-        n_exact = len(calls)
+        n_exact = sum(steps)
         with monkeypatch.context() as patched:
             patched.setattr(platmod.regulation, "_JOIN_MARGIN", 2 * TIE_TOL)
             retried = solve_cells(network, cells)
-        assert len(calls) - n_exact > n_exact  # the retries cost engine calls
-        calls.clear()
+        assert sum(steps) - n_exact > n_exact  # the retries cost walk steps
+        steps.clear()
         for a, b in zip(exact, retried):
             assert a.kind is b.kind
             assert b.u_star_b == pytest.approx(a.u_star_b, abs=1e-9)
@@ -470,9 +507,10 @@ def test_trust_thresholds_once_per_network_and_call(monkeypatch):
 
 @pytest.mark.parametrize("dense_max_users", [10**9, 0], ids=["dense", "CSR"])
 def test_warm_walk_steps_make_no_full_distance_query(monkeypatch, dense_max_users):
-    """The walk hands each warm engine call the distances and counts of its
-    start, and the engine relaxes them round by round; the cold start builds
-    the all-A distances directly, so a walk makes no full distance query."""
+    """The engine hands each settled column's distances and counts to the
+    walk's step and restarts the column from them, relaxing them round by
+    round; the all-A start builds its distances directly, so a walk makes
+    no full distance query."""
     base = per_community_c_sbm()
     net = build_network(monkeypatch, dense_max_users, dict(
         n_users=base.n_users, edges=base.edges, sender_links=base.sender_links,
@@ -487,18 +525,22 @@ def test_warm_walk_steps_make_no_full_distance_query(monkeypatch, dense_max_user
         return original(network, on_side)
 
     engine = platmod.regulation.batch_final_b_sets
-    warm_calls = []
+    calls, restarts = [], []
 
-    def counting_engine(*args, **kwargs):
-        warm_calls.append(kwargs.get("start") is not None)
-        return engine(*args, **kwargs)
+    def counting_engine(*args, step=None, **kwargs):
+        def counted(*state):
+            nxt = step(*state)
+            restarts.append(int(np.count_nonzero(nxt >= 0.0)))
+            return nxt
+        calls.append(1)
+        return engine(*args, step=counted, **kwargs)
 
     for module in (platmod.graph, platmod.adoption):
         monkeypatch.setattr(module, "through_platform_distances", counting)
     monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", counting_engine)
     cells = _random_cells(np.random.default_rng(12), 0.2, 6)
     solve_cells(net, cells)
-    assert warm_calls[0] is False and all(warm_calls[1:]) and len(warm_calls) > 3
+    assert len(calls) == 1 and sum(restarts) > 3
     assert queries == []
 
 
@@ -624,35 +666,102 @@ def test_columns_need_same_size_networks():
 
 
 def test_sender_equilibria_keep_the_invariant_checks(monkeypatch):
-    # a shrinking adopter set, a missed joiner and the round cap raise on
-    # the several-network walk as on a one-network one
+    # a set restarted outside the set at its new level, a missed joiner and
+    # the round cap raise on the several-network walk as on a one-network one
     nets = [gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=s))
             for s in (4, 5)]
     params = default_params(rho_a=0.0)
-    engine = platmod.regulation.batch_final_b_sets
-
-    def dropping_start(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None):
-        on_b, dist, rounds, traces = engine(network, mu, betas, p, b_a, b_b, collect_trace, start)
-        if start is not None:
-            on_b &= ~(start[0] & (np.cumsum(start[0], axis=0) == 1))
-        return on_b, dist, rounds, traces
-
     with monkeypatch.context() as patched:
-        patched.setattr(platmod.regulation, "batch_final_b_sets", dropping_start)
-        with pytest.raises(InvariantViolationError, match="not a subset"):
+        _patch_walk_step(patched, _restart_above_the_top)
+        with pytest.raises(InvariantViolationError, match="one-way migration violated"):
             sender_equilibria(nets, params)
-
-    def stalling(network, mu, betas, p, b_a, b_b, collect_trace=False, start=None):
-        # a warm start moves nobody, so the predicted joiners stay out
-        if start is None:
-            return engine(network, mu, betas, p, b_a, b_b, collect_trace)
-        return start[0].copy(), start[1].copy(), np.zeros(len(betas), dtype=np.int64), []
-
     with monkeypatch.context() as patched:
-        patched.setattr(platmod.regulation, "batch_final_b_sets", stalling)
+        _patch_walk_step(patched, _stalled_after_restart)
         with pytest.raises(InvariantViolationError, match="left out a user"):
             sender_equilibria(nets, params)
     with monkeypatch.context() as patched:
         patched.setattr(platmod.adoption, "ITERATION_CAP_SLACK", -nets[0].n_users)
         with pytest.raises(InvariantViolationError, match="round cap"):
             sender_equilibria(nets, params)
+
+
+@settings(max_examples=30)
+@given(batch=multi_network_batches())
+def test_flowing_walk_pieces_equal_cold_runs_at_their_tops(batch):
+    # columns settle and restart at their own rounds within one engine call;
+    # every state the walk is handed, and every piece it keeps, is that of
+    # a cold run from all-A at the piece's top: set, distances, B-neighbour
+    # counts and receive probabilities, bit for bit
+    networks, owner, cells = batch
+    columns = Columns(tuple(networks), np.array(owner))
+    beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
+    handed = {}
+
+    def recording(step):
+        def recorded(index, beta, *state):
+            for k, j in enumerate(index.tolist()):
+                handed.setdefault(j, []).append(tuple(x[:, k] for x in state))
+            return step(index, beta, *state)
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patched:
+        _patch_walk_step(patched, recording)
+        walked = _walk(columns, cells, beta_max)
+    for net, cols in _split(networks, owner):
+        tops = [(j, top) for j in range(cols.start, cols.stop) for top, _, _ in walked[j]]
+        at = [j for j, _ in tops]
+        p, b_a, b_b = (np.array([getattr(cells[j], name) for j in at])
+                       for name in ("p", "b_a", "b_b"))
+        on_b, dist, _, _ = batch_final_b_sets(net, 0.2, np.array([t for _, t in tops]), p,
+                                              b_a, b_b)
+        states = [state for j in range(cols.start, cols.stop) for state in handed[j]]
+        pieces = [piece for j in range(cols.start, cols.stop) for piece in walked[j]]
+        assert len(states) == len(pieces) == len(tops)
+        for k, ((set_, d, n_b, p_recv), (_, kept_set, kept_p_recv)) in enumerate(
+                zip(states, pieces)):
+            cold_p_recv = receive_map(p[k], dist[:, k])
+            assert set_.tobytes() == kept_set.tobytes() == on_b[:, k].tobytes()
+            assert d.tobytes() == dist[:, k].tobytes()
+            assert n_b.tobytes() == net.neighbour_counts(on_b[:, k].astype(np.float64)).tobytes()
+            assert p_recv.tobytes() == kept_p_recv.tobytes() == cold_p_recv.tobytes()
+
+
+def test_round_cap_counts_the_rounds_since_a_restart(monkeypatch):
+    # a line linked to the sender at both ends whose users trust less along
+    # it: its columns restart at many thresholds and move in different
+    # rounds, so the engine runs more than n + 1 rounds in which some column
+    # moves, though each column moves at most n rounds since any restart,
+    # and the solves go through
+    n = 10
+    line = gen_linear(n)
+    net = Network(n_users=n, edges=line.edges, sender_links=(0, n - 1),
+                  profiles=tuple(UserProfile(c=0.22 + 0.026 * k) for k in range(n)))
+    cells = [default_params(p=p, b_a=b_a) for p in (0.3, 0.5, 0.7, 0.9)
+             for b_a in (0.0, 0.001, 0.004)]
+    moving_rounds = []
+    relax = platmod.adoption.Columns.relax
+    monkeypatch.setattr(platmod.adoption.Columns, "relax",
+                        lambda cols, *args: moving_rounds.append(1) or relax(cols, *args))
+    results = solve_cells(net, cells)
+    assert len(moving_rounds) > n + 1 + platmod.adoption.ITERATION_CAP_SLACK
+    for params, res in zip(cells, results):
+        kind, _, u_oracle = bisection_regulation(net, params)
+        assert res.kind is kind
+        assert res.u_star_b == pytest.approx(u_oracle, abs=1e-8)
+
+
+def test_walks_hold_at_most_pool_columns(monkeypatch):
+    # one network's cells beyond POOL_COLUMNS are walked in blocks of at
+    # most that many columns, with the results of one walk
+    net, cells = _oracle_cases()[0]
+    cells = cells * 3
+    whole = solve_pool([net], cells)
+    engine = platmod.regulation.batch_final_b_sets
+    widths = []
+    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets",
+                        lambda cols, *args, **kwargs: widths.append(cols.owner.size)
+                        or engine(cols, *args, **kwargs))
+    monkeypatch.setattr(platmod.regulation, "POOL_COLUMNS", 7)
+    blocked = solve_pool([net], cells)
+    assert widths == [7] * (len(cells) // 7) + [len(cells) % 7] * (len(cells) % 7 > 0)
+    assert [_bits(res) for res in blocked] == [_bits(res) for res in whole]

@@ -3,17 +3,19 @@
 The engine is vectorized over a batch of columns: platform search in the
 regulation module evaluates many (beta, p, b_a, b_b) combinations, and every
 column of the batch is an independent run of the exact same synchronous
-update. Each column carries its own network (Columns), and the columns of
-several networks of one size share every round: neighbour counts run per
-network, the relaxation is one level loop over all columns (a queue walk per
-network where each has one column), and the rest is elementwise over
-per-user arrays gathered to the columns. A single network
-is the one-network case. A column that reaches its fixed point can be
-restarted at another deceit level from the state it reached, in the next
-round, while the others go on (the regulation module's walk does this). A
-scalar wrapper provides the public trace-carrying operation. The engine,
-best_response and nash_check compare the same sender-side advantage, with
-the tie rule, from the model's kernel.
+update. Each column carries its own network (graph.Columns), and the
+columns of several networks of one size share every round: neighbour counts
+run per network, or as one stacked matmul where several dense networks have
+one column each; the relaxation is one level loop over all columns through
+those counts (a queue walk per network where a single network, or each of
+several CSR ones, has one column); and the rest is elementwise over per-user
+arrays gathered to the columns. A single network is the one-network case.
+A column that reaches its fixed point can be restarted at another deceit
+level from the state it reached, in the next round, while the others go on
+(the regulation module's walk does this). A scalar wrapper provides the
+public trace-carrying operation. The engine, best_response and nash_check
+compare the same sender-side advantage, with the tie rule, from the model's
+kernel.
 
 On connected acyclic networks with a single sender link the process is a
 root-to-leaf wave (each user decides exactly once, when its parent has just
@@ -24,17 +26,19 @@ as a fast path that the regulation module uses for those networks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import (Network, UNREACHED, receive_map, relax, relax_levels,
-                    through_platform_distances, validate_mu)
+from .graph import (Columns, Network, UNREACHED, receive_map, through_platform_distances,
+                    validate_mu)
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_side_advantage,
                     trust_threshold, trusts)
 
 ITERATION_CAP_SLACK = 1  # cap = n_users + 1 rounds since a (re)start, loud failure beyond it
+# restarts in a row after which a column moved nobody, loud failure beyond
+# them: the walk's exact-root retry makes one
+IDLE_RESTART_CAP = 2
 
 
 @dataclass(eq=False)
@@ -74,68 +78,6 @@ class EquilibriumOutcome:
 def _beta_primes(network: Network, mu: float) -> np.ndarray:
     validate_mu(network, mu)
     return trust_threshold(mu, network.c_values)
-
-
-@dataclass(frozen=True, eq=False)
-class Columns:
-    """The network of each column of a batch.
-
-    networks share n_users, and column j runs on networks[owner[j]]; each
-    network's columns are contiguous (owner is nondecreasing), so per-network
-    work runs on column slices, in place.
-    """
-
-    networks: tuple[Network, ...]
-    owner: np.ndarray
-
-    @classmethod
-    def repeat(cls, networks, n_cols: int) -> "Columns":
-        """n_cols columns on each network, in order; every network must have
-        the same number of users."""
-        networks = tuple(networks)
-        if len({net.n_users for net in networks}) > 1:
-            raise InvalidParamsError("networks batched together must have the same size")
-        return cls(networks, np.repeat(np.arange(len(networks)), n_cols))
-
-    def take(self, keep) -> "Columns":
-        """The columns selected by keep (a boolean mask or indices), in order."""
-        return Columns(self.networks, self.owner[keep])
-
-    def spread(self, rows: np.ndarray) -> np.ndarray:
-        """rows, one (n_users,) row per network, at each column: (n_users, n_cols)."""
-        return rows.take(self.owner, axis=0).T
-
-    def gather(self, per_user) -> np.ndarray:
-        """per_user(network), an (n_users,) array, at each column: (n_users, n_cols)."""
-        return self.spread(np.array([per_user(net) for net in self.networks]))
-
-    @cached_property
-    def runs(self) -> list[tuple[Network, slice]]:
-        """(network, its columns) for every network with a column."""
-        if len(self.networks) == 1:
-            return [(self.networks[0], slice(None))]
-        bounds = np.searchsorted(self.owner, np.arange(len(self.networks) + 1)).tolist()
-        return [(net, slice(a, b)) for net, a, b in zip(self.networks, bounds, bounds[1:])
-                if a < b]
-
-    def neighbour_counts(self, marked: np.ndarray) -> np.ndarray:
-        """Network.neighbour_counts of each column on its own network."""
-        if len(self.networks) == 1:
-            return self.networks[0].neighbour_counts(marked)
-        counts = np.empty(marked.shape)
-        for net, cols in self.runs:
-            counts[:, cols] = net.neighbour_counts(marked[:, cols])
-        return counts
-
-    def relax(self, dist: np.ndarray, on_side: np.ndarray, joined: np.ndarray) -> None:
-        """graph.relax of each column on its own network, in place: a queue
-        walk per column where every network has one column, else one level
-        loop over every column."""
-        if self.owner.size == len(self.runs):
-            for net, cols in self.runs:
-                relax(net, dist[:, cols], on_side[:, cols], joined[:, cols])
-        else:
-            relax_levels(self.neighbour_counts, dist, on_side, joined)
 
 
 def batch_final_b_sets(
@@ -185,7 +127,10 @@ def batch_final_b_sets(
     Raises InvariantViolationError if a column runs more than n_users + 1
     rounds since it last (re)started, or a user ever prefers flipping B
     back to A beyond tolerance; either would falsify the one-way migration
-    property this process relies on.
+    property this process relies on. It also raises when a column is
+    restarted more than IDLE_RESTART_CAP times in a row without moving
+    anybody, so a step that keeps naming a level where the column stays put
+    fails instead of looping.
     """
     level = np.array(betas, dtype=np.float64)  # a copy: restarts overwrite it
     p, b_a, b_b = (np.full(level.shape, x, dtype=np.float64)[None, :] for x in (p, b_a, b_b))
@@ -217,8 +162,10 @@ def batch_final_b_sets(
     dist = np.where(linked, np.int32(0), np.int32(UNREACHED))
     traces: list[list[frozenset]] = [[] for _ in range(n_cols)] if collect_trace else []
     rounds = np.zeros(n_cols, dtype=np.int64)
-    # rounds at each column's last (re)start
+    # rounds at each column's last (re)start, and its restarts in a row that
+    # moved nobody (-1 before its first fixed point)
     began = np.zeros(n_cols, dtype=np.int64)
+    idle = np.full(n_cols, -1, dtype=np.int64)
     cap = n + ITERATION_CAP_SLACK
 
     while True:
@@ -235,8 +182,15 @@ def batch_final_b_sets(
         settled_p_recv = p_recv[:, settled]
         del diff, joins, p_recv
         if settled.size:
+            at = live[settled]
+            now_idle = np.where(rounds[at] == began[at], idle[at] + 1, 0)
+            if now_idle.max() > IDLE_RESTART_CAP:
+                raise InvariantViolationError(
+                    f"a column was restarted {IDLE_RESTART_CAP + 1} times in a row without "
+                    "moving anybody")
+            idle[at] = now_idle
             nxt = (np.full(settled.size, -np.inf) if step is None else np.asarray(step(
-                live[settled], level[settled], cur[:, settled], dist[:, settled],
+                at, level[settled], cur[:, settled], dist[:, settled],
                 n_b[:, settled], settled_p_recv)))
             going = nxt >= 0.0
             done[settled[~going]] = True

@@ -28,8 +28,10 @@ from .regulation import POOL_COLUMNS, RegulationKind, sender_equilibria, solve_p
 
 SWEEP_CSV_HEADER = "p,b_A,samples,n_no_effective,n_any,n_moderate,mean_rho_se,seed_base"
 A1_CSV_HEADER = "theta_JJ,seed,n_users_B,irregular_choices"
-# validate_assumption1 samples and walks at most this many networks together
-A1_GROUP = 6
+# validate_assumption1 samples and walks at most this many networks together;
+# a pooled 3 x 30 chain sample holds about 50 KiB, its edges and its layer of
+# the walk's stacked float32 adjacency
+A1_GROUP = 20
 
 
 def chain_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float, ...], ...]:

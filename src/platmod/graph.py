@@ -21,9 +21,13 @@ walk over cached adjacency lists that visits only the users whose distance
 falls and their neighbours, O(n + E) at most: a level-synchronous numpy
 loop pays a fixed cost per level, which a deep network (a line of 2000 has
 1999 levels) multiplies. A batch of two or more columns runs one level loop
-(relax_levels) whose reach step is Network.neighbour_counts, or, for the
-adoption engine's columns on several networks, one that counts each column
-on its own network. A Network with at most DENSE_MAX_USERS users keeps a
+(relax_levels) whose reach step is Network.neighbour_counts, or, for columns
+on several networks (Columns), one that counts each column on its own
+network. Several dense networks with one column each are counted together,
+by one batched float32 matmul over their stacked adjacency, so a pool of
+them (validate_assumption1's walks, and every pool's all-relay query,
+pooled_relay_distances) runs one level loop and builds no per-network
+adjacency. A Network with at most DENSE_MAX_USERS users keeps a
 dense float64 adjacency, so those counts are BLAS matmuls; above the cutoff
 it keeps only CSR edge arrays and the counts are np.add.reduceat over them,
 so it never builds an n x n matrix and takes O(n + E) memory plus
@@ -32,7 +36,8 @@ n(n-1)/2 pairs, so SBM generation takes quadratic time, but it draws them
 in chunks of whole rows, so its memory stays bounded.
 
 The plain sender-to-user hop counts (every user relaying) depend on the
-graph alone; Network.relay_distances computes them once per network.
+graph alone; Network.relay_distances computes them once per network, and
+pooled_relay_distances computes a pool's in one query.
 
 The cutoff sits just below the measured crossovers of solve_cells over the
 5 x 11 (p, b_A) grid of the C5 chain sweep (2-vCPU machine, numpy 2.4.6,
@@ -48,7 +53,7 @@ on a line linked to the sender at both ends, 1.14x at 90, 1.13x at 150,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
@@ -468,18 +473,142 @@ def gen_sbm(spec: SbmSpec) -> Network:
     )
 
 
-def through_platform_distances(network: Network, on_side: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """The network of each column of a batch.
+
+    networks share n_users, and column j runs on networks[owner[j]]; each
+    network's columns are contiguous (owner is nondecreasing), so per-network
+    work runs on column slices, in place. A pool of several dense networks
+    with one column each is stacked: its neighbour counts are one batched
+    float32 matmul over the (columns, n, n) adjacency of the columns'
+    networks, built from their edge arrays (counts of at most
+    DENSE_MAX_USERS < 2**24 are exact in float32), so its networks never
+    build adjacency_f, csr or adjacency_lists. shared, common to a pool and
+    every take of it, holds that stack.
+    """
+
+    networks: tuple[Network, ...]
+    owner: np.ndarray
+    shared: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def repeat(cls, networks, n_cols: int) -> "Columns":
+        """n_cols columns on each network, in order; every network must have
+        the same number of users."""
+        networks = tuple(networks)
+        if len({net.n_users for net in networks}) > 1:
+            raise InvalidParamsError("networks batched together must have the same size")
+        return cls(networks, np.repeat(np.arange(len(networks)), n_cols))
+
+    @property
+    def n_users(self) -> int:
+        return self.networks[0].n_users
+
+    def take(self, keep) -> "Columns":
+        """The columns selected by keep (a boolean mask or indices), in order."""
+        return Columns(self.networks, self.owner[keep], self.shared)
+
+    def spread(self, rows: np.ndarray) -> np.ndarray:
+        """rows, one (n_users,) row per network, at each column: (n_users, n_cols)."""
+        return rows.take(self.owner, axis=0).T
+
+    def gather(self, per_user) -> np.ndarray:
+        """per_user(network), an (n_users,) array, at each column: (n_users, n_cols)."""
+        return self.spread(np.array([per_user(net) for net in self.networks]))
+
+    @cached_property
+    def runs(self) -> list[tuple[Network, slice]]:
+        """(network, its columns) for every network with a column."""
+        if len(self.networks) == 1:
+            return [(self.networks[0], slice(None))]
+        bounds = np.searchsorted(self.owner, np.arange(len(self.networks) + 1)).tolist()
+        return [(net, slice(a, b)) for net, a, b in zip(self.networks, bounds, bounds[1:])
+                if a < b]
+
+    @cached_property
+    def stacked(self) -> bool:
+        """Several dense networks, none with two columns."""
+        return (len(self.networks) > 1 and all(net.dense for net in self.networks)
+                and not (np.diff(self.owner) == 0).any())
+
+    def _stack(self) -> np.ndarray:
+        """The float32 adjacency of each column's network, (columns, n, n).
+        The pool keeps one stack, for the columns that last asked for it:
+        built from the edge arrays one network at a time, and cut down in
+        place when the columns asking are on a subset of its networks, as
+        the engine's live columns are after some are set aside."""
+        owner, stack = self.shared.get("stack", (None, None))
+        if owner is self.owner:
+            return stack
+        if owner is not None and np.isin(self.owner, owner).all():
+            rows = np.searchsorted(owner, self.owner)
+            for new, old in enumerate(rows.tolist()):
+                if new != old:
+                    stack[new] = stack[old]
+            stack = stack[:rows.size]
+        else:
+            n = self.n_users
+            stack = np.zeros((self.owner.size, n, n), dtype=np.float32)
+            for layer, k in zip(stack, self.owner.tolist()):
+                i, j = self.networks[k].edge_array.T
+                layer[i, j] = layer[j, i] = 1.0
+        self.shared["stack"] = (self.owner, stack)
+        return stack
+
+    def neighbour_counts(self, marked: np.ndarray) -> np.ndarray:
+        """Network.neighbour_counts of each column on its own network."""
+        if len(self.networks) == 1:
+            return self.networks[0].neighbour_counts(marked)
+        if self.stacked:
+            per_col = marked.T.astype(np.float32)[:, :, None]
+            return np.matmul(self._stack(), per_col)[:, :, 0].T.astype(np.float64)
+        counts = np.empty(marked.shape)
+        for net, cols in self.runs:
+            counts[:, cols] = net.neighbour_counts(marked[:, cols])
+        return counts
+
+    def relax(self, dist: np.ndarray, on_side: np.ndarray, joined: np.ndarray) -> None:
+        """relax of each column on its own network, in place: a queue walk
+        per network where every network has one column and the pool is not
+        stacked, else one level loop over every column."""
+        if self.owner.size == len(self.runs) and not self.stacked:
+            for net, cols in self.runs:
+                relax(net, dist[:, cols], on_side[:, cols], joined[:, cols])
+        else:
+            relax_levels(self.neighbour_counts, dist, on_side, joined)
+
+
+def through_platform_distances(network: Network | Columns, on_side: np.ndarray) -> np.ndarray:
     """Shortest sender-to-user distances routed through on-side users only.
 
-    on_side is (n_users, B) boolean for B independent platform configurations.
-    A user's own membership does not gate being reached, only relaying: the
-    returned value is therefore the actual distance for on-side users and the
+    on_side is (n_users, B) boolean for B independent platform configurations,
+    on network, or each on its own network of Columns. A user's own
+    membership does not gate being reached, only relaying: the returned
+    value is therefore the actual distance for on-side users and the
     hypothetical entry distance for everyone else. UNREACHED marks users with
     no path. It is relax from the sender links alone, every relay joining.
     """
-    dist = np.full(on_side.shape, UNREACHED, dtype=np.int32)
-    dist[network.sender_mask] = 0
-    return relax(network, dist, on_side, on_side)
+    cols = (network if isinstance(network, Columns)
+            else Columns.repeat((network,), on_side.shape[1]))
+    linked = cols.gather(lambda net: net.sender_mask)
+    dist = np.where(linked, np.int32(0), np.int32(UNREACHED))
+    cols.relax(dist, on_side, on_side)
+    return dist
+
+
+def pooled_relay_distances(networks) -> list[np.ndarray]:
+    """Network.relay_distances of each of several networks of one size. The
+    ones not yet computed come from one through_platform_distances query
+    over them, one column per network, and are kept on their networks."""
+    missing = [net for net in networks if "relay_distances" not in vars(net)]
+    if missing:
+        on_side = np.ones((missing[0].n_users, len(missing)), dtype=bool)
+        rows = through_platform_distances(Columns.repeat(missing, 1), on_side).T.copy()
+        rows.flags.writeable = False
+        for net, row in zip(missing, rows):
+            vars(net)["relay_distances"] = row
+    return [net.relay_distances for net in networks]
 
 
 def relax(network: Network, dist: np.ndarray, on_side: np.ndarray,

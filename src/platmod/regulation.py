@@ -16,7 +16,7 @@ map, so a set stays the equilibrium until an outsider's advantage, linear in
 beta while it trusts, reaches the join tie; that breakpoint is closed form
 in the current set, and a run warm-started from the current set reaches the
 set below it (parametric search, Megiddo 1983; Milgrom & Roberts 1990). A
-walk of (network, cell) columns (adoption.Columns) is one engine call from
+walk of (network, cell) columns (graph.Columns) is one engine call from
 all-A at beta_max: whenever a column settles, the walk's step callback
 records its piece and names its next breakpoint, and the engine restarts
 the column there from the state it settled in, in the next round, so each
@@ -24,13 +24,14 @@ column runs only its own rounds (iteration-level scheduling: Yu et al.,
 Orca, OSDI 2022). On cascade trees cascade_thresholds gives the tops and
 cascade_final_b_sets the sets.
 
-_b_sides drives every B side: it computes each network's trust test once,
-walks the columns off cascade trees in blocks of at most POOL_COLUMNS,
-makes a tree's pieces one cell at a time and hands each network its pieces.
-solve_pool (the same cells on several networks of one size),
-sender_equilibria (one cell on each) and optimal_B read it; the other entry
-points are views of these. Payoffs and the trust test come from the model's
-kernel.
+_b_sides drives every B side: it computes each network's trust test once
+and the pool's relay distances in one query (graph.pooled_relay_distances,
+kept on the networks, where the A side reads them), walks the columns off
+cascade trees in blocks of at most POOL_COLUMNS, makes a tree's pieces one
+cell at a time and hands each network its pieces. solve_pool (the same
+cells on several networks of one size), sender_equilibria (one cell on
+each) and optimal_B read it; the other entry points are views of these.
+Payoffs and the trust test come from the model's kernel.
 """
 
 from __future__ import annotations
@@ -43,14 +44,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .adoption import (
-    Columns,
     batch_final_b_sets,
     cascade_final_b_sets,
     cascade_thresholds,
     _beta_primes,
 )
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import Network, receive_map
+from .graph import Columns, Network, pooled_relay_distances, receive_map
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_payoff,
                     sender_side_advantage, sender_weight, trusts)
 
@@ -230,6 +230,8 @@ def _b_sides(networks: list[Network], cells: list[ModelParams]):
     grid on a tree never holds every cell's sets at once."""
     mu = cells[0].mu
     bps = [_beta_primes(network, mu) for network in networks]
+    if len(networks) > 1:  # kept on the networks, for is_cascade_tree and the A side
+        pooled_relay_distances(networks)
     thresholds = [np.unique(bp).tolist() for bp in bps]
     beta_max = np.array([t[-1] for t in thresholds])
     on_tree = np.array([network.is_cascade_tree for network in networks])

@@ -326,6 +326,9 @@ PINNED_STDOUT = {
         "18c344ff8217ac3b889e677160a3d1585b6388ac970b9763843b9c62b7996fd8"),
     "validate-a1-groups": ("validate-a1 --theta-jj 0.75,0.0625 --seeds 13",
         "0a9f95a76d941abda66f25434416ca76e82c5b18c58857e6cc6b0e0709cc0271"),
+    "validate-a1-several-groups": (
+        "validate-a1 --theta-jj 0.75,0.0625 --sizes 10,10,10 --seeds 41",
+        "5640911d59187441a9af6c4f0d422a79b7c48bfb2df994ebed684e49754ad882"),
 }
 
 

@@ -168,7 +168,7 @@ def test_validate_assumption1_smoke():
 
 
 @pytest.mark.parametrize("b_a", [0.002, 0.01])
-@pytest.mark.parametrize("n_seeds", [1, A1_GROUP, 13])
+@pytest.mark.parametrize("n_seeds", [1, A1_GROUP, A1_GROUP + 1, 13])
 def test_validate_assumption1_matches_one_solve_per_seed(n_seeds, b_a):
     # the grouped walk gives each seed the decision and adopter set of its
     # own sender_equilibrium and run_adoption; at b_A = 0.01 the zero cap

@@ -34,7 +34,7 @@ from platmod.analytic import big_f
 from platmod.experiments import _pool_results
 from platmod.regulation import _b_sides, _walk, sender_equilibria, solve_cells, solve_pool
 from platmod.adoption import Columns, _beta_primes, batch_final_b_sets
-from platmod.graph import receive_map
+from platmod.graph import pooled_relay_distances, receive_map, through_platform_distances
 from platmod.model import TIE_TOL
 
 from conftest import (
@@ -545,12 +545,13 @@ def test_warm_walk_steps_make_no_full_distance_query(monkeypatch, dense_max_user
 
 
 @st.composite
-def same_size_networks(draw, most=4):
+def same_size_networks(draw, most=4, dense=None, isolated=0):
     """Two to most networks of one size: SBM edges over the same community
-    sizes plus up to two isolated users, one or two sender links, per-user c
-    and a dense or CSR representation each."""
+    sizes plus isolated to two isolated users, one or two sender links,
+    per-user c and a dense or CSR representation each (every one dense or
+    CSR when dense is given)."""
     sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
-    n = sum(sizes) + draw(st.integers(0, 2))
+    n = sum(sizes) + draw(st.integers(isolated, 2))
     networks = []
     for _ in range(draw(st.integers(2, most))):
         m = len(sizes)
@@ -561,7 +562,8 @@ def same_size_networks(draw, most=4):
         links = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
         c = draw(st.lists(st.floats(0.22, 0.49), min_size=n, max_size=n))
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(platmod.graph, "DENSE_MAX_USERS", n if draw(st.booleans()) else 0)
+            dense_here = draw(st.booleans()) if dense is None else dense
+            patched.setattr(platmod.graph, "DENSE_MAX_USERS", n if dense_here else 0)
             networks.append(Network(n_users=n, edges=base.edges, sender_links=tuple(links),
                                     profiles=tuple(UserProfile(c=x) for x in c)))
     return networks
@@ -614,6 +616,69 @@ def test_engine_on_several_networks_equals_one_call_per_network(batch, betas):
                                                     cells[cols], beta_max[k:k + 1])):
             assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in mine] == \
                 [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
+
+
+@st.composite
+def stacked_pools(draw):
+    """(networks, cells, marked): two to six dense networks of one size with
+    one or two isolated users each, one cell per network at mu = 0.2 (b_B > 0
+    in some), and a 0/1 column per network. The first network's second
+    sender link sits on an isolated user."""
+    networks = draw(same_size_networks(most=6, dense=True, isolated=1))
+    first = networks[0]
+    networks[0] = Network(n_users=first.n_users, edges=first.edges,
+                          sender_links=(first.sender_links[0], first.n_users - 1),
+                          profiles=first.profiles)
+    cells = [ModelParams(mu=0.2, p=draw(st.floats(0.2, 0.95)), b_a=draw(st.floats(0.0, 0.05)),
+                         b_b=draw(st.sampled_from([0.0, 0.004, 0.015]))) for _ in networks]
+    n = first.n_users
+    marked = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                           min_size=len(networks), max_size=len(networks)))
+    return networks, cells, np.array(marked).T
+
+
+@settings(max_examples=40)
+@given(pool=stacked_pools(), betas=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_stacked_pool_equals_one_call_per_network(pool, betas):
+    # dense networks with one column each count neighbours as one stacked
+    # float32 matmul and relax through it; the engine, the walk, the counts
+    # and the pooled all-relay distances equal those of each network alone,
+    # bit for bit, and the pool never builds a network's own adjacency
+    networks, cells, marked = pool
+    k = len(networks)
+    columns = Columns.repeat(networks, 1)
+    assert columns.stacked and all(net.degrees[-1] == 0 for net in networks)
+    betas = np.array(betas[:k])
+    p, b_a, b_b = (np.array([getattr(x, name) for x in cells]) for name in ("p", "b_a", "b_b"))
+    together = batch_final_b_sets(columns, 0.2, betas, p, b_a, b_b, collect_trace=True)
+    beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
+    walked = _walk(columns, cells, beta_max)
+    counts = columns.neighbour_counts(marked)
+    # a subset of the columns cuts the pool's stack down in place; the whole
+    # pool then builds it again
+    half = np.arange(0, k, 2)
+    half_counts = columns.take(half).neighbour_counts(marked[:, half])
+    again = columns.neighbour_counts(marked)
+    pooled = pooled_relay_distances(networks)
+    for net in networks:
+        assert not {"adjacency_f", "csr", "adjacency_lists"} & set(vars(net))
+    for j, net in enumerate(networks):
+        alone = batch_final_b_sets(net, 0.2, betas[j:j + 1], p[j], b_a[j], b_b[j],
+                                   collect_trace=True)
+        for mine, theirs in zip(together[:3], alone[:3]):
+            assert mine[..., j].tobytes() == theirs[..., 0].tobytes()
+        assert together[3][j] == alone[3][0]
+        [theirs] = _walk(Columns.repeat((net,), 1), cells[j:j + 1], beta_max[j:j + 1])
+        assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in walked[j]] == \
+            [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
+        own = net.neighbour_counts(marked[:, j].astype(np.float64))
+        assert counts[:, j].dtype == own.dtype and counts[:, j].tobytes() == own.tobytes()
+        assert again[:, j].tobytes() == own.tobytes()
+        if j % 2 == 0:
+            assert half_counts[:, j // 2].tobytes() == own.tobytes()
+        relay = through_platform_distances(net, np.ones((net.n_users, 1), dtype=bool))[:, 0]
+        assert pooled[j].tobytes() == relay.tobytes() and not pooled[j].flags.writeable
+        assert net.relay_distances is pooled[j]
 
 
 def _bits(results):
@@ -683,6 +748,27 @@ def test_sender_equilibria_keep_the_invariant_checks(monkeypatch):
         patched.setattr(platmod.adoption, "ITERATION_CAP_SLACK", -nets[0].n_users)
         with pytest.raises(InvariantViolationError, match="round cap"):
             sender_equilibria(nets, params)
+
+
+def test_restarts_that_move_nobody_are_bounded():
+    # a step that always names the column's own level restarts it where it
+    # stays put: the third such restart in a row raises instead of looping,
+    # on one network and on a stacked pool alike
+    nets = [gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=s))
+            for s in (4, 5)]
+    restarts = []
+
+    def own_level(index, beta, *state):
+        restarts.append(index.size)
+        return beta
+
+    for network in (nets[0], Columns.repeat(nets, 1)):
+        restarts.clear()
+        with pytest.raises(InvariantViolationError, match="3 times in a row without moving"):
+            batch_final_b_sets(network, 0.2, np.array([0.05, 0.1]), 0.9, 0.01, 0.0,
+                               step=own_level)
+        # the first fixed point and two idle restarts go to step, the third does not
+        assert restarts == [2, 2, 2]
 
 
 @settings(max_examples=30)

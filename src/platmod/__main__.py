@@ -1,0 +1,8 @@
+"""python -m platmod: the platmod command line (platmod.cli)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,25 +4,26 @@ The engine is vectorized over a batch of columns: platform search in the
 regulation module evaluates many (beta, p, b_a, b_b) combinations, and every
 column of the batch is an independent run of the exact same synchronous
 update. Each column carries its own network (graph.Columns), and the
-columns of several networks of one size share every round: neighbour counts
-run per network, or as one stacked matmul where several dense networks have
-one column each; the relaxation is one level loop over all columns through
-those counts (a queue walk per network where a single network, or each of
-several CSR ones, has one column); and the rest is elementwise over per-user
-arrays gathered to the columns. A single network is the one-network case.
-A column that reaches its fixed point can be restarted at another deceit
-level from the state it reached, in the next round, while the others go on
-(the regulation module's walk does this). A scalar wrapper provides the
-public trace-carrying operation. The engine, best_response and nash_check
-compare the same sender-side advantage, with the tie rule, from the model's
-kernel.
+columns of several networks of one size share every round: the neighbour
+counts of several dense networks are one batched matmul over their stacked
+adjacency (a loop over the networks for CSR ones); the relaxation is one
+level loop over all columns through those counts (a queue walk per network
+where each network has one column and they are not batched); and
+the rest is elementwise over per-user arrays spread from the networks'
+rows to the columns. A single network is the one-network case. A column
+that reaches its fixed point can be restarted at another deceit level from
+the state it reached, in the next round, while the others go on, and
+queued columns can be admitted as others finish, so one call walks any
+number of columns while holding few at once (the regulation module's walk
+does both). A scalar wrapper provides the public trace-carrying operation.
+The engine, best_response and nash_check compare the same sender-side
+advantage, with the tie rule, from the model's kernel.
 
 On connected acyclic networks with a single sender link the process is a
 root-to-leaf wave (each user decides exactly once, when its parent has just
 switched), so adopter sets have a closed form; cascade_thresholds exposes it
 as a fast path that the regulation module uses for those networks.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -80,6 +81,11 @@ def _beta_primes(network: Network, mu: float) -> np.ndarray:
     return trust_threshold(mu, network.c_values)
 
 
+def _int32_degrees(network: Network) -> np.ndarray:
+    """Degrees as int32: degree - n_b casts them to float64 exactly."""
+    return network.degrees.astype(np.int32)
+
+
 def batch_final_b_sets(
     network: Network | Columns,
     mu: float,
@@ -89,6 +95,7 @@ def batch_final_b_sets(
     b_b,
     collect_trace: bool = False,
     step=None,
+    admit=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[frozenset]]]:
     """Run the synchronous adoption (sender on B) for a batch of columns.
 
@@ -107,65 +114,77 @@ def batch_final_b_sets(
     A column's result does not depend on the other columns of the batch.
 
     step, when given, is called in every round where columns reach their
-    fixed point, as step(index, beta, on_b, dist, n_b, p_recv): their batch
-    indices (ascending), their levels and their states, (n_users, k) copies
-    of the set, its through_platform_distances, the B-neighbour counts and
-    the receive probabilities receive_map(p, dist). It returns each
-    column's next level. A column given a level >= 0 restarts there from
-    its state in the next round. The process is monotone and reaches the
-    least fixed point above its start, so from a state inside the
-    equilibrium set of the new level (such as the set of a higher level) it
-    ends at the set a run from all-A reaches. A column given a negative
-    level is done; without step every column is done at its first fixed
-    point.
+    fixed point, as step(index, cols, beta, on_b, dist, n_b, p_recv): their
+    numbers (ascending), their Columns, their levels and their states,
+    (n_users, k) copies of the set, its through_platform_distances, the
+    B-neighbour counts and the receive probabilities receive_map(p, dist).
+    It returns each column's next level. A column given a level >= 0
+    restarts there from its state in the next round. The process is
+    monotone and reaches the least fixed point above its start, so from a
+    state inside the equilibrium set of the new level (such as the set of a
+    higher level) it ends at the set a run from all-A reaches. A column
+    given a negative level is done; without step every column is done at
+    its first fixed point.
+
+    Once half the live columns are done they are set aside. admit, when
+    given with step, is then called with the number of columns still live,
+    and returns more columns, (Columns, betas, p, b_a, b_b) on networks of
+    the same size, or None. They are numbered on from the columns before
+    them and start from all-A in the next round.
 
     Returns (on_b, dist, productive_rounds, traces): each column's final
     membership and distance matrices of shape (n_users, len(betas)), its
     productive round count summed over its restarts, and its switch-set
-    trace, every restart's rounds in turn, when requested.
+    trace, every restart's rounds in turn, when requested. With admit the
+    final states go to step alone: on_b and dist hold no columns, and the
+    round counts and traces cover every column, admitted ones included.
 
     Raises InvariantViolationError if a column runs more than n_users + 1
     rounds since it last (re)started, or a user ever prefers flipping B
     back to A beyond tolerance; either would falsify the one-way migration
     property this process relies on. It also raises when a column is
-    restarted more than IDLE_RESTART_CAP times in a row without moving
-    anybody, so a step that keeps naming a level where the column stays put
-    fails instead of looping.
+    started or restarted more than IDLE_RESTART_CAP times in a row without
+    moving anybody, so a step that keeps naming a level where the column
+    stays put fails instead of looping.
     """
     level = np.array(betas, dtype=np.float64)  # a copy: restarts overwrite it
     p, b_a, b_b = (np.full(level.shape, x, dtype=np.float64)[None, :] for x in (p, b_a, b_b))
-    n_cols = level.size
-    cols = network if isinstance(network, Columns) else Columns.repeat((network,), n_cols)
-    n = cols.networks[0].n_users
-    for net in cols.networks:
-        validate_mu(net, mu)
-    # per-network rows of c and the trust thresholds; the rounds need c only
-    # through the per-column trust mask and news gain made from them
-    c = np.array([net.c_values for net in cols.networks])
-    bp = trust_threshold(mu, c)
-    trusting = trusts(level[None, :], cols.spread(bp))
-    gain = news_gain(mu, cols.spread(c), level[None, :])
-    # int32 degrees: degree - n_b casts them to float64 exactly
-    deg = cols.gather(lambda net: net.degrees.astype(np.int32))
-    linked = cols.gather(lambda net: net.sender_mask)
+    # a pool of the call's own, whose rows go with it
+    cols = (Columns(network.networks, network.owner) if isinstance(network, Columns)
+            else Columns.repeat((network,), level.size))
+    n = cols.n_users
+    # per-network rows of c and the trust thresholds (made with validate_mu)
+    # are kept by the pool; the rounds need c only through the per-column
+    # trust mask and news gain made from them
+    c_rows = lambda: cols.rows("c_values")
+    bp_rows = lambda: cols.rows(("beta_primes", mu), lambda net: _beta_primes(net, mu))
+
+    def start(new: Columns, at: np.ndarray) -> list[np.ndarray]:
+        """The per-user state of columns starting from all-A at levels at: on
+        B, B-neighbour counts, distances, trust mask, news gain, degrees and
+        sender links."""
+        linked = new.spread(cols.rows("sender_mask"))
+        return [np.zeros(linked.shape, dtype=bool), np.zeros(linked.shape),
+                np.where(linked, np.int32(0), np.int32(UNREACHED)),
+                trusts(at[None, :], new.spread(bp_rows())),
+                news_gain(mu, new.spread(c_rows()), at[None, :]),
+                new.spread(cols.rows("degrees", _int32_degrees)), linked]
 
     # a column whose round switches nobody has reached its fixed point; a
     # done one stays there, and once half the live columns are done, they
     # are set aside and later rounds work only on the rest
-    on_b = np.zeros((n, n_cols), dtype=bool)
-    final_dist = np.full((n, n_cols), UNREACHED, dtype=np.int32)
-    live = np.arange(n_cols)
-    done = np.zeros(n_cols, dtype=bool)
-    # on_b, distances and B-neighbour counts of the live columns, updated in
-    # place by the rounds
-    cur, n_b = on_b.copy(), np.zeros((n, n_cols))
-    dist = np.where(linked, np.int32(0), np.int32(UNREACHED))
-    traces: list[list[frozenset]] = [[] for _ in range(n_cols)] if collect_trace else []
-    rounds = np.zeros(n_cols, dtype=np.int64)
-    # rounds at each column's last (re)start, and its restarts in a row that
-    # moved nobody (-1 before its first fixed point)
-    began = np.zeros(n_cols, dtype=np.int64)
-    idle = np.full(n_cols, -1, dtype=np.int64)
+    on_b = np.zeros((n, 0 if admit else level.size), dtype=bool)
+    final_dist = np.full(on_b.shape, UNREACHED, dtype=np.int32)
+    # the live columns' numbers and states, updated in place by the rounds
+    live = np.arange(level.size)
+    cur, n_b, dist, trusting, gain, deg, linked = start(cols, level)
+    done = np.zeros(level.size, dtype=bool)
+    traces: list[list[frozenset]] = [[] for _ in live] if collect_trace else []
+    rounds = np.zeros(level.size, dtype=np.int64)
+    # each live column's rounds at its last (re)start, and its starts and
+    # restarts in a row that moved nobody
+    began = np.zeros(level.size, dtype=np.int64)
+    idle = np.zeros(level.size, dtype=np.int64)
     cap = n + ITERATION_CAP_SLACK
 
     while True:
@@ -182,43 +201,59 @@ def batch_final_b_sets(
         settled_p_recv = p_recv[:, settled]
         del diff, joins, p_recv
         if settled.size:
-            at = live[settled]
-            now_idle = np.where(rounds[at] == began[at], idle[at] + 1, 0)
-            if now_idle.max() > IDLE_RESTART_CAP:
+            idle[settled] = np.where(rounds[live[settled]] == began[settled],
+                                     idle[settled] + 1, 0)
+            if idle[settled].max() > IDLE_RESTART_CAP:
                 raise InvariantViolationError(
-                    f"a column was restarted {IDLE_RESTART_CAP + 1} times in a row without "
-                    "moving anybody")
-            idle[at] = now_idle
+                    f"a column was started or restarted {IDLE_RESTART_CAP + 1} times in a row "
+                    "without moving anybody")
             nxt = (np.full(settled.size, -np.inf) if step is None else np.asarray(step(
-                at, level[settled], cur[:, settled], dist[:, settled],
-                n_b[:, settled], settled_p_recv)))
+                live[settled], cols.take(settled), level[settled], cur[:, settled],
+                dist[:, settled], n_b[:, settled], settled_p_recv)))
             going = nxt >= 0.0
             done[settled[~going]] = True
             again = settled[going]
             if again.size:
                 level[again] = nxt[going]
                 restarted = cols.take(again)
-                trusting[:, again] = trusts(level[None, again], restarted.spread(bp))
-                gain[:, again] = news_gain(mu, restarted.spread(c), level[None, again])
-                began[live[again]] = rounds[live[again]]
+                trusting[:, again] = trusts(level[None, again], restarted.spread(bp_rows()))
+                gain[:, again] = news_gain(mu, restarted.spread(c_rows()), level[None, again])
+                began[again] = rounds[live[again]]
         if 2 * np.count_nonzero(done) >= live.size:
-            on_b[:, live[done]] = cur[:, done]
-            final_dist[:, live[done]] = dist[:, done]
+            if on_b.size:
+                on_b[:, live[done]] = cur[:, done]
+                final_dist[:, live[done]] = dist[:, done]
             keep = ~done
-            live = live[keep]
-            if not live.size:
+            more = admit(np.count_nonzero(keep)) if admit else None
+            if not (more or keep.any()):
                 break
-            cols = cols.take(keep)
-            cur, switch, dist, n_b, trusting, gain, deg, linked, p, b_a, b_b = (
-                x[:, keep]
-                for x in (cur, switch, dist, n_b, trusting, gain, deg, linked, p, b_a, b_b)
-            )
-            level, moving, done = level[keep], moving[keep], done[keep]
+            # the pool drops the networks it no longer needs
+            cols = cols.take(keep).merge(more[0] if more else None)
+            per_user = [x[:, keep] for x in (cur, n_b, dist, trusting, gain, deg, linked, switch,
+                                              p, b_a, b_b)]
+            per_col = [x[keep] for x in (live, level, moving, began, idle, done)]
+            if more:
+                _, at, *params = more
+                more = None  # the pool holds the networks it needs
+                at = np.array(at, dtype=np.float64)
+                fresh = start(cols.take(slice(-at.size, None)), at)
+                fresh += [np.zeros((n, at.size), dtype=bool)]
+                fresh += [np.array(x, dtype=np.float64)[None, :] for x in params]
+                per_user = [np.concatenate(pair, axis=1) for pair in zip(per_user, fresh)]
+                blank = np.zeros(at.size, dtype=np.int64)
+                fresh = (np.arange(rounds.size, rounds.size + at.size), at, blank, blank, blank,
+                         blank)
+                per_col = [np.concatenate(pair).astype(pair[0].dtype, copy=False)
+                           for pair in zip(per_col, fresh)]
+                rounds = np.concatenate([rounds, blank])
+                traces += [[] for _ in blank] if collect_trace else []
+            cur, n_b, dist, trusting, gain, deg, linked, switch, p, b_a, b_b = per_user
+            live, level, moving, began, idle, done = per_col
         if not moving.any():
             continue
         stepping = live[moving]
         rounds[stepping] += 1
-        if (rounds[stepping] - began[stepping]).max() > cap:
+        if (rounds[stepping] - began[moving]).max() > cap:
             raise InvariantViolationError(f"adoption exceeded the {cap}-round cap")
         if collect_trace:
             for k in np.flatnonzero(moving):

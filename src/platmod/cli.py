@@ -174,6 +174,8 @@ def _cmd_sweep(args) -> int:
         samples=samples if args.samples is None else args.samples,
         base_seed=args.seed,
     )
+    if args.workers < 1:
+        raise InvalidParamsError(f"--workers wants at least 1, got {args.workers}")
     grid = sweep(spec, workers=args.workers)
     for cell in grid.cells:
         if cell.error:

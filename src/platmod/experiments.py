@@ -5,6 +5,14 @@ All outputs are deterministic functions of their spec (including seeds):
 samples use seed base_seed + sample_index regardless of execution order, and
 results are collected in row-major (p index, b_a index) order, so repeated
 runs produce byte-identical files even under parallel execution.
+
+A sweep runs one task per worker. A task's cells on all its samples are one
+walk (regulation.solve_each): it builds a sample when the walk reads it for
+admission, works out each column's first piece in closed form, walks at
+most POOL_COLUMNS live columns at a time, counting the neighbours of their
+dense networks with one batched matmul, tallies each cell as its column
+finishes and drops a sample after its last. validate_assumption1 walks the
+samples of one tightness in groups of A1_GROUP.
 """
 
 from __future__ import annotations
@@ -21,10 +29,10 @@ import numpy as np
 
 from .adoption import Assignment
 from .errors import InvalidParamsError
-from .graph import (Network, SbmSpec, gen_linear, gen_regular_tree, gen_sbm, gen_star_chain,
-                    validate_mu)
+from .graph import (Network, SbmSpec, check_community_sizes, gen_linear, gen_regular_tree,
+                    gen_sbm, gen_star_chain, validate_mu)
 from .model import ModelParams, Platform, trust_threshold
-from .regulation import POOL_COLUMNS, RegulationKind, sender_equilibria, solve_pool
+from .regulation import RegulationKind, sender_equilibria, solve_each
 
 SWEEP_CSV_HEADER = "p,b_A,samples,n_no_effective,n_any,n_moderate,mean_rho_se,seed_base"
 A1_CSV_HEADER = "theta_JJ,seed,n_users_B,irregular_choices"
@@ -37,6 +45,7 @@ A1_GROUP = 20
 def chain_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float, ...], ...]:
     """Community-chain link matrix: dense within, bridge_expect expected
     links between adjacent communities, none beyond."""
+    check_community_sizes(sizes)
     m = len(sizes)
     diag = [diag] * m if np.isscalar(diag) else list(diag)
     th = [[0.0] * m for _ in range(m)]
@@ -50,6 +59,7 @@ def chain_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float, .
 def complete_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float, ...], ...]:
     """Complete graph of communities: every pair bridged with bridge_expect
     expected links, so the physical structure is size-invariant."""
+    check_community_sizes(sizes)
     m = len(sizes)
     diag = [diag] * m if np.isscalar(diag) else list(diag)
     th = [[0.0] * m for _ in range(m)]
@@ -214,15 +224,15 @@ def _error(exc: Exception) -> tuple[str, str]:
 
 
 def _pool_results(task) -> list[tuple[int, int, list[list]]]:
-    """Every (p, b_a) cell of a block of p columns on each network of a pool
+    """Every (p, b_a) cell of a block of p columns on each network of a task
     of sampled networks.
 
     Returns one (seed, index of the block's first p, one (kind, value) list
     per p column) per sample, in seed order. A cell with invalid ModelParams
-    records its error. A network with a user whose c is at or below mu
-    gives that error to each of its other cells; the other networks of the
-    pool are solved together by solve_pool. Any other exception is a program
-    fault and propagates.
+    records its error. The networks are solved together by solve_each, each
+    built and checked when the walk reads it: one with a user whose c is at
+    or below mu gives that error to each of its cells. Any other exception
+    is a program fault and propagates.
     """
     recipe, seeds, mu, b_b, p_start, p_block, ba_values = task
     cells, slots, invalid = [], [], {}
@@ -234,60 +244,54 @@ def _pool_results(task) -> list[tuple[int, int, list[list]]]:
                 invalid[i, j] = _error(exc)
                 continue
             slots.append((i, j))
-    networks = [recipe.build(seed) for seed in seeds]
-    refused = {}
-    for seed, network in zip(seeds, networks):
-        try:
-            validate_mu(network, mu)
-        except InvalidParamsError as exc:  # the network fails mu < c: its cells record it
-            refused[seed] = _error(exc)
-    solved = iter(solve_pool([net for seed, net in zip(seeds, networks) if seed not in refused],
-                             cells))
-    out = []
-    for seed in seeds:
-        results = ([refused[seed]] * len(cells) if seed in refused
-                   else [(res.kind.value, res.rho_se) for res in next(solved)])
-        columns = [[invalid.get((i, j)) for j in range(len(ba_values))]
-                   for i in range(len(p_block))]
-        for (i, j), res in zip(slots, results):
-            columns[i][j] = res
-        out.append((seed, p_start, columns))
-    return out
+    # each sample's p columns of (kind, value) cells, the invalid ones' errors in
+    blank = lambda: [[invalid.get((i, j)) for j in range(len(ba_values))]
+                     for i in range(len(p_block))]
+    columns = {}
+    solved = []  # the seeds whose networks are solved, in order
 
+    def valid_networks():
+        for seed in seeds:
+            network = recipe.build(seed)
+            columns[seed] = blank()
+            try:
+                validate_mu(network, mu)
+            except InvalidParamsError as exc:  # the network fails mu < c: its cells record it
+                for i, j in slots:
+                    columns[seed][i][j] = _error(exc)
+                continue
+            solved.append(seed)
+            yield network
 
-def _pools(seeds: tuple[int, ...], columns: int, workers: int) -> list[tuple[int, ...]]:
-    """Consecutive runs of seeds, each as long as its networks' columns
-    (columns per network) fit in POOL_COLUMNS, one network at least; with
-    workers > 1, at least min(workers, len(seeds)) runs."""
-    size = max(POOL_COLUMNS // columns, 1)
-    if workers > 1:
-        size = min(size, max(len(seeds) // workers, 1))
-    return [seeds[k:k + size] for k in range(0, len(seeds), size)]
+    def record(k: int, cell: int, result) -> None:
+        i, j = slots[cell]
+        columns[solved[k]][i][j] = result.kind.value, result.rho_se
+
+    solve_each(valid_networks(), cells, record)
+    return [(seed, p_start, columns.get(seed) or blank()) for seed in seeds]
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
     """Evaluate strictest_effective_regulation over the grid.
 
-    A task is one pool of consecutive samples (_pools). Its networks are
-    built in the task, and the cells of all of them are solved together
-    (solve_pool) in walks of at most POOL_COLUMNS columns, so one sample's
-    cells that alone are more are walked in blocks. A sample is never split
-    across pools, and only one pool's networks are held at a time. With
-    workers > 1 there are at least as many pools as workers while samples
-    last; with fewer samples than workers, each sample's p columns split
-    into min(ceil(workers / samples), p steps) contiguous blocks, one task
-    each, so a deterministic recipe still shares its grid out. Results depend only on the spec and sample index, never
-    on pooling or scheduling.
+    There is one task per worker (one task with one worker): a run of
+    consecutive samples, whose cells are all solved in one walk (solve_each,
+    see the module docstring). With fewer samples than workers,
+    each sample's p columns split into min(ceil(workers / samples), p steps)
+    contiguous blocks, one task each, so a deterministic recipe still
+    shares its grid out. Results depend only on the spec and sample index,
+    never on the tasks or their scheduling.
     """
     p_values = spec.p_values()
     ba_values = tuple(spec.ba_values())
     seeds = spec.seeds()
     n_blocks = min(max(math.ceil(workers / spec.samples), 1), len(p_values))
-    blocks = np.array_split(np.arange(len(p_values)), n_blocks)
+    n_runs = min(workers, len(seeds))
     tasks = [
-        (spec.recipe, group, spec.mu, spec.b_b, int(block[0]), tuple(p_values[block]), ba_values)
-        for group in _pools(seeds, len(blocks[0]) * len(ba_values), workers)
-        for block in blocks
+        (spec.recipe, seeds[k * len(seeds) // n_runs:(k + 1) * len(seeds) // n_runs], spec.mu,
+         spec.b_b, int(block[0]), tuple(p_values[block]), ba_values)
+        for k in range(n_runs)
+        for block in np.array_split(np.arange(len(p_values)), n_blocks)
     ]
     if workers > 1:
         # imported here: a serial run never loads the process pool machinery

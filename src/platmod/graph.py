@@ -21,14 +21,15 @@ walk over cached adjacency lists that visits only the users whose distance
 falls and their neighbours, O(n + E) at most: a level-synchronous numpy
 loop pays a fixed cost per level, which a deep network (a line of 2000 has
 1999 levels) multiplies. A batch of two or more columns runs one level loop
-(relax_levels) whose reach step is Network.neighbour_counts, or, for columns
-on several networks (Columns), one that counts each column on its own
-network. Several dense networks with one column each are counted together,
-by one batched float32 matmul over their stacked adjacency, so a pool of
-them (validate_assumption1's walks, and every pool's all-relay query,
+(relax_levels) whose reach step counts each column's neighbours on its own
+network (Columns). The columns of several dense networks are counted
+together, by one batched float32 matmul over the stack of their networks'
+adjacency built from the edge arrays (each column scattered to its
+network's layer), so a pool of them (a walk, or a pool's all-relay query,
 pooled_relay_distances) runs one level loop and builds no per-network
-adjacency. A Network with at most DENSE_MAX_USERS users keeps a
-dense float64 adjacency, so those counts are BLAS matmuls; above the cutoff
+adjacency; a pool keeps that stack while it holds the network. A Network
+with at most DENSE_MAX_USERS users is dense: counted alone, it keeps a
+dense float64 adjacency, so its counts are BLAS matmuls; above the cutoff
 it keeps only CSR edge arrays and the counts are np.add.reduceat over them,
 so it never builds an n x n matrix and takes O(n + E) memory plus
 O((n + E) * B) bytes per batch of B columns. gen_sbm still draws all
@@ -56,6 +57,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -381,6 +383,13 @@ def gen_regular_tree(r: int, depth: int, c=0.3) -> Network:
     return _tree(np.arange(n - 1) // r, c, {"kind": "tree", "r": r, "depth": depth})
 
 
+def check_community_sizes(sizes) -> None:
+    """Refuse an SBM's community sizes unless there is one at least and each
+    is at least 1."""
+    if len(sizes) < 1 or any(s < 1 for s in sizes):
+        raise InvalidParamsError("community sizes must all be >= 1")
+
+
 @dataclass(frozen=True)
 class SbmSpec:
     """Stochastic block model: sizes per community, symmetric link-probability
@@ -396,8 +405,7 @@ class SbmSpec:
 
     def __post_init__(self):
         m = len(self.sizes)
-        if m < 1 or any(s < 1 for s in self.sizes):
-            raise InvalidParamsError("community sizes must all be >= 1")
+        check_community_sizes(self.sizes)
         if len(self.theta) != m or any(len(row) != m for row in self.theta):
             raise InvalidParamsError("theta must be MxM")
         for i in range(m):
@@ -479,13 +487,18 @@ class Columns:
 
     networks share n_users, and column j runs on networks[owner[j]]; each
     network's columns are contiguous (owner is nondecreasing), so per-network
-    work runs on column slices, in place. A pool of several dense networks
-    with one column each is stacked: its neighbour counts are one batched
-    float32 matmul over the (columns, n, n) adjacency of the columns'
-    networks, built from their edge arrays (counts of at most
-    DENSE_MAX_USERS < 2**24 are exact in float32), so its networks never
-    build adjacency_f, csr or adjacency_lists. shared, common to a pool and
-    every take of it, holds that stack.
+    work runs on column slices, in place. shared, common to a pool and every
+    take of it, keeps the pool's per-network rows (rows), and merge carries
+    them over to a pool of the networks that stay.
+
+    A pool of several dense networks is batched: its neighbour counts are
+    one float32 matmul over the (networks, n, n) stack of their adjacency,
+    a row the pool keeps, built from the edge arrays (counts of at most
+    DENSE_MAX_USERS < 2**24 are exact in float32, so the float64 result has
+    the bits of Network.neighbour_counts), with each column scattered to its
+    network's layer at its rank among that network's columns, and it
+    relaxes through them, so its networks never build adjacency_f, csr or
+    adjacency_lists. A pool merged down to one of them stays batched.
     """
 
     networks: tuple[Network, ...]
@@ -509,13 +522,63 @@ class Columns:
         """The columns selected by keep (a boolean mask or indices), in order."""
         return Columns(self.networks, self.owner[keep], self.shared)
 
+    def merge(self, other: "Columns | None" = None) -> "Columns":
+        """These columns, then other's, on only the networks that hold one:
+        these columns' networks, then those of other that are new (the same
+        object is the same network). The rows of the networks that stay move
+        over and the new networks' are made, so a pool fed this way builds
+        each network's rows once while it holds the network; a batched pool
+        takes its stack along, so the merged pool is batched too. The rows
+        move down in place where their array has room for every network (it
+        keeps the most a pool and its merges have held); this pool gives
+        them up and makes its own again if asked."""
+        kept = np.unique(self.owner)
+        networks = [self.networks[k] for k in kept.tolist()]
+        owner = np.searchsorted(kept, self.owner)
+        new = []
+        if other is not None:
+            if other.n_users != self.n_users:
+                raise InvalidParamsError("networks batched together must have the same size")
+            slot = {id(net): k for k, net in enumerate(networks)}
+            for net in other.networks:
+                if id(net) not in slot:
+                    slot[id(net)] = len(networks)
+                    networks.append(net)
+                    new.append(net)
+            moved = np.array([slot[id(net)] for net in other.networks], dtype=np.intp)
+            owner = np.concatenate([owner, moved[other.owner]])
+        if self.batched:  # and so is the merged pool, down to one network
+            self.rows("adjacency_f32", _adjacency_f32)
+        shared = {}
+        for key, (make, rows, _) in self.shared.items():
+            if len(rows) < len(networks):
+                grown = np.empty((len(networks),) + rows.shape[1:], dtype=rows.dtype)
+                np.take(rows, kept, axis=0, out=grown[:kept.size])
+                rows = grown
+            else:
+                for k, old in enumerate(kept.tolist()):
+                    if k != old:
+                        rows[k] = rows[old]
+            _stacked(make, new, out=rows[kept.size:len(networks)])
+            shared[key] = make, rows, rows[:len(networks)]
+        self.shared.clear()  # the rows moved: this pool makes its own again if asked
+        return Columns(tuple(networks), owner, shared)
+
+    def rows(self, key, per_network=None) -> np.ndarray:
+        """per_network(net) of each network (by default its attribute named
+        key), stacked: made once for a pool and its takes and kept in shared
+        under key, so per_network must give a network the same row whenever
+        it is asked."""
+        made = self.shared.get(key)
+        if made is None:
+            per_network = per_network or attrgetter(key)
+            rows = _stacked(per_network, self.networks)
+            made = self.shared[key] = per_network, rows, rows
+        return made[2]
+
     def spread(self, rows: np.ndarray) -> np.ndarray:
         """rows, one (n_users,) row per network, at each column: (n_users, n_cols)."""
         return rows.take(self.owner, axis=0).T
-
-    def gather(self, per_user) -> np.ndarray:
-        """per_user(network), an (n_users,) array, at each column: (n_users, n_cols)."""
-        return self.spread(np.array([per_user(net) for net in self.networks]))
 
     @cached_property
     def runs(self) -> list[tuple[Network, slice]]:
@@ -527,42 +590,38 @@ class Columns:
                 if a < b]
 
     @cached_property
-    def stacked(self) -> bool:
-        """Several dense networks, none with two columns."""
-        return (len(self.networks) > 1 and all(net.dense for net in self.networks)
-                and not (np.diff(self.owner) == 0).any())
+    def _dense(self) -> bool:
+        return all(net.dense for net in self.networks)
 
-    def _stack(self) -> np.ndarray:
-        """The float32 adjacency of each column's network, (columns, n, n).
-        The pool keeps one stack, for the columns that last asked for it:
-        built from the edge arrays one network at a time, and cut down in
-        place when the columns asking are on a subset of its networks, as
-        the engine's live columns are after some are set aside."""
-        owner, stack = self.shared.get("stack", (None, None))
-        if owner is self.owner:
-            return stack
-        if owner is not None and np.isin(self.owner, owner).all():
-            rows = np.searchsorted(owner, self.owner)
-            for new, old in enumerate(rows.tolist()):
-                if new != old:
-                    stack[new] = stack[old]
-            stack = stack[:rows.size]
-        else:
-            n = self.n_users
-            stack = np.zeros((self.owner.size, n, n), dtype=np.float32)
-            for layer, k in zip(stack, self.owner.tolist()):
-                i, j = self.networks[k].edge_array.T
-                layer[i, j] = layer[j, i] = 1.0
-        self.shared["stack"] = (self.owner, stack)
-        return stack
+    @property
+    def batched(self) -> bool:
+        """Whether one matmul over the pool's stack counts every column: its
+        networks are dense, and several, or one whose pool holds the stack
+        already (a pool merged down to one network)."""
+        return self._dense and (len(self.networks) > 1 or "adjacency_f32" in self.shared)
+
+    @cached_property
+    def _ranks(self) -> tuple[np.ndarray, int]:
+        """Each column's rank among its network's columns, and the most
+        columns one network has."""
+        rank = np.arange(self.owner.size) - np.searchsorted(self.owner, self.owner)
+        return rank, int(rank.max(initial=-1)) + 1
 
     def neighbour_counts(self, marked: np.ndarray) -> np.ndarray:
         """Network.neighbour_counts of each column on its own network."""
+        if self.batched:
+            # a layer is symmetric, so a column times it is its count
+            stack = self.rows("adjacency_f32", _adjacency_f32)
+            rank, width = self._ranks
+            if width == 1 and rank.size == len(self.networks):  # column k on network k
+                counts = np.matmul(marked.T.astype(np.float32)[:, None, :], stack)[:, 0]
+            else:
+                per_net = np.zeros((len(self.networks), width, self.n_users), dtype=np.float32)
+                per_net[self.owner, rank] = marked.T
+                counts = np.matmul(per_net, stack)[self.owner, rank]
+            return counts.T.astype(np.float64)
         if len(self.networks) == 1:
             return self.networks[0].neighbour_counts(marked)
-        if self.stacked:
-            per_col = marked.T.astype(np.float32)[:, :, None]
-            return np.matmul(self._stack(), per_col)[:, :, 0].T.astype(np.float64)
         counts = np.empty(marked.shape)
         for net, cols in self.runs:
             counts[:, cols] = net.neighbour_counts(marked[:, cols])
@@ -571,12 +630,31 @@ class Columns:
     def relax(self, dist: np.ndarray, on_side: np.ndarray, joined: np.ndarray) -> None:
         """relax of each column on its own network, in place: a queue walk
         per network where every network has one column and the pool is not
-        stacked, else one level loop over every column."""
-        if self.owner.size == len(self.runs) and not self.stacked:
+        batched, else one level loop over every column."""
+        if self.owner.size == len(self.runs) and not self.batched:
             for net, cols in self.runs:
                 relax(net, dist[:, cols], on_side[:, cols], joined[:, cols])
         else:
             relax_levels(self.neighbour_counts, dist, on_side, joined)
+
+
+def _stacked(per_network, networks, out=None) -> np.ndarray:
+    """per_network(net) of each network, written one network at a time into
+    out or a new array."""
+    for k, net in enumerate(networks):
+        row = per_network(net)
+        if out is None:
+            out = np.empty((len(networks),) + row.shape, dtype=row.dtype)
+        out[k] = row
+    return out
+
+
+def _adjacency_f32(network: Network) -> np.ndarray:
+    """A network's adjacency as float32, built from its edge array."""
+    adj = np.zeros((network.n_users, network.n_users), dtype=np.float32)
+    i, j = network.edge_array.T
+    adj[i, j] = adj[j, i] = 1.0
+    return adj
 
 
 def through_platform_distances(network: Network | Columns, on_side: np.ndarray) -> np.ndarray:
@@ -591,7 +669,7 @@ def through_platform_distances(network: Network | Columns, on_side: np.ndarray) 
     """
     cols = (network if isinstance(network, Columns)
             else Columns.repeat((network,), on_side.shape[1]))
-    linked = cols.gather(lambda net: net.sender_mask)
+    linked = cols.spread(cols.rows("sender_mask"))
     dist = np.where(linked, np.int32(0), np.int32(UNREACHED))
     cols.relax(dist, on_side, on_side)
     return dist

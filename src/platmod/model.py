@@ -12,6 +12,7 @@ written. The public scalar functions are one-element views of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -57,8 +58,9 @@ class ModelParams:
             raise InvalidParamsError(f"mu must lie in (0, 1/2), got {self.mu}")
         if not 0.0 < self.p < 1.0:
             raise InvalidParamsError(f"p must lie in (0, 1), got {self.p}")
-        if self.b_a < 0.0 or self.b_b < 0.0:
-            raise InvalidParamsError("platform qualities b_a, b_b must be >= 0")
+        if not (0.0 <= self.b_a < math.inf and 0.0 <= self.b_b < math.inf):
+            raise InvalidParamsError(
+                f"platform qualities b_a, b_b must be finite and >= 0, got {self.b_a}, {self.b_b}")
         if not 0.0 <= self.rho_a <= 1.0:
             raise InvalidParamsError(f"rho_a must lie in [0, 1], got {self.rho_a}")
         if self.rho_b != 1.0:

@@ -16,29 +16,37 @@ map, so a set stays the equilibrium until an outsider's advantage, linear in
 beta while it trusts, reaches the join tie; that breakpoint is closed form
 in the current set, and a run warm-started from the current set reaches the
 set below it (parametric search, Megiddo 1983; Milgrom & Roberts 1990). A
-walk of (network, cell) columns (graph.Columns) is one engine call from
-all-A at beta_max: whenever a column settles, the walk's step callback
-records its piece and names its next breakpoint, and the engine restarts
-the column there from the state it settled in, in the next round, so each
-column runs only its own rounds (iteration-level scheduling: Yu et al.,
-Orca, OSDI 2022). On cascade trees cascade_thresholds gives the tops and
-cascade_final_b_sets the sets.
+walk of (network, cell) columns (graph.Columns) is one engine call. A
+column's first piece and breakpoint are closed form in the all-A state,
+where only the sender's linked users receive (_seeds): a column starts in
+the engine at beta_max only where a linked user joins there, else at its
+first breakpoint, or never where none is left. Whenever a column settles,
+the walk's step callback records its piece and names its next breakpoint,
+and the engine restarts the column there from the state it settled in, in
+the next round, so each column runs only its own rounds; and whenever the
+engine sets finished columns aside, the walk tops it up to POOL_COLUMNS
+live columns from the queued ones (iteration-level scheduling and its
+admission of queued work: Yu et al., Orca, OSDI 2022). On cascade trees
+cascade_thresholds gives the tops and cascade_final_b_sets the sets.
 
-_b_sides drives every B side: it computes each network's trust test once
-and the pool's relay distances in one query (graph.pooled_relay_distances,
-kept on the networks, where the A side reads them), walks the columns off
-cascade trees in blocks of at most POOL_COLUMNS, makes a tree's pieces one
-cell at a time and hands each network its pieces. solve_pool (the same
-cells on several networks of one size), sender_equilibria (one cell on
-each) and optimal_B read it; the other entry points are views of these.
-Payoffs and the trust test come from the model's kernel.
+_b_sides drives every B side: it reads the networks one at a time, as the
+walk admits their columns, computes each network's trust test once, makes
+a cascade tree's pieces one cell at a time and hands each cell its pieces
+as soon as its column finishes; the walk queries the relay distances of
+the networks it admits together in one query (graph.pooled_relay_distances,
+kept on the networks, where the A side reads them) and drops a network
+after its last column. solve_each (the same cells on several networks of
+one size, each result handed on as soon as it is known), solve_pool (its
+lists), sender_equilibria (one cell on each) and optimal_B read it; the
+other entry points are views of these. Payoffs and the trust test come
+from the model's kernel.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -48,13 +56,15 @@ from .adoption import (
     cascade_final_b_sets,
     cascade_thresholds,
     _beta_primes,
+    _int32_degrees,
 )
 from .errors import InvalidParamsError, InvariantViolationError
 from .graph import Columns, Network, pooled_relay_distances, receive_map
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_payoff,
-                    sender_side_advantage, sender_weight, trusts)
+                    sender_side_advantage, sender_weight, trust_threshold, trusts)
 
-# the most columns one walk (one engine call) holds; more are walked in blocks
+# the most live columns one walk (one engine call) holds; it admits more as
+# they finish
 POOL_COLUMNS = 220
 
 # _next_tops takes at most this many columns at once: its temporaries, about
@@ -135,65 +145,179 @@ def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
     return sender_payoff(params.mu, beta, p_a, trusts(beta, bp))
 
 
-def _walk(cols: Columns, cells: list[ModelParams], beta_max: np.ndarray) -> list[list]:
-    """Pieces of every column, cell cells[j] on network cols.owner[j], walked
-    down from its network's beta_max (one per network, its largest trust
-    threshold); all cells share mu.
+def _walk_rows(cols: Columns, mu: float) -> tuple:
+    """Per-network rows (networks x users) of an outsider's advantage at
+    beta = 0, where everyone trusts: its degree, its news gain there, its
+    slope in beta per unit of receive probability, and its sender link."""
+    return (cols.rows("degrees", _int32_degrees),
+            cols.rows(("news_gain_0", mu), lambda net: news_gain(mu, net.c_values, 0.0)),
+            cols.rows(("news_slope", mu), lambda net: (1.0 - mu) * net.c_values),
+            cols.rows("sender_mask"))
 
-    The walk is one engine call from all-A at beta_max, and step below is
-    its callback. Whenever a column settles, step records its piece and
-    returns its next breakpoint (_next_tops), and the engine restarts the
-    column there from the state it settled in (set, distances, B-neighbour
-    counts), so no step runs a full distance query. Within a piece no
-    outsider's advantage reaches the join tie, so the next breakpoint is
-    closed form in that state, and the engine started from it gives the set
-    there. Each column runs only its own rounds: one that settles early
-    restarts while the others still move.
+
+class _Queued:
+    """An item of a walk while its columns are queued and walked: its
+    network, cells, beta_max and tag, each cell's (p, b_a, b_b), and the set
+    and receive map of the all-A state, read-only, which its seeded
+    columns' first pieces share."""
+
+    def __init__(self, network: Network, cells: list, beta_max: float, tag):
+        self.network, self.cells, self.beta_max, self.tag = network, cells, beta_max, tag
+        self.params = [(c.p, c.b_a, c.b_b) for c in cells]
+        on_b = np.zeros(network.n_users, dtype=bool)
+        p_recv = np.where(network.sender_mask, 1.0, 0.0)
+        on_b.flags.writeable = p_recv.flags.writeable = False
+        self.all_a = on_b, p_recv
+
+
+def _walk(mu: float, items, finish) -> None:
+    """Walk every column of items and hand its pieces to finish(tag, i,
+    pieces) as soon as they are known, in no fixed order. An item is
+    (network, cells, beta_max, tag): one column per cell, cells[i] on
+    network walked down from beta_max (its largest trust threshold); all
+    cells share mu.
+
+    The walk is one engine call holding at most POOL_COLUMNS live columns.
+    Whenever the engine sets finished ones aside, admit tops them up, in
+    order: it reads items until as many columns as there is room for are
+    queued or read, so a network is read, and its relay distances come from
+    one query over the networks read together (kept on them, for the A
+    side), when its columns are next to be admitted; it is dropped after
+    its last column finishes. A column's first piece and breakpoint are
+    closed form in the all-A state (_seeds), worked out when its item is
+    read: a column where a linked user joins at beta_max starts there; any
+    other has the piece (beta_max, nobody, all-A receive map) and starts at
+    its first breakpoint, or is done without entering the engine if none is
+    left. The engine counts that seeded start as a restart, for
+    IDLE_RESTART_CAP, and _next_tops's missed-joiner check holds for it as
+    for any restart.
+
+    Whenever a column settles, step records its piece and returns its next
+    breakpoint (_next_tops), and the engine restarts the column there from
+    the state it settled in (set, distances, B-neighbour counts), so no step
+    runs a full distance query. Within a piece no outsider's advantage
+    reaches the join tie, so the next breakpoint is closed form in that
+    state, and the engine started from it gives the set there. Each column
+    runs only its own rounds: one that settles early restarts while the
+    others still move.
     """
-    mu = cells[0].mu
-    p, b_a, b_b = (np.array([getattr(params, name) for params in cells])
-                   for name in ("p", "b_a", "b_b"))
-    # per-network rows (networks x users) of an outsider's advantage at
-    # beta = 0, where everyone trusts: its news gain there, its slope in beta
-    # per unit of receive probability, its degree and its sender link
-    c = np.array([net.c_values for net in cols.networks])
-    rows = (news_gain(mu, c, 0.0), (1.0 - mu) * c,
-            np.array([net.degrees for net in cols.networks], dtype=np.int32),
-            np.array([net.sender_mask for net in cols.networks]))
-    del c
-    pieces = [[] for _ in cells]
+    items = iter(items)
+    queued = deque()  # columns of the items read that enter the engine, in order
+    live = {}  # engine column number -> (its item, cell index, pieces)
+    numbered = 0  # columns handed to the engine so far
 
-    def step(index, beta, on_b, dist, n_b, p_recv):
-        for k, j in enumerate(index.tolist()):
-            pieces[j].append((float(beta[k]), on_b[:, k], p_recv[:, k]))
+    def seed(fresh: list) -> None:
+        """Seed the columns of the items just read: queue those that enter
+        the engine, as (item, cell index, pieces, level), in order, and
+        finish the others."""
+        if len(fresh) > 1:  # a lone network makes its own query when first asked
+            pooled_relay_distances([q.network for q in fresh])
+        sizes = [len(q.cells) for q in fresh]
+        cols = Columns(tuple(q.network for q in fresh), np.repeat(np.arange(len(fresh)), sizes))
+        beta = np.repeat([q.beta_max for q in fresh], sizes)
+        joins, first = _seeds(cols, mu, beta, *np.array([x for q in fresh for x in q.params]).T)
+        columns = ((q, i) for q in fresh for i in range(len(q.cells)))
+        for (q, i), joined, nxt in zip(columns, joins.tolist(), first.tolist()):
+            if joined:
+                queued.append((q, i, [], q.beta_max))
+            elif nxt >= 0.0:
+                queued.append((q, i, [(q.beta_max, *q.all_a)], nxt))
+            else:
+                finish(q.tag, i, [(q.beta_max, *q.all_a)])
+
+    def admit(n_live: int):
+        """Up to room = POOL_COLUMNS - n_live more columns for the engine, or
+        None: queued ones, after reading items until room columns are
+        queued or read (and on, while none is queued)."""
+        nonlocal numbered
+        room = POOL_COLUMNS - n_live
+        while True:
+            fresh, reach = [], len(queued)
+            while reach < room and (item := next(items, None)) is not None:
+                fresh.append(_Queued(*item))
+                reach += len(fresh[-1].cells)
+            if not fresh:
+                break
+            seed(fresh)
+            if queued:
+                break
+        entering = [queued.popleft() for _ in range(min(room, len(queued)))]
+        if not entering:
+            return None
+        networks, owner = [], []
+        for q, i, pieces, _ in entering:
+            if not networks or networks[-1] is not q.network:
+                networks.append(q.network)
+            owner.append(len(networks) - 1)
+            live[numbered] = q, i, pieces
+            numbered += 1
+        return (Columns(tuple(networks), np.array(owner)), [x[3] for x in entering],
+                *np.array([q.params[i] for q, i, _, _ in entering]).T)
+
+    def step(index, cols, beta, on_b, dist, n_b, p_recv):
+        walked = [live[j] for j in index.tolist()]
+        _, b_a, b_b = np.array([q.params[i] for q, i, _ in walked]).T
+        rows = _walk_rows(cols, mu)
         nxt = np.empty(index.size)
         for a in range(0, index.size, _TOPS_COLUMNS):
             s = slice(a, a + _TOPS_COLUMNS)
-            nxt[s] = _next_tops(cols.take(index[s]), rows, beta[s], on_b[:, s], p_recv[:, s],
-                                n_b[:, s], b_a[index[s]], b_b[index[s]])
+            at = cols.take(s)
+            nxt[s] = _next_tops(beta[s], on_b[:, s], p_recv[:, s], n_b[:, s], b_a[s], b_b[s],
+                                *(at.spread(r) for r in rows))
+        for k, (j, (q, i, pieces), top, level) in enumerate(
+                zip(index.tolist(), walked, beta.tolist(), nxt.tolist())):
+            pieces.append((top, on_b[:, k], p_recv[:, k]))
+            if not level >= 0.0:
+                del live[j]
+                finish(q.tag, i, pieces)
         return nxt
 
-    batch_final_b_sets(cols, mu, beta_max[cols.owner], p, b_a, b_b, step=step)
-    return pieces
+    first = admit(0)
+    if first is not None:
+        batch_final_b_sets(first[0], mu, *first[1:], step=step, admit=admit)
 
 
-def _next_tops(cols: Columns, rows: tuple, beta: np.ndarray, on_b: np.ndarray,
-               p_recv: np.ndarray, n_b: np.ndarray, b_a: np.ndarray,
-               b_b: np.ndarray) -> np.ndarray:
+def _seeds(cols: Columns, mu: float, beta: np.ndarray, p: np.ndarray, b_a: np.ndarray,
+           b_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For columns in the all-A state at beta: whether a linked user joins
+    there (the engine's first round), and for the others their first
+    breakpoint below beta (_next_tops), -inf for those that join. In that
+    state only the sender's linked users receive (receive probability 1, no
+    B-neighbours), so only their rows are worked out, with the engine's and
+    _next_tops's expressions."""
+    links = [list(net.sender_links) for net in cols.networks]
+    most = max(map(len, links))
+    # each column's linked users, its network's first repeated up to the most
+    users = np.array([x + x[:1] * (most - len(x)) for x in links])[cols.owner].T
+    at = (cols.owner, users)
+    degree, gain0, slope, linked = (rows[at] for rows in _walk_rows(cols, mu))
+    c = cols.rows("c_values")[at]
+    trusting = trusts(beta[None, :], trust_threshold(mu, c))
+    n_b = np.zeros(users.shape)
+    p_recv = receive_map(p[None, :], np.zeros(users.shape, dtype=np.int32))
+    _, joins = sender_side_advantage(n_b, degree, b_b[None, :], b_a[None, :], trusting, p_recv,
+                                     news_gain(mu, c, beta[None, :]), linked)
+    joins = joins.any(axis=0)
+    first = np.full(beta.size, -np.inf)
+    rest = ~joins
+    first[rest] = _next_tops(beta[rest], np.zeros((most, np.count_nonzero(rest)), dtype=bool),
+                             p_recv[:, rest], n_b[:, rest], b_a[rest], b_b[rest],
+                             degree[:, rest], gain0[:, rest], slope[:, rest], linked[:, rest])
+    return joins, first
+
+
+def _next_tops(beta: np.ndarray, on_b: np.ndarray, p_recv: np.ndarray, n_b: np.ndarray,
+               b_a: np.ndarray, b_b: np.ndarray, degree: np.ndarray, gain0: np.ndarray,
+               slope: np.ndarray, linked: np.ndarray) -> np.ndarray:
     """Each column's next breakpoint below beta, -inf where none is left:
     the largest level where an outsider's advantage, linear in beta while it
     trusts, reaches -_JOIN_MARGIN, or its exact root (advantage 0) when that
     level is not below beta, so a predicted joiner the engine leaves out is
     tried once more there. An outsider whose advantage at beta is not
-    negative was left out by the engine, which raises. rows are _walk's
-    per-network rows."""
-    gain0, weight, degree, linked = rows
-    adv0, _ = sender_side_advantage(
-        n_b, cols.spread(degree), b_b, b_a, True, p_recv, cols.spread(gain0),
-        cols.spread(linked),
-    )
-    slope = cols.spread(weight)
-    slope *= p_recv
+    negative was left out by the engine, which raises. degree, gain0, slope
+    and linked are _walk_rows at the columns."""
+    adv0, _ = sender_side_advantage(n_b, degree, b_b, b_a, True, p_recv, gain0, linked)
+    slope = slope * p_recv
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = adv0 / slope
         adv0 += _JOIN_MARGIN
@@ -220,45 +344,66 @@ def _cascade_pieces(network: Network, params: ModelParams, beta_max: float) -> l
     return [(top, on_b[:, k], p_recv[:, k]) for k, top in enumerate(tops)]
 
 
-def _b_sides(networks: list[Network], cells: list[ModelParams]):
-    """For each network, in order: (trust, thresholds, pieces), its users'
-    trust test (_Trust), their distinct trust thresholds ascending, and one
-    piece list per cell (all cells share mu). The columns off cascade trees
-    are walked in blocks of at most POOL_COLUMNS, each when the one before
-    is used up, so a walk's working set stays within one block; a cascade
-    tree's pieces come from the closed form one cell at a time, so a large
-    grid on a tree never holds every cell's sets at once."""
+class _Side(NamedTuple):
+    """A network's data while its cells are solved: its index among the
+    networks solved together, the network, its users' trust test (_Trust),
+    their distinct trust thresholds ascending, and its A sides priced so
+    far, by p."""
+
+    k: int
+    network: Network
+    trust: _Trust
+    thresholds: list[float]
+    priced: dict
+
+
+def _b_sides(networks, cells: list[ModelParams], finish) -> None:
+    """Drive every B side: call finish(side, i, pieces) once for each cell
+    (all cells share mu) on each network, with the network's _Side and the
+    cell's pieces, as soon as they are known, in no fixed order. networks is
+    any iterable of networks of one size, read one network at a time as the
+    walk admits its columns (_walk); a cascade tree's pieces come from the
+    closed form when it is read, one cell at a time, so a large grid on a
+    tree never holds every cell's sets at once."""
     mu = cells[0].mu
-    bps = [_beta_primes(network, mu) for network in networks]
-    if len(networks) > 1:  # kept on the networks, for is_cascade_tree and the A side
-        pooled_relay_distances(networks)
-    thresholds = [np.unique(bp).tolist() for bp in bps]
-    beta_max = np.array([t[-1] for t in thresholds])
-    on_tree = np.array([network.is_cascade_tree for network in networks])
-    cols = Columns.repeat(networks, len(cells))
-    cols = cols.take(~on_tree[cols.owner])
-    col_cells = [params for tree in on_tree if not tree for params in cells]
-    walked = chain.from_iterable(
-        _walk(cols.take(slice(a, a + POOL_COLUMNS)), col_cells[a:a + POOL_COLUMNS], beta_max)
-        for a in range(0, len(col_cells), POOL_COLUMNS))
-    for network, bp, t, tree in zip(networks, bps, thresholds, on_tree):
-        yield _Trust(bp + TIE_TOL, t[0] + TIE_TOL), t, (
-            (_cascade_pieces(network, params, t[-1]) for params in cells) if tree
-            else [next(walked) for _ in cells])
+
+    def items():
+        size = None
+        for k, network in enumerate(networks):
+            if size not in (None, network.n_users):
+                raise InvalidParamsError("networks batched together must have the same size")
+            size = network.n_users
+            bp = _beta_primes(network, mu)
+            thresholds = np.unique(bp).tolist()
+            side = _Side(k, network, _Trust(bp + TIE_TOL, thresholds[0] + TIE_TOL), thresholds,
+                         {})
+            if network.is_cascade_tree:
+                for i, params in enumerate(cells):
+                    finish(side, i, _cascade_pieces(network, params, thresholds[-1]))
+            else:
+                yield network, cells, thresholds[-1], side
+
+    _walk(mu, items(), finish)
 
 
 def _decide(mu: float, trust: _Trust, thresholds: list[float], pieces: list) -> SenderDecision:
     """The sender's optimum on B over a cell's pieces. Within a piece the
     utility rises with beta except where a user stops trusting, so the
-    candidates are every top, every trust threshold and 0."""
+    candidates are every top, every trust threshold and 0. Where nobody
+    joins B at any level every candidate scores 0, so the first, 0, is the
+    optimum (_best's result, without scoring them)."""
+    if not any(on_b.any() for _, on_b, _ in pieces):
+        return SenderDecision(Platform.B, 0.0, 0.0)
     candidates = sorted({0.0} | {top for top, _, _ in pieces} | set(thresholds))
     return SenderDecision(Platform.B, *_best(mu, trust, candidates, pieces))
 
 
 def optimal_B(network: Network, params: ModelParams) -> SenderDecision:
     """Sender's best deceit level and utility on the unregulated platform B."""
-    [(trust, thresholds, [pieces])] = _b_sides([network], [params])
-    return _decide(params.mu, trust, thresholds, pieces)
+    decisions = []
+    _b_sides([network], [params], lambda side, _, pieces: decisions.append(
+        _decide(params.mu, side.trust, side.thresholds, pieces)))
+    return decisions[0]
 
 
 def strictest_effective_regulation(network: Network, params: ModelParams) -> RegulationResult:
@@ -283,24 +428,45 @@ def solve_cells(network: Network, cells) -> list[RegulationResult]:
 
 def solve_pool(networks, cells) -> list[list[RegulationResult]]:
     """solve_cells of the same cells on each of several networks of one
-    size: one result list per network, in order. All cells must share mu.
-    Every (network, cell) column is walked together (see the module
-    docstring); then each cell is decided and classified on its own, and
-    the A side is priced once per network and distinct p. A network with a
-    user whose c is at or below mu raises InvalidParamsError for the pool."""
-    networks, cells = list(networks), list(cells)
-    if not (networks and cells):
+    size: one result list per network, in order (solve_each)."""
+    cells = list(cells)
+    if not cells:
         return [[] for _ in networks]
+    out = []
+
+    def record(k: int, i: int, result: RegulationResult) -> None:
+        out.extend([None] * len(cells) for _ in range(k + 1 - len(out)))
+        out[k][i] = result
+
+    solve_each(networks, cells, record)
+    return out
+
+
+def solve_each(networks, cells, record) -> None:
+    """Solve every cell (a ModelParams) on each network, as solve_cells
+    does, and hand each result to record(k, i, result), for cells[i] on the
+    k-th network, as soon as it is known, in no fixed order. networks is
+    any iterable of networks of one size, read as the walk admits them, and
+    all cells must share mu. Every (network, cell) column is walked together
+    (see the module docstring); each cell is decided and classified when its
+    column finishes, and the A side is priced once per network and distinct
+    p. A network with a user whose c is at or below mu raises
+    InvalidParamsError."""
+    cells = list(cells)
+    if not cells:
+        return
     mu = cells[0].mu
     if any(params.mu != mu for params in cells):
         raise InvalidParamsError("cells solved together must share mu")
-    out = []
-    for network, (trust, thresholds, pieces) in zip(networks, _b_sides(networks, cells)):
-        a_sides = {p: _price_a(network, mu, p, trust, thresholds)
-                   for p in dict.fromkeys(params.p for params in cells)}
-        out.append([_classify(params, a_sides[params.p], _decide(mu, trust, thresholds, cell_pieces))
-                    for params, cell_pieces in zip(cells, pieces)])
-    return out
+    def finish(side: _Side, i: int, pieces: list) -> None:
+        params = cells[i]
+        if params.p not in side.priced:
+            side.priced[params.p] = _price_a(side.network, mu, params.p, side.trust,
+                                             side.thresholds)
+        record(side.k, i, _classify(params, side.priced[params.p],
+                                    _decide(mu, side.trust, side.thresholds, pieces)))
+
+    _b_sides(networks, cells, finish)
 
 
 @dataclass(frozen=True)
@@ -357,23 +523,25 @@ def sender_equilibria(
     size, in order, with their B sides walked together. Each decision comes
     with the adopter set at its beta* when the sender picks B (the set of the
     piece that holds beta*, which the run from all-A reaches), else None."""
-    networks = list(networks)
-    if not networks:
-        return []
     out = []
     cap = params.rho_a
-    for network, (trust, thresholds, [pieces]) in zip(networks, _b_sides(networks, [params])):
+
+    def finish(side: _Side, _, pieces: list) -> None:
+        network, trust, thresholds = side.network, side.trust, side.thresholds
         # A keeps every user: one piece, scored at the cap and the thresholds up to it
         on_a = [(np.inf, np.ones(network.n_users, dtype=bool),
                  receive_map(params.p, network.relay_distances))]
         candidates = sorted({cap} | {x for x in thresholds if x <= cap + TIE_TOL})
         best_beta_a, best_u_a = _best(params.mu, trust, candidates, on_a)
         decision_b = _decide(params.mu, trust, thresholds, pieces)
+        out.extend([None] * (side.k + 1 - len(out)))
         if best_u_a >= decision_b.utility - TIE_TOL:
-            out.append((SenderDecision(Platform.A, best_beta_a, best_u_a), None))
+            out[side.k] = SenderDecision(Platform.A, best_beta_a, best_u_a), None
         else:
             # the piece that holds beta*: the lowest top at or above it
             _, on_b, _ = next(piece for piece in reversed(pieces)
                               if piece[0] >= decision_b.beta_star)
-            out.append((decision_b, on_b))
+            out[side.k] = decision_b, on_b
+
+    _b_sides(networks, [params], finish)
     return out

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -13,10 +14,10 @@ import pytest
 
 import platmod.cli
 import platmod.graph
+import platmod.regulation
 from platmod import (InvariantViolationError, ModelParams, Network, NetworkRecipe, Platform,
                      SweepSpec, gen_linear, run_adoption, sweep, validate_assumption1)
 from platmod.cli import main
-from platmod.experiments import _pools
 
 
 def run_cli(args):
@@ -206,6 +207,18 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["n_users"] == 2
 
 
+def test_python_m_platmod_runs_the_cli():
+    # from a checkout, with src on the path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "platmod", "--help"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: platmod")
+    assert "validate-a1" in proc.stdout and proc.stderr == ""
+
+
 def _bench_spans():
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
@@ -248,13 +261,21 @@ def test_benchmark_tracer_reads_the_engine_and_the_bfs():
         samples=2,
         base_seed=4,
     )
-    tracer = _bench_spans().Tracer()
-    with tracer:
+    tracer, results = _bench_spans().Tracer(), []
+    with tracer, pytest.MonkeyPatch.context() as patched:
+        engine = platmod.regulation.batch_final_b_sets  # the tracer's wrapper
+        patched.setattr(platmod.regulation, "batch_final_b_sets",
+                        lambda *args, **kwargs: results.append(engine(*args, **kwargs))
+                        or results[-1])
         sweep(spec)
     metrics = tracer.metrics()
-    # one engine call per pool, of every (network, cell) column
-    assert metrics["adoption.engine_calls"] == len(_pools(spec.seeds(), 4, 1)) == 1
-    assert metrics["adoption.engine_cols"] == spec.samples * 4
+    # one engine call per task; a walk's final states go to its step alone,
+    # so the tracer counts no final sets, and every column's rounds
+    [(on_b, _, rounds, _)] = results
+    assert metrics["adoption.engine_calls"] == 1
+    assert metrics["adoption.engine_cols"] == on_b.shape[1] == 0
+    assert metrics["adoption.engine_rounds"] == rounds.sum() > 0
+    assert 0 < rounds.size <= spec.samples * 4
     tracer = _bench_spans().Tracer()
     with tracer:
         validate_assumption1([0.75], seeds=range(2), sizes=(6, 6, 6))
@@ -460,6 +481,9 @@ OVER_THE_CAP = ["gen-network", "--kind", "linear", "--n", "11"]
                      {"kind": "sbm", "args": dict(SBM_ARGS, sender_community=1.0)},
                      {"kind": "sbm", "args": dict(SBM_ARGS, sender_community="1")},
                      {"kind": "linear", "args": {"n": 5, "c": "x"}})),
+    ["validate-a1", "--sizes", "0,3", "--seeds", "2"],
+    *(["sweep", "--recipe", LINE, "--p-range", "0.3:0.7:2", "--ba-range", "0:0.1:2", "--workers",
+       workers] for workers in ("0", "-2")),
 ], ids=["p-range", "ba-range", "analytic-p-range", "analytic-negative-steps",
         "analytic-zero-steps", "recipe-not-json", "recipe-not-object",
         "recipe-missing-arg", "recipe-unknown-kind", "no-recipe", "theta-not-json",
@@ -469,7 +493,8 @@ OVER_THE_CAP = ["gen-network", "--kind", "linear", "--n", "11"]
         "config-malformed", "config-unknown-key", "config-float-for-int",
         "config-value-outside-choices", "recipe-sizes-not-a-list",
         "more-users-than-the-cap", "tree-too-deep-to-count", "recipe-sender-attach-float",
-        "recipe-sender-community-float", "recipe-sender-community-string", "recipe-c-string"])
+        "recipe-sender-community-float", "recipe-sender-community-string", "recipe-c-string",
+        "validate-a1-zero-size", "sweep-zero-workers", "sweep-negative-workers"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args):
     if args == OVER_THE_CAP:
         monkeypatch.setattr(platmod.graph, "MAX_GENERATED_USERS", 10)

@@ -11,6 +11,7 @@ import pytest
 
 import platmod
 import platmod.experiments
+import platmod.regulation
 from platmod import (
     HeatmapGrid,
     InvalidParamsError,
@@ -31,7 +32,6 @@ from platmod import (
 from platmod.adoption import Assignment
 from platmod.experiments import (
     A1_GROUP,
-    POOL_COLUMNS,
     SWEEP_CSV_HEADER,
     A1Row,
     a1_csv_text,
@@ -353,7 +353,7 @@ def test_sweep_reraises_invariant_violation(monkeypatch):
     def broken_solver(*args, **kwargs):
         raise InvariantViolationError("faulty kernel")
 
-    monkeypatch.setattr(experiments, "solve_pool", broken_solver)
+    monkeypatch.setattr(experiments, "solve_each", broken_solver)
     with pytest.raises(InvariantViolationError, match="faulty kernel"):
         sweep(small_line_spec())
 
@@ -364,7 +364,7 @@ def test_sweep_propagates_a_program_fault(monkeypatch):
     def broken_solver(*args, **kwargs):
         raise IndexError("list index out of range")
 
-    monkeypatch.setattr(platmod.experiments, "solve_pool", broken_solver)
+    monkeypatch.setattr(platmod.experiments, "solve_each", broken_solver)
     with pytest.raises(IndexError, match="list index out of range"):
         sweep(small_line_spec())
 
@@ -416,30 +416,36 @@ def test_parallel_sbm_sweep_builds_each_sample_once(monkeypatch, inline_pool):
 
 
 def test_sweep_holds_one_pool_of_networks(monkeypatch):
-    # samples are built a pool at a time, and a pool's networks are gone
-    # before the next pool is built; a pool's first engine call holds at
-    # most POOL_COLUMNS columns
-    alive, most = [0], [0]
+    # a task's samples are built as the walk admits their first column and
+    # are gone after their last finishes: with at most POOL_COLUMNS live
+    # columns, at most POOL_COLUMNS + 1 networks are held at once (every one
+    # but the one being admitted has a live column), each built once
+    alive, most, built = [0], [0], []
 
     def counted(spec):
         network = gen_sbm(spec)
+        built.append(spec.seed)
         alive[0] += 1
         most[0] = max(most[0], alive[0])
         weakref.finalize(network, lambda: alive.__setitem__(0, alive[0] - 1))
         return network
 
     monkeypatch.setattr(platmod.experiments, "gen_sbm", counted)
-    per_pool = POOL_COLUMNS // 20
+    monkeypatch.setattr(platmod.regulation, "POOL_COLUMNS", 7)
     spec = SweepSpec(
         p_range=(0.4, 0.9, 4),
         ba_range=(0.0, 0.01, 5),
         recipe=NetworkRecipe("sbm", {"sizes": [8, 8], "theta": [[0.8, 0.05], [0.05, 0.8]]}),
-        samples=2 * per_pool + 1,
+        samples=30,
     )
     grid = sweep(spec)
     assert all(cell.samples == spec.samples for cell in grid.cells)
-    assert most[0] == per_pool
+    assert built == list(spec.seeds())
+    assert 1 < most[0] <= 7 + 1
     assert alive[0] == 0
+    # the same grid as walks of the usual width
+    monkeypatch.setattr(platmod.regulation, "POOL_COLUMNS", 220)
+    assert sweep_csv_text(sweep(spec)) == sweep_csv_text(grid)
 
 
 def test_chain_sweep_benchmark_grid_is_pinned():

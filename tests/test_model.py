@@ -195,6 +195,12 @@ def test_model_params_validation():
         ModelParams(mu=0.2, p=1.0, b_a=0.1, b_b=0.0)
     with pytest.raises(InvalidParamsError):
         ModelParams(mu=0.2, p=0.5, b_a=-0.1, b_b=0.0)
+    # NaN fails every comparison, so the qualities must be finite as well
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            ModelParams(mu=0.2, p=0.5, b_a=bad, b_b=0.0)
+        with pytest.raises(InvalidParamsError, match="finite"):
+            ModelParams(mu=0.2, p=0.5, b_a=0.1, b_b=bad)
     with pytest.raises(InvalidParamsError):
         ModelParams(mu=0.2, p=0.5, b_a=0.1, b_b=0.0, rho_a=1.5)
     with pytest.raises(InvalidParamsError):

@@ -32,7 +32,7 @@ from platmod.adoption import (
     cascade_final_b_sets,
     nash_check,
 )
-from platmod.graph import (UNREACHED, receive_map, receive_probs, relax,
+from platmod.graph import (UNREACHED, Columns, receive_map, receive_probs, relax,
                            through_platform_distances)
 
 from conftest import build_network, random_sbm_instance, widened_sbm_instance
@@ -315,6 +315,7 @@ def test_one_column_queries_need_neither_matmul_nor_level_loop(monkeypatch):
     # the batched level loop reaches through neighbour_counts
     monkeypatch.setattr(Network, "neighbour_counts", property(refuse))
     monkeypatch.setattr(Network, "adjacency_f", property(refuse))
+    monkeypatch.setattr(Columns, "neighbour_counts", refuse)
     params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
     for net in (gen_linear(12), gen_linear(300)):
         state = Assignment(np.arange(net.n_users) < 5, Platform.B)
@@ -454,7 +455,7 @@ def _restart_once_at(levels, seen):
     """A step callback that restarts each column once, at levels[j], and
     appends every state it is handed to seen as (column, beta, state as
     handed, a copy of it made then); a state is (on_b, dist, n_b, p_recv)."""
-    def step(index, beta, *state):
+    def step(index, cols, beta, *state):
         again = []
         for k, j in enumerate(index.tolist()):
             again.append(all(s[0] != j for s in seen))

@@ -51,6 +51,24 @@ from conftest import (
 BETA_PRIME = trust_threshold(0.2, 0.3)
 
 
+def _one_b_side(network, params):
+    """(thresholds, pieces) of one cell on one network, from _b_sides."""
+    got = []
+    _b_sides([network], [params], lambda side, _, pieces: got.append((side.thresholds, pieces)))
+    [(thresholds, pieces)] = got
+    return thresholds, pieces
+
+
+def walk_pieces(columns, cells, beta_max):
+    """The pieces of every column, cells[j] on columns.owner[j] walked down
+    from beta_max of its network: one walk whose items are the networks."""
+    pieces = [None] * len(cells)
+    _walk(cells[0].mu, ((net, cells[at], beta_max[columns.owner[at][0]], at.start or 0)
+                        for net, at in columns.runs),
+          lambda first, i, walked: pieces.__setitem__(first + i, walked))
+    return pieces
+
+
 def test_utility_on_a_linear_in_beta():
     net = gen_linear(8)
     params = default_params(p=0.5)
@@ -176,7 +194,7 @@ def test_candidates_sit_on_piece_tops(net, params, cascade):
     # pieces: a cold engine run at each top gives the piece's set, and one
     # between two consecutive candidates gives the upper candidate's set
     assert net.is_cascade_tree is cascade
-    [(_, thresholds, [pieces])] = _b_sides([net], [params])
+    thresholds, pieces = _one_b_side(net, params)
     cold = lambda b: batch_final_b_sets(net, params.mu, np.array([b]), params.p, params.b_a,
                                         params.b_b)[0][:, 0]
     for top, on_b, _ in pieces:
@@ -358,8 +376,8 @@ def _restart_above_the_top(step):
     set they carry is not inside the set there."""
     lifted = [False]
 
-    def restart(index, beta, on_b, *state):
-        nxt = step(index, beta, on_b, *state)
+    def restart(index, cols, beta, on_b, *state):
+        nxt = step(index, cols, beta, on_b, *state)
         lift = (nxt >= 0.0) & on_b.any(axis=0)
         if not lifted[0] and lift.any():
             lifted[0] = True
@@ -374,11 +392,11 @@ def _stalled_after_restart(step):
     later level, as if the engine moved nobody after a restart."""
     first = {}
 
-    def stalled(index, beta, *state):
+    def stalled(index, cols, beta, *state):
         for k, j in enumerate(index.tolist()):
             first.setdefault(j, tuple(x[:, k] for x in state))
-        return step(index, beta, *(np.stack([first[j][i] for j in index.tolist()], axis=1)
-                                   for i in range(len(state))))
+        return step(index, cols, beta, *(np.stack([first[j][i] for j in index.tolist()], axis=1)
+                                         for i in range(len(state))))
 
     return stalled
 
@@ -610,12 +628,66 @@ def test_engine_on_several_networks_equals_one_call_per_network(batch, betas):
     # the walk's pieces, warm engine starts included, are those of one walk
     # per network
     beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
-    walked = _walk(columns, cells, beta_max)
+    walked = walk_pieces(columns, cells, beta_max)
     for k, (net, cols) in enumerate(_split(networks, owner)):
-        for mine, theirs in zip(walked[cols], _walk(Columns.repeat((net,), len(cells[cols])),
-                                                    cells[cols], beta_max[k:k + 1])):
+        for mine, theirs in zip(walked[cols], walk_pieces(Columns.repeat((net,), len(cells[cols])),
+                                                          cells[cols], beta_max[k:k + 1])):
             assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in mine] == \
                 [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
+
+
+@st.composite
+def relax_cases(draw):
+    """(networks, owner, on_side, joined): two to four dense networks of
+    one size with one to three columns each, a relay set per column and
+    users joining it."""
+    networks = draw(same_size_networks(dense=True))
+    owner = [k for k in range(len(networks)) for _ in range(draw(st.integers(1, 3)))]
+    n = networks[0].n_users
+    sets = [draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=len(owner),
+                          max_size=len(owner))) for _ in range(2)]
+    return networks, owner, *(np.array(x).T for x in sets)
+
+
+@settings(max_examples=40)
+@given(case=relax_cases())
+def test_relax_equals_a_fresh_distance_query(case):
+    # Columns.relax lowers the distances of a relay set through the users
+    # that join it, counting each column through the batched matmul; the
+    # result is each column's distances computed from scratch on its own
+    # network (a queue walk), bit for bit, for the pool and for a take of it
+    networks, owner, on_side, joined = case
+    columns = Columns(tuple(networks), np.array(owner))
+    assert columns.batched
+    grown = on_side | joined
+    for keep in (np.arange(len(owner)), np.arange(0, len(owner), 2)):
+        cols = columns.take(keep)
+        dist = through_platform_distances(cols, on_side[:, keep])
+        cols.relax(dist, grown[:, keep], (joined & ~on_side)[:, keep])
+        for k, j in enumerate(keep.tolist()):
+            net = networks[owner[j]]
+            fresh = through_platform_distances(net, grown[:, j:j + 1])
+            assert dist[:, k].tobytes() == fresh[:, 0].tobytes()
+
+
+@settings(max_examples=30)
+@given(batch=multi_network_batches(), width=st.integers(1, 3))
+def test_walks_of_a_few_live_columns_equal_one_unbounded_walk(batch, width):
+    # a walk holding one to three live columns admits the rest as others
+    # finish; its pieces and results are those of a walk holding them all
+    networks, owner, cells = batch
+    columns = Columns(tuple(networks), np.array(owner))
+    beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
+    wide = walk_pieces(columns, cells, beta_max)
+    wide_results = solve_pool(networks, cells)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(platmod.regulation, "POOL_COLUMNS", width)
+        narrow = walk_pieces(columns, cells, beta_max)
+        narrow_results = solve_pool(networks, cells)
+    for mine, theirs in zip(narrow, wide):
+        assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in mine] == \
+            [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
+    assert [_bits(res) for res in narrow_results] == [_bits(res) for res in wide_results]
 
 
 @st.composite
@@ -640,35 +712,41 @@ def stacked_pools(draw):
 @settings(max_examples=40)
 @given(pool=stacked_pools(), betas=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
 def test_stacked_pool_equals_one_call_per_network(pool, betas):
-    # dense networks with one column each count neighbours as one stacked
+    # dense networks with one column each count neighbours as one batched
     # float32 matmul and relax through it; the engine, the walk, the counts
     # and the pooled all-relay distances equal those of each network alone,
-    # bit for bit, and the pool never builds a network's own adjacency
+    # bit for bit, and the pool never builds a network's own adjacency (the
+    # walk's engine pool holds only the columns that enter it, which may be
+    # one network's one column, relaxed by its queue walk)
     networks, cells, marked = pool
     k = len(networks)
     columns = Columns.repeat(networks, 1)
-    assert columns.stacked and all(net.degrees[-1] == 0 for net in networks)
+    assert columns.batched and all(net.degrees[-1] == 0 for net in networks)
     betas = np.array(betas[:k])
     p, b_a, b_b = (np.array([getattr(x, name) for x in cells]) for name in ("p", "b_a", "b_b"))
     together = batch_final_b_sets(columns, 0.2, betas, p, b_a, b_b, collect_trace=True)
     beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
-    walked = _walk(columns, cells, beta_max)
     counts = columns.neighbour_counts(marked)
-    # a subset of the columns cuts the pool's stack down in place; the whole
-    # pool then builds it again
+    # a subset of the columns counts through the pool's stack; merged down
+    # to its own networks it takes their layers along, and the pool it came
+    # from builds its stack again
     half = np.arange(0, k, 2)
     half_counts = columns.take(half).neighbour_counts(marked[:, half])
+    merged = columns.take(half).merge()
+    assert merged.networks == tuple(networks[::2])
+    merged_counts = merged.neighbour_counts(marked[:, half])
     again = columns.neighbour_counts(marked)
     pooled = pooled_relay_distances(networks)
     for net in networks:
         assert not {"adjacency_f", "csr", "adjacency_lists"} & set(vars(net))
+    walked = walk_pieces(columns, cells, beta_max)
     for j, net in enumerate(networks):
         alone = batch_final_b_sets(net, 0.2, betas[j:j + 1], p[j], b_a[j], b_b[j],
                                    collect_trace=True)
         for mine, theirs in zip(together[:3], alone[:3]):
             assert mine[..., j].tobytes() == theirs[..., 0].tobytes()
         assert together[3][j] == alone[3][0]
-        [theirs] = _walk(Columns.repeat((net,), 1), cells[j:j + 1], beta_max[j:j + 1])
+        [theirs] = walk_pieces(Columns.repeat((net,), 1), cells[j:j + 1], beta_max[j:j + 1])
         assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in walked[j]] == \
             [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
         own = net.neighbour_counts(marked[:, j].astype(np.float64))
@@ -676,6 +754,7 @@ def test_stacked_pool_equals_one_call_per_network(pool, betas):
         assert again[:, j].tobytes() == own.tobytes()
         if j % 2 == 0:
             assert half_counts[:, j // 2].tobytes() == own.tobytes()
+            assert merged_counts[:, j // 2].tobytes() == own.tobytes()
         relay = through_platform_distances(net, np.ones((net.n_users, 1), dtype=bool))[:, 0]
         assert pooled[j].tobytes() == relay.tobytes() and not pooled[j].flags.writeable
         assert net.relay_distances is pooled[j]
@@ -752,64 +831,91 @@ def test_sender_equilibria_keep_the_invariant_checks(monkeypatch):
 
 def test_restarts_that_move_nobody_are_bounded():
     # a step that always names the column's own level restarts it where it
-    # stays put: the third such restart in a row raises instead of looping,
-    # on one network and on a stacked pool alike
+    # stays put: the third start or restart in a row that moves nobody
+    # raises instead of looping, on one network and on a batched pool alike.
+    # The start counts, so a column whose first run moves nobody (as a
+    # walk's seeded column whose predicted joiner stays out) goes to step
+    # once less
     nets = [gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=s))
             for s in (4, 5)]
     restarts = []
 
-    def own_level(index, beta, *state):
+    def own_level(index, cols, beta, *state):
         restarts.append(index.size)
         return beta
 
     for network in (nets[0], Columns.repeat(nets, 1)):
-        restarts.clear()
-        with pytest.raises(InvariantViolationError, match="3 times in a row without moving"):
-            batch_final_b_sets(network, 0.2, np.array([0.05, 0.1]), 0.9, 0.01, 0.0,
-                               step=own_level)
-        # the first fixed point and two idle restarts go to step, the third does not
-        assert restarts == [2, 2, 2]
+        for b_a, handed in ((0.01, [2, 2, 2]), (0.5, [2, 2])):
+            restarts.clear()
+            with pytest.raises(InvariantViolationError, match="3 times in a row without moving"):
+                batch_final_b_sets(network, 0.2, np.array([0.05, 0.1]), 0.9, b_a, 0.0,
+                                   step=own_level)
+            assert restarts == handed
+    # so does the start of an admitted column
+    seen, admitted = [], []
+
+    def first_two_finish(index, cols, beta, *state):
+        seen.extend(index.tolist())
+        return np.where(index < 2, -1.0, beta)
+
+    def admit_once(n_live):
+        if admitted:
+            return None
+        admitted.append(n_live)
+        return Columns.repeat(nets[:1], 2), [0.05, 0.1], [0.9] * 2, [0.5] * 2, [0.0] * 2
+
+    with pytest.raises(InvariantViolationError, match="3 times in a row without moving"):
+        batch_final_b_sets(nets[0], 0.2, np.array([0.05, 0.1]), 0.9, 0.01, 0.0,
+                           step=first_two_finish, admit=admit_once)
+    # the admitted columns, numbers 2 and 3, went to step twice each
+    assert admitted == [0] and sorted(seen) == [0, 1, 2, 2, 3, 3]
 
 
 @settings(max_examples=30)
 @given(batch=multi_network_batches())
 def test_flowing_walk_pieces_equal_cold_runs_at_their_tops(batch):
     # columns settle and restart at their own rounds within one engine call;
-    # every state the walk is handed, and every piece it keeps, is that of
-    # a cold run from all-A at the piece's top: set, distances, B-neighbour
-    # counts and receive probabilities, bit for bit
+    # every piece the walk keeps, seeded ones included, and every state it
+    # is handed, is that of a cold run from all-A at the piece's top: set,
+    # distances, B-neighbour counts and receive probabilities, bit for bit
     networks, owner, cells = batch
     columns = Columns(tuple(networks), np.array(owner))
     beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
-    handed = {}
+    handed = []  # (level, set, distances, counts, receive map) as handed
 
     def recording(step):
-        def recorded(index, beta, *state):
-            for k, j in enumerate(index.tolist()):
-                handed.setdefault(j, []).append(tuple(x[:, k] for x in state))
-            return step(index, beta, *state)
+        def recorded(index, cols, beta, *state):
+            handed.extend((float(b), *(x[:, k] for x in state)) for k, b in enumerate(beta))
+            return step(index, cols, beta, *state)
         return recorded
 
     with pytest.MonkeyPatch.context() as patched:
         _patch_walk_step(patched, recording)
-        walked = _walk(columns, cells, beta_max)
-    for net, cols in _split(networks, owner):
+        walked = walk_pieces(columns, cells, beta_max)
+    matched = 0
+    for k, (net, cols) in enumerate(_split(networks, owner)):
         tops = [(j, top) for j in range(cols.start, cols.stop) for top, _, _ in walked[j]]
-        at = [j for j, _ in tops]
-        p, b_a, b_b = (np.array([getattr(cells[j], name) for j in at])
+        p, b_a, b_b = (np.array([getattr(cells[j], name) for j, _ in tops])
                        for name in ("p", "b_a", "b_b"))
         on_b, dist, _, _ = batch_final_b_sets(net, 0.2, np.array([t for _, t in tops]), p,
                                               b_a, b_b)
-        states = [state for j in range(cols.start, cols.stop) for state in handed[j]]
-        pieces = [piece for j in range(cols.start, cols.stop) for piece in walked[j]]
-        assert len(states) == len(pieces) == len(tops)
-        for k, ((set_, d, n_b, p_recv), (_, kept_set, kept_p_recv)) in enumerate(
-                zip(states, pieces)):
-            cold_p_recv = receive_map(p[k], dist[:, k])
-            assert set_.tobytes() == kept_set.tobytes() == on_b[:, k].tobytes()
-            assert d.tobytes() == dist[:, k].tobytes()
-            assert n_b.tobytes() == net.neighbour_counts(on_b[:, k].astype(np.float64)).tobytes()
-            assert p_recv.tobytes() == kept_p_recv.tobytes() == cold_p_recv.tobytes()
+        pieces = [(j, piece) for j in range(cols.start, cols.stop) for piece in walked[j]]
+        for c, (j, (top, kept_set, kept_p_recv)) in enumerate(pieces):
+            cold_p_recv = receive_map(p[c], dist[:, c])
+            assert kept_set.tobytes() == on_b[:, c].tobytes()
+            assert kept_p_recv.tobytes() == cold_p_recv.tobytes()
+            # the state the piece was made from, unless the walk seeded it
+            states = [s for s in handed if s[0] == top and np.shares_memory(s[1], kept_set)]
+            if not states:
+                assert walked[j][0][0] == top == beta_max[k] and not kept_set.any()
+                continue
+            [(_, set_, d, n_b, p_recv)] = states
+            matched += 1
+            assert set_.tobytes() == on_b[:, c].tobytes() and p_recv is kept_p_recv or \
+                p_recv.tobytes() == kept_p_recv.tobytes()
+            assert d.tobytes() == dist[:, c].tobytes()
+            assert n_b.tobytes() == net.neighbour_counts(on_b[:, c].astype(np.float64)).tobytes()
+    assert matched == len(handed)
 
 
 def test_round_cap_counts_the_rounds_since_a_restart(monkeypatch):
@@ -837,17 +943,31 @@ def test_round_cap_counts_the_rounds_since_a_restart(monkeypatch):
 
 
 def test_walks_hold_at_most_pool_columns(monkeypatch):
-    # one network's cells beyond POOL_COLUMNS are walked in blocks of at
-    # most that many columns, with the results of one walk
-    net, cells = _oracle_cases()[0]
-    cells = cells * 3
-    whole = solve_pool([net], cells)
+    # a walk is one engine call that admits queued columns as others
+    # finish: it never holds more than POOL_COLUMNS live columns, and gives
+    # the results of a walk that holds them all
+    nets = [gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=s))
+            for s in (4, 5, 6)]
+    cells = _random_cells(np.random.default_rng(8), 0.2, 9)
+    whole = solve_pool(nets, cells)
     engine = platmod.regulation.batch_final_b_sets
-    widths = []
-    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets",
-                        lambda cols, *args, **kwargs: widths.append(cols.owner.size)
-                        or engine(cols, *args, **kwargs))
+    calls, admitted, widths = [], [], []
+
+    def counting_engine(*args, admit, **kwargs):
+        def counted(n_live):
+            more = admit(n_live)
+            admitted.append(0 if more is None else more[0].owner.size)
+            return more
+        calls.append(args[0].owner.size)
+        return engine(*args, admit=counted, **kwargs)
+
+    counts = platmod.graph.Columns.neighbour_counts
+    monkeypatch.setattr(platmod.graph.Columns, "neighbour_counts",
+                        lambda cols, marked: widths.append(marked.shape[1])
+                        or counts(cols, marked))
+    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", counting_engine)
     monkeypatch.setattr(platmod.regulation, "POOL_COLUMNS", 7)
-    blocked = solve_pool([net], cells)
-    assert widths == [7] * (len(cells) // 7) + [len(cells) % 7] * (len(cells) % 7 > 0)
-    assert [_bits(res) for res in blocked] == [_bits(res) for res in whole]
+    narrow = solve_pool(nets, cells)
+    assert len(calls) == 1 and calls[0] <= 7 and sum(admitted) > 7
+    assert max(widths) <= 7
+    assert [_bits(res) for res in narrow] == [_bits(res) for res in whole]

@@ -133,11 +133,10 @@ def batch_final_b_sets(
     them and start from all-A in the next round.
 
     Returns (on_b, dist, productive_rounds, traces): each column's final
-    membership and distance matrices of shape (n_users, len(betas)), its
+    membership and distance matrices of shape (n_users, columns), its
     productive round count summed over its restarts, and its switch-set
-    trace, every restart's rounds in turn, when requested. With admit the
-    final states go to step alone: on_b and dist hold no columns, and the
-    round counts and traces cover every column, admitted ones included.
+    trace, every restart's rounds in turn, when requested. Every column is
+    covered, admitted ones included, in their numbers' order.
 
     Raises InvariantViolationError if a column runs more than n_users + 1
     rounds since it last (re)started, or a user ever prefers flipping B
@@ -173,8 +172,9 @@ def batch_final_b_sets(
     # a column whose round switches nobody has reached its fixed point; a
     # done one stays there, and once half the live columns are done, they
     # are set aside and later rounds work only on the rest
-    on_b = np.zeros((n, 0 if admit else level.size), dtype=bool)
-    final_dist = np.full(on_b.shape, UNREACHED, dtype=np.int32)
+    # (numbers, on_b, dist) of the columns set aside, each distance in the
+    # narrowest integer type that holds -n (int8 up to 128 users)
+    finals, small = [], np.min_scalar_type(-n)
     # the live columns' numbers and states, updated in place by the rounds
     live = np.arange(level.size)
     cur, n_b, dist, trusting, gain, deg, linked = start(cols, level)
@@ -220,9 +220,7 @@ def batch_final_b_sets(
                 gain[:, again] = news_gain(mu, restarted.spread(c_rows()), level[None, again])
                 began[again] = rounds[live[again]]
         if 2 * np.count_nonzero(done) >= live.size:
-            if on_b.size:
-                on_b[:, live[done]] = cur[:, done]
-                final_dist[:, live[done]] = dist[:, done]
+            finals.append((live[done], cur[:, done], dist[:, done].astype(small)))
             keep = ~done
             more = admit(np.count_nonzero(keep)) if admit else None
             if not (more or keep.any()):
@@ -261,6 +259,11 @@ def batch_final_b_sets(
         cur |= switch
         n_b += cols.neighbour_counts(switch)
         cols.relax(dist, cur, switch)
+    on_b = np.empty((n, rounds.size), dtype=bool)
+    final_dist = np.empty(on_b.shape, dtype=np.int32)
+    while finals:  # each set-aside block goes once it is copied
+        numbers, *state = finals.pop()
+        on_b[:, numbers], final_dist[:, numbers] = state
     return on_b, final_dist, rounds, traces
 
 

@@ -27,9 +27,10 @@ together, by one batched float32 matmul over the stack of their networks'
 adjacency built from the edge arrays (each column scattered to its
 network's layer), so a pool of them (a walk, or a pool's all-relay query,
 pooled_relay_distances) runs one level loop and builds no per-network
-adjacency; a pool keeps that stack while it holds the network. A Network
-with at most DENSE_MAX_USERS users is dense: counted alone, it keeps a
-dense float64 adjacency, so its counts are BLAS matmuls; above the cutoff
+adjacency while it holds several networks; a pool keeps that stack while
+it holds the network. A Network with at most DENSE_MAX_USERS users is
+dense: counted alone, it keeps a dense float64 adjacency, so its counts
+are BLAS matmuls; above the cutoff
 it keeps only CSR edge arrays and the counts are np.add.reduceat over them,
 so it never builds an n x n matrix and takes O(n + E) memory plus
 O((n + E) * B) bytes per batch of B columns. gen_sbm still draws all
@@ -498,7 +499,7 @@ class Columns:
     the bits of Network.neighbour_counts), with each column scattered to its
     network's layer at its rank among that network's columns, and it
     relaxes through them, so its networks never build adjacency_f, csr or
-    adjacency_lists. A pool merged down to one of them stays batched.
+    adjacency_lists. A pool of one network counts through that network.
     """
 
     networks: tuple[Network, ...]
@@ -525,13 +526,12 @@ class Columns:
     def merge(self, other: "Columns | None" = None) -> "Columns":
         """These columns, then other's, on only the networks that hold one:
         these columns' networks, then those of other that are new (the same
-        object is the same network). The rows of the networks that stay move
-        over and the new networks' are made, so a pool fed this way builds
-        each network's rows once while it holds the network; a batched pool
-        takes its stack along, so the merged pool is batched too. The rows
-        move down in place where their array has room for every network (it
-        keeps the most a pool and its merges have held); this pool gives
-        them up and makes its own again if asked."""
+        object is the same network). The rows of the networks that stay are
+        carried over and the new networks' are made, so a pool fed this way
+        builds each network's rows once while it holds the network. The kept
+        rows move down in place where the array has room for every network,
+        so a pool that only sheds networks never holds two stacks at once;
+        this pool gives its rows up and makes them again if asked."""
         kept = np.unique(self.owner)
         networks = [self.networks[k] for k in kept.tolist()]
         owner = np.searchsorted(kept, self.owner)
@@ -547,21 +547,20 @@ class Columns:
                     new.append(net)
             moved = np.array([slot[id(net)] for net in other.networks], dtype=np.intp)
             owner = np.concatenate([owner, moved[other.owner]])
-        if self.batched:  # and so is the merged pool, down to one network
-            self.rows("adjacency_f32", _adjacency_f32)
         shared = {}
-        for key, (make, rows, _) in self.shared.items():
+        for key, (make, rows) in self.shared.items():
             if len(rows) < len(networks):
                 grown = np.empty((len(networks),) + rows.shape[1:], dtype=rows.dtype)
                 np.take(rows, kept, axis=0, out=grown[:kept.size])
                 rows = grown
             else:
-                for k, old in enumerate(kept.tolist()):
+                for k, old in enumerate(kept.tolist()):  # kept ascends
                     if k != old:
                         rows[k] = rows[old]
-            _stacked(make, new, out=rows[kept.size:len(networks)])
-            shared[key] = make, rows, rows[:len(networks)]
-        self.shared.clear()  # the rows moved: this pool makes its own again if asked
+                rows = rows[:len(networks)]
+            _stacked(make, new, out=rows[kept.size:])
+            shared[key] = make, rows
+        self.shared.clear()
         return Columns(tuple(networks), owner, shared)
 
     def rows(self, key, per_network=None) -> np.ndarray:
@@ -572,9 +571,8 @@ class Columns:
         made = self.shared.get(key)
         if made is None:
             per_network = per_network or attrgetter(key)
-            rows = _stacked(per_network, self.networks)
-            made = self.shared[key] = per_network, rows, rows
-        return made[2]
+            made = self.shared[key] = per_network, _stacked(per_network, self.networks)
+        return made[1]
 
     def spread(self, rows: np.ndarray) -> np.ndarray:
         """rows, one (n_users,) row per network, at each column: (n_users, n_cols)."""
@@ -590,15 +588,10 @@ class Columns:
                 if a < b]
 
     @cached_property
-    def _dense(self) -> bool:
-        return all(net.dense for net in self.networks)
-
-    @property
     def batched(self) -> bool:
         """Whether one matmul over the pool's stack counts every column: its
-        networks are dense, and several, or one whose pool holds the stack
-        already (a pool merged down to one network)."""
-        return self._dense and (len(self.networks) > 1 or "adjacency_f32" in self.shared)
+        networks are several, and all dense."""
+        return len(self.networks) > 1 and all(net.dense for net in self.networks)
 
     @cached_property
     def _ranks(self) -> tuple[np.ndarray, int]:
@@ -613,13 +606,9 @@ class Columns:
             # a layer is symmetric, so a column times it is its count
             stack = self.rows("adjacency_f32", _adjacency_f32)
             rank, width = self._ranks
-            if width == 1 and rank.size == len(self.networks):  # column k on network k
-                counts = np.matmul(marked.T.astype(np.float32)[:, None, :], stack)[:, 0]
-            else:
-                per_net = np.zeros((len(self.networks), width, self.n_users), dtype=np.float32)
-                per_net[self.owner, rank] = marked.T
-                counts = np.matmul(per_net, stack)[self.owner, rank]
-            return counts.T.astype(np.float64)
+            per_net = np.zeros((len(self.networks), width, self.n_users), dtype=np.float32)
+            per_net[self.owner, rank] = marked.T
+            return np.matmul(per_net, stack)[self.owner, rank].T.astype(np.float64)
         if len(self.networks) == 1:
             return self.networks[0].neighbour_counts(marked)
         counts = np.empty(marked.shape)

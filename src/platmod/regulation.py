@@ -264,9 +264,10 @@ def _walk(mu: float, items, finish) -> None:
             at = cols.take(s)
             nxt[s] = _next_tops(beta[s], on_b[:, s], p_recv[:, s], n_b[:, s], b_a[s], b_b[s],
                                 *(at.spread(r) for r in rows))
+        # each piece copies its column, so the step's arrays go when it returns
         for k, (j, (q, i, pieces), top, level) in enumerate(
                 zip(index.tolist(), walked, beta.tolist(), nxt.tolist())):
-            pieces.append((top, on_b[:, k], p_recv[:, k]))
+            pieces.append((top, on_b[:, k].copy(), p_recv[:, k].copy()))
             if not level >= 0.0:
                 del live[j]
                 finish(q.tag, i, pieces)

@@ -133,6 +133,16 @@ def test_wave_switchers_sit_at_their_distance(net):
             assert {int(depth[u]) for u in switchers} == {t}
 
 
+def test_engine_distances_come_back_exact_past_128_users():
+    # the engine keeps its set-aside columns' distances in the narrowest
+    # integer type that holds -n_users; on a line of 300 everybody joins and
+    # the distances reach 299
+    net = gen_linear(300)
+    on_b, dist, _, _ = batch_final_b_sets(net, 0.2, np.array([0.0, 0.0]), 0.99, 0.0, 0.0)
+    assert on_b.all() and dist.dtype == np.int32
+    assert (dist == np.arange(300)[:, None]).all()
+
+
 def test_adopter_sets_monotone_in_beta():
     rng = np.random.default_rng(11)
     for _ in range(25):

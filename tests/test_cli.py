@@ -261,21 +261,29 @@ def test_benchmark_tracer_reads_the_engine_and_the_bfs():
         samples=2,
         base_seed=4,
     )
-    tracer, results = _bench_spans().Tracer(), []
+    tracer, results, walked = _bench_spans().Tracer(), [], []
     with tracer, pytest.MonkeyPatch.context() as patched:
         engine = platmod.regulation.batch_final_b_sets  # the tracer's wrapper
-        patched.setattr(platmod.regulation, "batch_final_b_sets",
-                        lambda *args, **kwargs: results.append(engine(*args, **kwargs))
-                        or results[-1])
+
+        def counted(cols, mu, betas, *args, admit, **kwargs):
+            # every column handed to the engine: the first ones and the admitted
+            def admitting(n_live):
+                more = admit(n_live)
+                walked.extend(more[1] if more else [])
+                return more
+            walked.extend(betas)
+            results.append(engine(cols, mu, betas, *args, admit=admitting, **kwargs))
+            return results[-1]
+
+        patched.setattr(platmod.regulation, "batch_final_b_sets", counted)
         sweep(spec)
     metrics = tracer.metrics()
-    # one engine call per task; a walk's final states go to its step alone,
-    # so the tracer counts no final sets, and every column's rounds
+    # one engine call per task, whose result holds every column it walked
     [(on_b, _, rounds, _)] = results
     assert metrics["adoption.engine_calls"] == 1
-    assert metrics["adoption.engine_cols"] == on_b.shape[1] == 0
+    assert metrics["adoption.engine_cols"] == len(walked) == on_b.shape[1] == rounds.size
+    assert 0 < len(walked) <= spec.samples * 4
     assert metrics["adoption.engine_rounds"] == rounds.sum() > 0
-    assert 0 < rounds.size <= spec.samples * 4
     tracer = _bench_spans().Tracer()
     with tracer:
         validate_assumption1([0.75], seeds=range(2), sizes=(6, 6, 6))

@@ -625,6 +625,15 @@ def test_engine_on_several_networks_equals_one_call_per_network(batch, betas):
         for mine, theirs in zip(together[:3], alone[:3]):
             assert mine[..., cols].tobytes() == theirs.tobytes()
         assert together[3][cols] == alone[3]
+    # the same columns, each network's admitted as others finish, end in the
+    # same states, and the result holds every column in order
+    runs = [(Columns.repeat((net,), cols.stop - cols.start), betas[cols], p[cols], b_a[cols],
+             b_b[cols]) for net, cols in _split(networks, owner)]
+    admitted = batch_final_b_sets(runs[0][0], 0.2, *runs[0][1:], collect_trace=True,
+                                  admit=lambda n_live: runs.pop(1) if len(runs) > 1 else None)
+    for mine, theirs in zip(admitted[:3], together[:3]):
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+    assert admitted[3] == together[3]
     # the walk's pieces, warm engine starts included, are those of one walk
     # per network
     beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
@@ -715,30 +724,31 @@ def test_stacked_pool_equals_one_call_per_network(pool, betas):
     # dense networks with one column each count neighbours as one batched
     # float32 matmul and relax through it; the engine, the walk, the counts
     # and the pooled all-relay distances equal those of each network alone,
-    # bit for bit, and the pool never builds a network's own adjacency (the
-    # walk's engine pool holds only the columns that enter it, which may be
-    # one network's one column, relaxed by its queue walk)
+    # bit for bit, and the pool's counts and query never build a network's
+    # own adjacency (a pool that the engine sets aside down to one network
+    # counts through that network)
     networks, cells, marked = pool
     k = len(networks)
     columns = Columns.repeat(networks, 1)
     assert columns.batched and all(net.degrees[-1] == 0 for net in networks)
     betas = np.array(betas[:k])
     p, b_a, b_b = (np.array([getattr(x, name) for x in cells]) for name in ("p", "b_a", "b_b"))
-    together = batch_final_b_sets(columns, 0.2, betas, p, b_a, b_b, collect_trace=True)
     beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
     counts = columns.neighbour_counts(marked)
     # a subset of the columns counts through the pool's stack; merged down
-    # to its own networks it takes their layers along, and the pool it came
-    # from builds its stack again
+    # to its own networks it takes their layers along (a pool of one
+    # network counts through that network)
     half = np.arange(0, k, 2)
     half_counts = columns.take(half).neighbour_counts(marked[:, half])
     merged = columns.take(half).merge()
     assert merged.networks == tuple(networks[::2])
-    merged_counts = merged.neighbour_counts(marked[:, half])
+    assert merged.batched == (half.size > 1)
     again = columns.neighbour_counts(marked)
     pooled = pooled_relay_distances(networks)
     for net in networks:
         assert not {"adjacency_f", "csr", "adjacency_lists"} & set(vars(net))
+    merged_counts = merged.neighbour_counts(marked[:, half])
+    together = batch_final_b_sets(columns, 0.2, betas, p, b_a, b_b, collect_trace=True)
     walked = walk_pieces(columns, cells, beta_max)
     for j, net in enumerate(networks):
         alone = batch_final_b_sets(net, 0.2, betas[j:j + 1], p[j], b_a[j], b_b[j],
@@ -892,7 +902,6 @@ def test_flowing_walk_pieces_equal_cold_runs_at_their_tops(batch):
     with pytest.MonkeyPatch.context() as patched:
         _patch_walk_step(patched, recording)
         walked = walk_pieces(columns, cells, beta_max)
-    matched = 0
     for k, (net, cols) in enumerate(_split(networks, owner)):
         tops = [(j, top) for j in range(cols.start, cols.stop) for top, _, _ in walked[j]]
         p, b_a, b_b = (np.array([getattr(cells[j], name) for j, _ in tops])
@@ -905,17 +914,18 @@ def test_flowing_walk_pieces_equal_cold_runs_at_their_tops(batch):
             assert kept_set.tobytes() == on_b[:, c].tobytes()
             assert kept_p_recv.tobytes() == cold_p_recv.tobytes()
             # the state the piece was made from, unless the walk seeded it
-            states = [s for s in handed if s[0] == top and np.shares_memory(s[1], kept_set)]
-            if not states:
+            made = next((h for h, s in enumerate(handed) if s[0] == top and
+                         s[1].tobytes() == kept_set.tobytes() and
+                         s[4].tobytes() == kept_p_recv.tobytes()), None)
+            if made is None:
                 assert walked[j][0][0] == top == beta_max[k] and not kept_set.any()
                 continue
-            [(_, set_, d, n_b, p_recv)] = states
-            matched += 1
-            assert set_.tobytes() == on_b[:, c].tobytes() and p_recv is kept_p_recv or \
-                p_recv.tobytes() == kept_p_recv.tobytes()
+            _, set_, d, n_b, p_recv = handed.pop(made)
+            assert set_.tobytes() == on_b[:, c].tobytes()
+            assert p_recv.tobytes() == cold_p_recv.tobytes()
             assert d.tobytes() == dist[:, c].tobytes()
             assert n_b.tobytes() == net.neighbour_counts(on_b[:, c].astype(np.float64)).tobytes()
-    assert matched == len(handed)
+    assert not handed
 
 
 def test_round_cap_counts_the_rounds_since_a_restart(monkeypatch):

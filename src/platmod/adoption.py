@@ -1,19 +1,22 @@
 """Synchronous best-response adoption from the all-in-A state.
 
 The engine is vectorized over a batch of columns: platform search in the
-regulation module evaluates many (beta, p, b_a, b_b) combinations, and every
-column of the batch is an independent run of the exact same synchronous
-update. Each column carries its own network (graph.Columns), and the
-columns of several networks of one size share every round: the neighbour
-counts of several dense networks are one batched matmul over their stacked
-adjacency (a loop over the networks for CSR ones); the relaxation is one
-level loop over all columns through those counts (a queue walk per network
-where each network has one column and they are not batched); and
-the rest is elementwise over per-user arrays spread from the networks'
-rows to the columns. A single network is the one-network case. A column
-that reaches its fixed point can be restarted at another deceit level from
-the state it reached, in the next round, while the others go on, and
-queued columns can be admitted as others finish, so one call walks any
+regulation module evaluates many (beta, p, b_a, b_b) combinations, and
+every column of the batch is an independent run of the exact same
+synchronous update. Each column carries its own network (graph.Columns),
+and the columns of several networks of one size share every round. Columns
+does every neighbour count and relaxation (the graph module's docstring
+names the paths and why each pays): the counts of dense networks are one
+float32 matmul over their stacked adjacency, a lone network's included (a
+loop over the networks for CSR ones); the relaxation is one level loop over
+all columns through those counts (a queue walk per network where each
+network has one column and the pool is not several dense networks); and the
+rest is elementwise over per-user arrays spread from the networks' rows to
+the columns. A single network is the one-network case, and so are
+best_response and nash_check, which count through a Columns of one column.
+A column that reaches its fixed point can be restarted at another deceit
+level from the state it reached, in the next round, while the others go on,
+and queued columns can be admitted as others finish, so one call walks any
 number of columns while holding few at once (the regulation module's walk
 does both). A scalar wrapper provides the public trace-carrying operation.
 The engine, best_response and nash_check compare the same sender-side
@@ -110,7 +113,7 @@ def batch_final_b_sets(
     The distances and counts are carried across rounds: users only move from
     A to B, so after a round the switchers' counts are added to the counts
     (exact integers) and the distances are relaxed from the switchers
-    (graph.relax), with the same results as recomputing both from scratch.
+    (Columns.relax), with the same results as recomputing both from scratch.
     A column's result does not depend on the other columns of the batch.
 
     step, when given, is called in every round where columns reach their
@@ -304,8 +307,9 @@ def _sender_side_advantage(
         on_side, b_side, b_other = assignment.on_b, params.b_b, params.b_a
     else:
         on_side, b_side, b_other = ~assignment.on_b, params.b_a, params.b_b
-    dist = through_platform_distances(network, on_side[:, None])[:, 0]
-    n_side = network.neighbour_counts(on_side.astype(np.float64))
+    cols = Columns.repeat((network,), 1)
+    dist = through_platform_distances(cols, on_side[:, None])[:, 0]
+    n_side = cols.neighbour_counts(on_side[:, None])[:, 0]
     trusting = trusts(beta, _beta_primes(network, params.mu))
     return (on_side,) + sender_side_advantage(
         n_side, network.degrees, b_side, b_other, trusting, receive_map(params.p, dist),

@@ -100,7 +100,9 @@ def _load_network(args) -> Network:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise InvalidParamsError(f"cannot read --network {args.network}: {exc}") from None
     if args.c is not None:
-        profiles = tuple(UserProfile(c=args.c, community=u.community) for u in net.profiles)
+        # each community's users share one profile, as in a generated network
+        shared = [UserProfile(c=args.c, community=k) for k in range(net.n_communities)]
+        profiles = tuple(map(shared.__getitem__, net.communities.tolist()))
         net = Network(net.n_users, net.edge_array, net.sender_links, profiles, net.generator_meta)
     return net
 

@@ -42,23 +42,10 @@ A1_CSV_HEADER = "theta_JJ,seed,n_users_B,irregular_choices"
 A1_GROUP = 20
 
 
-def chain_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float, ...], ...]:
-    """Community-chain link matrix: dense within, bridge_expect expected
-    links between adjacent communities, none beyond."""
-    check_community_sizes(sizes)
-    m = len(sizes)
-    diag = [diag] * m if np.isscalar(diag) else list(diag)
-    th = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        th[i][i] = float(diag[i])
-        if i + 1 < m:
-            th[i][i + 1] = th[i + 1][i] = bridge_expect / (sizes[i] * sizes[i + 1])
-    return tuple(tuple(row) for row in th)
-
-
-def complete_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float, ...], ...]:
-    """Complete graph of communities: every pair bridged with bridge_expect
-    expected links, so the physical structure is size-invariant."""
+def _bridged_theta(sizes, diag, bridge_expect, bridged) -> tuple[tuple[float, ...], ...]:
+    """Link matrix of communities: diag within each, bridge_expect expected
+    links between the communities i < j that bridged(i, j) names, none
+    between the others."""
     check_community_sizes(sizes)
     m = len(sizes)
     diag = [diag] * m if np.isscalar(diag) else list(diag)
@@ -66,8 +53,21 @@ def complete_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float
     for i in range(m):
         th[i][i] = float(diag[i])
         for j in range(i + 1, m):
-            th[i][j] = th[j][i] = bridge_expect / (sizes[i] * sizes[j])
+            if bridged(i, j):
+                th[i][j] = th[j][i] = bridge_expect / (sizes[i] * sizes[j])
     return tuple(tuple(row) for row in th)
+
+
+def chain_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float, ...], ...]:
+    """Community-chain link matrix: dense within, bridge_expect expected
+    links between adjacent communities, none beyond."""
+    return _bridged_theta(sizes, diag, bridge_expect, lambda i, j: j == i + 1)
+
+
+def complete_theta(sizes, diag, bridge_expect: float = 4.0) -> tuple[tuple[float, ...], ...]:
+    """Complete graph of communities: every pair bridged with bridge_expect
+    expected links, so the physical structure is size-invariant."""
+    return _bridged_theta(sizes, diag, bridge_expect, lambda i, j: True)
 
 
 # the arguments each recipe kind cannot do without, in the order the

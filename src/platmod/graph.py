@@ -12,51 +12,66 @@ Users with the same c (and community) share one UserProfile, in a generated
 network and in a loaded one, so a network holds O(n + E) numbers and n
 pointers, not n objects.
 
-Representation: distances only shrink as users join a platform, so every
-distance query is one relaxation (relax): from the sender links over an
+Representation: a Network keeps data only: its edge array and, built
+when first read, its CSR arrays, its adjacency lists and its relay
+distances. Columns, a batch of columns each on its own network (one network
+is the one-network case), does every neighbour count and relaxation on
+them. Distances only shrink as users join a platform, so every distance
+query is one relaxation (Columns.relax): from the sender links over an
 all-UNREACHED start for a full query (through_platform_distances), or from
 the users who just joined over the distances before they did, as the
-adoption engine does each round. A one-column relaxation is a FIFO queue
-walk over cached adjacency lists that visits only the users whose distance
-falls and their neighbours, O(n + E) at most: a level-synchronous numpy
-loop pays a fixed cost per level, which a deep network (a line of 2000 has
-1999 levels) multiplies. A batch of two or more columns runs one level loop
-(relax_levels) whose reach step counts each column's neighbours on its own
-network (Columns). The columns of several dense networks are counted
-together, by one batched float32 matmul over the stack of their networks'
-adjacency built from the edge arrays (each column scattered to its
-network's layer), so a pool of them (a walk, or a pool's all-relay query,
-pooled_relay_distances) runs one level loop and builds no per-network
-adjacency while it holds several networks; a pool keeps that stack while
-it holds the network. A Network with at most DENSE_MAX_USERS users is
-dense: counted alone, it keeps a dense float64 adjacency, so its counts
-are BLAS matmuls; above the cutoff
-it keeps only CSR edge arrays and the counts are np.add.reduceat over them,
-so it never builds an n x n matrix and takes O(n + E) memory plus
-O((n + E) * B) bytes per batch of B columns. gen_sbm still draws all
-n(n-1)/2 pairs, so SBM generation takes quadratic time, but it draws them
-in chunks of whole rows, so its memory stays bounded.
+adoption engine does each round.
+
+Two count paths remain, chosen by representation alone. A Network with at
+most DENSE_MAX_USERS users is dense, and a pool of dense networks counts
+every column by one float32 matmul over the stack of its networks'
+adjacency, built from the edge arrays (each column scattered to its
+network's layer; a lone network is a stack of one), which the pool keeps
+while it holds the network. Above the cutoff a network keeps only CSR edge
+arrays and the counts are np.add.reduceat over them, so it never builds an
+n x n matrix and takes O(n + E) memory plus O((n + E) * B) bytes per batch
+of B columns. gen_sbm still draws all n(n-1)/2 pairs, so SBM generation
+takes quadratic time, but it draws them in chunks of whole rows, so its
+memory stays bounded.
+
+Two relax paths remain. Where each network has one column and the pool is
+not several dense networks, each column is a FIFO queue walk over its
+network's adjacency lists that visits only the users whose distance falls
+and their neighbours, O(n + E) at most: a level-synchronous numpy loop pays
+a fixed cost per level, which a deep network multiplies (large_graph's
+line of 2000 has 1999 levels, which once cost a level loop 162 ms).
+Otherwise one level loop runs over every column, whose reach step is the
+count, so the fixed cost per level is shared: by the columns of one
+network, and by the one-column-per-network pools of the sweeps'
+(chain_sweep) and validate_assumption1's (bloc_migration) walks and their
+all-relay queries (pooled_relay_distances). The adjacency lists, a tuple of
+tuples of Python ints, pay for their memory: a queue walk over the CSR
+arrays, tolist()'d on each call, raised large_graph's CPU time per pass
+from 0.056-0.061 to 0.071-0.073 s (2-vCPU machine, 3 alternating rounds
+of 9 passes).
 
 The plain sender-to-user hop counts (every user relaying) depend on the
 graph alone; Network.relay_distances computes them once per network, and
 pooled_relay_distances computes a pool's in one query.
 
-The cutoff sits just below the measured crossovers of solve_cells over the
-5 x 11 (p, b_A) grid of the C5 chain sweep (2-vCPU machine, numpy 2.4.6,
-one BLAS thread, dense and CSR runs interleaved in one process). On
-3-community chain SBMs with mean degree about 22, CSR took 1.16x the dense
-time at n = 90, 1.13x at 270, 1.08x at 330, 0.86x at 360 and 0.75x at 480;
-on a line linked to the sender at both ends, 1.14x at 90, 1.13x at 150,
-1.03x at 270, 0.78x at 320 and 0.82x at 400. At paper scale CSR took
-1.1-1.3x the dense time on the 80 sampled 3 x 30 chains of the C5 sweep and
-1.04-1.06x on validate_assumption1.
+The cutoff sits well below the measured crossovers of solve_cells over the
+5 x 11 (p, b_A) grid of the C5 chain sweep: about 350 users on chain SBMs
+and about 300 on a line linked at both ends (2-vCPU machine, numpy 2.4.6,
+one BLAS thread, dense and CSR runs interleaved in one process). Those runs
+counted dense networks through a float64 adjacency, which the float32 stack
+has since replaced. On 3-community chain SBMs with mean degree about 22,
+CSR took 1.16x the dense time at n = 90, 1.13x at 270, 1.08x at 330, 0.86x
+at 360 and 0.75x at 480; on a line linked to the sender at both ends, 1.14x
+at 90, 1.13x at 150, 1.03x at 270, 0.78x at 320 and 0.82x at 400. At paper
+scale CSR took 1.1-1.3x the dense time on the 80 sampled 3 x 30 chains of
+the C5 sweep and 1.04-1.06x on validate_assumption1.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -154,14 +169,6 @@ class Network:
         return tuple(zip(*self.edge_array.T.tolist()))
 
     @cached_property
-    def adjacency_f(self) -> np.ndarray:
-        """Dense float64 adjacency, the BLAS operand of small networks."""
-        adj = np.zeros((self.n_users, self.n_users))
-        i, j = self.edge_array.T
-        adj[i, j] = adj[j, i] = 1.0
-        return adj
-
-    @cached_property
     def csr(self) -> Csr:
         # the edges ascend by (lo, hi), so a stable sort by source lists each
         # user's lower neighbours (from the hi column), then its higher ones,
@@ -186,14 +193,6 @@ class Network:
         """The user's neighbours, ascending (a view into the CSR arrays)."""
         indptr, indices = self.csr[:2]
         return indices[indptr[user]:indptr[user + 1]]
-
-    @cached_property
-    def neighbour_counts(self):
-        """Callable mapping an (n_users,) or (n_users, B) 0/1 array to each
-        user's count of marked neighbours, as float64 of the same shape."""
-        if self.dense:
-            return self.adjacency_f.__matmul__
-        return partial(_csr_neighbour_counts, self.csr)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -492,14 +491,16 @@ class Columns:
     take of it, keeps the pool's per-network rows (rows), and merge carries
     them over to a pool of the networks that stay.
 
-    A pool of several dense networks is batched: its neighbour counts are
-    one float32 matmul over the (networks, n, n) stack of their adjacency,
-    a row the pool keeps, built from the edge arrays (counts of at most
-    DENSE_MAX_USERS < 2**24 are exact in float32, so the float64 result has
-    the bits of Network.neighbour_counts), with each column scattered to its
-    network's layer at its rank among that network's columns, and it
-    relaxes through them, so its networks never build adjacency_f, csr or
-    adjacency_lists. A pool of one network counts through that network.
+    Columns does every neighbour count and relaxation (the module docstring
+    names the paths). A pool's networks share n_users, so they are all
+    dense or all CSR, and the count goes by that alone. A dense pool counts
+    by one float32 matmul over the (networks, n, n) stack of their
+    adjacency, a row the pool keeps, with each column scattered to its
+    network's layer at its rank among that network's columns; a lone
+    network is a stack of one, so a pool that set-aside has left with one
+    network counts through its own layer. Counts of at most
+    DENSE_MAX_USERS < 2**24 are exact in float32. A CSR pool counts each
+    network's columns with np.add.reduceat over its CSR arrays.
     """
 
     networks: tuple[Network, ...]
@@ -589,9 +590,10 @@ class Columns:
 
     @cached_property
     def batched(self) -> bool:
-        """Whether one matmul over the pool's stack counts every column: its
-        networks are several, and all dense."""
-        return len(self.networks) > 1 and all(net.dense for net in self.networks)
+        """Whether the pool holds several dense networks, whose columns one
+        matmul counts together, so relax runs the level loop even where
+        each network has one column."""
+        return len(self.networks) > 1 and self.networks[0].dense
 
     @cached_property
     def _ranks(self) -> tuple[np.ndarray, int]:
@@ -601,30 +603,54 @@ class Columns:
         return rank, int(rank.max(initial=-1)) + 1
 
     def neighbour_counts(self, marked: np.ndarray) -> np.ndarray:
-        """Network.neighbour_counts of each column on its own network."""
-        if self.batched:
+        """Each column's count of marked neighbours on its own network:
+        marked is (n_users, n_cols) 0/1, the counts float64 of that shape."""
+        if self.networks[0].dense:
             # a layer is symmetric, so a column times it is its count
             stack = self.rows("adjacency_f32", _adjacency_f32)
             rank, width = self._ranks
             per_net = np.zeros((len(self.networks), width, self.n_users), dtype=np.float32)
             per_net[self.owner, rank] = marked.T
             return np.matmul(per_net, stack)[self.owner, rank].T.astype(np.float64)
-        if len(self.networks) == 1:
-            return self.networks[0].neighbour_counts(marked)
         counts = np.empty(marked.shape)
         for net, cols in self.runs:
-            counts[:, cols] = net.neighbour_counts(marked[:, cols])
+            counts[:, cols] = _csr_neighbour_counts(net.csr, marked[:, cols])
         return counts
 
-    def relax(self, dist: np.ndarray, on_side: np.ndarray, joined: np.ndarray) -> None:
-        """relax of each column on its own network, in place: a queue walk
-        per network where every network has one column and the pool is not
-        batched, else one level loop over every column."""
+    def relax(self, dist: np.ndarray, on_side: np.ndarray, joined: np.ndarray) -> np.ndarray:
+        """Lower dist, in place, through the relays that just joined, each
+        column on its own network.
+
+        dist (n_users, n_cols) int32 holds the through_platform_distances of
+        the relay set on_side & ~joined; afterwards it holds those of on_side
+        (joined must lie inside it). Distances only shrink as relays join,
+        so only the joined relays that are reached and the relays they bring
+        closer need passing on, each column in increasing distance. Where
+        every network has one column and the pool is not batched, that is a
+        queue walk per network; else one level loop over every column,
+        whose reach step is neighbour_counts. Returns dist.
+        """
         if self.owner.size == len(self.runs) and not self.batched:
-            for net, cols in self.runs:
-                relax(net, dist[:, cols], on_side[:, cols], joined[:, cols])
-        else:
-            relax_levels(self.neighbour_counts, dist, on_side, joined)
+            for j, k in enumerate(self.owner.tolist()):
+                _relax_column(self.networks[k], dist[:, j], on_side[:, j], joined[:, j])
+            return dist
+        # relays whose distance was set or lowered but not yet passed on
+        pending = joined & (dist != UNREACHED)
+        # UNREACHED reads as the largest uint32 here, so one comparison finds
+        # both the unreached users and those a new path brings closer
+        as_unsigned = dist.view(np.uint32)
+        while pending.any():
+            # each column passes on its own lowest pending level; a column
+            # with none pending gets the largest uint32, and its step
+            # (wrapped to 0) reaches nobody
+            level = np.where(pending, as_unsigned, _UNSIGNED_UNREACHED).min(axis=0)
+            active = pending & (as_unsigned == level)
+            pending ^= active
+            step = level + 1
+            lower = (self.neighbour_counts(active) > 0.0) & (as_unsigned > step)
+            np.copyto(as_unsigned, step, where=lower)
+            pending |= lower & on_side
+        return dist
 
 
 def _stacked(per_network, networks, out=None) -> np.ndarray:
@@ -654,7 +680,8 @@ def through_platform_distances(network: Network | Columns, on_side: np.ndarray) 
     membership does not gate being reached, only relaying: the returned
     value is therefore the actual distance for on-side users and the
     hypothetical entry distance for everyone else. UNREACHED marks users with
-    no path. It is relax from the sender links alone, every relay joining.
+    no path. It is Columns.relax from the sender links alone, every relay
+    joining.
     """
     cols = (network if isinstance(network, Columns)
             else Columns.repeat((network,), on_side.shape[1]))
@@ -678,51 +705,12 @@ def pooled_relay_distances(networks) -> list[np.ndarray]:
     return [net.relay_distances for net in networks]
 
 
-def relax(network: Network, dist: np.ndarray, on_side: np.ndarray,
-          joined: np.ndarray) -> np.ndarray:
-    """Lower dist, in place, through the relays that just joined.
-
-    dist (n_users, B) int32 holds the through_platform_distances of the relay
-    set on_side & ~joined; afterwards it holds those of on_side (joined must
-    lie inside it). Distances only shrink as relays join, so only the joined
-    relays that are reached and the relays they bring closer need passing
-    on, each column in increasing distance. Returns dist.
-    """
-    if dist.shape[1] == 1:
-        _relax_column(network, dist[:, 0], on_side[:, 0], joined[:, 0])
-        return dist
-    return relax_levels(network.neighbour_counts, dist, on_side, joined)
-
-
-def relax_levels(neighbour_counts, dist: np.ndarray, on_side: np.ndarray,
-                 joined: np.ndarray) -> np.ndarray:
-    """relax as one level loop over all columns, whose reach step is
-    neighbour_counts (Network.neighbour_counts, or one that counts each
-    column on its own network). Returns dist."""
-    # relays whose distance was set or lowered but not yet passed on
-    pending = joined & (dist != UNREACHED)
-    # UNREACHED reads as the largest uint32 here, so one comparison finds
-    # both the unreached users and those a new path brings closer
-    as_unsigned = dist.view(np.uint32)
-    while pending.any():
-        # each column passes on its own lowest pending level; a column with
-        # none pending gets the largest uint32, and its step (wrapped to 0)
-        # reaches nobody
-        level = np.where(pending, as_unsigned, _UNSIGNED_UNREACHED).min(axis=0)
-        active = pending & (as_unsigned == level)
-        pending ^= active
-        step = level + 1
-        lower = (neighbour_counts(active) > 0.0) & (as_unsigned > step)
-        np.copyto(as_unsigned, step, where=lower)
-        pending |= lower & on_side
-    return dist
-
-
 def _relax_column(network: Network, dist: np.ndarray, on_side: np.ndarray,
                   joined: np.ndarray) -> None:
-    """relax for one column: a _queue_walk from the joined relays that are
-    reached. It reads the distances as a list and writes each one that falls
-    straight into dist, so it costs O(n) plus the users it visits."""
+    """Columns.relax for one column: a _queue_walk from the joined relays
+    that are reached. It reads the distances as a list and writes each one
+    that falls straight into dist, so it costs O(n) plus the users it
+    visits."""
     seeds = (joined & (dist != UNREACHED)).nonzero()[0]
     if not seeds.size:
         return

@@ -124,6 +124,28 @@ def build_network(monkeypatch, dense_max_users: int, fields: dict) -> Network:
     return Network(**fields)
 
 
+def float64_neighbour_counts(network: Network, marked: np.ndarray) -> np.ndarray:
+    """Each user's count of marked neighbours (marked an (n_users,) or
+    (n_users, B) 0/1 array), as float64: a dense float64 adjacency built
+    from the edge array, times marked. Shares no code with platmod.graph."""
+    adj = np.zeros((network.n_users, network.n_users))
+    i, j = network.edge_array.T
+    adj[i, j] = adj[j, i] = 1.0
+    return adj @ np.asarray(marked, dtype=np.float64)
+
+
+def refuse_dense_operand(monkeypatch) -> None:
+    """Make a CSR network's count raise if it builds a dense adjacency."""
+    build = platmod.graph._adjacency_f32
+
+    def guarded(network):
+        if not network.dense:
+            raise AssertionError("a CSR network built a dense adjacency")
+        return build(network)
+
+    monkeypatch.setattr(platmod.graph, "_adjacency_f32", guarded)
+
+
 def diamond_network() -> Network:
     """Sender -> 0; two length-2 paths 0-1-3 and 0-2-3."""
     return Network(

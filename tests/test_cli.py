@@ -16,7 +16,8 @@ import platmod.cli
 import platmod.graph
 import platmod.regulation
 from platmod import (InvariantViolationError, ModelParams, Network, NetworkRecipe, Platform,
-                     SweepSpec, gen_linear, run_adoption, sweep, validate_assumption1)
+                     SbmSpec, SweepSpec, gen_linear, gen_sbm, run_adoption, sweep,
+                     validate_assumption1)
 from platmod.cli import main
 
 
@@ -89,6 +90,27 @@ def test_rho_se_json(tmp_path, capsys):
     assert doc["kind"] == "AnyRegulation"
     assert doc["rho_se"] == 0.0
     assert doc["sum_p_A"] == pytest.approx((1 - 0.9**20) / 0.1)
+
+
+def test_c_override_shares_one_profile_per_community(tmp_path, monkeypatch):
+    # --c gives the users of a loaded network one profile per community, as
+    # a generated network has, not one per user
+    net_path = tmp_path / "sbm.json"
+    gen_sbm(SbmSpec(sizes=(5, 6, 7), theta=((0.8, 0.1, 0.0), (0.1, 0.8, 0.1), (0.0, 0.1, 0.8)),
+                    seed=3, c_by_community=(0.25, 0.35, 0.45))).save(net_path)
+    loaded = []
+    for name in ("run_adoption", "strictest_effective_regulation"):
+        monkeypatch.setattr(platmod.cli, name,
+                            lambda net, *args, run=getattr(platmod.cli, name):
+                            loaded.append(net) or run(net, *args))
+    for cmd in (["adoption", "--beta", "0.1"], ["rho-se"]):
+        assert run_cli(cmd + ["--network", str(net_path), "--c", "0.4",
+                              "--out", str(tmp_path / "out.json")]) == 0
+    assert len(loaded) == 2
+    for net in loaded:
+        assert len({id(u) for u in net.profiles}) == net.n_communities == 3
+        assert net.c_values.tolist() == [0.4] * 18
+        assert net.community_sizes == (5, 6, 7)
 
 
 def test_analytic_csv(capsys):

@@ -24,9 +24,10 @@ from platmod import (
     validate_profiles,
 )
 from platmod.adoption import Assignment
-from platmod.graph import UNREACHED, receive_map, through_platform_distances
+from platmod.graph import UNREACHED, Columns, receive_map, through_platform_distances
 
-from conftest import build_network, diamond_network, default_params, widened_sbm_instance
+from conftest import (build_network, diamond_network, default_params, float64_neighbour_counts,
+                      refuse_dense_operand, widened_sbm_instance)
 
 
 def degrees(net):
@@ -429,6 +430,7 @@ def test_is_cascade_tree():
 
 @pytest.mark.parametrize("n_cols", [1, 63, 64, 65, 130])
 def test_sparse_distances_match_dense(monkeypatch, n_cols):
+    refuse_dense_operand(monkeypatch)
     rng = np.random.default_rng(n_cols)
     for _ in range(20):
         fields, _, _ = widened_sbm_instance(rng)
@@ -440,11 +442,13 @@ def test_sparse_distances_match_dense(monkeypatch, n_cols):
             through_platform_distances(sparse, on_side),
             through_platform_distances(dense, on_side),
         )
-        assert np.array_equal(sparse.neighbour_counts(on_side), dense.neighbour_counts(on_side))
-        marked = on_side[:, 0].astype(np.float64)
-        assert np.array_equal(sparse.neighbour_counts(marked), dense.neighbour_counts(marked))
+        want = float64_neighbour_counts(dense, on_side)
+        for net in (sparse, dense):
+            got = Columns.repeat((net,), n_cols).neighbour_counts(on_side)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        marked = on_side[:, :1].astype(np.float64)
+        assert np.array_equal(Columns.repeat((sparse,), 1).neighbour_counts(marked), want[:, :1])
         assert sparse.degrees.tolist() == degrees(sparse)
-        assert "adjacency_f" not in sparse.__dict__
 
 
 def test_sparse_neighbours_ascending(monkeypatch):

@@ -9,12 +9,14 @@ from math import isclose
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import platmod.graph
 from platmod import (
     ModelParams,
     Network,
     Platform,
+    UserProfile,
     gen_linear,
     gen_regular_tree,
     gen_star_chain,
@@ -32,10 +34,11 @@ from platmod.adoption import (
     cascade_final_b_sets,
     nash_check,
 )
-from platmod.graph import (UNREACHED, Columns, receive_map, receive_probs, relax,
+from platmod.graph import (UNREACHED, Columns, receive_map, receive_probs,
                            through_platform_distances)
 
-from conftest import build_network, random_sbm_instance, widened_sbm_instance
+from conftest import (build_network, float64_neighbour_counts, random_sbm_instance,
+                      refuse_dense_operand, widened_sbm_instance)
 
 TOL = 1e-12
 
@@ -203,6 +206,7 @@ def _ref_distance_column(net, on_side):
 @pytest.mark.parametrize("n_cols", [1, 63, 64, 65, 130])
 def test_sparse_engine_agrees_with_dense_and_reference(monkeypatch, n_cols):
     # isolated users, two sender links and batches around the 64-column word
+    refuse_dense_operand(monkeypatch)
     rng = np.random.default_rng(500 + n_cols)
     checked = 0
     while checked < 6:
@@ -255,7 +259,6 @@ def test_sparse_engine_agrees_with_dense_and_reference(monkeypatch, n_cols):
             attached = user in sparse.sender_links or any(on_b[v] for v in adj[user])
             want = Platform.B if attached else state.platform_of(user)
             assert best_response(sparse, tie_params, 1.0, state, user) is want
-        assert "adjacency_f" not in sparse.__dict__
 
 
 def _check_one_column(net, on_side):
@@ -312,9 +315,7 @@ def test_one_column_queries_need_neither_matmul_nor_level_loop(monkeypatch):
     def refuse(*_):
         raise AssertionError("a one-column query took the batched BFS")
 
-    # the batched level loop reaches through neighbour_counts
-    monkeypatch.setattr(Network, "neighbour_counts", property(refuse))
-    monkeypatch.setattr(Network, "adjacency_f", property(refuse))
+    # the level loop, and every count, reaches through Columns.neighbour_counts
     monkeypatch.setattr(Columns, "neighbour_counts", refuse)
     params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
     for net in (gen_linear(12), gen_linear(300)):
@@ -345,7 +346,7 @@ def test_relax_from_joined_relays_matches_reference(monkeypatch, dense_max_users
         grown = old | joined
         dist = through_platform_distances(net, old)
         before = dist.copy()
-        assert relax(net, dist, grown, joined) is dist
+        assert Columns.repeat((net,), n_cols).relax(dist, grown, joined) is dist
         assert dist.dtype == np.int32
         assert not ((before != UNREACHED) & ((dist > before) | (dist == UNREACHED))).any()
         for j in range(n_cols):
@@ -355,6 +356,52 @@ def test_relax_from_joined_relays_matches_reference(monkeypatch, dense_max_users
         reached_through_joiners += int((joined & (before == UNREACHED) & (dist >= 0)).sum())
     assert isolated > 0 and off_side_links > 0
     assert unreached_joiners > 0 and reached_through_joiners > 0
+
+
+@st.composite
+def pools(draw):
+    """(columns, marked, old, joined): one to four networks of one size, all
+    dense or all CSR, with one to four columns each; a 0/1 column to count,
+    a relay set and users joining it per column."""
+    n = draw(st.integers(1, 12))
+    dense = draw(st.booleans())
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    networks = []
+    for _ in range(draw(st.integers(1, 4))):
+        kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        links = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(platmod.graph, "DENSE_MAX_USERS", n if dense else 0)
+            networks.append(Network(n, [e for e, keep in zip(pairs, kept) if keep], links,
+                                    (UserProfile(c=0.3),) * n))
+    owner = np.repeat(np.arange(len(networks)), [draw(st.integers(1, 4)) for _ in networks])
+    size = n * owner.size
+    return (Columns(tuple(networks), owner),
+            *(np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+              .reshape(n, owner.size) for _ in range(3)))
+
+
+@settings(max_examples=80)
+@given(case=pools())
+def test_pool_counts_and_relax_equal_a_float64_count_and_the_reference(case):
+    # each column's count of marked neighbours on its own network is a
+    # float64 count from the edge array, and each column relaxed through
+    # the users joining its relay set has the reference distances of the
+    # grown set, bit for bit: dense pools of one network (its one float32
+    # layer) or several, and CSR pools, which build no dense operand
+    columns, marked, old, joined = case
+    grown = old | joined
+    with pytest.MonkeyPatch.context() as patched:
+        refuse_dense_operand(patched)
+        counts = columns.neighbour_counts(marked)
+        dist = through_platform_distances(columns, old)
+        assert columns.relax(dist, grown, joined & ~old) is dist
+    assert counts.dtype == np.float64 and dist.dtype == np.int32
+    assert ("adjacency_f32" in columns.shared) == columns.networks[0].dense
+    for j, k in enumerate(columns.owner.tolist()):
+        net = columns.networks[k]
+        assert counts[:, j].tobytes() == float64_neighbour_counts(net, marked[:, j]).tobytes()
+        assert dist[:, j].tolist() == _ref_distance_column(net, grown[:, j].tolist())
 
 
 @pytest.mark.parametrize("n_cols", [1, 2], ids=["one-column", "batch"])
@@ -367,7 +414,7 @@ def test_relax_walks_past_a_gap_between_joined_levels(n_cols):
     joined = np.isin(np.arange(10), [1, 4])[:, None].repeat(n_cols, axis=1)
     dist = through_platform_distances(net, old)
     assert dist[[1, 4], 0].tolist() == [1, 5] and dist[3, 0] == UNREACHED
-    relax(net, dist, old | joined, joined)
+    assert Columns.repeat((net,), n_cols).relax(dist, old | joined, joined) is dist
     assert dist[:, 0].tolist() == _ref_distance_column(net, (old | joined)[:, 0].tolist())
     assert dist[:, 0].tolist() == [0, 1, 2, 6, 5, 4, 3, 2, 1, 0]
     assert np.array_equal(dist, np.repeat(dist[:, :1], n_cols, axis=1))
@@ -382,7 +429,8 @@ def test_adjacency_lists_are_read_only():
         net.adjacency_lists[1][0] = 3
 
 
-def test_sparse_cascade_matches_engine_above_cutoff():
+def test_sparse_cascade_matches_engine_above_cutoff(monkeypatch):
+    refuse_dense_operand(monkeypatch)
     tree = gen_regular_tree(2, 8)
     assert tree.n_users > platmod.graph.DENSE_MAX_USERS and not tree.dense
     params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
@@ -392,7 +440,6 @@ def test_sparse_cascade_matches_engine_above_cutoff():
     )
     fast, _ = cascade_final_b_sets(tree, params, betas)
     assert np.array_equal(engine, fast)
-    assert "adjacency_f" not in tree.__dict__
 
 
 def test_line_above_cutoff_with_two_sender_links(monkeypatch):
@@ -401,13 +448,14 @@ def test_line_above_cutoff_with_two_sender_links(monkeypatch):
     net = Network(**fields)
     assert net.n_users > platmod.graph.DENSE_MAX_USERS and not net.dense
     params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
-    res = strictest_effective_regulation(net, params)
-    assert "adjacency" not in net.__dict__ and "adjacency_f" not in net.__dict__
-    for beta in (0.1, res.beta_star_b, 0.3):
-        ref_on_b, ref_trace = ref_adoption(net, params, beta)
-        out = run_adoption(net, params, beta, Platform.B)
-        assert out.assignment.on_b.tolist() == ref_on_b
-        assert out.trace == ref_trace
+    with pytest.MonkeyPatch.context() as patched:
+        refuse_dense_operand(patched)
+        res = strictest_effective_regulation(net, params)
+        for beta in (0.1, res.beta_star_b, 0.3):
+            ref_on_b, ref_trace = ref_adoption(net, params, beta)
+            out = run_adoption(net, params, beta, Platform.B)
+            assert out.assignment.on_b.tolist() == ref_on_b
+            assert out.trace == ref_trace
     dense = build_network(monkeypatch, 10**9, fields)
     assert dense.dense
     assert strictest_effective_regulation(dense, params) == res
@@ -524,7 +572,7 @@ def test_engine_given_the_start_state_equals_computing_it(monkeypatch, dense_max
         for _, _, given, kept in seen:
             set_ = given[0]
             built_dist = through_platform_distances(net, set_[:, None])[:, 0]
-            built = (set_, built_dist, net.neighbour_counts(set_.astype(np.float64)),
+            built = (set_, built_dist, float64_neighbour_counts(net, set_),
                      receive_map(params.p, built_dist))
             for g, w, k in zip(given, built, kept):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes() == k.tobytes()

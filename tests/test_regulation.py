@@ -43,6 +43,7 @@ from conftest import (
     build_network,
     default_params,
     dense_beta_regulation,
+    float64_neighbour_counts,
     per_community_c_sbm,
     random_sbm_instance,
     widened_sbm_instance,
@@ -724,9 +725,8 @@ def test_stacked_pool_equals_one_call_per_network(pool, betas):
     # dense networks with one column each count neighbours as one batched
     # float32 matmul and relax through it; the engine, the walk, the counts
     # and the pooled all-relay distances equal those of each network alone,
-    # bit for bit, and the pool's counts and query never build a network's
-    # own adjacency (a pool that the engine sets aside down to one network
-    # counts through that network)
+    # bit for bit (the counts equal a float64 count), and the pool's counts
+    # and query never build a network's own CSR arrays or adjacency lists
     networks, cells, marked = pool
     k = len(networks)
     columns = Columns.repeat(networks, 1)
@@ -737,7 +737,7 @@ def test_stacked_pool_equals_one_call_per_network(pool, betas):
     counts = columns.neighbour_counts(marked)
     # a subset of the columns counts through the pool's stack; merged down
     # to its own networks it takes their layers along (a pool of one
-    # network counts through that network)
+    # network counts through its one layer)
     half = np.arange(0, k, 2)
     half_counts = columns.take(half).neighbour_counts(marked[:, half])
     merged = columns.take(half).merge()
@@ -746,7 +746,7 @@ def test_stacked_pool_equals_one_call_per_network(pool, betas):
     again = columns.neighbour_counts(marked)
     pooled = pooled_relay_distances(networks)
     for net in networks:
-        assert not {"adjacency_f", "csr", "adjacency_lists"} & set(vars(net))
+        assert not {"csr", "adjacency_lists"} & set(vars(net))
     merged_counts = merged.neighbour_counts(marked[:, half])
     together = batch_final_b_sets(columns, 0.2, betas, p, b_a, b_b, collect_trace=True)
     walked = walk_pieces(columns, cells, beta_max)
@@ -759,7 +759,7 @@ def test_stacked_pool_equals_one_call_per_network(pool, betas):
         [theirs] = walk_pieces(Columns.repeat((net,), 1), cells[j:j + 1], beta_max[j:j + 1])
         assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in walked[j]] == \
             [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
-        own = net.neighbour_counts(marked[:, j].astype(np.float64))
+        own = float64_neighbour_counts(net, marked[:, j])
         assert counts[:, j].dtype == own.dtype and counts[:, j].tobytes() == own.tobytes()
         assert again[:, j].tobytes() == own.tobytes()
         if j % 2 == 0:
@@ -924,7 +924,7 @@ def test_flowing_walk_pieces_equal_cold_runs_at_their_tops(batch):
             assert set_.tobytes() == on_b[:, c].tobytes()
             assert p_recv.tobytes() == cold_p_recv.tobytes()
             assert d.tobytes() == dist[:, c].tobytes()
-            assert n_b.tobytes() == net.neighbour_counts(on_b[:, c].astype(np.float64)).tobytes()
+            assert n_b.tobytes() == float64_neighbour_counts(net, on_b[:, c]).tobytes()
     assert not handed
 
 

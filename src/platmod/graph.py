@@ -50,6 +50,14 @@ arrays, tolist()'d on each call, raised large_graph's CPU time per pass
 from 0.056-0.061 to 0.071-0.073 s (2-vCPU machine, 3 alternating rounds
 of 9 passes).
 
+A CSR pool with one column per network keeps its queue walks, though a
+level loop would share its per-level cost: validate_assumption1([0.25,
+0.0625], seeds=range(20), sizes=(100, 100, 100)) walks pools of 20 such
+networks of 300 users, and with the level loop there it took 0.27-0.38 s
+CPU against 0.19-0.20 s (minimum of 3 runs, 4 alternating rounds, 2-vCPU
+machine, the same output). No benchmark workload holds such a pool, so this
+is the only measurement behind the choice.
+
 The plain sender-to-user hop counts (every user relaying) depend on the
 graph alone; Network.relay_distances computes them once per network, and
 pooled_relay_distances computes a pool's in one query.

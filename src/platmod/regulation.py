@@ -16,30 +16,32 @@ map, so a set stays the equilibrium until an outsider's advantage, linear in
 beta while it trusts, reaches the join tie; that breakpoint is closed form
 in the current set, and a run warm-started from the current set reaches the
 set below it (parametric search, Megiddo 1983; Milgrom & Roberts 1990). A
-walk of (network, cell) columns (graph.Columns) is one engine call. A
-column's first piece and breakpoint are closed form in the all-A state,
-where only the sender's linked users receive (_seeds): a column starts in
-the engine at beta_max only where a linked user joins there, else at its
-first breakpoint, or never where none is left. Whenever a column settles,
-the walk's step callback records its piece and names its next breakpoint,
-and the engine restarts the column there from the state it settled in, in
-the next round, so each column runs only its own rounds; and whenever the
-engine sets finished columns aside, the walk tops it up to POOL_COLUMNS
-live columns from the queued ones (iteration-level scheduling and its
-admission of queued work: Yu et al., Orca, OSDI 2022). On cascade trees
-cascade_thresholds gives the tops and cascade_final_b_sets the sets.
+walk reads the networks' sides and the one cell list they share, one
+(network, cell) column (graph.Columns) for each pair, and is one engine
+call. A column's first piece and breakpoint are closed form in the all-A
+state, where only the sender's linked users receive (_seeds): a column
+starts in the engine at beta_max only where a linked user joins there, else
+at its first breakpoint, or never where none is left. Whenever a column
+settles, the walk's step callback records its piece and names its next
+breakpoint, and the engine restarts the column there from the state it
+settled in, in the next round, so each column runs only its own rounds; and
+whenever the engine sets finished columns aside, the walk tops it up to
+POOL_COLUMNS live columns from the queued ones (iteration-level scheduling
+and its admission of queued work: Yu et al., Orca, OSDI 2022). On cascade
+trees cascade_thresholds gives the tops and cascade_final_b_sets the sets.
 
 _b_sides drives every B side: it reads the networks one at a time, as the
-walk admits their columns, computes each network's trust test once, makes
-a cascade tree's pieces one cell at a time and hands each cell its pieces
-as soon as its column finishes; the walk queries the relay distances of
-the networks it admits together in one query (graph.pooled_relay_distances,
-kept on the networks, where the A side reads them) and drops a network
-after its last column. solve_each (the same cells on several networks of
-one size, each result handed on as soon as it is known), solve_pool (its
-lists), sender_equilibria (one cell on each) and optimal_B read it; the
-other entry points are views of these. Payoffs and the trust test come
-from the model's kernel.
+walk admits their columns, into one record each (_Side: the network, its
+trust test and its A sides priced so far), makes a cascade tree's pieces
+one cell at a time, and decides each cell (_decide) as soon as its column
+finishes, handing on the decision with the pieces; the walk queries the
+relay distances of the networks it admits together in one query
+(graph.pooled_relay_distances, kept on the networks, where the A side reads
+them) and drops a network after its last column. solve_each (the same cells
+on several networks of one size, each result handed on as soon as it is
+known), solve_pool (its lists), sender_equilibria (one cell on each) and
+optimal_B read it; the other entry points are views of these. Payoffs and
+the trust test come from the model's kernel.
 """
 
 from __future__ import annotations
@@ -100,17 +102,30 @@ class RegulationResult:
     sum_p_a: float
 
 
-class _Trust(NamedTuple):
-    """A network's trust test, made once: limit is each user's trust
-    threshold plus TIE_TOL, so a user trusts beta iff beta <= limit (as
-    model.trusts), and floor its smallest, at or below which every user
-    trusts."""
+class _Side(NamedTuple):
+    """One network's record from read to finish: its index among the
+    networks solved together, the network, its users' trust test, made once
+    (a user trusts beta iff beta <= limit, its threshold plus TIE_TOL, as
+    model.trusts; every user trusts at or below floor, the smallest limit),
+    their distinct thresholds ascending (its columns start at the largest)
+    and its A sides priced so far, by p."""
 
+    k: int
+    network: Network
     limit: np.ndarray
     floor: float
+    thresholds: list[float]
+    priced: dict
 
 
-def _best(mu: float, trust: _Trust, candidates: list[float],
+def _side(k: int, network: Network, mu: float) -> _Side:
+    """The _Side of the k-th network, with nothing priced yet."""
+    bp = _beta_primes(network, mu)
+    thresholds = np.unique(bp).tolist()
+    return _Side(k, network, bp + TIE_TOL, thresholds[0] + TIE_TOL, thresholds, {})
+
+
+def _best(mu: float, side: _Side, candidates: list[float],
           pieces: list) -> tuple[float, float]:
     """The sender's best (beta, utility) over candidates (ascending), each
     scored on the set of the piece that holds it; a larger candidate wins
@@ -123,8 +138,8 @@ def _best(mu: float, trust: _Trust, candidates: list[float],
         while pieces[k][0] < b:
             k -= 1
         _, on_b, p_recv = pieces[k]
-        if b > trust.floor:
-            u = sender_payoff(mu, b, p_recv, on_b & (b <= trust.limit))
+        if b > side.floor:
+            u = sender_payoff(mu, b, p_recv, on_b & (b <= side.limit))
         else:
             if k not in summed:
                 summed[k] = float(p_recv[on_b].sum())
@@ -155,42 +170,28 @@ def _walk_rows(cols: Columns, mu: float) -> tuple:
             cols.rows("sender_mask"))
 
 
-class _Queued:
-    """An item of a walk while its columns are queued and walked: its
-    network, cells, beta_max and tag, each cell's (p, b_a, b_b), and the set
-    and receive map of the all-A state, read-only, which its seeded
-    columns' first pieces share."""
-
-    def __init__(self, network: Network, cells: list, beta_max: float, tag):
-        self.network, self.cells, self.beta_max, self.tag = network, cells, beta_max, tag
-        self.params = [(c.p, c.b_a, c.b_b) for c in cells]
-        on_b = np.zeros(network.n_users, dtype=bool)
-        p_recv = np.where(network.sender_mask, 1.0, 0.0)
-        on_b.flags.writeable = p_recv.flags.writeable = False
-        self.all_a = on_b, p_recv
-
-
-def _walk(mu: float, items, finish) -> None:
-    """Walk every column of items and hand its pieces to finish(tag, i,
-    pieces) as soon as they are known, in no fixed order. An item is
-    (network, cells, beta_max, tag): one column per cell, cells[i] on
-    network walked down from beta_max (its largest trust threshold); all
-    cells share mu.
+def _walk(mu: float, cells: list, sides, finish) -> None:
+    """Walk cells (all sharing mu) on every side's network and hand each
+    column's pieces to finish(side, i, pieces) as soon as they are known,
+    in no fixed order: one column per side and cell, cells[i] on the side's
+    network walked down from its largest trust threshold. Each cell's
+    (p, b_a, b_b) is one row of an array made once, which every column
+    reads by its cell number.
 
     The walk is one engine call holding at most POOL_COLUMNS live columns.
     Whenever the engine sets finished ones aside, admit tops them up, in
-    order: it reads items until as many columns as there is room for are
+    order: it reads sides until as many columns as there is room for are
     queued or read, so a network is read, and its relay distances come from
     one query over the networks read together (kept on them, for the A
     side), when its columns are next to be admitted; it is dropped after
     its last column finishes. A column's first piece and breakpoint are
-    closed form in the all-A state (_seeds), worked out when its item is
-    read: a column where a linked user joins at beta_max starts there; any
-    other has the piece (beta_max, nobody, all-A receive map) and starts at
-    its first breakpoint, or is done without entering the engine if none is
-    left. The engine counts that seeded start as a restart, for
-    IDLE_RESTART_CAP, and _next_tops's missed-joiner check holds for it as
-    for any restart.
+    closed form in the all-A state (_seeds), worked out when its side is
+    read: a column where a linked user joins at the top starts there; any
+    other has the piece (top, nobody, all-A receive map), made once per
+    side and read-only, and starts at its first breakpoint, or is done
+    without entering the engine if none is left. The engine counts that
+    seeded start as a restart, for IDLE_RESTART_CAP, and _next_tops's
+    missed-joiner check holds for it as for any restart.
 
     Whenever a column settles, step records its piece and returns its next
     breakpoint (_next_tops), and the engine restarts the column there from
@@ -201,41 +202,46 @@ def _walk(mu: float, items, finish) -> None:
     runs only its own rounds: one that settles early restarts while the
     others still move.
     """
-    items = iter(items)
-    queued = deque()  # columns of the items read that enter the engine, in order
-    live = {}  # engine column number -> (its item, cell index, pieces)
+    sides = iter(sides)
+    params = np.array([(c.p, c.b_a, c.b_b) for c in cells])
+    queued = deque()  # columns of the sides read that enter the engine, in order
+    live = {}  # engine column number -> (its side, cell number, pieces)
     numbered = 0  # columns handed to the engine so far
 
     def seed(fresh: list) -> None:
-        """Seed the columns of the items just read: queue those that enter
-        the engine, as (item, cell index, pieces, level), in order, and
+        """Seed the columns of the sides just read: queue those that enter
+        the engine, as (side, cell number, pieces, level), in order, and
         finish the others."""
         if len(fresh) > 1:  # a lone network makes its own query when first asked
-            pooled_relay_distances([q.network for q in fresh])
-        sizes = [len(q.cells) for q in fresh]
-        cols = Columns(tuple(q.network for q in fresh), np.repeat(np.arange(len(fresh)), sizes))
-        beta = np.repeat([q.beta_max for q in fresh], sizes)
-        joins, first = _seeds(cols, mu, beta, *np.array([x for q in fresh for x in q.params]).T)
-        columns = ((q, i) for q in fresh for i in range(len(q.cells)))
-        for (q, i), joined, nxt in zip(columns, joins.tolist(), first.tolist()):
-            if joined:
-                queued.append((q, i, [], q.beta_max))
-            elif nxt >= 0.0:
-                queued.append((q, i, [(q.beta_max, *q.all_a)], nxt))
-            else:
-                finish(q.tag, i, [(q.beta_max, *q.all_a)])
+            pooled_relay_distances([side.network for side in fresh])
+        cols = Columns.repeat([side.network for side in fresh], len(cells))
+        tops = [side.thresholds[-1] for side in fresh]
+        joins, first = _seeds(cols, mu, np.repeat(tops, len(cells)),
+                              *np.tile(params, (len(fresh), 1)).T)
+        for side, top, joined, nxt in zip(fresh, tops, joins.reshape(len(fresh), -1).tolist(),
+                                          first.reshape(len(fresh), -1).tolist()):
+            on_b = np.zeros(side.network.n_users, dtype=bool)
+            p_recv = np.where(side.network.sender_mask, 1.0, 0.0)
+            on_b.flags.writeable = p_recv.flags.writeable = False
+            for i in range(len(cells)):
+                if joined[i]:
+                    queued.append((side, i, [], top))
+                elif nxt[i] >= 0.0:
+                    queued.append((side, i, [(top, on_b, p_recv)], nxt[i]))
+                else:
+                    finish(side, i, [(top, on_b, p_recv)])
 
     def admit(n_live: int):
         """Up to room = POOL_COLUMNS - n_live more columns for the engine, or
-        None: queued ones, after reading items until room columns are
+        None: queued ones, after reading sides until room columns are
         queued or read (and on, while none is queued)."""
         nonlocal numbered
         room = POOL_COLUMNS - n_live
         while True:
-            fresh, reach = [], len(queued)
-            while reach < room and (item := next(items, None)) is not None:
-                fresh.append(_Queued(*item))
-                reach += len(fresh[-1].cells)
+            fresh = []
+            while len(queued) + len(fresh) * len(cells) < room and (
+                    side := next(sides, None)) is not None:
+                fresh.append(side)
             if not fresh:
                 break
             seed(fresh)
@@ -245,18 +251,18 @@ def _walk(mu: float, items, finish) -> None:
         if not entering:
             return None
         networks, owner = [], []
-        for q, i, pieces, _ in entering:
-            if not networks or networks[-1] is not q.network:
-                networks.append(q.network)
+        for side, i, pieces, _ in entering:
+            if not networks or networks[-1] is not side.network:
+                networks.append(side.network)
             owner.append(len(networks) - 1)
-            live[numbered] = q, i, pieces
+            live[numbered] = side, i, pieces
             numbered += 1
         return (Columns(tuple(networks), np.array(owner)), [x[3] for x in entering],
-                *np.array([q.params[i] for q, i, _, _ in entering]).T)
+                *params[[x[1] for x in entering]].T)
 
     def step(index, cols, beta, on_b, dist, n_b, p_recv):
         walked = [live[j] for j in index.tolist()]
-        _, b_a, b_b = np.array([q.params[i] for q, i, _ in walked]).T
+        _, b_a, b_b = params[[i for _, i, _ in walked]].T
         rows = _walk_rows(cols, mu)
         nxt = np.empty(index.size)
         for a in range(0, index.size, _TOPS_COLUMNS):
@@ -265,12 +271,12 @@ def _walk(mu: float, items, finish) -> None:
             nxt[s] = _next_tops(beta[s], on_b[:, s], p_recv[:, s], n_b[:, s], b_a[s], b_b[s],
                                 *(at.spread(r) for r in rows))
         # each piece copies its column, so the step's arrays go when it returns
-        for k, (j, (q, i, pieces), top, level) in enumerate(
+        for k, (j, (side, i, pieces), top, level) in enumerate(
                 zip(index.tolist(), walked, beta.tolist(), nxt.tolist())):
             pieces.append((top, on_b[:, k].copy(), p_recv[:, k].copy()))
             if not level >= 0.0:
                 del live[j]
-                finish(q.tag, i, pieces)
+                finish(side, i, pieces)
         return nxt
 
     first = admit(0)
@@ -345,49 +351,37 @@ def _cascade_pieces(network: Network, params: ModelParams, beta_max: float) -> l
     return [(top, on_b[:, k], p_recv[:, k]) for k, top in enumerate(tops)]
 
 
-class _Side(NamedTuple):
-    """A network's data while its cells are solved: its index among the
-    networks solved together, the network, its users' trust test (_Trust),
-    their distinct trust thresholds ascending, and its A sides priced so
-    far, by p."""
-
-    k: int
-    network: Network
-    trust: _Trust
-    thresholds: list[float]
-    priced: dict
-
-
 def _b_sides(networks, cells: list[ModelParams], finish) -> None:
-    """Drive every B side: call finish(side, i, pieces) once for each cell
-    (all cells share mu) on each network, with the network's _Side and the
-    cell's pieces, as soon as they are known, in no fixed order. networks is
-    any iterable of networks of one size, read one network at a time as the
-    walk admits its columns (_walk); a cascade tree's pieces come from the
-    closed form when it is read, one cell at a time, so a large grid on a
-    tree never holds every cell's sets at once."""
+    """Drive every B side: call finish(side, i, decision, pieces) once for
+    each cell (all cells share mu) on each network, with the network's
+    _Side, the sender's optimum on B (_decide) and the cell's pieces, as
+    soon as they are known, in no fixed order. networks is any iterable of
+    networks of one size, read one network at a time as the walk admits its
+    columns (_walk); a cascade tree's pieces come from the closed form when
+    it is read, one cell at a time, so a large grid on a tree never holds
+    every cell's sets at once."""
     mu = cells[0].mu
 
-    def items():
+    def decided(side: _Side, i: int, pieces: list) -> None:
+        finish(side, i, _decide(mu, side, pieces), pieces)
+
+    def sides():
         size = None
         for k, network in enumerate(networks):
             if size not in (None, network.n_users):
                 raise InvalidParamsError("networks batched together must have the same size")
             size = network.n_users
-            bp = _beta_primes(network, mu)
-            thresholds = np.unique(bp).tolist()
-            side = _Side(k, network, _Trust(bp + TIE_TOL, thresholds[0] + TIE_TOL), thresholds,
-                         {})
+            side = _side(k, network, mu)
             if network.is_cascade_tree:
                 for i, params in enumerate(cells):
-                    finish(side, i, _cascade_pieces(network, params, thresholds[-1]))
+                    decided(side, i, _cascade_pieces(network, params, side.thresholds[-1]))
             else:
-                yield network, cells, thresholds[-1], side
+                yield side
 
-    _walk(mu, items(), finish)
+    _walk(mu, cells, sides(), decided)
 
 
-def _decide(mu: float, trust: _Trust, thresholds: list[float], pieces: list) -> SenderDecision:
+def _decide(mu: float, side: _Side, pieces: list) -> SenderDecision:
     """The sender's optimum on B over a cell's pieces. Within a piece the
     utility rises with beta except where a user stops trusting, so the
     candidates are every top, every trust threshold and 0. Where nobody
@@ -395,15 +389,14 @@ def _decide(mu: float, trust: _Trust, thresholds: list[float], pieces: list) -> 
     optimum (_best's result, without scoring them)."""
     if not any(on_b.any() for _, on_b, _ in pieces):
         return SenderDecision(Platform.B, 0.0, 0.0)
-    candidates = sorted({0.0} | {top for top, _, _ in pieces} | set(thresholds))
-    return SenderDecision(Platform.B, *_best(mu, trust, candidates, pieces))
+    candidates = sorted({0.0} | {top for top, _, _ in pieces} | set(side.thresholds))
+    return SenderDecision(Platform.B, *_best(mu, side, candidates, pieces))
 
 
 def optimal_B(network: Network, params: ModelParams) -> SenderDecision:
     """Sender's best deceit level and utility on the unregulated platform B."""
     decisions = []
-    _b_sides([network], [params], lambda side, _, pieces: decisions.append(
-        _decide(params.mu, side.trust, side.thresholds, pieces)))
+    _b_sides([network], [params], lambda side, i, decision, pieces: decisions.append(decision))
     return decisions[0]
 
 
@@ -446,26 +439,24 @@ def solve_pool(networks, cells) -> list[list[RegulationResult]]:
 def solve_each(networks, cells, record) -> None:
     """Solve every cell (a ModelParams) on each network, as solve_cells
     does, and hand each result to record(k, i, result), for cells[i] on the
-    k-th network, as soon as it is known, in no fixed order. networks is
-    any iterable of networks of one size, read as the walk admits them, and
-    all cells must share mu. Every (network, cell) column is walked together
-    (see the module docstring); each cell is decided and classified when its
-    column finishes, and the A side is priced once per network and distinct
-    p. A network with a user whose c is at or below mu raises
-    InvalidParamsError."""
+    k-th network, as soon as it is known, in no fixed order. networks is any
+    iterable of networks of one size, read as the walk admits them, and all
+    cells must share mu. Every (network, cell) column is walked together
+    (see the module docstring); each cell is decided (_b_sides) and
+    classified when its column finishes, and the A side is priced once per
+    network and distinct p. A network with a user whose c is at or below mu
+    raises InvalidParamsError."""
     cells = list(cells)
     if not cells:
         return
     mu = cells[0].mu
     if any(params.mu != mu for params in cells):
         raise InvalidParamsError("cells solved together must share mu")
-    def finish(side: _Side, i: int, pieces: list) -> None:
+    def finish(side: _Side, i: int, decision: SenderDecision, _) -> None:
         params = cells[i]
         if params.p not in side.priced:
-            side.priced[params.p] = _price_a(side.network, mu, params.p, side.trust,
-                                             side.thresholds)
-        record(side.k, i, _classify(params, side.priced[params.p],
-                                    _decide(mu, side.trust, side.thresholds, pieces)))
+            side.priced[params.p] = _price_a(side, mu, params.p)
+        record(side.k, i, _classify(params, side.priced[params.p], decision))
 
     _b_sides(networks, cells, finish)
 
@@ -481,10 +472,9 @@ class _ASide:
     u_unregulated: float
 
 
-def _price_a(network: Network, mu: float, p: float, trust: _Trust,
-             thresholds: list[float]) -> _ASide:
-    p_a = receive_map(p, network.relay_distances)
-    tiers = {k: float(p_a[k <= trust.limit].sum()) for k in thresholds}
+def _price_a(side: _Side, mu: float, p: float) -> _ASide:
+    p_a = receive_map(p, side.network.relay_distances)
+    tiers = {k: float(p_a[k <= side.limit].sum()) for k in side.thresholds}
     return _ASide(float(p_a.sum()), tiers,
                   max(sender_weight(mu, k) * t for k, t in tiers.items()))
 
@@ -527,14 +517,12 @@ def sender_equilibria(
     out = []
     cap = params.rho_a
 
-    def finish(side: _Side, _, pieces: list) -> None:
-        network, trust, thresholds = side.network, side.trust, side.thresholds
+    def finish(side: _Side, _, decision_b: SenderDecision, pieces: list) -> None:
         # A keeps every user: one piece, scored at the cap and the thresholds up to it
-        on_a = [(np.inf, np.ones(network.n_users, dtype=bool),
-                 receive_map(params.p, network.relay_distances))]
-        candidates = sorted({cap} | {x for x in thresholds if x <= cap + TIE_TOL})
-        best_beta_a, best_u_a = _best(params.mu, trust, candidates, on_a)
-        decision_b = _decide(params.mu, trust, thresholds, pieces)
+        on_a = [(np.inf, np.ones(side.network.n_users, dtype=bool),
+                 receive_map(params.p, side.network.relay_distances))]
+        candidates = sorted({cap} | {x for x in side.thresholds if x <= cap + TIE_TOL})
+        best_beta_a, best_u_a = _best(params.mu, side, candidates, on_a)
         out.extend([None] * (side.k + 1 - len(out)))
         if best_u_a >= decision_b.utility - TIE_TOL:
             out[side.k] = SenderDecision(Platform.A, best_beta_a, best_u_a), None

@@ -2,7 +2,8 @@
 
 Runtime-sensitive checks measure wall time and assert their stated budgets.
 The SBM chain sweep is computed once in a session fixture and shared between
-the overlay check and the byte-determinism check.
+the overlay check and the byte-determinism check; the C2 star-chain sweep is
+computed once per module and shared between its two curve checks.
 """
 
 import time
@@ -80,17 +81,34 @@ def test_criterion_1_finite_line_overlay():
     _check_columns("C1 line n=20", bounds, analytic, GRID_STEP)
 
 
-def test_criterion_2_star_chain_overlay():
+@pytest.fixture(scope="module")
+def star_chain_boundaries():
+    """(boundaries, seconds) of the C2 star-chain sweep: 5 hubs, r = 2."""
+    return _family_boundaries("star_chain", {"n_hubs": 5, "r": 2})
+
+
+def test_criterion_2_star_chain_overlay(star_chain_boundaries):
     # NOTE: expected to fail at p = 0.9. The uniform-hub stop-index curve
     # treats the farthest hub like an interior one (social stake r*b_a), but
     # in the exact process that hub has only r-1 leaves left once its hub
     # neighbor departs, so for p > 1/r it always follows and full migration
     # is governed by the second-to-last hub: the simulated collapse boundary
     # is mu*(1-c)*p**(n-2)/r, above the curve by ~2.6 grid steps at p = 0.9.
-    bounds, elapsed = _family_boundaries("star_chain", {"n_hubs": 5, "r": 2})
+    bounds, elapsed = star_chain_boundaries
     analytic = [max(g_nk(5, k, float(p)) for k in range(5)) / 2 for p in P_VALUES_9]
     assert elapsed < 30.0
     _check_columns("C2 star-chain n=5 r=2", bounds, analytic, GRID_STEP)
+
+
+def test_criterion_2_star_chain_end_corrected(star_chain_boundaries):
+    # the finite curve with the farthest hub's end corrected: the interior
+    # terms k = 0..n-3 plus the full-migration slot mu*(1-c)*p**(n-2), as
+    # f_nk and h_nk carry it, over r. It explains the overlay's gap above:
+    # the simulated boundary meets it within one step in every column
+    bounds, _ = star_chain_boundaries
+    analytic = [max(max(g_nk(5, k, float(p)) for k in range(3)), 0.2 * 0.7 * float(p) ** 3) / 2
+                for p in P_VALUES_9]
+    _check_columns("C2 star-chain n=5 r=2, end-corrected", bounds, analytic, GRID_STEP)
 
 
 def test_criterion_2_tree_overlay():

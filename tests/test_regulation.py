@@ -32,7 +32,7 @@ from platmod import (
 )
 from platmod.analytic import big_f
 from platmod.experiments import _pool_results
-from platmod.regulation import _b_sides, _walk, sender_equilibria, solve_cells, solve_pool
+from platmod.regulation import _b_sides, _side, _walk, sender_equilibria, solve_cells, solve_pool
 from platmod.adoption import Columns, _beta_primes, batch_final_b_sets
 from platmod.graph import pooled_relay_distances, receive_map, through_platform_distances
 from platmod.model import TIE_TOL
@@ -55,18 +55,19 @@ BETA_PRIME = trust_threshold(0.2, 0.3)
 def _one_b_side(network, params):
     """(thresholds, pieces) of one cell on one network, from _b_sides."""
     got = []
-    _b_sides([network], [params], lambda side, _, pieces: got.append((side.thresholds, pieces)))
+    _b_sides([network], [params],
+             lambda side, _, __, pieces: got.append((side.thresholds, pieces)))
     [(thresholds, pieces)] = got
     return thresholds, pieces
 
 
-def walk_pieces(columns, cells, beta_max):
-    """The pieces of every column, cells[j] on columns.owner[j] walked down
-    from beta_max of its network: one walk whose items are the networks."""
-    pieces = [None] * len(cells)
-    _walk(cells[0].mu, ((net, cells[at], beta_max[columns.owner[at][0]], at.start or 0)
-                        for net, at in columns.runs),
-          lambda first, i, walked: pieces.__setitem__(first + i, walked))
+def walk_pieces(networks, cells):
+    """The pieces of every column, cells[i] on the k-th network at
+    k * len(cells) + i, walked down from the network's largest trust
+    threshold: one walk of every network's side, cascade trees included."""
+    mu, pieces = cells[0].mu, [None] * (len(networks) * len(cells))
+    _walk(mu, cells, (_side(k, net, mu) for k, net in enumerate(networks)),
+          lambda side, i, walked: pieces.__setitem__(side.k * len(cells) + i, walked))
     return pieces
 
 
@@ -590,18 +591,14 @@ def same_size_networks(draw, most=4, dense=None, isolated=0):
 
 @st.composite
 def multi_network_batches(draw):
-    """(networks, the index of each column's network, cells) with one to
-    three cells per network at mu = 0.2, b_B > 0 in some."""
+    """(networks, the index of each column's network, cells): one to three
+    cells at mu = 0.2, b_B > 0 in some, shared by every network, as the walk
+    takes them; column k * len(cells) + i is cells[i] on the k-th network."""
     networks = draw(same_size_networks())
-    owner, cells = [], []
-    for k in range(len(networks)):
-        for _ in range(draw(st.integers(1, 3))):
-            owner.append(k)
-            cells.append(ModelParams(
-                mu=0.2, p=draw(st.floats(0.2, 0.95)), b_a=draw(st.floats(0.0, 0.05)),
-                b_b=draw(st.sampled_from([0.0, 0.004, 0.015])),
-            ))
-    return networks, owner, cells
+    cells = [ModelParams(mu=0.2, p=draw(st.floats(0.2, 0.95)), b_a=draw(st.floats(0.0, 0.05)),
+                         b_b=draw(st.sampled_from([0.0, 0.004, 0.015])))
+             for _ in range(draw(st.integers(1, 3)))]
+    return networks, [k for k in range(len(networks)) for _ in cells], cells
 
 
 def _split(networks, owner):
@@ -617,8 +614,9 @@ def _split(networks, owner):
 def test_engine_on_several_networks_equals_one_call_per_network(batch, betas):
     networks, owner, cells = batch
     columns = Columns(tuple(networks), np.array(owner))
-    betas = np.array(betas[:len(cells)])
-    p, b_a, b_b = (np.array([getattr(x, name) for x in cells]) for name in ("p", "b_a", "b_b"))
+    betas = np.array(betas[:len(owner)])
+    p, b_a, b_b = (np.array([getattr(x, name) for x in cells * len(networks)])
+                   for name in ("p", "b_a", "b_b"))
     together = batch_final_b_sets(columns, 0.2, betas, p, b_a, b_b, collect_trace=True)
     for net, cols in _split(networks, owner):
         alone = batch_final_b_sets(net, 0.2, betas[cols], p[cols], b_a[cols], b_b[cols],
@@ -637,11 +635,9 @@ def test_engine_on_several_networks_equals_one_call_per_network(batch, betas):
     assert admitted[3] == together[3]
     # the walk's pieces, warm engine starts included, are those of one walk
     # per network
-    beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
-    walked = walk_pieces(columns, cells, beta_max)
-    for k, (net, cols) in enumerate(_split(networks, owner)):
-        for mine, theirs in zip(walked[cols], walk_pieces(Columns.repeat((net,), len(cells[cols])),
-                                                          cells[cols], beta_max[k:k + 1])):
+    walked = walk_pieces(networks, cells)
+    for net, cols in _split(networks, owner):
+        for mine, theirs in zip(walked[cols], walk_pieces([net], cells), strict=True):
             assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in mine] == \
                 [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
 
@@ -685,14 +681,12 @@ def test_relax_equals_a_fresh_distance_query(case):
 def test_walks_of_a_few_live_columns_equal_one_unbounded_walk(batch, width):
     # a walk holding one to three live columns admits the rest as others
     # finish; its pieces and results are those of a walk holding them all
-    networks, owner, cells = batch
-    columns = Columns(tuple(networks), np.array(owner))
-    beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
-    wide = walk_pieces(columns, cells, beta_max)
+    networks, _, cells = batch
+    wide = walk_pieces(networks, cells)
     wide_results = solve_pool(networks, cells)
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(platmod.regulation, "POOL_COLUMNS", width)
-        narrow = walk_pieces(columns, cells, beta_max)
+        narrow = walk_pieces(networks, cells)
         narrow_results = solve_pool(networks, cells)
     for mine, theirs in zip(narrow, wide):
         assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in mine] == \
@@ -733,7 +727,6 @@ def test_stacked_pool_equals_one_call_per_network(pool, betas):
     assert columns.batched and all(net.degrees[-1] == 0 for net in networks)
     betas = np.array(betas[:k])
     p, b_a, b_b = (np.array([getattr(x, name) for x in cells]) for name in ("p", "b_a", "b_b"))
-    beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
     counts = columns.neighbour_counts(marked)
     # a subset of the columns counts through the pool's stack; merged down
     # to its own networks it takes their layers along (a pool of one
@@ -749,14 +742,15 @@ def test_stacked_pool_equals_one_call_per_network(pool, betas):
         assert not {"csr", "adjacency_lists"} & set(vars(net))
     merged_counts = merged.neighbour_counts(marked[:, half])
     together = batch_final_b_sets(columns, 0.2, betas, p, b_a, b_b, collect_trace=True)
-    walked = walk_pieces(columns, cells, beta_max)
+    # one walk per cell, each with one column per network
+    walked = [walk_pieces(networks, [cell])[j] for j, cell in enumerate(cells)]
     for j, net in enumerate(networks):
         alone = batch_final_b_sets(net, 0.2, betas[j:j + 1], p[j], b_a[j], b_b[j],
                                    collect_trace=True)
         for mine, theirs in zip(together[:3], alone[:3]):
             assert mine[..., j].tobytes() == theirs[..., 0].tobytes()
         assert together[3][j] == alone[3][0]
-        [theirs] = walk_pieces(Columns.repeat((net,), 1), cells[j:j + 1], beta_max[j:j + 1])
+        [theirs] = walk_pieces([net], cells[j:j + 1])
         assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in walked[j]] == \
             [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
         own = float64_neighbour_counts(net, marked[:, j])
@@ -806,6 +800,41 @@ def test_pooled_solves_equal_one_solve_per_network(networks, p, b_a, b_b, refuse
         expect = ([("error", res)] * len(cells) if isinstance(res, str)
                   else [(r.kind.value, r.rho_se) for r in res])
         assert [x for row in grid for x in row] == expect
+
+
+@st.composite
+def oracle_cases(draw):
+    """(network, cells): a same_size_networks sample (isolated users, one or
+    two sender links, per-user c), or a line, star chain or regular tree,
+    which take the closed form; one to three cells at mu = 0.2, b_B 0 or
+    0.01."""
+    if draw(st.booleans()):
+        network = draw(same_size_networks().flatmap(st.sampled_from))
+    else:
+        network = draw(st.one_of(
+            st.builds(gen_linear, st.integers(2, 12)),
+            st.builds(gen_star_chain, st.integers(1, 4), st.integers(1, 3)),
+            st.builds(gen_regular_tree, st.integers(1, 3), st.integers(1, 3)),
+        ))
+    cells = draw(st.lists(st.builds(ModelParams, mu=st.just(0.2), p=st.floats(0.2, 0.95),
+                                    b_a=st.floats(0.0, 0.05), b_b=st.sampled_from([0.0, 0.01])),
+                          min_size=1, max_size=3))
+    return network, cells
+
+
+@settings(max_examples=60)
+@given(case=oracle_cases())
+def test_solves_equal_the_bisection_oracle(case):
+    # the walk or the closed form against interval bisection of the engine's
+    # sets, cell by cell: the same kind, U*_B and cap
+    network, cells = case
+    for params, res in zip(cells, solve_cells(network, cells), strict=True):
+        kind, rho_se, u_star_b = bisection_regulation(network, params)
+        assert res.kind is kind
+        assert res.u_star_b == pytest.approx(u_star_b, abs=1e-7)
+        assert (res.rho_se is None) == (rho_se is None)
+        if rho_se is not None:
+            assert res.rho_se == pytest.approx(rho_se, abs=1e-6)
 
 
 def test_columns_need_same_size_networks():
@@ -889,7 +918,6 @@ def test_flowing_walk_pieces_equal_cold_runs_at_their_tops(batch):
     # is handed, is that of a cold run from all-A at the piece's top: set,
     # distances, B-neighbour counts and receive probabilities, bit for bit
     networks, owner, cells = batch
-    columns = Columns(tuple(networks), np.array(owner))
     beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
     handed = []  # (level, set, distances, counts, receive map) as handed
 
@@ -901,10 +929,10 @@ def test_flowing_walk_pieces_equal_cold_runs_at_their_tops(batch):
 
     with pytest.MonkeyPatch.context() as patched:
         _patch_walk_step(patched, recording)
-        walked = walk_pieces(columns, cells, beta_max)
+        walked = walk_pieces(networks, cells)
     for k, (net, cols) in enumerate(_split(networks, owner)):
         tops = [(j, top) for j in range(cols.start, cols.stop) for top, _, _ in walked[j]]
-        p, b_a, b_b = (np.array([getattr(cells[j], name) for j, _ in tops])
+        p, b_a, b_b = (np.array([getattr(cells[j % len(cells)], name) for j, _ in tops])
                        for name in ("p", "b_a", "b_b"))
         on_b, dist, _, _ = batch_final_b_sets(net, 0.2, np.array([t for _, t in tops]), p,
                                               b_a, b_b)

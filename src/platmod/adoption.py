@@ -37,7 +37,7 @@ from .errors import InvalidParamsError, InvariantViolationError
 from .graph import (Columns, Network, UNREACHED, receive_map, through_platform_distances,
                     validate_mu)
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_side_advantage,
-                    trust_threshold, trusts)
+                    trust_limit, trust_threshold, trusts)
 
 ITERATION_CAP_SLACK = 1  # cap = n_users + 1 rounds since a (re)start, loud failure beyond it
 # restarts in a row after which a column moved nobody, loud failure beyond
@@ -84,6 +84,13 @@ def _beta_primes(network: Network, mu: float) -> np.ndarray:
     return trust_threshold(mu, network.c_values)
 
 
+def _trust_limits(cols: Columns, mu: float, made=None) -> np.ndarray:
+    """Each network's trust_limit of _beta_primes (a user trusts beta iff
+    beta <= its limit), stacked and kept by the pool; made, when given, is
+    that stack made already."""
+    return cols.rows(("trust_limit", mu), lambda net: trust_limit(_beta_primes(net, mu)), made)
+
+
 def _int32_degrees(network: Network) -> np.ndarray:
     """Degrees as int32: degree - n_b casts them to float64 exactly."""
     return network.degrees.astype(np.int32)
@@ -103,10 +110,12 @@ def batch_final_b_sets(
     """Run the synchronous adoption (sender on B) for a batch of columns.
 
     network is the Network every column runs on, or Columns naming each
-    column's network. Column j runs at deceit level betas[j] with
-    diffusiveness p[j] and qualities b_a[j], b_b[j]; each of p, b_a, b_b is
-    one value per column or a scalar shared by all. mu is shared: it fixes
-    the trust thresholds. Callers validate p, b_a and b_b (ModelParams does).
+    column's network, which the call takes over: it keeps the rows their
+    pool made, and the pool gives them up (Columns.merge). Column j runs at
+    deceit level betas[j] with diffusiveness p[j] and qualities b_a[j],
+    b_b[j]; each of p, b_a, b_b is one value per column or a scalar shared
+    by all. mu is shared: it fixes the trust thresholds. Callers validate p,
+    b_a and b_b (ModelParams does).
     Every column starts from all-A: the sender's linked users at distance 0,
     everyone else UNREACHED, no B-neighbours.
 
@@ -132,8 +141,9 @@ def batch_final_b_sets(
     Once half the live columns are done they are set aside. admit, when
     given with step, is then called with the number of columns still live,
     and returns more columns, (Columns, betas, p, b_a, b_b) on networks of
-    the same size, or None. They are numbered on from the columns before
-    them and start from all-A in the next round.
+    the same size, or None; the rows their pool keeps are copied, not made
+    again. They are numbered on from the columns before them and start from
+    all-A in the next round.
 
     Returns (on_b, dist, productive_rounds, traces): each column's final
     membership and distance matrices of shape (n_users, columns), its
@@ -151,15 +161,15 @@ def batch_final_b_sets(
     """
     level = np.array(betas, dtype=np.float64)  # a copy: restarts overwrite it
     p, b_a, b_b = (np.full(level.shape, x, dtype=np.float64)[None, :] for x in (p, b_a, b_b))
-    # a pool of the call's own, whose rows go with it
-    cols = (Columns(network.networks, network.owner) if isinstance(network, Columns)
+    # a pool of the call's own, whose rows go with it: a given one taken over
+    cols = (network.merge() if isinstance(network, Columns)
             else Columns.repeat((network,), level.size))
     n = cols.n_users
-    # per-network rows of c and the trust thresholds (made with validate_mu)
-    # are kept by the pool; the rounds need c only through the per-column
-    # trust mask and news gain made from them
+    # per-network rows of c and the trust limits (made with validate_mu) are
+    # kept by the pool; the rounds need c only through the per-column trust
+    # mask and news gain made from them
     c_rows = lambda: cols.rows("c_values")
-    bp_rows = lambda: cols.rows(("beta_primes", mu), lambda net: _beta_primes(net, mu))
+    limit_rows = lambda: _trust_limits(cols, mu)
 
     def start(new: Columns, at: np.ndarray) -> list[np.ndarray]:
         """The per-user state of columns starting from all-A at levels at: on
@@ -168,7 +178,7 @@ def batch_final_b_sets(
         linked = new.spread(cols.rows("sender_mask"))
         return [np.zeros(linked.shape, dtype=bool), np.zeros(linked.shape),
                 np.where(linked, np.int32(0), np.int32(UNREACHED)),
-                trusts(at[None, :], new.spread(bp_rows())),
+                at[None, :] <= new.spread(limit_rows()),
                 news_gain(mu, new.spread(c_rows()), at[None, :]),
                 new.spread(cols.rows("degrees", _int32_degrees)), linked]
 
@@ -219,7 +229,7 @@ def batch_final_b_sets(
             if again.size:
                 level[again] = nxt[going]
                 restarted = cols.take(again)
-                trusting[:, again] = trusts(level[None, again], restarted.spread(bp_rows()))
+                trusting[:, again] = level[None, again] <= restarted.spread(limit_rows())
                 gain[:, again] = news_gain(mu, restarted.spread(c_rows()), level[None, again])
                 began[again] = rounds[live[again]]
         if 2 * np.count_nonzero(done) >= live.size:

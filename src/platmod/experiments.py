@@ -11,8 +11,9 @@ walk (regulation.solve_each): it builds a sample when the walk reads it for
 admission, works out each column's first piece in closed form, walks at
 most POOL_COLUMNS live columns at a time, counting the neighbours of their
 dense networks with one batched matmul, tallies each cell as its column
-finishes and drops a sample after its last. validate_assumption1 walks the
-samples of one tightness in groups of A1_GROUP.
+finishes and drops a sample after its last. validate_assumption1 draws its
+(tightness, seed) samples lazily, in report order, and walks them in groups
+of A1_GROUP, which may span tightnesses.
 """
 
 from __future__ import annotations
@@ -38,8 +39,12 @@ SWEEP_CSV_HEADER = "p,b_A,samples,n_no_effective,n_any,n_moderate,mean_rho_se,se
 A1_CSV_HEADER = "theta_JJ,seed,n_users_B,irregular_choices"
 # validate_assumption1 samples and walks at most this many networks together;
 # a pooled 3 x 30 chain sample holds about 50 KiB, its edges and its layer of
-# the walk's stacked float32 adjacency
-A1_GROUP = 20
+# the walk's stacked float32 adjacency. One walk of bloc_migration's 80
+# samples ran no faster than two of 40 (987 against 1068 solves/s) and its
+# peak_rss_mb read 47.9 against 46.1 MiB (medians of 4 seeds, 30 s runs,
+# 2-vCPU machine); groups of 20, one tightness each (4 walks), took 1.17x
+# the CPU time per pass
+A1_GROUP = 40
 
 
 def _bridged_theta(sizes, diag, bridge_expect, bridged) -> tuple[tuple[float, ...], ...]:
@@ -372,36 +377,42 @@ def validate_assumption1(
     probability is each theta_jj.
 
     Cells where even the zero cap retains the sender (so nobody moves) are
-    skipped rather than reported as trivially regular. Each tightness's
-    seeds are sampled and solved in groups of at most A1_GROUP networks, one
-    walk per group (regulation.sender_equilibria), so at most one group's
-    networks are held at once.
+    skipped rather than reported as trivially regular. The (theta_jj, seed)
+    samples are drawn lazily, in report order, and solved in groups of at
+    most A1_GROUP networks, one walk per group (regulation.sender_equilibria):
+    every sample shares the cell, so a group may span tightnesses, and at
+    most one group's networks are held at once.
     """
     rows: list[A1Row] = []
     skipped: list[tuple[float, int]] = []
-    for theta_jj in theta_jj_values:
-        theta = chain_theta(sizes, theta_jj)
-        pending = iter(seeds)
-        while group := list(islice(pending, A1_GROUP)):
-            _a1_group(float(theta_jj), group, SbmSpec(sizes=tuple(sizes), theta=theta,
-                                                      c_by_community=c),
-                      ModelParams(mu=mu, p=p, b_a=b_a, b_b=b_b, rho_a=0.0), rows, skipped)
+
+    def samples():
+        for theta_jj in theta_jj_values:
+            spec = SbmSpec(sizes=tuple(sizes), theta=chain_theta(sizes, theta_jj),
+                           c_by_community=c)
+            for seed in seeds:
+                yield float(theta_jj), replace(spec, seed=seed)
+
+    pending = samples()
+    while group := list(islice(pending, A1_GROUP)):
+        _a1_group(group, ModelParams(mu=mu, p=p, b_a=b_a, b_b=b_b, rho_a=0.0), rows, skipped)
     return A1Report(rows=rows, skipped=skipped)
 
 
-def _a1_group(theta_jj: float, seeds: list[int], spec: SbmSpec, params: ModelParams,
-              rows: list[A1Row], skipped: list[tuple[float, int]]) -> None:
-    """validate_assumption1 for one group of seeds: appends their rows and
-    skips in seed order. Its networks die with the call."""
-    networks = [gen_sbm(replace(spec, seed=seed)) for seed in seeds]
-    for seed, network, (decision, on_b) in zip(seeds, networks,
-                                               sender_equilibria(networks, params)):
+def _a1_group(samples: list[tuple[float, SbmSpec]], params: ModelParams, rows: list[A1Row],
+              skipped: list[tuple[float, int]]) -> None:
+    """validate_assumption1 for one group of (theta_jj, seeded spec)
+    samples: appends their rows and skips in order. Its networks die with
+    the call."""
+    networks = [gen_sbm(spec) for _, spec in samples]
+    for (theta_jj, spec), network, (decision, on_b) in zip(
+            samples, networks, sender_equilibria(networks, params)):
         if decision.platform is Platform.A:
-            skipped.append((theta_jj, seed))
+            skipped.append((theta_jj, spec.seed))
             continue
         rows.append(A1Row(
             theta_jj=theta_jj,
-            seed=seed,
+            seed=spec.seed,
             n_users_b=int(on_b.sum()),
             irregular=irregular_choices(network, Assignment(on_b, Platform.B)),
         ))

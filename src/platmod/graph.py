@@ -438,7 +438,9 @@ def gen_sbm(spec: SbmSpec) -> Network:
     The draws come in chunks of whole rows, at most _SBM_PAIR_CHUNK pairs
     each unless one row holds more; consecutive draws from one generator
     form the same stream as a single draw, so the chunking leaves the edges
-    unchanged.
+    unchanged. A row's probabilities are one run per community block after
+    it, and only the kept pairs are decoded from their flat index, so a
+    chunk builds no per-pair index arrays.
     """
     sizes = spec.sizes
     n = sum(sizes)
@@ -449,15 +451,22 @@ def gen_sbm(spec: SbmSpec) -> Network:
     # row i holds the pairs (i, i+1..n-1); first[i] counts the pairs before it
     per_row = np.arange(n - 1, -1, -1)
     first = np.concatenate([[0], np.cumsum(per_row)])
+    # a row's partners run through the community blocks after it in order, so
+    # its probabilities are one run per block: theta[own, block] repeated
+    # over its partners in that block
+    ends = np.cumsum(sizes)
     kept = [np.empty((0, 2), dtype=np.intp)]
     lo = 0
     while lo < n - 1:
         hi = max(lo + 1, int(np.searchsorted(first, first[lo] + _SBM_PAIR_CHUNK, "right")) - 1)
         rows = np.arange(lo, hi)
-        iu = np.repeat(rows, per_row[lo:hi])
-        ju = np.arange(first[lo], first[hi]) - np.repeat(first[lo:hi] - rows - 1, per_row[lo:hi])
-        keep = rng.random(iu.size) < theta[labels[iu], labels[ju]]
-        kept.append(np.stack([iu[keep], ju[keep]], axis=1))
+        runs = np.minimum(np.maximum(ends - rows[:, None] - 1, 0), sizes)
+        keep = rng.random(first[hi] - first[lo]) < np.repeat(theta[labels[rows]].ravel(),
+                                                              runs.ravel())
+        # decode only the kept pairs from their flat index
+        k = np.flatnonzero(keep) + first[lo]
+        iu = np.searchsorted(first[lo:hi], k, "right") - 1 + lo
+        kept.append(np.stack([iu, k - first[iu] + iu + 1], axis=1))
         lo = hi
 
     if spec.sender_attach is None:
@@ -497,7 +506,8 @@ class Columns:
     network's columns are contiguous (owner is nondecreasing), so per-network
     work runs on column slices, in place. shared, common to a pool and every
     take of it, keeps the pool's per-network rows (rows), and merge carries
-    them over to a pool of the networks that stay.
+    them over to a pool of the networks that stay, with those of the
+    networks it adds copied from their own pool.
 
     Columns does every neighbour count and relaxation (the module docstring
     names the paths). A pool's networks share n_users, so they are all
@@ -534,54 +544,72 @@ class Columns:
 
     def merge(self, other: "Columns | None" = None) -> "Columns":
         """These columns, then other's, on only the networks that hold one:
-        these columns' networks, then those of other that are new (the same
-        object is the same network). The rows of the networks that stay are
-        carried over and the new networks' are made, so a pool fed this way
-        builds each network's rows once while it holds the network. The kept
-        rows move down in place where the array has room for every network,
-        so a pool that only sheds networks never holds two stacks at once;
-        this pool gives its rows up and makes them again if asked."""
+        these columns' networks, then those of other's columns that are new
+        (the same object is the same network). Every row either pool keeps
+        is carried over, so a pool fed this way builds each network's rows
+        once while it holds the network: the networks that stay keep theirs,
+        moved down in place where the array has room for every network (a
+        pool that only sheds networks never holds two stacks at once), and
+        the new ones' are copied from other's pool, which keeps its own; a
+        row only one of the two keeps is made for the other's networks. This
+        pool gives its rows up and makes them again if asked."""
         kept = np.unique(self.owner)
         networks = [self.networks[k] for k in kept.tolist()]
         owner = np.searchsorted(kept, self.owner)
-        new = []
+        added, theirs = [], {}  # other's new networks, by their number there; its rows
         if other is not None:
-            if other.n_users != self.n_users:
+            if networks and other.n_users != self.n_users:
                 raise InvalidParamsError("networks batched together must have the same size")
             slot = {id(net): k for k, net in enumerate(networks)}
-            for net in other.networks:
+            moved = np.zeros(len(other.networks), dtype=np.intp)
+            for k in np.unique(other.owner).tolist():
+                net = other.networks[k]
                 if id(net) not in slot:
                     slot[id(net)] = len(networks)
                     networks.append(net)
-                    new.append(net)
-            moved = np.array([slot[id(net)] for net in other.networks], dtype=np.intp)
+                    added.append(k)
+                moved[k] = slot[id(net)]
             owner = np.concatenate([owner, moved[other.owner]])
+            theirs = other.shared
         shared = {}
-        for key, (make, rows) in self.shared.items():
-            if len(rows) < len(networks):
+        for key in [*self.shared, *(k for k in theirs if k not in self.shared)]:
+            make, rows = self.shared.get(key) or theirs[key]
+            if key not in self.shared or len(rows) < len(networks):
                 grown = np.empty((len(networks),) + rows.shape[1:], dtype=rows.dtype)
-                np.take(rows, kept, axis=0, out=grown[:kept.size])
+                if key in self.shared:
+                    np.take(rows, kept, axis=0, out=grown[:kept.size])
+                else:
+                    _stacked(make, networks[:kept.size], out=grown)
                 rows = grown
             else:
                 for k, old in enumerate(kept.tolist()):  # kept ascends
                     if k != old:
                         rows[k] = rows[old]
                 rows = rows[:len(networks)]
-            _stacked(make, new, out=rows[kept.size:])
+            if key in theirs:
+                np.take(theirs[key][1], added, axis=0, out=rows[kept.size:])
+            elif added:
+                _stacked(make, [other.networks[k] for k in added], out=rows[kept.size:])
             shared[key] = make, rows
         self.shared.clear()
         return Columns(tuple(networks), owner, shared)
 
-    def rows(self, key, per_network=None) -> np.ndarray:
+    def copy(self) -> "Columns":
+        """These columns on only the networks that hold one, with copies of
+        the rows their pool keeps; the pool keeps its own."""
+        return Columns((), np.empty(0, dtype=np.intp)).merge(self)
+
+    def rows(self, key, per_network=None, made=None) -> np.ndarray:
         """per_network(net) of each network (by default its attribute named
-        key), stacked: made once for a pool and its takes and kept in shared
-        under key, so per_network must give a network the same row whenever
-        it is asked."""
-        made = self.shared.get(key)
-        if made is None:
+        key), stacked: made once for a pool and its takes, or given as made,
+        and kept in shared under key, so per_network must give a network the
+        same row whenever it is asked."""
+        kept = self.shared.get(key)
+        if kept is None:
             per_network = per_network or attrgetter(key)
-            made = self.shared[key] = per_network, _stacked(per_network, self.networks)
-        return made[1]
+            kept = self.shared[key] = per_network, (
+                _stacked(per_network, self.networks) if made is None else made)
+        return kept[1]
 
     def spread(self, rows: np.ndarray) -> np.ndarray:
         """rows, one (n_users,) row per network, at each column: (n_users, n_cols)."""
@@ -610,12 +638,17 @@ class Columns:
         rank = np.arange(self.owner.size) - np.searchsorted(self.owner, self.owner)
         return rank, int(rank.max(initial=-1)) + 1
 
+    def layers(self) -> np.ndarray | None:
+        """The (networks, n, n) float32 adjacency stack of a dense pool,
+        which neighbour_counts reads, kept like any row; None for CSR."""
+        return self.rows("adjacency_f32", _adjacency_f32) if self.networks[0].dense else None
+
     def neighbour_counts(self, marked: np.ndarray) -> np.ndarray:
         """Each column's count of marked neighbours on its own network:
         marked is (n_users, n_cols) 0/1, the counts float64 of that shape."""
-        if self.networks[0].dense:
+        stack = self.layers()
+        if stack is not None:
             # a layer is symmetric, so a column times it is its count
-            stack = self.rows("adjacency_f32", _adjacency_f32)
             rank, width = self._ranks
             per_net = np.zeros((len(self.networks), width, self.n_users), dtype=np.float32)
             per_net[self.owner, rank] = marked.T
@@ -699,18 +732,21 @@ def through_platform_distances(network: Network | Columns, on_side: np.ndarray) 
     return dist
 
 
-def pooled_relay_distances(networks) -> list[np.ndarray]:
-    """Network.relay_distances of each of several networks of one size. The
-    ones not yet computed come from one through_platform_distances query
-    over them, one column per network, and are kept on their networks."""
-    missing = [net for net in networks if "relay_distances" not in vars(net)]
+def pooled_relay_distances(pool: Columns) -> list[np.ndarray]:
+    """Network.relay_distances of each network of a pool, whose rows the
+    query reads and keeps. The ones not yet computed come from one
+    through_platform_distances query over them, one column per network, and
+    are kept on their networks."""
+    missing = [k for k, net in enumerate(pool.networks) if "relay_distances" not in vars(net)]
     if missing:
-        on_side = np.ones((missing[0].n_users, len(missing)), dtype=bool)
-        rows = through_platform_distances(Columns.repeat(missing, 1), on_side).T.copy()
+        # one column on each missing network, reading the pool's rows
+        query = Columns(pool.networks, np.array(missing, dtype=np.intp), pool.shared)
+        on_side = np.ones((pool.n_users, len(missing)), dtype=bool)
+        rows = through_platform_distances(query, on_side).T.copy()
         rows.flags.writeable = False
-        for net, row in zip(missing, rows):
-            vars(net)["relay_distances"] = row
-    return [net.relay_distances for net in networks]
+        for k, row in zip(missing, rows):
+            vars(pool.networks[k])["relay_distances"] = row
+    return [net.relay_distances for net in pool.networks]
 
 
 def _relax_column(network: Network, dist: np.ndarray, on_side: np.ndarray,

@@ -97,9 +97,14 @@ def trust_threshold(mu: float, c):
     return mu * (1.0 - c) / ((1.0 - mu) * c)
 
 
+def trust_limit(beta_prime):
+    """The largest beta a user of threshold beta_prime trusts (trusts)."""
+    return beta_prime + TIE_TOL
+
+
 def trusts(beta, beta_prime):
     """Tie at beta == beta_prime counts as trusting (closed upper interval)."""
-    return beta <= beta_prime + TIE_TOL
+    return beta <= trust_limit(beta_prime)
 
 
 def news_gain(mu: float, c, beta):

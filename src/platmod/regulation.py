@@ -34,14 +34,18 @@ _b_sides drives every B side: it reads the networks one at a time, as the
 walk admits their columns, into one record each (_Side: the network, its
 trust test and its A sides priced so far), makes a cascade tree's pieces
 one cell at a time, and decides each cell (_decide) as soon as its column
-finishes, handing on the decision with the pieces; the walk queries the
-relay distances of the networks it admits together in one query
+finishes, handing on the decision with the pieces. The networks the walk
+reads together share one pool of per-network rows (graph.Columns): degrees,
+news rows, sender links, c, the sides' trust limits and the float32 layer,
+each built once. Their relay distances come from one query over it
 (graph.pooled_relay_distances, kept on the networks, where the A side reads
-them) and drops a network after its last column. solve_each (the same cells
-on several networks of one size, each result handed on as soon as it is
-known), solve_pool (its lists), sender_equilibria (one cell on each) and
-optimal_B read it; the other entry points are views of these. Payoffs and
-the trust test come from the model's kernel.
+them), _seeds reads it, and the engine takes the rows of the columns it
+admits over (Columns.merge) instead of building them again, its trust test
+included. The walk drops a network after its last column. solve_each (the
+same cells on several networks of one size, each result handed on as soon
+as it is known), solve_pool (its lists), sender_equilibria (one cell on
+each) and optimal_B read it; the other entry points are views of these.
+Payoffs and the trust test come from the model's kernel.
 """
 
 from __future__ import annotations
@@ -59,11 +63,12 @@ from .adoption import (
     cascade_thresholds,
     _beta_primes,
     _int32_degrees,
+    _trust_limits,
 )
 from .errors import InvalidParamsError, InvariantViolationError
 from .graph import Columns, Network, pooled_relay_distances, receive_map
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_payoff,
-                    sender_side_advantage, sender_weight, trust_threshold, trusts)
+                    sender_side_advantage, sender_weight, trust_limit, trusts)
 
 # the most live columns one walk (one engine call) holds; it admits more as
 # they finish
@@ -122,7 +127,7 @@ def _side(k: int, network: Network, mu: float) -> _Side:
     """The _Side of the k-th network, with nothing priced yet."""
     bp = _beta_primes(network, mu)
     thresholds = np.unique(bp).tolist()
-    return _Side(k, network, bp + TIE_TOL, thresholds[0] + TIE_TOL, thresholds, {})
+    return _Side(k, network, trust_limit(bp), trust_limit(thresholds[0]), thresholds, {})
 
 
 def _best(mu: float, side: _Side, candidates: list[float],
@@ -181,9 +186,9 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
     The walk is one engine call holding at most POOL_COLUMNS live columns.
     Whenever the engine sets finished ones aside, admit tops them up, in
     order: it reads sides until as many columns as there is room for are
-    queued or read, so a network is read, and its relay distances come from
-    one query over the networks read together (kept on them, for the A
-    side), when its columns are next to be admitted; it is dropped after
+    queued or read, so a network is read when its columns are next to be
+    admitted, into one pool of the networks read together (seed), whose
+    rows its relay query, _seeds and the engine read; it is dropped after
     its last column finishes. A column's first piece and breakpoint are
     closed form in the all-A state (_seeds), worked out when its side is
     read: a column where a linked user joins at the top starts there; any
@@ -209,32 +214,38 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
     numbered = 0  # columns handed to the engine so far
 
     def seed(fresh: list) -> None:
-        """Seed the columns of the sides just read: queue those that enter
-        the engine, as (side, cell number, pieces, level), in order, and
-        finish the others."""
+        """Seed the columns of the sides just read, one pool of them whose
+        rows the relay query, _seeds and the engine read: queue those that
+        enter the engine, as (side, cell number, pieces, level, pool, column
+        there), in order, and finish the others."""
+        pool = Columns.repeat([side.network for side in fresh], len(cells))
+        _trust_limits(pool, mu, np.stack([side.limit for side in fresh]))
+        pool.layers()  # made here even where the relay query needs none
         if len(fresh) > 1:  # a lone network makes its own query when first asked
-            pooled_relay_distances([side.network for side in fresh])
-        cols = Columns.repeat([side.network for side in fresh], len(cells))
+            pooled_relay_distances(pool)
         tops = [side.thresholds[-1] for side in fresh]
-        joins, first = _seeds(cols, mu, np.repeat(tops, len(cells)),
+        joins, first = _seeds(pool, mu, np.repeat(tops, len(cells)),
                               *np.tile(params, (len(fresh), 1)).T)
-        for side, top, joined, nxt in zip(fresh, tops, joins.reshape(len(fresh), -1).tolist(),
-                                          first.reshape(len(fresh), -1).tolist()):
+        for k, (side, top, joined, nxt) in enumerate(zip(
+                fresh, tops, joins.reshape(len(fresh), -1).tolist(),
+                first.reshape(len(fresh), -1).tolist())):
             on_b = np.zeros(side.network.n_users, dtype=bool)
             p_recv = np.where(side.network.sender_mask, 1.0, 0.0)
             on_b.flags.writeable = p_recv.flags.writeable = False
             for i in range(len(cells)):
+                at = pool, k * len(cells) + i  # the column's pool and its number there
                 if joined[i]:
-                    queued.append((side, i, [], top))
+                    queued.append((side, i, [], top, *at))
                 elif nxt[i] >= 0.0:
-                    queued.append((side, i, [(top, on_b, p_recv)], nxt[i]))
+                    queued.append((side, i, [(top, on_b, p_recv)], nxt[i], *at))
                 else:
                     finish(side, i, [(top, on_b, p_recv)])
 
     def admit(n_live: int):
         """Up to room = POOL_COLUMNS - n_live more columns for the engine, or
         None: queued ones, after reading sides until room columns are
-        queued or read (and on, while none is queued)."""
+        queued or read (and on, while none is queued). Their pool carries
+        the rows of their seed pools over, for the engine to take over."""
         nonlocal numbered
         room = POOL_COLUMNS - n_live
         while True:
@@ -250,15 +261,20 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
         entering = [queued.popleft() for _ in range(min(room, len(queued)))]
         if not entering:
             return None
-        networks, owner = [], []
-        for side, i, pieces, _ in entering:
-            if not networks or networks[-1] is not side.network:
-                networks.append(side.network)
-            owner.append(len(networks) - 1)
+        parts = {}  # each seed pool -> its entering columns, in order
+        for side, i, pieces, _, pool, j in entering:
+            parts.setdefault(pool, []).append(j)
             live[numbered] = side, i, pieces
             numbered += 1
-        return (Columns(tuple(networks), np.array(owner)), [x[3] for x in entering],
-                *params[[x[1] for x in entering]].T)
+        # every seed pool but the last has all its columns admitted and gives
+        # its rows up; the last keeps its own while it has columns queued
+        pools = list(parts)
+        cols = pools[0].take(parts[pools[0]])
+        if len(pools) == 1 and queued and queued[0][4] is pools[0]:
+            cols = cols.copy()
+        for pool in pools[1:]:
+            cols = cols.merge(pool.take(parts[pool]))
+        return cols, [x[3] for x in entering], *params[[x[1] for x in entering]].T
 
     def step(index, cols, beta, on_b, dist, n_b, p_recv):
         walked = [live[j] for j in index.tolist()]
@@ -299,7 +315,7 @@ def _seeds(cols: Columns, mu: float, beta: np.ndarray, p: np.ndarray, b_a: np.nd
     at = (cols.owner, users)
     degree, gain0, slope, linked = (rows[at] for rows in _walk_rows(cols, mu))
     c = cols.rows("c_values")[at]
-    trusting = trusts(beta[None, :], trust_threshold(mu, c))
+    trusting = beta[None, :] <= _trust_limits(cols, mu)[at]
     n_b = np.zeros(users.shape)
     p_recv = receive_map(p[None, :], np.zeros(users.shape, dtype=np.int32))
     _, joins = sender_side_advantage(n_b, degree, b_b[None, :], b_a[None, :], trusting, p_recv,

@@ -167,19 +167,14 @@ def test_validate_assumption1_smoke():
     assert len(text.splitlines()) == 1 + len(report.rows)
 
 
-@pytest.mark.parametrize("b_a", [0.002, 0.01])
-@pytest.mark.parametrize("n_seeds", [1, A1_GROUP, A1_GROUP + 1, 13])
-def test_validate_assumption1_matches_one_solve_per_seed(n_seeds, b_a):
-    # the grouped walk gives each seed the decision and adopter set of its
-    # own sender_equilibrium and run_adoption; at b_A = 0.01 the zero cap
-    # keeps the sender on A for some seeds
-    thetas = [0.75, 0.25, 0.125, 0.0625]
-    seeds = range(3, 3 + n_seeds)
+def _one_solve_per_sample(thetas, seeds, b_a, sizes=(30, 30, 30)):
+    """validate_assumption1's rows and skips from one sender_equilibrium and
+    run_adoption per sample."""
     rows, skipped = [], []
     for theta_jj in thetas:
-        theta = chain_theta((30, 30, 30), theta_jj)
+        theta = chain_theta(sizes, theta_jj)
         for seed in seeds:
-            network = gen_sbm(SbmSpec(sizes=(30, 30, 30), theta=theta, seed=seed))
+            network = gen_sbm(SbmSpec(sizes=sizes, theta=theta, seed=seed))
             params = ModelParams(mu=0.2, p=0.7, b_a=b_a, b_b=0.0, rho_a=0.0)
             decision = sender_equilibrium(network, params)
             if decision.platform is Platform.A:
@@ -188,11 +183,47 @@ def test_validate_assumption1_matches_one_solve_per_seed(n_seeds, b_a):
             on_b = run_adoption(network, params, decision.beta_star, Platform.B).assignment
             rows.append(A1Row(theta_jj, seed, int(on_b.on_b.sum()),
                               irregular_choices(network, on_b)))
+    return rows, skipped
+
+
+@pytest.mark.parametrize("b_a", [0.002, 0.01])
+@pytest.mark.parametrize("n_seeds", [1, A1_GROUP // 2, A1_GROUP // 2 + 1, 13])
+def test_validate_assumption1_matches_one_solve_per_seed(n_seeds, b_a):
+    # the grouped walk gives each seed the decision and adopter set of its
+    # own sender_equilibrium and run_adoption; at b_A = 0.01 the zero cap
+    # keeps the sender on A for some seeds. Over four tightnesses,
+    # A1_GROUP // 2 seeds fill two groups that each span two tightnesses,
+    # and one seed more leaves a last, partial group
+    thetas = [0.75, 0.25, 0.125, 0.0625]
+    seeds = range(3, 3 + n_seeds)
+    rows, skipped = _one_solve_per_sample(thetas, seeds, b_a)
     report = validate_assumption1(thetas, seeds=seeds, b_a=b_a)
     assert report.rows == rows
     assert report.skipped == skipped
     if b_a == 0.01 and n_seeds == 13:
         assert rows and skipped
+
+
+@pytest.mark.parametrize("group, thetas", [(3, [0.75, 0.25]), (4, [0.75, 0.125, 0.0625])])
+def test_validate_assumption1_groups_span_tightnesses(monkeypatch, group, thetas):
+    # groups of 3 or 4 samples over 5 seeds per tightness: most groups hold
+    # samples of two tightnesses, and each sample still gets the decision
+    # and adopter set of its own solve, rows and skips in report order
+    monkeypatch.setattr(platmod.experiments, "A1_GROUP", group)
+    walks = []
+    original = platmod.experiments.sender_equilibria
+
+    def counted(networks, params):
+        walks.append(len(networks))
+        return original(networks, params)
+
+    monkeypatch.setattr(platmod.experiments, "sender_equilibria", counted)
+    rows, skipped = _one_solve_per_sample(thetas, range(5), 0.01)
+    report = validate_assumption1(thetas, seeds=range(5), b_a=0.01)
+    assert report.rows == rows and report.skipped == skipped
+    assert rows and skipped
+    n = 5 * len(thetas)
+    assert walks == [group] * (n // group) + [n % group] * (n % group > 0)
 
 
 def test_validate_assumption1_holds_one_group_of_networks(monkeypatch):

@@ -169,6 +169,28 @@ def test_gen_sbm_chunk_size_leaves_edges_unchanged(monkeypatch, chunk):
     assert _sbm_digest(sizes, diag, seed) == (n_edges, digest)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 40, 1 << 16])
+@pytest.mark.parametrize("sizes", [(5, 1, 7), (1,), (2,), (3, 4)])
+def test_gen_sbm_equals_one_draw_over_every_pair(monkeypatch, sizes, chunk):
+    # every pair in row-major order, drawn at once: the chunks of whole rows
+    # and the probabilities laid out as one run per community block give the
+    # same edges where the budget is below a row's length (1 and 7; row 0 of
+    # the 13 users has 12 pairs), where it ends inside a row (40 ends inside
+    # row 3 of the first block of five, which goes whole to the next chunk)
+    # and where one chunk holds every row
+    monkeypatch.setattr(platmod.graph, "_SBM_PAIR_CHUNK", chunk)
+    n, m = sum(sizes), len(sizes)
+    theta = tuple(tuple(0.3 + 0.1 * (i + j) if i != j else 0.8 - 0.1 * i for j in range(m))
+                  for i in range(m))
+    labels = np.repeat(np.arange(m), sizes)
+    for seed in range(6):
+        iu, ju = np.triu_indices(n, 1)
+        keep = (np.random.default_rng(seed).random(iu.size)
+                < np.asarray(theta)[labels[iu], labels[ju]])
+        net = gen_sbm(SbmSpec(sizes=sizes, theta=theta, seed=seed))
+        assert net.edge_array.tolist() == np.stack([iu[keep], ju[keep]], axis=1).tolist()
+
+
 def test_gen_sbm_sender_attach():
     spec = SbmSpec(sizes=(5, 5), theta=((0.9, 0.1), (0.1, 0.9)), sender_community=1, seed=3)
     net = gen_sbm(spec)
@@ -481,3 +503,38 @@ def test_relay_distances_are_read_only():
     with pytest.raises(ValueError):
         net.relay_distances[1] = 0
     assert net.relay_distances.tolist() == [0, 1, 2, 3]
+
+
+def test_merge_carries_each_pools_rows(monkeypatch):
+    # a merge keeps the rows of the networks that stay and copies the new
+    # networks' rows from the other pool, which keeps its own; a row only
+    # one pool kept is made for the other's networks; copy leaves its pool
+    # whole. Every carried row equals the one made from scratch, and the
+    # merge and the copy build no layer
+    nets = [gen_sbm(SbmSpec(sizes=(4, 4), theta=((0.8, 0.2), (0.2, 0.8)), seed=s))
+            for s in range(5)]
+    layers = []
+    build = platmod.graph._adjacency_f32
+    monkeypatch.setattr(platmod.graph, "_adjacency_f32",
+                        lambda net: layers.append(net) or build(net))
+    first = Columns.repeat(nets[:3], 2)
+    second = Columns.repeat(nets[2:], 1)
+    first.layers()
+    first.rows("degrees")
+    second.layers()
+    second.rows("c_values")
+    assert len(layers) == 6  # each pool's own, nets[2] in both
+    merged = first.take([2, 3, 4, 5]).merge(second.take([0, 2]))
+    assert merged.networks == (nets[1], nets[2], nets[4])
+    assert merged.owner.tolist() == [0, 0, 1, 1, 1, 2]
+    assert set(merged.shared) == {"adjacency_f32", "degrees", "c_values"}
+    copied = second.take([1]).copy()
+    assert copied.networks == (nets[3],) and copied.owner.tolist() == [0]
+    assert second.layers()[1].tobytes() == copied.layers()[0].tobytes()
+    assert len(layers) == 6
+    for pool in (merged, copied):
+        fresh = Columns(pool.networks, pool.owner)
+        for key in ("degrees", "c_values"):
+            assert pool.rows(key).tobytes() == fresh.rows(key).tobytes()
+        assert pool.layers().tobytes() == np.stack([build(net) for net in pool.networks]).tobytes()
+    assert not first.shared and set(second.shared) == {"adjacency_f32", "c_values"}

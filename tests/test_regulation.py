@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import platmod.adoption
+import platmod.experiments
 import platmod.graph
 import platmod.regulation
 from platmod import (
@@ -31,8 +32,9 @@ from platmod import (
     utility_on_A,
 )
 from platmod.analytic import big_f
-from platmod.experiments import _pool_results
-from platmod.regulation import _b_sides, _side, _walk, sender_equilibria, solve_cells, solve_pool
+from platmod.experiments import _pool_results, validate_assumption1
+from platmod.regulation import (_b_sides, _side, _walk, sender_equilibria, solve_cells, solve_each,
+                                 solve_pool)
 from platmod.adoption import Columns, _beta_primes, batch_final_b_sets
 from platmod.graph import pooled_relay_distances, receive_map, through_platform_distances
 from platmod.model import TIE_TOL
@@ -567,9 +569,10 @@ def test_warm_walk_steps_make_no_full_distance_query(monkeypatch, dense_max_user
 @st.composite
 def same_size_networks(draw, most=4, dense=None, isolated=0):
     """Two to most networks of one size: SBM edges over the same community
-    sizes plus isolated to two isolated users, one or two sender links,
-    per-user c and a dense or CSR representation each (every one dense or
-    CSR when dense is given)."""
+    sizes plus isolated to two isolated users, one to four sender links (so
+    pooled networks have unequal link counts, which _seeds pads), per-user c
+    and a dense or CSR representation each (every one dense or CSR when
+    dense is given)."""
     sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
     n = sum(sizes) + draw(st.integers(isolated, 2))
     networks = []
@@ -579,7 +582,7 @@ def same_size_networks(draw, most=4, dense=None, isolated=0):
         bridge = draw(st.floats(0.0, 0.4))
         theta = tuple(tuple(diag[i] if i == j else bridge for j in range(m)) for i in range(m))
         base = gen_sbm(SbmSpec(tuple(sizes), theta, seed=draw(st.integers(0, 2**16))))
-        links = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        links = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
         c = draw(st.lists(st.floats(0.22, 0.49), min_size=n, max_size=n))
         with pytest.MonkeyPatch.context() as patched:
             dense_here = draw(st.booleans()) if dense is None else dense
@@ -737,7 +740,7 @@ def test_stacked_pool_equals_one_call_per_network(pool, betas):
     assert merged.networks == tuple(networks[::2])
     assert merged.batched == (half.size > 1)
     again = columns.neighbour_counts(marked)
-    pooled = pooled_relay_distances(networks)
+    pooled = pooled_relay_distances(Columns.repeat(networks, 1))
     for net in networks:
         assert not {"csr", "adjacency_lists"} & set(vars(net))
     merged_counts = merged.neighbour_counts(marked[:, half])
@@ -804,8 +807,8 @@ def test_pooled_solves_equal_one_solve_per_network(networks, p, b_a, b_b, refuse
 
 @st.composite
 def oracle_cases(draw):
-    """(network, cells): a same_size_networks sample (isolated users, one or
-    two sender links, per-user c), or a line, star chain or regular tree,
+    """(network, cells): a same_size_networks sample (isolated users, one to
+    four sender links, per-user c), or a line, star chain or regular tree,
     which take the closed form; one to three cells at mu = 0.2, b_B 0 or
     0.01."""
     if draw(st.booleans()):
@@ -1009,3 +1012,59 @@ def test_walks_hold_at_most_pool_columns(monkeypatch):
     assert len(calls) == 1 and calls[0] <= 7 and sum(admitted) > 7
     assert max(widths) <= 7
     assert [_bits(res) for res in narrow] == [_bits(res) for res in whole]
+
+
+def test_walks_build_each_network_rows_once(monkeypatch):
+    # the relay query, the seeds and the engine of a walk read one pool of
+    # each network's rows: its float32 adjacency layer is built once, and its
+    # trust thresholds are worked out once (for its _Side), over one
+    # validate_assumption1 group and over a solve_each walk that admits
+    # several times, a pool whose columns are only partly admitted included
+    built = {"layer": [], "thresholds": []}
+    layer, thresholds = platmod.graph._adjacency_f32, platmod.adoption._beta_primes
+
+    def counted_layer(net):
+        built["layer"].append(net)
+        return layer(net)
+
+    def counted_thresholds(net, mu):
+        built["thresholds"].append(net)
+        return thresholds(net, mu)
+
+    def once_each(networks):
+        for made in built.values():
+            assert sorted(map(id, made)) == sorted(map(id, networks))
+            made.clear()
+
+    monkeypatch.setattr(platmod.graph, "_adjacency_f32", counted_layer)
+    for module in (platmod.adoption, platmod.regulation):
+        monkeypatch.setattr(module, "_beta_primes", counted_thresholds)
+    generated = []
+    monkeypatch.setattr(platmod.experiments, "gen_sbm",
+                        lambda spec: generated.append(gen_sbm(spec)) or generated[-1])
+    report = validate_assumption1([0.75, 0.25], seeds=range(6), sizes=(10, 10, 10))
+    assert len(report.rows) + len(report.skipped) == len(generated) == 12
+    once_each(generated)
+
+    engine = platmod.regulation.batch_final_b_sets
+    admitted = []
+
+    def counting_engine(*args, admit, **kwargs):
+        def counted(n_live):
+            more = admit(n_live)
+            admitted.append(more is not None)
+            return more
+        return engine(*args, admit=counted, **kwargs)
+
+    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", counting_engine)
+    monkeypatch.setattr(platmod.regulation, "POOL_COLUMNS", 7)
+    # with 6 cells the walk reads two networks at a time, with 9 one (whose
+    # pool needs no layer for its relay query)
+    for n_cells in (6, 9):
+        nets = [gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=s))
+                for s in range(6)]
+        admitted.clear()
+        solve_each(nets, _random_cells(np.random.default_rng(3), 0.2, n_cells),
+                   lambda k, i, result: None)
+        assert sum(admitted) >= 2
+        once_each(nets)

@@ -52,6 +52,11 @@ def f_k(k: int, p: float, mu: float = 0.2, c: float = 0.3) -> float:
     return mu * p**k - mu * c * p**k / (1.0 - p ** (k + 1))
 
 
+def _finite_interior(n: int, k: int, p: float, mu: float, c: float) -> float:
+    """The interior stop term k of a finite line or star chain of n."""
+    return mu * p**k - (1.0 - p**n) * mu * c * p**k / (1.0 - p ** (k + 1))
+
+
 def f_nk(n: int, k: int, p: float, mu: float = 0.2, c: float = 0.3) -> float:
     """Finite-line threshold terms, k = 0..n-2.
 
@@ -64,7 +69,7 @@ def f_nk(n: int, k: int, p: float, mu: float = 0.2, c: float = 0.3) -> float:
         raise InvalidParamsError(f"finite line of {n} users has terms k=0..{n - 2}")
     if k == n - 2:
         return mu * (1.0 - c) * p ** (n - 2)
-    return mu * p**k - (1.0 - p**n) * mu * c * p**k / (1.0 - p ** (k + 1))
+    return _finite_interior(n, k, p, mu, c)
 
 
 def g_nk(n: int, k: int, p: float, mu: float = 0.2, c: float = 0.3) -> float:
@@ -72,7 +77,7 @@ def g_nk(n: int, k: int, p: float, mu: float = 0.2, c: float = 0.3) -> float:
     _check_mu_c(mu, c)
     if not 0 <= k <= n - 1:
         raise InvalidParamsError(f"star chain of {n} hubs has terms k=0..{n - 1}")
-    return mu * p**k - (1.0 - p**n) * mu * c * p**k / (1.0 - p ** (k + 1))
+    return _finite_interior(n, k, p, mu, c)
 
 
 def h_k(k: int, p: float, r: int, mu: float = 0.2, c: float = 0.3) -> float:

@@ -385,6 +385,7 @@ def validate_assumption1(
     """
     rows: list[A1Row] = []
     skipped: list[tuple[float, int]] = []
+    seeds = tuple(seeds)  # read once per tightness
 
     def samples():
         for theta_jj in theta_jj_values:

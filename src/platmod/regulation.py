@@ -3,12 +3,12 @@
 The sender utility on B is piecewise linear in beta: increasing while the
 equilibrium adopter set stays constant, with downward jumps where the set
 shrinks or a user stops trusting. A cell's pieces are a list
-[(top, on_b, p_recv), ...] with tops descending; each piece holds its set on
-(next top, top]. On A every user stays with the sender: one piece
-(inf, all users, p_A). On either platform the optimum (_best) is a max over
-candidate levels, each scored on its piece's set, a larger one winning only
-by more than TIE_TOL: on B the tops, the trust thresholds and 0; on A under
-a cap, the cap and the trust thresholds up to it.
+[(top, on_b, [(beta, utility), ...]), ...] with tops descending; each piece
+holds its set on (next top, top] and scores, when it is made (_pieces), its
+top, the trust thresholds inside and 0 on the lowest. On A under a cap every
+user stays: the cap and the thresholds up to it are scored. One expression
+scores every candidate (_scored), and the optimum (_best) is the first best
+of the pairs ascending, a larger beta winning only by more than TIE_TOL.
 
 On general networks _walk builds the B pieces from beta_max down. The
 synchronous process from all-A reaches the least fixed point of a monotone
@@ -22,9 +22,9 @@ call. A column's first piece and breakpoint are closed form in the all-A
 state, where only the sender's linked users receive (_seeds): a column
 starts in the engine at beta_max only where a linked user joins there, else
 at its first breakpoint, or never where none is left. Whenever a column
-settles, the walk's step callback records its piece and names its next
-breakpoint, and the engine restarts the column there from the state it
-settled in, in the next round, so each column runs only its own rounds; and
+settles, the walk's step callback scores and records its piece and names
+its next breakpoint, and the engine restarts the column there from the
+state it settled in, in the next round, so each column runs only its own rounds; and
 whenever the engine sets finished columns aside, the walk tops it up to
 POOL_COLUMNS live columns from the queued ones (iteration-level scheduling
 and its admission of queued work: Yu et al., Orca, OSDI 2022). On cascade
@@ -50,6 +50,7 @@ Payoffs and the trust test come from the model's kernel.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -68,7 +69,7 @@ from .adoption import (
 from .errors import InvalidParamsError, InvariantViolationError
 from .graph import Columns, Network, pooled_relay_distances, receive_map
 from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_payoff,
-                    sender_side_advantage, sender_weight, trust_limit, trusts)
+                    sender_side_advantage, sender_weight, trust_limit)
 
 # the most live columns one walk (one engine call) holds; it admits more as
 # they finish
@@ -111,14 +112,11 @@ class _Side(NamedTuple):
     """One network's record from read to finish: its index among the
     networks solved together, the network, its users' trust test, made once
     (a user trusts beta iff beta <= limit, its threshold plus TIE_TOL, as
-    model.trusts; every user trusts at or below floor, the smallest limit),
-    their distinct thresholds ascending (its columns start at the largest)
-    and its A sides priced so far, by p."""
+    model.trusts), their distinct thresholds ascending and its A sides."""
 
     k: int
     network: Network
     limit: np.ndarray
-    floor: float
     thresholds: list[float]
     priced: dict
 
@@ -126,29 +124,38 @@ class _Side(NamedTuple):
 def _side(k: int, network: Network, mu: float) -> _Side:
     """The _Side of the k-th network, with nothing priced yet."""
     bp = _beta_primes(network, mu)
-    thresholds = np.unique(bp).tolist()
-    return _Side(k, network, trust_limit(bp), trust_limit(thresholds[0]), thresholds, {})
+    return _Side(k, network, trust_limit(bp), np.unique(bp).tolist(), {})
 
 
-def _best(mu: float, side: _Side, candidates: list[float],
-          pieces: list) -> tuple[float, float]:
-    """The sender's best (beta, utility) over candidates (ascending), each
-    scored on the set of the piece that holds it; a larger candidate wins
-    only by more than TIE_TOL. Where every user trusts, the persuaded users
-    are the piece's whole set, summed once per piece."""
+def _scored(mu: float, side: _Side, candidates, p_recv: np.ndarray, on=True) -> list:
+    """(beta, utility) of each candidate beta: sender_payoff over the users of on who trust it."""
+    return [(b, sender_payoff(mu, b, p_recv, on & (b <= side.limit))) for b in candidates]
+
+
+def _pieces(mu: float, sides: list, tops: list, belows: list, on_b: np.ndarray,
+            p_recv: np.ndarray) -> list:
+    """The B pieces (top, set, scored pairs) of the sets on_b[:, k] of
+    sides[k]'s network on (belows[k], tops[k]], receiving with p_recv, scored
+    at the top, the trust thresholds inside and 0 if belows[k] < 0. An empty
+    set scores nothing: the sets are nested, so it lies above the others."""
+    pieces = []
+    for k, joined in enumerate(on_b.any(axis=0).tolist()):
+        side, top, below, kept = sides[k], tops[k], belows[k], on_b[:, k].copy()
+        scored = []
+        if joined:
+            th = side.thresholds
+            candidates = sorted({top, *th[bisect_right(th, below):bisect_right(th, top)],
+                                 *([0.0] if below < 0.0 else [])})
+            scored = _scored(mu, side, candidates, p_recv[:, k], kept)
+        pieces.append((top, kept, scored))
+    return pieces
+
+
+def _best(pairs: list) -> tuple[float, float]:
+    """The best (beta, utility) of pairs ascending in beta: a larger beta
+    wins only by more than TIE_TOL."""
     best_beta, best_u = 0.0, -1.0
-    k = len(pieces) - 1  # the piece with the lowest top
-    summed = {}  # piece index -> summed p_recv of its whole set
-    for b in candidates:
-        while pieces[k][0] < b:
-            k -= 1
-        _, on_b, p_recv = pieces[k]
-        if b > side.floor:
-            u = sender_payoff(mu, b, p_recv, on_b & (b <= side.limit))
-        else:
-            if k not in summed:
-                summed[k] = float(p_recv[on_b].sum())
-            u = sender_weight(mu, b) * summed[k]
+    for b, u in pairs:
         if u > best_u + TIE_TOL:
             best_beta, best_u = b, u
     return best_beta, best_u
@@ -160,9 +167,8 @@ def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
     Sums receive probabilities over users whose individual trust threshold
     admits beta; homogeneous users reduce to (mu + (1-mu)beta) * sum_i p_iA.
     """
-    bp = _beta_primes(network, params.mu)
     p_a = receive_map(params.p, network.relay_distances)
-    return sender_payoff(params.mu, beta, p_a, trusts(beta, bp))
+    return _scored(params.mu, _side(0, network, params.mu), [beta], p_a)[0][1]
 
 
 def _walk_rows(cols: Columns, mu: float) -> tuple:
@@ -189,23 +195,17 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
     queued or read, so a network is read when its columns are next to be
     admitted, into one pool of the networks read together (seed), whose
     rows its relay query, _seeds and the engine read; it is dropped after
-    its last column finishes. A column's first piece and breakpoint are
-    closed form in the all-A state (_seeds), worked out when its side is
-    read: a column where a linked user joins at the top starts there; any
-    other has the piece (top, nobody, all-A receive map), made once per
-    side and read-only, and starts at its first breakpoint, or is done
-    without entering the engine if none is left. The engine counts that
-    seeded start as a restart, for IDLE_RESTART_CAP, and _next_tops's
+    its last column finishes. A column's first piece and breakpoint
+    (_seeds) are worked out when its side is read; a column that does not
+    start at the top has the piece (top, nobody, nothing scored), its empty
+    set made once per side and read-only. The engine counts a start at the
+    first breakpoint as a restart, for IDLE_RESTART_CAP, and _next_tops's
     missed-joiner check holds for it as for any restart.
 
-    Whenever a column settles, step records its piece and returns its next
-    breakpoint (_next_tops), and the engine restarts the column there from
-    the state it settled in (set, distances, B-neighbour counts), so no step
-    runs a full distance query. Within a piece no outsider's advantage
-    reaches the join tie, so the next breakpoint is closed form in that
-    state, and the engine started from it gives the set there. Each column
-    runs only its own rounds: one that settles early restarts while the
-    others still move.
+    Whenever a column settles, step scores and records its piece (_pieces)
+    down to its next breakpoint (_next_tops), which it returns; the engine
+    restarts the column there from the state it settled in (set, distances,
+    B-neighbour counts), so no step runs a full distance query.
     """
     sides = iter(sides)
     params = np.array([(c.p, c.b_a, c.b_b) for c in cells])
@@ -229,17 +229,16 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
         for k, (side, top, joined, nxt) in enumerate(zip(
                 fresh, tops, joins.reshape(len(fresh), -1).tolist(),
                 first.reshape(len(fresh), -1).tolist())):
-            on_b = np.zeros(side.network.n_users, dtype=bool)
-            p_recv = np.where(side.network.sender_mask, 1.0, 0.0)
-            on_b.flags.writeable = p_recv.flags.writeable = False
+            nobody = np.zeros(side.network.n_users, dtype=bool)
+            nobody.flags.writeable = False
             for i in range(len(cells)):
                 at = pool, k * len(cells) + i  # the column's pool and its number there
                 if joined[i]:
                     queued.append((side, i, [], top, *at))
                 elif nxt[i] >= 0.0:
-                    queued.append((side, i, [(top, on_b, p_recv)], nxt[i], *at))
+                    queued.append((side, i, [(top, nobody, [])], nxt[i], *at))
                 else:
-                    finish(side, i, [(top, on_b, p_recv)])
+                    finish(side, i, [(top, nobody, [])])
 
     def admit(n_live: int):
         """Up to room = POOL_COLUMNS - n_live more columns for the engine, or
@@ -286,10 +285,10 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
             at = cols.take(s)
             nxt[s] = _next_tops(beta[s], on_b[:, s], p_recv[:, s], n_b[:, s], b_a[s], b_b[s],
                                 *(at.spread(r) for r in rows))
-        # each piece copies its column, so the step's arrays go when it returns
-        for k, (j, (side, i, pieces), top, level) in enumerate(
-                zip(index.tolist(), walked, beta.tolist(), nxt.tolist())):
-            pieces.append((top, on_b[:, k].copy(), p_recv[:, k].copy()))
+        # each piece copies its set, so the step's arrays go when it returns
+        made = _pieces(mu, [s for s, _, _ in walked], beta.tolist(), nxt.tolist(), on_b, p_recv)
+        for j, (side, i, pieces), piece, level in zip(index.tolist(), walked, made, nxt.tolist()):
+            pieces.append(piece)
             if not level >= 0.0:
                 del live[j]
                 finish(side, i, pieces)
@@ -356,15 +355,15 @@ def _next_tops(beta: np.ndarray, on_b: np.ndarray, p_recv: np.ndarray, n_b: np.n
     return level.max(axis=0)
 
 
-def _cascade_pieces(network: Network, params: ModelParams, beta_max: float) -> list:
+def _cascade_pieces(side: _Side, params: ModelParams, beta_max: float) -> list:
     """Pieces of one cell on a cascade tree: the wave thresholds in
     [0, beta_max] and beta_max are the tops, the closed form the sets."""
-    _, m = cascade_thresholds(network, params)
+    _, m = cascade_thresholds(side.network, params)
     tops = sorted({beta_max} | {float(x) for x in np.unique(m) if 0.0 <= x <= beta_max},
                   reverse=True)
-    on_b, dist = cascade_final_b_sets(network, params, np.array(tops))
+    on_b, dist = cascade_final_b_sets(side.network, params, np.array(tops))
     p_recv = receive_map(params.p, dist)
-    return [(top, on_b[:, k], p_recv[:, k]) for k, top in enumerate(tops)]
+    return _pieces(params.mu, [side] * len(tops), tops, tops[1:] + [-np.inf], on_b, p_recv)
 
 
 def _b_sides(networks, cells: list[ModelParams], finish) -> None:
@@ -379,7 +378,7 @@ def _b_sides(networks, cells: list[ModelParams], finish) -> None:
     mu = cells[0].mu
 
     def decided(side: _Side, i: int, pieces: list) -> None:
-        finish(side, i, _decide(mu, side, pieces), pieces)
+        finish(side, i, _decide(pieces), pieces)
 
     def sides():
         size = None
@@ -390,23 +389,18 @@ def _b_sides(networks, cells: list[ModelParams], finish) -> None:
             side = _side(k, network, mu)
             if network.is_cascade_tree:
                 for i, params in enumerate(cells):
-                    decided(side, i, _cascade_pieces(network, params, side.thresholds[-1]))
+                    decided(side, i, _cascade_pieces(side, params, side.thresholds[-1]))
             else:
                 yield side
 
     _walk(mu, cells, sides(), decided)
 
 
-def _decide(mu: float, side: _Side, pieces: list) -> SenderDecision:
-    """The sender's optimum on B over a cell's pieces. Within a piece the
-    utility rises with beta except where a user stops trusting, so the
-    candidates are every top, every trust threshold and 0. Where nobody
-    joins B at any level every candidate scores 0, so the first, 0, is the
-    optimum (_best's result, without scoring them)."""
-    if not any(on_b.any() for _, on_b, _ in pieces):
-        return SenderDecision(Platform.B, 0.0, 0.0)
-    candidates = sorted({0.0} | {top for top, _, _ in pieces} | set(side.thresholds))
-    return SenderDecision(Platform.B, *_best(mu, side, candidates, pieces))
+def _decide(pieces: list) -> SenderDecision:
+    """The sender's optimum on B over a cell's scored pieces (_best); where
+    nobody joins B nothing is scored, and the lowest level, 0, scores 0."""
+    pairs = [pair for _, _, scored in reversed(pieces) for pair in scored]
+    return SenderDecision(Platform.B, *(_best(pairs) if pairs else (0.0, 0.0)))
 
 
 def optimal_B(network: Network, params: ModelParams) -> SenderDecision:
@@ -534,11 +528,10 @@ def sender_equilibria(
     cap = params.rho_a
 
     def finish(side: _Side, _, decision_b: SenderDecision, pieces: list) -> None:
-        # A keeps every user: one piece, scored at the cap and the thresholds up to it
-        on_a = [(np.inf, np.ones(side.network.n_users, dtype=bool),
-                 receive_map(params.p, side.network.relay_distances))]
+        # A keeps every user: scored at the cap and the thresholds up to it
         candidates = sorted({cap} | {x for x in side.thresholds if x <= cap + TIE_TOL})
-        best_beta_a, best_u_a = _best(params.mu, side, candidates, on_a)
+        best_beta_a, best_u_a = _best(_scored(
+            params.mu, side, candidates, receive_map(params.p, side.network.relay_distances)))
         out.extend([None] * (side.k + 1 - len(out)))
         if best_u_a >= decision_b.utility - TIE_TOL:
             out[side.k] = SenderDecision(Platform.A, best_beta_a, best_u_a), None

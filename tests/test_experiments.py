@@ -226,6 +226,14 @@ def test_validate_assumption1_groups_span_tightnesses(monkeypatch, group, thetas
     assert walks == [group] * (n // group) + [n % group] * (n % group > 0)
 
 
+def test_validate_assumption1_reads_seeds_once():
+    # a one-shot iterator of seeds serves every tightness, as a range does
+    once = validate_assumption1([0.75, 0.25], seeds=iter(range(2)), sizes=(5, 5, 5))
+    again = validate_assumption1([0.75, 0.25], seeds=range(2), sizes=(5, 5, 5))
+    assert len(once.rows) + len(once.skipped) == 4
+    assert once == again
+
+
 def test_validate_assumption1_holds_one_group_of_networks(monkeypatch):
     # seeds are sampled lazily, a group at a time, and a group's networks
     # are gone before the next group is sampled

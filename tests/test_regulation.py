@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import platmod.adoption
 import platmod.experiments
@@ -37,7 +37,7 @@ from platmod.regulation import (_b_sides, _side, _walk, sender_equilibria, solve
                                  solve_pool)
 from platmod.adoption import Columns, _beta_primes, batch_final_b_sets
 from platmod.graph import pooled_relay_distances, receive_map, through_platform_distances
-from platmod.model import TIE_TOL
+from platmod.model import TIE_TOL, sender_payoff, trusts
 
 from conftest import (
     _all_a_tiers,
@@ -71,6 +71,13 @@ def walk_pieces(networks, cells):
     _walk(mu, cells, (_side(k, net, mu) for k, net in enumerate(networks)),
           lambda side, i, walked: pieces.__setitem__(side.k * len(cells) + i, walked))
     return pieces
+
+
+def _piece_bits(pieces):
+    """Each piece's top, set and scored (beta, utility) pairs, floats as
+    their exact hex."""
+    return [(top.hex(), on_b.tobytes(), [(b.hex(), u.hex()) for b, u in scored])
+            for top, on_b, scored in pieces]
 
 
 def test_utility_on_a_linear_in_beta():
@@ -641,8 +648,7 @@ def test_engine_on_several_networks_equals_one_call_per_network(batch, betas):
     walked = walk_pieces(networks, cells)
     for net, cols in _split(networks, owner):
         for mine, theirs in zip(walked[cols], walk_pieces([net], cells), strict=True):
-            assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in mine] == \
-                [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
+            assert _piece_bits(mine) == _piece_bits(theirs)
 
 
 @st.composite
@@ -692,8 +698,7 @@ def test_walks_of_a_few_live_columns_equal_one_unbounded_walk(batch, width):
         narrow = walk_pieces(networks, cells)
         narrow_results = solve_pool(networks, cells)
     for mine, theirs in zip(narrow, wide):
-        assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in mine] == \
-            [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
+        assert _piece_bits(mine) == _piece_bits(theirs)
     assert [_bits(res) for res in narrow_results] == [_bits(res) for res in wide_results]
 
 
@@ -754,8 +759,7 @@ def test_stacked_pool_equals_one_call_per_network(pool, betas):
             assert mine[..., j].tobytes() == theirs[..., 0].tobytes()
         assert together[3][j] == alone[3][0]
         [theirs] = walk_pieces([net], cells[j:j + 1])
-        assert [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in walked[j]] == \
-            [(top, on_b.tobytes(), p_recv.tobytes()) for top, on_b, p_recv in theirs]
+        assert _piece_bits(walked[j]) == _piece_bits(theirs)
         own = float64_neighbour_counts(net, marked[:, j])
         assert counts[:, j].dtype == own.dtype and counts[:, j].tobytes() == own.tobytes()
         assert again[:, j].tobytes() == own.tobytes()
@@ -805,20 +809,36 @@ def test_pooled_solves_equal_one_solve_per_network(networks, p, b_a, b_b, refuse
         assert [x for row in grid for x in row] == expect
 
 
+def _cycle(c, links):
+    """A cycle of len(c) users, user k with c[k], linked to the sender at
+    links."""
+    n = len(c)
+    return Network(n_users=n, edges=tuple(tuple(sorted((k, (k + 1) % n))) for k in range(n)),
+                   sender_links=tuple(links), profiles=tuple(UserProfile(c=x) for x in c))
+
+
+@st.composite
+def cycles(draw):
+    """A cycle of 3 to 8 users with one or two sender links and per-user c,
+    so that several trust tiers meet on one network."""
+    n = draw(st.integers(3, 8))
+    return _cycle(draw(st.lists(st.floats(0.22, 0.49), min_size=n, max_size=n)),
+                  draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)))
+
+
 @st.composite
 def oracle_cases(draw):
     """(network, cells): a same_size_networks sample (isolated users, one to
-    four sender links, per-user c), or a line, star chain or regular tree,
-    which take the closed form; one to three cells at mu = 0.2, b_B 0 or
-    0.01."""
-    if draw(st.booleans()):
-        network = draw(same_size_networks().flatmap(st.sampled_from))
-    else:
-        network = draw(st.one_of(
-            st.builds(gen_linear, st.integers(2, 12)),
-            st.builds(gen_star_chain, st.integers(1, 4), st.integers(1, 3)),
-            st.builds(gen_regular_tree, st.integers(1, 3), st.integers(1, 3)),
-        ))
+    four sender links, per-user c), a cycle (cycles), or a line, star chain
+    or regular tree, which take the closed form; one to three cells at
+    mu = 0.2, b_B 0 or 0.01."""
+    network = draw(st.one_of(
+        same_size_networks().flatmap(st.sampled_from),
+        cycles(),
+        st.builds(gen_linear, st.integers(2, 12)),
+        st.builds(gen_star_chain, st.integers(1, 4), st.integers(1, 3)),
+        st.builds(gen_regular_tree, st.integers(1, 3), st.integers(1, 3)),
+    ))
     cells = draw(st.lists(st.builds(ModelParams, mu=st.just(0.2), p=st.floats(0.2, 0.95),
                                     b_a=st.floats(0.0, 0.05), b_b=st.sampled_from([0.0, 0.01])),
                           min_size=1, max_size=3))
@@ -827,6 +847,11 @@ def oracle_cases(draw):
 
 @settings(max_examples=60)
 @given(case=oracle_cases())
+# two trust thresholds 2.8e-13 apart, less than TIE_TOL: both users trust at
+# both, so the two candidates score the same set, in one piece (b_A = 0) or
+# in a piece below the top (b_A = 0.01), and the lower wins the tie
+@example(case=(_cycle((0.25, 0.3, 0.3 + 1e-13, 0.3), (0,)),
+               [ModelParams(mu=0.2, p=0.9, b_a=b_a, b_b=0.0) for b_a in (0.0, 0.01)]))
 def test_solves_equal_the_bisection_oracle(case):
     # the walk or the closed form against interval bisection of the engine's
     # sets, cell by cell: the same kind, U*_B and cap
@@ -919,7 +944,10 @@ def test_flowing_walk_pieces_equal_cold_runs_at_their_tops(batch):
     # columns settle and restart at their own rounds within one engine call;
     # every piece the walk keeps, seeded ones included, and every state it
     # is handed, is that of a cold run from all-A at the piece's top: set,
-    # distances, B-neighbour counts and receive probabilities, bit for bit
+    # distances, B-neighbour counts and receive probabilities, bit for bit;
+    # and each piece scores its candidates (its top, the trust thresholds
+    # down to the next top and 0 on the lowest; none where nobody joins)
+    # with sender_payoff on that run's set and receive probabilities
     networks, owner, cells = batch
     beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
     handed = []  # (level, set, distances, counts, receive map) as handed
@@ -939,15 +967,22 @@ def test_flowing_walk_pieces_equal_cold_runs_at_their_tops(batch):
                        for name in ("p", "b_a", "b_b"))
         on_b, dist, _, _ = batch_final_b_sets(net, 0.2, np.array([t for _, t in tops]), p,
                                               b_a, b_b)
-        pieces = [(j, piece) for j in range(cols.start, cols.stop) for piece in walked[j]]
-        for c, (j, (top, kept_set, kept_p_recv)) in enumerate(pieces):
+        bp = _beta_primes(net, 0.2)
+        pieces = [(j, below, piece) for j in range(cols.start, cols.stop)
+                  for piece, below in zip(walked[j], [t for t, _, _ in walked[j][1:]] + [-1.0])]
+        for c, (j, below, (top, kept_set, scored)) in enumerate(pieces):
             cold_p_recv = receive_map(p[c], dist[:, c])
             assert kept_set.tobytes() == on_b[:, c].tobytes()
-            assert kept_p_recv.tobytes() == cold_p_recv.tobytes()
+            candidates = sorted({top, *(x for x in bp.tolist() if below < x <= top),
+                                 *([0.0] if below < 0.0 else [])})
+            assert [b for b, _ in scored] == (candidates if kept_set.any() else [])
+            for b, u in scored:
+                cold_u = sender_payoff(0.2, b, cold_p_recv, on_b[:, c] & trusts(b, bp))
+                assert u.hex() == cold_u.hex()
             # the state the piece was made from, unless the walk seeded it
             made = next((h for h, s in enumerate(handed) if s[0] == top and
                          s[1].tobytes() == kept_set.tobytes() and
-                         s[4].tobytes() == kept_p_recv.tobytes()), None)
+                         s[4].tobytes() == cold_p_recv.tobytes()), None)
             if made is None:
                 assert walked[j][0][0] == top == beta_max[k] and not kept_set.any()
                 continue

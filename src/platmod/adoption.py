@@ -20,7 +20,9 @@ and queued columns can be admitted as others finish, so one call walks any
 number of columns while holding few at once (the regulation module's walk
 does both). A scalar wrapper provides the public trace-carrying operation.
 The engine, best_response and nash_check compare the same sender-side
-advantage, with the tie rule, from the model's kernel.
+advantage, with the tie rule, from the model's kernel; each builds its news
+row there (model.news_row), the engine once per column at its start and at
+each restart, so no per-user trust mask is kept.
 
 On connected acyclic networks with a single sender link the process is a
 root-to-leaf wave (each user decides exactly once, when its parent has just
@@ -36,8 +38,8 @@ import numpy as np
 from .errors import InvalidParamsError, InvariantViolationError
 from .graph import (Columns, Network, UNREACHED, receive_map, through_platform_distances,
                     validate_mu)
-from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_side_advantage,
-                    trust_limit, trust_threshold, trusts)
+from .model import (ModelParams, Platform, TIE_TOL, news_row, sender_side_advantage,
+                    trust_limit, trust_threshold)
 
 ITERATION_CAP_SLACK = 1  # cap = n_users + 1 rounds since a (re)start, loud failure beyond it
 # restarts in a row after which a column moved nobody, loud failure beyond
@@ -126,10 +128,10 @@ def batch_final_b_sets(
     A column's result does not depend on the other columns of the batch.
 
     step, when given, is called in every round where columns reach their
-    fixed point, as step(index, cols, beta, on_b, dist, n_b, p_recv): their
+    fixed point, as step(index, cols, beta, on_b, n_b, p_recv): their
     numbers (ascending), their Columns, their levels and their states,
-    (n_users, k) copies of the set, its through_platform_distances, the
-    B-neighbour counts and the receive probabilities receive_map(p, dist).
+    (n_users, k) arrays of the set, the B-neighbour counts and the receive
+    probabilities receive_map(p, dist) of its through_platform_distances.
     It returns each column's next level. A column given a level >= 0
     restarts there from its state in the next round. The process is
     monotone and reaches the least fixed point above its start, so from a
@@ -165,21 +167,20 @@ def batch_final_b_sets(
     cols = (network.merge() if isinstance(network, Columns)
             else Columns.repeat((network,), level.size))
     n = cols.n_users
-    # per-network rows of c and the trust limits (made with validate_mu) are
-    # kept by the pool; the rounds need c only through the per-column trust
-    # mask and news gain made from them
-    c_rows = lambda: cols.rows("c_values")
-    limit_rows = lambda: _trust_limits(cols, mu)
+
+    def news_at(new: Columns, at: np.ndarray) -> np.ndarray:
+        """The news_row of columns at levels at, from the per-network rows of
+        c and the trust limits (made with validate_mu) that the pool keeps."""
+        return news_row(mu, new.spread(cols.rows("c_values")), at[None, :],
+                        new.spread(_trust_limits(cols, mu)))
 
     def start(new: Columns, at: np.ndarray) -> list[np.ndarray]:
         """The per-user state of columns starting from all-A at levels at: on
-        B, B-neighbour counts, distances, trust mask, news gain, degrees and
-        sender links."""
+        B, B-neighbour counts, distances, news row, degrees and sender
+        links."""
         linked = new.spread(cols.rows("sender_mask"))
         return [np.zeros(linked.shape, dtype=bool), np.zeros(linked.shape),
-                np.where(linked, np.int32(0), np.int32(UNREACHED)),
-                at[None, :] <= new.spread(limit_rows()),
-                news_gain(mu, new.spread(c_rows()), at[None, :]),
+                np.where(linked, np.int32(0), np.int32(UNREACHED)), news_at(new, at),
                 new.spread(cols.rows("degrees", _int32_degrees)), linked]
 
     # a column whose round switches nobody has reached its fixed point; a
@@ -190,7 +191,7 @@ def batch_final_b_sets(
     finals, small = [], np.min_scalar_type(-n)
     # the live columns' numbers and states, updated in place by the rounds
     live = np.arange(level.size)
-    cur, n_b, dist, trusting, gain, deg, linked = start(cols, level)
+    cur, n_b, dist, news, deg, linked = start(cols, level)
     done = np.zeros(level.size, dtype=bool)
     traces: list[list[frozenset]] = [[] for _ in live] if collect_trace else []
     rounds = np.zeros(level.size, dtype=np.int64)
@@ -202,9 +203,7 @@ def batch_final_b_sets(
 
     while True:
         p_recv = receive_map(p, dist)
-        diff, joins = sender_side_advantage(
-            n_b, deg, b_b, b_a, trusting, p_recv, gain, linked
-        )
+        diff, joins = sender_side_advantage(n_b, deg, b_b, b_a, p_recv, news, linked)
         if (cur & (diff < -TIE_TOL)).any():
             raise InvariantViolationError("a user on B strictly prefers A; one-way migration violated")
         switch = (~cur) & joins
@@ -222,15 +221,13 @@ def batch_final_b_sets(
                     "without moving anybody")
             nxt = (np.full(settled.size, -np.inf) if step is None else np.asarray(step(
                 live[settled], cols.take(settled), level[settled], cur[:, settled],
-                dist[:, settled], n_b[:, settled], settled_p_recv)))
+                n_b[:, settled], settled_p_recv)))
             going = nxt >= 0.0
             done[settled[~going]] = True
             again = settled[going]
             if again.size:
                 level[again] = nxt[going]
-                restarted = cols.take(again)
-                trusting[:, again] = level[None, again] <= restarted.spread(limit_rows())
-                gain[:, again] = news_gain(mu, restarted.spread(c_rows()), level[None, again])
+                news[:, again] = news_at(cols.take(again), level[again])
                 began[again] = rounds[live[again]]
         if 2 * np.count_nonzero(done) >= live.size:
             finals.append((live[done], cur[:, done], dist[:, done].astype(small)))
@@ -240,8 +237,8 @@ def batch_final_b_sets(
                 break
             # the pool drops the networks it no longer needs
             cols = cols.take(keep).merge(more[0] if more else None)
-            per_user = [x[:, keep] for x in (cur, n_b, dist, trusting, gain, deg, linked, switch,
-                                              p, b_a, b_b)]
+            per_user = [x[:, keep] for x in (cur, n_b, dist, news, deg, linked, switch, p,
+                                              b_a, b_b)]
             per_col = [x[keep] for x in (live, level, moving, began, idle, done)]
             if more:
                 _, at, *params = more
@@ -258,7 +255,7 @@ def batch_final_b_sets(
                            for pair in zip(per_col, fresh)]
                 rounds = np.concatenate([rounds, blank])
                 traces += [[] for _ in blank] if collect_trace else []
-            cur, n_b, dist, trusting, gain, deg, linked, switch, p, b_a, b_b = per_user
+            cur, n_b, dist, news, deg, linked, switch, p, b_a, b_b = per_user
             live, level, moving, began, idle, done = per_col
         if not moving.any():
             continue
@@ -320,10 +317,11 @@ def _sender_side_advantage(
     cols = Columns.repeat((network,), 1)
     dist = through_platform_distances(cols, on_side[:, None])[:, 0]
     n_side = cols.neighbour_counts(on_side[:, None])[:, 0]
-    trusting = trusts(beta, _beta_primes(network, params.mu))
+    news = news_row(params.mu, network.c_values, beta,
+                    trust_limit(_beta_primes(network, params.mu)))
     return (on_side,) + sender_side_advantage(
-        n_side, network.degrees, b_side, b_other, trusting, receive_map(params.p, dist),
-        news_gain(params.mu, network.c_values, beta), network.sender_mask,
+        n_side, network.degrees, b_side, b_other, receive_map(params.p, dist), news,
+        network.sender_mask,
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from collections import Counter
+from collections import ChainMap, Counter
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
@@ -228,52 +228,48 @@ def _error(exc: Exception) -> tuple[str, str]:
     return "error", f"{type(exc).__name__}: {exc}"
 
 
-def _pool_results(task) -> list[tuple[int, int, list[list]]]:
+def _pool_results(task) -> dict[tuple[int, int, int], tuple]:
     """Every (p, b_a) cell of a block of p columns on each network of a task
     of sampled networks.
 
-    Returns one (seed, index of the block's first p, one (kind, value) list
-    per p column) per sample, in seed order. A cell with invalid ModelParams
-    records its error. The networks are solved together by solve_each, each
-    built and checked when the walk reads it: one with a user whose c is at
-    or below mu gives that error to each of its cells. Any other exception
-    is a program fault and propagates.
+    Returns {(seed, p index, b_a index): (kind, value)} for every sample and
+    cell, p indexed among the sweep's p values. A cell with invalid
+    ModelParams records its error. The networks are solved together by
+    solve_each, each built and checked when the walk reads it: one with a
+    user whose c is at or below mu gives that error to each of its cells.
+    Any other exception is a program fault and propagates.
     """
     recipe, seeds, mu, b_b, p_start, p_block, ba_values = task
-    cells, slots, invalid = [], [], {}
-    for i, p in enumerate(p_block):
+    cells, slots, out = [], [], {}
+    for i, p in enumerate(p_block, start=p_start):
         for j, b_a in enumerate(ba_values):
             try:
                 cells.append(ModelParams(mu=mu, p=float(p), b_a=float(b_a), b_b=b_b))
             except InvalidParamsError as exc:  # recorded per cell, the rest still run
-                invalid[i, j] = _error(exc)
+                out.update(((seed, i, j), _error(exc)) for seed in seeds)
                 continue
             slots.append((i, j))
-    # each sample's p columns of (kind, value) cells, the invalid ones' errors in
-    blank = lambda: [[invalid.get((i, j)) for j in range(len(ba_values))]
-                     for i in range(len(p_block))]
-    columns = {}
-    solved = []  # the seeds whose networks are solved, in order
+    # each solved network's seed and its cells' (kind, value) in cell order,
+    # a list made when the walk reads it: the walk's peak holds no dict entries
+    solved = []
 
     def valid_networks():
         for seed in seeds:
             network = recipe.build(seed)
-            columns[seed] = blank()
             try:
                 validate_mu(network, mu)
             except InvalidParamsError as exc:  # the network fails mu < c: its cells record it
-                for i, j in slots:
-                    columns[seed][i][j] = _error(exc)
+                out.update(((seed, i, j), _error(exc)) for i, j in slots)
                 continue
-            solved.append(seed)
+            solved.append((seed, [None] * len(cells)))
             yield network
 
     def record(k: int, cell: int, result) -> None:
-        i, j = slots[cell]
-        columns[solved[k]][i][j] = result.kind.value, result.rho_se
+        solved[k][1][cell] = result.kind.value, result.rho_se
 
     solve_each(valid_networks(), cells, record)
-    return [(seed, p_start, columns.get(seed) or blank()) for seed in seeds]
+    out.update(((seed, *slot), x) for seed, found in solved for slot, x in zip(slots, found))
+    return out
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
@@ -306,18 +302,14 @@ def sweep(spec: SweepSpec, workers: int = 1) -> HeatmapGrid:
             results = list(pool.map(_pool_results, tasks, chunksize=1))
     else:
         results = [_pool_results(t) for t in tasks]
-    by_key = {
-        (seed, p_start + k): column
-        for pooled in results
-        for seed, p_start, columns in pooled
-        for k, column in enumerate(columns)
-    }
+    # (seed, p index, b_a index) -> (kind, value), read from the task that has it
+    outcome = ChainMap(*results)
 
     cells: list[CellStats] = []
     for p_idx, p in enumerate(p_values):
         for ba_idx, b_a in enumerate(ba_values):
             # each sample's (kind, value), in seed order
-            outcomes = [by_key[(seed, p_idx)][ba_idx] for seed in seeds]
+            outcomes = [outcome[seed, p_idx, ba_idx] for seed in seeds]
             kinds = Counter(kind for kind, _ in outcomes)
             rhos = [value for kind, value in outcomes if kind == RegulationKind.MODERATE.value]
             # each distinct sample error once, counted when it repeats

@@ -7,7 +7,9 @@ test suite only.
 
 The kernel functions below take numpy arrays (per user, or per user and batch
 column) and are the one place the trust test, payoffs and tie rule are
-written. The public scalar functions are one-element views of them.
+written. Trust gates news in news_row alone: an outsider's advantage is its
+social terms plus its receive probability times that row. The public scalar
+functions are one-element views of them.
 """
 
 from __future__ import annotations
@@ -123,27 +125,31 @@ def sender_payoff(mu: float, beta: float, p_recv: np.ndarray, persuaded: np.ndar
     return sender_weight(mu, beta) * float(p_recv[persuaded].sum())
 
 
-def sender_side_advantage(n_side, degree, b_side, b_other, trusting, p_recv, gain, linked):
+def news_row(mu: float, c, beta, limit):
+    """news_gain of each user where it trusts beta (beta <= limit, its
+    trust_limit), 0 elsewhere: the one place trust gates news."""
+    return np.where(beta <= limit, news_gain(mu, c, beta), 0.0)
+
+
+def sender_side_advantage(n_side, degree, b_side, b_other, p_recv, news, linked):
     """(V_sender - V_other, joins the sender's platform) for each user.
 
     n_side counts the user's friends on the sender's platform, p_recv is its
-    receive probability there; the no-signal payoff of the other platform
-    cancels. Tie rule: the sender's platform wins beyond TIE_TOL, and on an
-    exact tie for users attached there (direct link or a friend on it); a
-    user indifferent between two platforms it has no connection to stays put.
+    receive probability there and news its news_row; the no-signal payoff of
+    the other platform cancels. Tie rule: the sender's platform wins beyond
+    TIE_TOL, and on an exact tie for users attached there (direct link or a
+    friend on it); a user indifferent between two platforms it has no
+    connection to stays put.
 
-    The advantage is n_side * b_side - (degree - n_side) * b_other + news,
-    worked out in place in that order (so with the same bits), where news is
-    p_recv * gain for a trusting user and 0 otherwise; n_side * b_side must
-    have the shape of the result.
+    The advantage is n_side * b_side - (degree - n_side) * b_other +
+    p_recv * news, worked out in place in that order (so with the same
+    bits); n_side * b_side must have the shape of the result.
     """
     advantage = n_side * b_side
     term = np.subtract(degree, n_side)
     term *= b_other
     advantage -= term
-    news = np.multiply(p_recv, gain, out=term)
-    np.copyto(news, 0.0, where=np.logical_not(trusting))
-    advantage += news
+    advantage += np.multiply(p_recv, news, out=term)
     tied = np.abs(advantage, out=term) <= TIE_TOL
     tied &= linked | (n_side >= 0.5)  # attached
     return advantage, (advantage > TIE_TOL) | tied
@@ -160,8 +166,8 @@ def news_payoff(mu: float, c: float, beta: float, p_recv: float) -> float:
         raise InvalidParamsError(f"beta must lie in [0, 1], got {beta}")
     if not 0.0 <= p_recv <= 1.0:
         raise InvalidParamsError(f"p_recv must lie in [0, 1], got {p_recv}")
-    gain = p_recv * news_gain(mu, c, beta) if trusts(beta, trust_threshold(mu, c)) else 0.0
-    return (1.0 - mu) * c + gain
+    news = news_row(mu, c, beta, trust_limit(trust_threshold(mu, c)))
+    return (1.0 - mu) * c + float(p_recv * news)
 
 
 def social_payoff(n_friends: int, b: float) -> float:

@@ -36,16 +36,18 @@ trust test and its A sides priced so far), makes a cascade tree's pieces
 one cell at a time, and decides each cell (_decide) as soon as its column
 finishes, handing on the decision with the pieces. The networks the walk
 reads together share one pool of per-network rows (graph.Columns): degrees,
-news rows, sender links, c, the sides' trust limits and the float32 layer,
-each built once. Their relay distances come from one query over it
+sender links, c, the sides' trust limits and the float32 layer, each built
+once. Their relay distances come from one query over it
 (graph.pooled_relay_distances, kept on the networks, where the A side reads
 them), _seeds reads it, and the engine takes the rows of the columns it
-admits over (Columns.merge) instead of building them again, its trust test
-included. The walk drops a network after its last column. solve_each (the
-same cells on several networks of one size, each result handed on as soon
-as it is known), solve_pool (its lists), sender_equilibria (one cell on
-each) and optimal_B read it; the other entry points are views of these.
-Payoffs and the trust test come from the model's kernel.
+admits over (Columns.merge) instead of building them again; each makes its
+columns' news rows (model.news_row) from the rows of c and trust limits.
+The walk drops a network after its last column. solve_each (the same cells
+on several networks of one size, each result handed on as soon as it is
+known), solve_pool (its lists), sender_equilibria (one cell on each) and
+optimal_B read it; the other entry points are views of these.
+Payoffs, the trust test and the news row it gates come from the model's
+kernel.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .adoption import (
 )
 from .errors import InvalidParamsError, InvariantViolationError
 from .graph import Columns, Network, pooled_relay_distances, receive_map
-from .model import (ModelParams, Platform, TIE_TOL, news_gain, sender_payoff,
+from .model import (ModelParams, Platform, TIE_TOL, news_gain, news_row, sender_payoff,
                     sender_side_advantage, sender_weight, trust_limit)
 
 # the most live columns one walk (one engine call) holds; it admits more as
@@ -171,14 +173,10 @@ def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
     return _scored(params.mu, _side(0, network, params.mu), [beta], p_a)[0][1]
 
 
-def _walk_rows(cols: Columns, mu: float) -> tuple:
-    """Per-network rows (networks x users) of an outsider's advantage at
-    beta = 0, where everyone trusts: its degree, its news gain there, its
-    slope in beta per unit of receive probability, and its sender link."""
-    return (cols.rows("degrees", _int32_degrees),
-            cols.rows(("news_gain_0", mu), lambda net: news_gain(mu, net.c_values, 0.0)),
-            cols.rows(("news_slope", mu), lambda net: (1.0 - mu) * net.c_values),
-            cols.rows("sender_mask"))
+def _walk_rows(cols: Columns) -> tuple:
+    """Per-network rows (networks x users) that an outsider's advantage
+    reads: its degree, its c and its sender link."""
+    return cols.rows("degrees", _int32_degrees), cols.rows("c_values"), cols.rows("sender_mask")
 
 
 def _walk(mu: float, cells: list, sides, finish) -> None:
@@ -221,8 +219,7 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
         pool = Columns.repeat([side.network for side in fresh], len(cells))
         _trust_limits(pool, mu, np.stack([side.limit for side in fresh]))
         pool.layers()  # made here even where the relay query needs none
-        if len(fresh) > 1:  # a lone network makes its own query when first asked
-            pooled_relay_distances(pool)
+        pooled_relay_distances(pool)
         tops = [side.thresholds[-1] for side in fresh]
         joins, first = _seeds(pool, mu, np.repeat(tops, len(cells)),
                               *np.tile(params, (len(fresh), 1)).T)
@@ -275,15 +272,15 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
             cols = cols.merge(pool.take(parts[pool]))
         return cols, [x[3] for x in entering], *params[[x[1] for x in entering]].T
 
-    def step(index, cols, beta, on_b, dist, n_b, p_recv):
+    def step(index, cols, beta, on_b, n_b, p_recv):
         walked = [live[j] for j in index.tolist()]
         _, b_a, b_b = params[[i for _, i, _ in walked]].T
-        rows = _walk_rows(cols, mu)
+        rows = _walk_rows(cols)
         nxt = np.empty(index.size)
         for a in range(0, index.size, _TOPS_COLUMNS):
             s = slice(a, a + _TOPS_COLUMNS)
             at = cols.take(s)
-            nxt[s] = _next_tops(beta[s], on_b[:, s], p_recv[:, s], n_b[:, s], b_a[s], b_b[s],
+            nxt[s] = _next_tops(mu, beta[s], on_b[:, s], p_recv[:, s], n_b[:, s], b_a[s], b_b[s],
                                 *(at.spread(r) for r in rows))
         # each piece copies its set, so the step's arrays go when it returns
         made = _pieces(mu, [s for s, _, _ in walked], beta.tolist(), nxt.tolist(), on_b, p_recv)
@@ -312,34 +309,36 @@ def _seeds(cols: Columns, mu: float, beta: np.ndarray, p: np.ndarray, b_a: np.nd
     # each column's linked users, its network's first repeated up to the most
     users = np.array([x + x[:1] * (most - len(x)) for x in links])[cols.owner].T
     at = (cols.owner, users)
-    degree, gain0, slope, linked = (rows[at] for rows in _walk_rows(cols, mu))
-    c = cols.rows("c_values")[at]
-    trusting = beta[None, :] <= _trust_limits(cols, mu)[at]
+    degree, c, linked = (rows[at] for rows in _walk_rows(cols))
+    news = news_row(mu, c, beta[None, :], _trust_limits(cols, mu)[at])
     n_b = np.zeros(users.shape)
     p_recv = receive_map(p[None, :], np.zeros(users.shape, dtype=np.int32))
-    _, joins = sender_side_advantage(n_b, degree, b_b[None, :], b_a[None, :], trusting, p_recv,
-                                     news_gain(mu, c, beta[None, :]), linked)
+    _, joins = sender_side_advantage(n_b, degree, b_b[None, :], b_a[None, :], p_recv, news,
+                                     linked)
     joins = joins.any(axis=0)
     first = np.full(beta.size, -np.inf)
     rest = ~joins
-    first[rest] = _next_tops(beta[rest], np.zeros((most, np.count_nonzero(rest)), dtype=bool),
+    first[rest] = _next_tops(mu, beta[rest], np.zeros((most, np.count_nonzero(rest)), dtype=bool),
                              p_recv[:, rest], n_b[:, rest], b_a[rest], b_b[rest],
-                             degree[:, rest], gain0[:, rest], slope[:, rest], linked[:, rest])
+                             degree[:, rest], c[:, rest], linked[:, rest])
     return joins, first
 
 
-def _next_tops(beta: np.ndarray, on_b: np.ndarray, p_recv: np.ndarray, n_b: np.ndarray,
-               b_a: np.ndarray, b_b: np.ndarray, degree: np.ndarray, gain0: np.ndarray,
-               slope: np.ndarray, linked: np.ndarray) -> np.ndarray:
+def _next_tops(mu: float, beta: np.ndarray, on_b: np.ndarray, p_recv: np.ndarray,
+               n_b: np.ndarray, b_a: np.ndarray, b_b: np.ndarray, degree: np.ndarray,
+               c: np.ndarray, linked: np.ndarray) -> np.ndarray:
     """Each column's next breakpoint below beta, -inf where none is left:
     the largest level where an outsider's advantage, linear in beta while it
     trusts, reaches -_JOIN_MARGIN, or its exact root (advantage 0) when that
     level is not below beta, so a predicted joiner the engine leaves out is
     tried once more there. An outsider whose advantage at beta is not
-    negative was left out by the engine, which raises. degree, gain0, slope
-    and linked are _walk_rows at the columns."""
-    adv0, _ = sender_side_advantage(n_b, degree, b_b, b_a, True, p_recv, gain0, linked)
-    slope = slope * p_recv
+    negative was left out by the engine, which raises. degree, c and linked
+    are _walk_rows at the columns. At beta = 0 every user trusts, so the
+    advantage there has the news gain news_gain(mu, c, 0.0), and it falls
+    by (1 - mu) * c per unit of beta and of receive probability."""
+    adv0, _ = sender_side_advantage(n_b, degree, b_b, b_a, p_recv, news_gain(mu, c, 0.0),
+                                    linked)
+    slope = (1.0 - mu) * c * p_recv
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = adv0 / slope
         adv0 += _JOIN_MARGIN

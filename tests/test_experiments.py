@@ -118,24 +118,21 @@ def test_sample_results_independent_of_order():
     from platmod.experiments import _pool_results
 
     ba_values = tuple(spec.ba_values())
-    by_key = {}
+    alone = {}
     for p_idx, p in reversed(list(enumerate(spec.p_values()))):
         for seed in reversed(spec.seeds()):
-            [(seed_, p_start, columns)] = _pool_results((recipe, (seed,), 0.2, 0.0, p_idx, (p,),
-                                                         ba_values))
-            by_key[seed_, p_start] = columns[0]
+            alone.update(_pool_results((recipe, (seed,), 0.2, 0.0, p_idx, (p,), ba_values)))
     pooled = _pool_results((recipe, spec.seeds(), 0.2, 0.0, 0, tuple(spec.p_values()),
                             ba_values))
-    assert [seed for seed, _, _ in pooled] == list(spec.seeds())
-    for seed, p_start, columns in pooled:
-        for p_idx, column in enumerate(columns, start=p_start):
-            assert by_key[seed, p_idx] == column
+    assert sorted(pooled) == [(seed, p_idx, ba_idx) for seed in spec.seeds()
+                              for p_idx in range(2) for ba_idx in range(2)]
+    assert pooled == alone
     # the sweep tallies those same outcomes
     grid = sweep(spec)
     for p_idx in range(2):
         for ba_idx in range(2):
             cell = grid.cell(p_idx, ba_idx)
-            outcomes = [by_key[seed, p_idx][ba_idx] for seed in spec.seeds()]
+            outcomes = [pooled[seed, p_idx, ba_idx] for seed in spec.seeds()]
             kinds = [kind for kind, _ in outcomes]
             rhos = [value for kind, value in outcomes if kind == "Moderate"]
             assert (cell.n_no_effective, cell.n_any, cell.n_moderate) == tuple(

@@ -1,7 +1,12 @@
-"""Every module-level private name in platmod is used: a function, class or
-assigned name whose name starts with a single underscore is read somewhere
-in src/platmod besides its definition, so a leftover helper or record does
-not outlive its last caller."""
+"""Nothing in platmod outlives its last reader.
+
+Every module-level private name is used: a function, class or assigned name
+whose name starts with a single underscore is read somewhere in src/platmod
+besides its definition, so a leftover helper or record does not outlive its
+last caller. Every parameter of every def is read in its body (a name that
+starts with an underscore is exempt, and a zero-argument super() reads the
+first), so a caller never hands over what nobody reads; and every name a
+module other than __init__.py imports is read there."""
 
 import ast
 from pathlib import Path
@@ -45,3 +50,43 @@ def test_every_private_name_is_used():
             ("regulation.py", "_JOIN_MARGIN")} <= defined
     unused = sorted(f"{module}: {name}" for module, name in defined if name not in read)
     assert not unused
+
+
+def _loaded(node: ast.AST) -> set[str]:
+    """The names read anywhere inside node."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_parameters(tree: ast.Module):
+    """(def name, parameter) of each parameter its def never reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        read = _loaded(node)
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "super"
+               and not n.args for n in ast.walk(node)):
+            read |= set(params[:1])
+        yield from ((node.name, p) for p in params if not p.startswith("_") and p not in read)
+
+
+def _unused_imports(tree: ast.Module):
+    """The names a module imports (from __future__ aside) and never reads."""
+    read = _loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            yield from (name for name in bound if name not in read)
+
+
+def test_every_parameter_and_import_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        unread += [f"{path.name}: {name}({param})" for name, param in _unread_parameters(tree)]
+        if path.name != "__init__.py":
+            unread += [f"{path.name}: import {name}" for name in _unused_imports(tree)]
+    assert not unread

@@ -502,7 +502,7 @@ def test_engine_columns_carry_their_own_params(monkeypatch, dense_max_users):
 def _restart_once_at(levels, seen):
     """A step callback that restarts each column once, at levels[j], and
     appends every state it is handed to seen as (column, beta, state as
-    handed, a copy of it made then); a state is (on_b, dist, n_b, p_recv)."""
+    handed, a copy of it made then); a state is (on_b, n_b, p_recv)."""
     def step(index, cols, beta, *state):
         again = []
         for k, j in enumerate(index.tolist()):
@@ -548,10 +548,10 @@ def test_warm_start_from_a_higher_beta_reaches_the_cold_set(monkeypatch, dense_m
 @pytest.mark.parametrize("dense_max_users", [10**9, 0], ids=["dense", "CSR"])
 def test_engine_given_the_start_state_equals_computing_it(monkeypatch, dense_max_users):
     # the state the engine hands over at each fixed point, from all-A and
-    # after a restart, is the one built here with the full distance query,
-    # the counts and the receive map, bit for bit; the engine never changes
-    # a state it handed over, and a restarted column's trace runs on from
-    # its first run's
+    # after a restart, is the one built here with the counts and the receive
+    # map of the full distance query (p**dist, so it pins the distances),
+    # bit for bit; the engine never changes a state it handed over, and a
+    # restarted column's trace runs on from its first run's
     rng = np.random.default_rng(47)
     checked = 0
     while checked < 6:
@@ -572,7 +572,7 @@ def test_engine_given_the_start_state_equals_computing_it(monkeypatch, dense_max
         for _, _, given, kept in seen:
             set_ = given[0]
             built_dist = through_platform_distances(net, set_[:, None])[:, 0]
-            built = (set_, built_dist, float64_neighbour_counts(net, set_),
+            built = (set_, float64_neighbour_counts(net, set_),
                      receive_map(params.p, built_dist))
             for g, w, k in zip(given, built, kept):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes() == k.tobytes()
@@ -581,7 +581,8 @@ def test_engine_given_the_start_state_equals_computing_it(monkeypatch, dense_max
             assert rounds[j] == len(traces[j]) >= first[2][j]
             # the engine returns the state it handed over last
             last = [given for k, _, given, _ in seen if k == j][-1]
-            assert np.array_equal(on_b[:, j], last[0]) and np.array_equal(dist[:, j], last[1])
+            assert np.array_equal(on_b[:, j], last[0])
+            assert receive_map(params.p, dist[:, j]).tobytes() == last[2].tobytes()
 
 
 @pytest.mark.parametrize("dense_max_users", [10**9, 0])
@@ -602,17 +603,64 @@ def test_best_response_and_nash_check_match_reference(monkeypatch, dense_max_use
             on_b = rng.random(net.n_users) < rng.uniform(0.2, 0.8)
             state = Assignment(on_b, sender)
             for case_params, case_beta in ((params, beta), (params, 0.0), (tie_params, 1.0)):
-                on_side, ref = ref_unilateral(net, case_params, case_beta, on_b.tolist(), sender)
-                for user, (diff, attached) in enumerate(ref):
-                    if diff > TOL or (abs(diff) <= TOL and attached):
-                        want = sender
-                    elif diff < -TOL:
-                        want = sender.other()
-                    else:
-                        want = state.platform_of(user)
-                    assert best_response(net, case_params, case_beta, state, user) is want
-                unstable = [
-                    user for user, (diff, _) in enumerate(ref)
-                    if (diff < -TOL if on_side[user] else diff > TOL)
-                ]
-                assert nash_check(net, case_params, case_beta, state) == unstable
+                _check_unilateral(net, case_params, case_beta, state)
+
+
+def _check_unilateral(net, params, beta, state):
+    """best_response of every user and nash_check agree with ref_unilateral."""
+    sender = state.sender_platform
+    on_side, ref = ref_unilateral(net, params, beta, state.on_b.tolist(), sender)
+    for user, (diff, attached) in enumerate(ref):
+        if diff > TOL or (abs(diff) <= TOL and attached):
+            want = sender
+        elif diff < -TOL:
+            want = sender.other()
+        else:
+            want = state.platform_of(user)
+        assert best_response(net, params, beta, state, user) is want
+    unstable = [
+        user for user, (diff, _) in enumerate(ref)
+        if (diff < -TOL if on_side[user] else diff > TOL)
+    ]
+    assert nash_check(net, params, beta, state) == unstable
+
+
+@st.composite
+def threshold_cases(draw):
+    """(network, params, levels, on_b): 2 to 10 users with per-user c, one or
+    two sender links, dense or CSR; deceit levels at each user's trust
+    threshold, 1e-9 above it (beyond the tie band) and 1e-3 below it, plus
+    one drawn level; and an assignment."""
+    n = draw(st.integers(2, 10))
+    mu = draw(st.sampled_from([0.1, 0.2, 0.3]))
+    c = draw(st.lists(st.floats(mu + 0.01, 0.49), min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    links = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(platmod.graph, "DENSE_MAX_USERS", n if draw(st.booleans()) else 0)
+        net = Network(n, [e for e, keep in zip(pairs, kept) if keep], links,
+                      tuple(UserProfile(c=x) for x in c))
+    params = ModelParams(mu=mu, p=draw(st.floats(0.2, 0.95)), b_a=draw(st.floats(0.0, 0.05)),
+                         b_b=draw(st.sampled_from([0.0, 0.004, 0.015])))
+    bp = trust_threshold(mu, np.array(c))
+    levels = np.concatenate([bp, bp + 1e-9, bp - 1e-3, [draw(st.floats(0.0, 1.0))]])
+    return net, params, levels, np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+@settings(max_examples=25)
+@given(case=threshold_cases())
+def test_engine_and_unilateral_checks_match_reference_at_trust_thresholds(case):
+    # every column of one batch ends at the reference's set, with its trace
+    # and round count, and best_response and nash_check agree with the
+    # reference with the sender on either platform, where each user's trust
+    # gate opens or closes
+    net, params, levels, on_b = case
+    got, _, rounds, traces = batch_final_b_sets(net, params.mu, levels, params.p, params.b_a,
+                                                params.b_b, collect_trace=True)
+    for j, beta in enumerate(levels.tolist()):
+        ref_on_b, ref_trace = ref_adoption(net, params, beta)
+        assert got[:, j].tolist() == ref_on_b
+        assert traces[j] == ref_trace and rounds[j] == len(ref_trace)
+        for sender in (Platform.A, Platform.B):
+            _check_unilateral(net, params, beta, Assignment(on_b, sender))

@@ -493,7 +493,10 @@ def test_walk_retries_a_missed_join_at_its_exact_root(monkeypatch):
                                            (per_community_c_sbm, False)],
                          ids=["cascade-tree", "cyclic-sbm"])
 def test_one_relay_bfs_per_network(monkeypatch, make, cascade, dense_max_users):
-    """The solves on one network share one all-relay BFS (Network.relay_distances)."""
+    """The solves on one network share exactly one all-relay query, over
+    [net]: a cascade tree's from Network.relay_distances, a walked
+    network's from its seed pool (pooled_relay_distances), kept on the
+    network."""
     base = make()
     net = build_network(monkeypatch, dense_max_users, dict(
         n_users=base.n_users, edges=base.edges, sender_links=base.sender_links,
@@ -504,7 +507,8 @@ def test_one_relay_bfs_per_network(monkeypatch, make, cascade, dense_max_users):
 
     def counting(network, on_side):
         if on_side.all():
-            relay_runs.append(network)
+            relay_runs.append(list(network.networks) if isinstance(network, Columns)
+                              else [network])
         return original(network, on_side)
 
     monkeypatch.setattr(platmod.graph, "through_platform_distances", counting)
@@ -514,7 +518,7 @@ def test_one_relay_bfs_per_network(monkeypatch, make, cascade, dense_max_users):
     optimal_B(net, params)
     sender_equilibrium(net, default_params(p=0.7, b_a=0.002, rho_a=0.0))
     utility_on_A(net, params, 0.1)
-    assert relay_runs == [net]
+    assert relay_runs == [[net]]
 
 
 def test_trust_thresholds_once_per_network_and_call(monkeypatch):
@@ -803,10 +807,12 @@ def test_pooled_solves_equal_one_solve_per_network(networks, p, b_a, b_b, refuse
     # its error, and every other network's cells are solved as alone
     recipe = SimpleNamespace(build=networks.__getitem__)
     task = (recipe, tuple(range(len(networks))), 0.2, b_b, 0, tuple(p), tuple(b_a))
-    for (_, _, grid), res in zip(_pool_results(task), alone):
+    outcome = _pool_results(task)
+    assert len(outcome) == len(networks) * len(cells)
+    for seed, res in enumerate(alone):
         expect = ([("error", res)] * len(cells) if isinstance(res, str)
                   else [(r.kind.value, r.rho_se) for r in res])
-        assert [x for row in grid for x in row] == expect
+        assert [outcome[seed, i, j] for i in range(len(p)) for j in range(len(b_a))] == expect
 
 
 def _cycle(c, links):
@@ -944,13 +950,14 @@ def test_flowing_walk_pieces_equal_cold_runs_at_their_tops(batch):
     # columns settle and restart at their own rounds within one engine call;
     # every piece the walk keeps, seeded ones included, and every state it
     # is handed, is that of a cold run from all-A at the piece's top: set,
-    # distances, B-neighbour counts and receive probabilities, bit for bit;
+    # B-neighbour counts and receive probabilities (p**dist, so they pin the
+    # distances), bit for bit;
     # and each piece scores its candidates (its top, the trust thresholds
     # down to the next top and 0 on the lowest; none where nobody joins)
     # with sender_payoff on that run's set and receive probabilities
     networks, owner, cells = batch
     beta_max = np.array([_beta_primes(net, 0.2).max() for net in networks])
-    handed = []  # (level, set, distances, counts, receive map) as handed
+    handed = []  # (level, set, counts, receive map) as handed
 
     def recording(step):
         def recorded(index, cols, beta, *state):
@@ -982,14 +989,13 @@ def test_flowing_walk_pieces_equal_cold_runs_at_their_tops(batch):
             # the state the piece was made from, unless the walk seeded it
             made = next((h for h, s in enumerate(handed) if s[0] == top and
                          s[1].tobytes() == kept_set.tobytes() and
-                         s[4].tobytes() == cold_p_recv.tobytes()), None)
+                         s[3].tobytes() == cold_p_recv.tobytes()), None)
             if made is None:
                 assert walked[j][0][0] == top == beta_max[k] and not kept_set.any()
                 continue
-            _, set_, d, n_b, p_recv = handed.pop(made)
+            _, set_, n_b, p_recv = handed.pop(made)
             assert set_.tobytes() == on_b[:, c].tobytes()
             assert p_recv.tobytes() == cold_p_recv.tobytes()
-            assert d.tobytes() == dist[:, c].tobytes()
             assert n_b.tobytes() == float64_neighbour_counts(net, on_b[:, c]).tobytes()
     assert not handed
 

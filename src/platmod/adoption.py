@@ -12,17 +12,15 @@ loop over the networks for CSR ones); the relaxation is one level loop over
 all columns through those counts (a queue walk per network where each
 network has one column and the pool is not several dense networks); and the
 rest is elementwise over per-user arrays spread from the networks' rows to
-the columns. A single network is the one-network case, and so are
-best_response and nash_check, which count through a Columns of one column.
+the columns. A single network is the one-network case.
 A column that reaches its fixed point can be restarted at another deceit
 level from the state it reached, in the next round, while the others go on,
 and queued columns can be admitted as others finish, so one call walks any
 number of columns while holding few at once (the regulation module's walk
 does both). A scalar wrapper provides the public trace-carrying operation.
-The engine, best_response and nash_check compare the same sender-side
-advantage, with the tie rule, from the model's kernel; each builds its news
-row there (model.news_row), the engine once per column at its start and at
-each restart, so no per-user trust mask is kept.
+The engine compares the sender-side advantage, with the tie rule, from the
+model's kernel; it builds each column's news row there (model.news_row)
+once at its start and at each restart, so no per-user trust mask is kept.
 
 On connected acyclic networks with a single sender link the process is a
 root-to-leaf wave (each user decides exactly once, when its parent has just
@@ -35,11 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph
 from .errors import InvalidParamsError, InvariantViolationError
-from .graph import (Columns, Network, UNREACHED, receive_map, through_platform_distances,
-                    validate_mu)
+from .graph import Columns, Network, UNREACHED, receive_map, validate_mu
 from .model import (ModelParams, Platform, TIE_TOL, news_row, sender_side_advantage,
                     trust_limit, trust_threshold)
+
+# bench/selfcheck.py checks that tracing leaves this module's binding of the
+# distance query as it found it; the binding can go once that check reads
+# platmod.graph's alone
+through_platform_distances = graph.through_platform_distances
 
 ITERATION_CAP_SLACK = 1  # cap = n_users + 1 rounds since a (re)start, loud failure beyond it
 # restarts in a row after which a column moved nobody, loud failure beyond
@@ -62,15 +65,8 @@ class Assignment:
     def all_a(cls, n_users: int, sender_platform: Platform) -> "Assignment":
         return cls(np.zeros(n_users, dtype=bool), sender_platform)
 
-    def platform_of(self, user: int) -> Platform:
-        return Platform.B if self.on_b[user] else Platform.A
-
     def platforms(self) -> list[Platform]:
         return [Platform.B if x else Platform.A for x in self.on_b]
-
-    @property
-    def n_users(self) -> int:
-        return self.on_b.size
 
 
 @dataclass(eq=False)
@@ -301,52 +297,6 @@ def run_adoption(
         iterations, trace = int(rounds[0]), traces[0]
         p_recv = np.where(on_b[:, 0], receive_map(params.p, dist[:, 0]), 0.0)
     return EquilibriumOutcome(assignment, p_recv, iterations, trace)
-
-
-def _sender_side_advantage(
-    network: Network, params: ModelParams, beta: float, assignment: Assignment
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(users on the sender's platform, V_sender - V_other, picks the sender's
-    platform) per user under an assignment. Users on the sender's platform
-    get their actual receive probability, everyone else the hypothetical one
-    of moving there alone."""
-    if assignment.sender_platform is Platform.B:
-        on_side, b_side, b_other = assignment.on_b, params.b_b, params.b_a
-    else:
-        on_side, b_side, b_other = ~assignment.on_b, params.b_a, params.b_b
-    cols = Columns.repeat((network,), 1)
-    dist = through_platform_distances(cols, on_side[:, None])[:, 0]
-    n_side = cols.neighbour_counts(on_side[:, None])[:, 0]
-    news = news_row(params.mu, network.c_values, beta,
-                    trust_limit(_beta_primes(network, params.mu)))
-    return (on_side,) + sender_side_advantage(
-        n_side, network.degrees, b_side, b_other, receive_map(params.p, dist), news,
-        network.sender_mask,
-    )
-
-
-def best_response(
-    network: Network, params: ModelParams, beta: float, assignment: Assignment, user: int
-) -> Platform:
-    """Single-user best response. Exact ties go to the sender's platform when
-    the user has an attachment there (a direct sender link or at least one
-    friend on it); a user with no connection to either option of a zero-value
-    tie keeps its platform (the tie rule of model.sender_side_advantage)."""
-    _, advantage, joins = _sender_side_advantage(network, params, beta, assignment)
-    side = assignment.sender_platform
-    if joins[user]:
-        return side
-    return side.other() if advantage[user] < -TIE_TOL else assignment.platform_of(user)
-
-
-def nash_check(
-    network: Network, params: ModelParams, beta: float, assignment: Assignment
-) -> list[int]:
-    """Users whose unilateral platform switch strictly improves their utility
-    beyond tolerance. Empty list == the assignment is an equilibrium."""
-    on_side, advantage, _ = _sender_side_advantage(network, params, beta, assignment)
-    gain = np.where(on_side, -advantage, advantage)
-    return np.nonzero(gain > TIE_TOL)[0].tolist()
 
 
 def cascade_thresholds(

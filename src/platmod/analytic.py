@@ -305,15 +305,6 @@ def scaling_presets(kind: str, sizes, p: float) -> tuple[list[float], list[float
     return p_phi, big_r
 
 
-def beta_j(spec: SbmAnalyticSpec, j: int) -> float:
-    """Deceit level at which community j's first relocator is indifferent."""
-    p_phi, _ = scaling_presets(spec.scaling, spec.sizes, spec.p)
-    c = spec.c_of(j)
-    _check_mu_c(spec.mu, c)
-    social = spec.sizes[j - 1] * spec.theta_diag[j - 1] * spec.b_a - spec.b_b
-    return (spec.mu * (1.0 - c) - social / p_phi[j - 1]) / ((1.0 - spec.mu) * c)
-
-
 def sbm_threshold(spec: SbmAnalyticSpec) -> list[float]:
     """Per-community minimal n_J*theta_JJ*b_a - b_b making a zero cap hold.
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: InvalidParamsError -> 2,
-InvariantViolationError (and subclasses) -> 3.
+InvariantViolationError -> 3.
 """
 
 
@@ -15,7 +15,3 @@ class InvariantViolationError(RuntimeError):
     Raised loudly instead of silently repairing state: a violation means an
     implementation bug, not a recoverable condition.
     """
-
-
-class ContractViolationError(InvariantViolationError):
-    """A caller handed us state that violates a documented precondition."""

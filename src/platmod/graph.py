@@ -88,7 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import ModelParams, Platform, UserProfile
+from .model import UserProfile
 
 # Refuse to materialize absurdly large generated networks.
 MAX_GENERATED_USERS = 10**7
@@ -288,13 +288,8 @@ class Network:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-def validate_profiles(network: Network, params: ModelParams) -> None:
-    """Check mu < c_i < 1/2 for every user against concrete params."""
-    validate_mu(network, params.mu)
-
-
 def validate_mu(network: Network, mu: float) -> None:
-    """validate_profiles for a bare mu, the one parameter the check reads."""
+    """Check mu < c_i for every user (UserProfile holds each c_i below 1/2)."""
     bad = np.nonzero(network.c_values <= mu)[0]
     if bad.size:
         raise InvalidParamsError(
@@ -825,17 +820,3 @@ def receive_map(p, dist: np.ndarray) -> np.ndarray:
     probs = p ** np.maximum(dist, 0)
     np.copyto(probs, 0.0, where=dist < 0)
     return probs
-
-
-def receive_probs(network: Network, params: ModelParams, assignment) -> np.ndarray:
-    """Per-user signal receive probability p**distance under an assignment.
-
-    Zero for users off the sender's platform or unreachable through it.
-    """
-    on_side = (assignment.on_b if assignment.sender_platform is Platform.B
-               else ~assignment.on_b)
-    dist = through_platform_distances(network, on_side[:, None])[:, 0]
-    probs = receive_map(params.p, dist)
-    probs[~on_side] = 0.0
-    return probs
-

@@ -8,8 +8,9 @@ test suite only.
 The kernel functions below take numpy arrays (per user, or per user and batch
 column) and are the one place the trust test, payoffs and tie rule are
 written. Trust gates news in news_row alone: an outsider's advantage is its
-social terms plus its receive probability times that row. The public scalar
-functions are one-element views of them.
+social terms plus its receive probability times that row, and the sender's
+payoff is its persuasion rate over the receivers who trust it. There is no
+per-user scalar copy of either.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidParamsError
+from .errors import InvalidParamsError
 
 # Absolute tolerance for tie detection in utility comparisons. Thresholds
 # like F(K) are exact rationals in tests but floats in sweeps.
@@ -31,9 +31,6 @@ TIE_TOL = 1e-12
 class Platform(Enum):
     A = "A"
     B = "B"
-
-    def other(self) -> "Platform":
-        return Platform.B if self is Platform.A else Platform.A
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,7 @@ class UserProfile:
     """Per-user payoff for guessing the unsurprising state, plus a community label.
 
     The domain constraint mu < c < 1/2 couples c to ModelParams.mu and is
-    checked by validate_profiles() whenever a network meets concrete params.
+    checked by graph.validate_mu() whenever a network meets concrete params.
     """
 
     c: float
@@ -153,65 +150,3 @@ def sender_side_advantage(n_side, degree, b_side, b_other, p_recv, news, linked)
     tied = np.abs(advantage, out=term) <= TIE_TOL
     tied &= linked | (n_side >= 0.5)  # attached
     return advantage, (advantage > TIE_TOL) | tied
-
-
-def news_payoff(mu: float, c: float, beta: float, p_recv: float) -> float:
-    """Expected payoff from estimating the world state.
-
-    A user who may receive the signal (probability p_recv) and trusts it
-    (beta at or below their trust threshold) follows it; otherwise they keep
-    the default guess and earn (1-mu)*c regardless of p_recv.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise InvalidParamsError(f"beta must lie in [0, 1], got {beta}")
-    if not 0.0 <= p_recv <= 1.0:
-        raise InvalidParamsError(f"p_recv must lie in [0, 1], got {p_recv}")
-    news = news_row(mu, c, beta, trust_limit(trust_threshold(mu, c)))
-    return (1.0 - mu) * c + float(p_recv * news)
-
-
-def social_payoff(n_friends: int, b: float) -> float:
-    """n_friends * b: linear in the same-platform friend count."""
-    if n_friends < 0:
-        raise InvalidParamsError("friend count must be >= 0")
-    return n_friends * b
-
-
-def user_utility(
-    profile: UserProfile,
-    params: ModelParams,
-    beta: float,
-    platform: Platform,
-    sender_platform: Platform,
-    n_friends_on_platform: int,
-    p_recv: float,
-) -> float:
-    """Total utility on a platform: social payoff plus news payoff.
-
-    Callers must pass p_recv = 0 whenever platform differs from the sender's;
-    a nonzero value there is a contract violation, not a parameter error.
-    """
-    if platform is not sender_platform and p_recv != 0.0:
-        raise ContractViolationError(
-            "p_recv must be 0 off the sender's platform "
-            f"(platform={platform.value}, sender={sender_platform.value}, p_recv={p_recv})"
-        )
-    b = params.b_a if platform is Platform.A else params.b_b
-    return social_payoff(n_friends_on_platform, b) + news_payoff(
-        params.mu, profile.c, beta, p_recv
-    )
-
-
-def sender_utility(
-    mu: float, beta: float, receivers: Iterable[tuple[float, float]]
-) -> float:
-    """Expected number of persuaded users.
-
-    receivers holds (p_recv, beta_prime) pairs; only users whose individual
-    threshold admits beta contribute. With homogeneous thresholds this is the
-    all-or-nothing payoff of the basic game.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise InvalidParamsError(f"beta must lie in [0, 1], got {beta}")
-    p_recv, beta_prime = np.array(list(receivers), dtype=np.float64).reshape(-1, 2).T
-    return sender_payoff(mu, beta, p_recv, trusts(beta, beta_prime))

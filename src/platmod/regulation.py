@@ -163,16 +163,6 @@ def _best(pairs: list) -> tuple[float, float]:
     return best_beta, best_u
 
 
-def utility_on_A(network: Network, params: ModelParams, beta: float) -> float:
-    """Sender utility when it stays on A and all users stay with it.
-
-    Sums receive probabilities over users whose individual trust threshold
-    admits beta; homogeneous users reduce to (mu + (1-mu)beta) * sum_i p_iA.
-    """
-    p_a = receive_map(params.p, network.relay_distances)
-    return _scored(params.mu, _side(0, network, params.mu), [beta], p_a)[0][1]
-
-
 def _walk_rows(cols: Columns) -> tuple:
     """Per-network rows (networks x users) that an outsider's advantage
     reads: its degree, its c and its sender link."""

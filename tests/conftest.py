@@ -13,6 +13,7 @@ import platmod.graph
 from platmod import (
     ModelParams,
     Network,
+    Platform,
     RegulationKind,
     SbmSpec,
     UserProfile,
@@ -20,7 +21,8 @@ from platmod import (
     trust_threshold,
 )
 from platmod.adoption import batch_final_b_sets
-from platmod.graph import through_platform_distances
+from platmod.graph import receive_map, through_platform_distances
+from platmod.model import TIE_TOL, news_row, sender_side_advantage, trust_limit
 
 # every property test draws the same examples on every run, keeps no
 # example database and has no deadline; tests set only max_examples
@@ -132,6 +134,39 @@ def float64_neighbour_counts(network: Network, marked: np.ndarray) -> np.ndarray
     i, j = network.edge_array.T
     adj[i, j] = adj[j, i] = 1.0
     return adj @ np.asarray(marked, dtype=np.float64)
+
+
+def kernel_unilateral(network: Network, params: ModelParams, beta: float, on_b,
+                      sender_platform: Platform):
+    """(on the sender's platform, V_sender - V_other, joins it) per user:
+    model.sender_side_advantage fed by through_platform_distances,
+    float64_neighbour_counts and news_row. A user off the sender's platform
+    gets the receive probability of moving there alone."""
+    if sender_platform is Platform.B:
+        on_side, b_side, b_other = on_b, params.b_b, params.b_a
+    else:
+        on_side, b_side, b_other = ~on_b, params.b_a, params.b_b
+    dist = through_platform_distances(network, on_side[:, None])[:, 0]
+    c = network.c_values
+    news = news_row(params.mu, c, beta, trust_limit(trust_threshold(params.mu, c)))
+    return (on_side,) + sender_side_advantage(
+        float64_neighbour_counts(network, on_side), network.degrees, b_side, b_other,
+        receive_map(params.p, dist), news, network.sender_mask)
+
+
+def kernel_deviators(network: Network, params: ModelParams, beta: float, on_b,
+                     sender_platform: Platform) -> list[int]:
+    """The users whose switch gains more than TIE_TOL by kernel_unilateral."""
+    on_side, advantage, _ = kernel_unilateral(network, params, beta, on_b, sender_platform)
+    return np.flatnonzero(np.where(on_side, -advantage, advantage) > TIE_TOL).tolist()
+
+
+def complete_theta(sizes, diag: float, bridge_expect: float = 4.0) -> tuple[tuple[float, ...], ...]:
+    """Complete graph of communities: diag within each, bridge_expect
+    expected links between every pair, so the physical structure is
+    size-invariant."""
+    return tuple(tuple(float(diag) if i == j else bridge_expect / (sizes[i] * sizes[j])
+                       for j in range(len(sizes))) for i in range(len(sizes)))
 
 
 def refuse_dense_operand(monkeypatch) -> None:

@@ -19,11 +19,9 @@ from platmod import (
     RegulationKind,
     SweepSpec,
     chain_theta,
-    complete_theta,
     gen_linear,
     gen_regular_tree,
     gen_star_chain,
-    nash_check,
     run_adoption,
     strictest_effective_regulation,
     sweep,
@@ -34,7 +32,7 @@ from platmod.analytic import SbmAnalyticSpec, f_k, f_nk, g_nk, h_nk, k_cap, sbm_
 from platmod.experiments import sweep_csv_text
 from platmod.graph import through_platform_distances
 
-from conftest import random_sbm_instance
+from conftest import complete_theta, kernel_deviators, random_sbm_instance
 
 GRID_STEP = 0.002
 SBM_STEP = 0.0005
@@ -285,7 +283,7 @@ def test_criterion_8_dynamics_invariants():
             assert not (s & seen), "a user switched twice"
             seen |= s
         assert seen == set(np.nonzero(out.assignment.on_b)[0])
-        assert nash_check(network, params, beta, out.assignment) == []
+        assert kernel_deviators(network, params, beta, out.assignment.on_b, Platform.B) == []
 
     # wave structure on acyclic networks: switchers at round t sit t edges out
     for _ in range(20):

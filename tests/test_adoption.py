@@ -6,22 +6,21 @@ from platmod import (
     Network,
     Platform,
     UserProfile,
-    best_response,
     gen_linear,
     gen_regular_tree,
     gen_star_chain,
-    nash_check,
     run_adoption,
 )
 from platmod.adoption import (
-    Assignment,
     batch_final_b_sets,
     cascade_final_b_sets,
     cascade_thresholds,
 )
 from platmod.graph import through_platform_distances
 
-from conftest import default_params, random_sbm_instance
+from platmod.model import TIE_TOL
+
+from conftest import default_params, kernel_deviators, kernel_unilateral, random_sbm_instance
 
 
 def test_sender_on_a_is_immediate_equilibrium():
@@ -54,47 +53,45 @@ def test_linear_high_quality_nobody_moves():
 
 def test_best_response_stays_with_all_friends():
     net = gen_linear(4)
-    params = default_params()
-    all_a = Assignment.all_a(4, Platform.A)
-    assert best_response(net, params, 0.3, all_a, 1) is Platform.A
+    _, _, joins = kernel_unilateral(net, default_params(), 0.3, np.zeros(4, bool), Platform.A)
+    assert joins[1]
 
 
 def test_best_response_user_zero_with_quality_gap():
     # the direct news gain is bounded by mu*(1-c); a larger social gap holds user 0
     net = gen_linear(4)
     params = ModelParams(mu=0.2, p=0.9, b_a=0.2, b_b=0.0)
-    all_a = Assignment.all_a(4, Platform.B)
-    assert best_response(net, params, 0.0, all_a, 0) is Platform.A
+    _, advantage, joins = kernel_unilateral(net, params, 0.0, np.zeros(4, bool), Platform.B)
+    assert not joins[0] and advantage[0] < -TIE_TOL
 
 
 def test_best_response_leaf_follows_hub():
     net = gen_star_chain(2, 2)  # hubs 0,1; leaves 2,3
     params = ModelParams(mu=0.2, p=0.9, b_a=0.05, b_b=0.0)
-    state = Assignment(np.array([True, False, False, False]), Platform.B)
-    assert best_response(net, params, 0.2, state, 2) is Platform.B
+    _, _, joins = kernel_unilateral(net, params, 0.2, np.arange(4) == 0, Platform.B)
+    assert joins[2]
 
 
 def test_best_response_tie_unattached_stays_put():
     net = gen_linear(3)
     params = ModelParams(mu=0.2, p=0.9, b_a=0.0, b_b=0.0)
-    all_a = Assignment.all_a(3, Platform.B)
+    _, advantage, joins = kernel_unilateral(net, params, 0.0, np.zeros(3, bool), Platform.B)
     # user 2 has no sender link and no friend on B: pure tie, stays
-    assert best_response(net, params, 0.0, all_a, 2) is Platform.A
+    assert advantage[2] == 0.0 and not joins[2]
     # user 0 is sender-linked: strict gain, moves
-    assert best_response(net, params, 0.0, all_a, 0) is Platform.B
+    assert advantage[0] > TIE_TOL and joins[0]
 
 
 def test_nash_check_trivial_equilibrium():
     net = gen_linear(4)
-    assert nash_check(net, default_params(), 0.3, Assignment.all_a(4, Platform.A)) == []
+    assert kernel_deviators(net, default_params(), 0.3, np.zeros(4, bool), Platform.A) == []
 
 
 def test_nash_check_flags_misplaced_user():
     net = gen_linear(2)
     params = ModelParams(mu=0.2, p=0.9, b_a=0.2, b_b=0.0)
     # beta above the trust threshold so user 0 gains nothing by deviating
-    state = Assignment(np.array([False, True]), Platform.B)
-    assert nash_check(net, params, 0.99, state) == [1]
+    assert kernel_deviators(net, params, 0.99, np.arange(2) == 1, Platform.B) == [1]
 
 
 def test_adoption_fixed_points_are_nash():
@@ -102,7 +99,7 @@ def test_adoption_fixed_points_are_nash():
     for _ in range(60):
         network, params, beta = random_sbm_instance(rng)
         out = run_adoption(network, params, beta, Platform.B)
-        assert nash_check(network, params, beta, out.assignment) == []
+        assert kernel_deviators(network, params, beta, out.assignment.on_b, Platform.B) == []
         assert out.iterations <= network.n_users
 
 

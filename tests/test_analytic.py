@@ -9,7 +9,6 @@ from platmod import (
     ModelParams,
     RegulationKind,
     SbmAnalyticSpec,
-    beta_j,
     boundary_b_a,
     rho_se_linear_infinite,
     sbm_boundary_b_a,
@@ -30,9 +29,9 @@ from platmod.analytic import (
     h_nk,
     k_cap,
 )
-from platmod.experiments import chain_theta, complete_theta
+from platmod.experiments import chain_theta
 
-from conftest import default_params
+from conftest import complete_theta, default_params
 
 
 def test_big_f_at_zero():
@@ -248,14 +247,6 @@ def test_sbm_threshold_sympathizer_sign():
         lo = sbm_boundary_b_a(SbmAnalyticSpec(p=p, c=(0.21, 0.3, 0.3), **kw))
         hi = sbm_boundary_b_a(SbmAnalyticSpec(p=p, c=(0.4, 0.3, 0.3), **kw))
         assert lo > hi
-
-
-def test_beta_j_formula():
-    spec = SbmAnalyticSpec(
-        sizes=(30, 30, 30), theta_diag=(0.75,) * 3, b_a=0.002, b_b=0.0, p=0.7
-    )
-    expected = (0.2 * 0.7 - 30 * 0.75 * 0.002 / 0.7) / (0.8 * 0.3)
-    assert beta_j(spec, 1) == pytest.approx(expected, abs=1e-12)
 
 
 def test_structure_check_chain_base():

@@ -10,9 +10,7 @@ import pytest
 import platmod.graph
 from platmod import (
     InvalidParamsError,
-    ModelParams,
     Network,
-    Platform,
     SbmSpec,
     UserProfile,
     chain_theta,
@@ -20,13 +18,11 @@ from platmod import (
     gen_regular_tree,
     gen_sbm,
     gen_star_chain,
-    receive_probs,
-    validate_profiles,
 )
-from platmod.adoption import Assignment
-from platmod.graph import UNREACHED, Columns, receive_map, through_platform_distances
+from platmod.graph import (UNREACHED, Columns, receive_map, through_platform_distances,
+                           validate_mu)
 
-from conftest import (build_network, diamond_network, default_params, float64_neighbour_counts,
+from conftest import (build_network, diamond_network, float64_neighbour_counts,
                       refuse_dense_operand, widened_sbm_instance)
 
 
@@ -313,34 +309,34 @@ def test_edges_canonical_as_given_or_rebuilt():
         assert again.csr.indices.tolist() == dst[np.lexsort((dst, src))].tolist()
 
 
+def receive_probs(net, p, on_side):
+    """Each user's receive probability p**distance with the users of on_side
+    on the sender's platform, from through_platform_distances and
+    receive_map: 0 off that platform or out of its reach."""
+    dist = through_platform_distances(net, on_side[:, None])[:, 0]
+    return np.where(on_side, receive_map(p, dist), 0.0)
+
+
 def test_validate_profiles_against_mu():
     net = gen_linear(3, c=0.25)
-    validate_profiles(net, ModelParams(mu=0.2, p=0.5, b_a=0.0, b_b=0.0))
+    validate_mu(net, 0.2)
     with pytest.raises(InvalidParamsError):
-        validate_profiles(net, ModelParams(mu=0.3, p=0.5, b_a=0.0, b_b=0.0))
+        validate_mu(net, 0.3)
 
 
 def test_receive_probs_off_platform_is_zero():
-    net = gen_linear(3)
-    params = default_params()
-    all_a = Assignment.all_a(3, Platform.B)  # sender on B, everyone on A
-    assert receive_probs(net, params, all_a).tolist() == [0.0, 0.0, 0.0]
+    # sender on B, everyone on A
+    assert receive_probs(gen_linear(3), 0.9, np.zeros(3, bool)).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_receive_probs_linear_all_with_sender():
-    net = gen_linear(3)
-    params = default_params()
-    assign = Assignment(np.ones(3, dtype=bool), Platform.B)
-    probs = receive_probs(net, params, assign)
+    probs = receive_probs(gen_linear(3), 0.9, np.ones(3, bool))
     assert probs.tolist() == pytest.approx([1.0, 0.9, 0.81])
 
 
 def test_receive_probs_two_paths_single_shortest():
     # two distinct length-2 routes still give p**2, not 1-(1-p**2)**2
-    net = diamond_network()
-    params = default_params(p=0.6)
-    assign = Assignment(np.ones(4, dtype=bool), Platform.B)
-    probs = receive_probs(net, params, assign)
+    probs = receive_probs(diamond_network(), 0.6, np.ones(4, bool))
     assert probs[3] == pytest.approx(0.6**2, abs=1e-15)
 
 
@@ -351,33 +347,29 @@ def test_receive_probs_disconnected_zero():
         sender_links=(0,),
         profiles=(UserProfile(c=0.3),) * 3,
     )
-    assign = Assignment(np.ones(3, dtype=bool), Platform.B)
-    probs = receive_probs(net, default_params(), assign)
-    assert probs[2] == 0.0
+    assert receive_probs(net, 0.9, np.ones(3, bool))[2] == 0.0
 
 
 def test_entry_receive_probs():
     # the receive probability a user would have after moving alone to the
     # sender's platform: its through-platform distance, everyone else fixed
     net = gen_linear(3)
-    params = default_params()
-    only_zero = Assignment(np.array([True, False, False]), Platform.B)
-    dist = through_platform_distances(net, only_zero.on_b[:, None])[:, 0]
-    entry = receive_map(params.p, dist)
+    only_zero = np.array([True, False, False])
+    dist = through_platform_distances(net, only_zero[:, None])[:, 0]
+    entry = receive_map(0.9, dist)
     # user with no path to the sender's platform
     assert dist[2] == UNREACHED and entry[2] == 0.0
     # off the sender's platform entirely
-    assert receive_probs(net, params, only_zero)[1] == 0.0
+    assert receive_probs(net, 0.9, only_zero)[1] == 0.0
     # one edge beyond the directly-linked user (distance convention: the
     # sender link itself costs nothing)
     assert entry[1] == pytest.approx(0.9)
     # a user already on the sender's platform sees its actual value
-    assert entry[0] == pytest.approx(receive_probs(net, params, only_zero)[0])
+    assert entry[0] == pytest.approx(receive_probs(net, 0.9, only_zero)[0])
 
 
 def test_receive_probs_monotone_in_platform_membership():
     rng = np.random.default_rng(5)
-    params = default_params(p=0.7)
     for _ in range(30):
         n = int(rng.integers(3, 12))
         edges = set()
@@ -397,10 +389,10 @@ def test_receive_probs_monotone_in_platform_membership():
         off = np.nonzero(~on_b)[0]
         if off.size == 0:
             continue
-        base = receive_probs(net, params, Assignment(on_b, Platform.B))
+        base = receive_probs(net, 0.7, on_b)
         grown = on_b.copy()
         grown[rng.choice(off)] = True
-        after = receive_probs(net, params, Assignment(grown, Platform.B))
+        after = receive_probs(net, 0.7, grown)
         mask = on_b  # users already on the sender's platform
         assert (after[mask] >= base[mask] - 1e-15).all()
 

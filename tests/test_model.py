@@ -4,19 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from platmod import (
-    ContractViolationError,
-    InvalidParamsError,
-    ModelParams,
-    Platform,
-    UserProfile,
-    news_payoff,
-    sender_utility,
-    social_payoff,
-    trust_threshold,
-    user_utility,
-)
-from platmod.model import news_gain, sender_payoff, trusts
+from platmod import InvalidParamsError, ModelParams, UserProfile, trust_threshold
+from platmod.model import (news_gain, news_row, sender_payoff, sender_side_advantage,
+                           trust_limit, trusts)
 
 from conftest import mc_news_payoff, mc_persuasion_rate
 
@@ -58,6 +48,25 @@ def test_trust_threshold_in_unit_interval(mu, gap):
     assert 0.0 < trust_threshold(mu, c) < 1.0
 
 
+def news_payoff(mu, c, beta, p_recv):
+    """The no-signal payoff (1-mu)*c plus p_recv times the user's news_row."""
+    return (1.0 - mu) * c + p_recv * news_row(mu, c, beta, trust_limit(trust_threshold(mu, c)))
+
+
+def lone_advantage(n_side, b_side, b_other=0.0, p_recv=0.0, news=0.0, linked=False):
+    """(V_sender - V_other, joins) of one user with all n_side friends on the
+    sender's platform, from the kernel."""
+    [advantage], [joins] = sender_side_advantage(np.array([float(n_side)]), n_side, b_side,
+                                                 b_other, p_recv, news, linked)
+    return float(advantage), bool(joins)
+
+
+def sender_utility(mu, beta, receivers):
+    """sender_payoff over (p_recv, beta_prime) pairs: the receivers who trust beta."""
+    p_recv, beta_prime = np.array(receivers, dtype=np.float64).reshape(-1, 2).T
+    return sender_payoff(mu, beta, p_recv, trusts(beta, beta_prime))
+
+
 def test_news_payoff_no_signal():
     for beta in (0.0, 0.3, 0.99):
         assert news_payoff(0.2, 0.3, beta, 0.0) == pytest.approx(0.24, abs=1e-15)
@@ -90,18 +99,10 @@ def test_news_payoff_nonincreasing_in_beta_up_to_threshold():
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
-def test_news_payoff_domain():
-    with pytest.raises(InvalidParamsError):
-        news_payoff(0.2, 0.3, -0.1, 0.5)
-    with pytest.raises(InvalidParamsError):
-        news_payoff(0.2, 0.3, 0.1, 1.5)
-
-
 def test_social_payoff():
-    assert social_payoff(0, 5.0) == 0.0
-    assert social_payoff(3, 0.01) == pytest.approx(0.03)
-    with pytest.raises(InvalidParamsError):
-        social_payoff(-1, 0.1)
+    # the social term is n_friends * b, linear in the same-platform count
+    assert lone_advantage(0, 5.0) == (0.0, False)
+    assert lone_advantage(3, 0.01)[0] == pytest.approx(0.03)
 
 
 def test_social_payoff_interior_hub_count():
@@ -111,35 +112,28 @@ def test_social_payoff_interior_hub_count():
     net = gen_star_chain(3, 2)
     hub_degree = int(net.degrees[1])
     assert hub_degree == 3
-    assert social_payoff(hub_degree, 0.2) == pytest.approx(3 * 0.2)
+    assert lone_advantage(hub_degree, 0.2)[0] == pytest.approx(3 * 0.2)
 
 
 def test_user_utility_isolated():
-    params = ModelParams(mu=0.2, p=0.9, b_a=0.1, b_b=0.0)
-    v = user_utility(UserProfile(c=0.3), params, 0.4, Platform.A, Platform.B, 0, 0.0)
-    assert v == pytest.approx(0.24, abs=1e-15)
+    # a friendless user off the sender's platform earns the no-signal payoff
+    assert news_payoff(0.2, 0.3, 0.4, 0.0) == pytest.approx(0.24, abs=1e-15)
+    assert lone_advantage(0, 0.0, 0.1) == (0.0, False)
 
 
 def test_user_utility_on_sender_platform():
     # user receiving with probability 0.9 at beta=0 and no social payoff
-    params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
-    v = user_utility(UserProfile(c=0.3), params, 0.0, Platform.B, Platform.B, 0, 0.9)
-    assert v == pytest.approx(0.366, abs=1e-12)
+    assert news_payoff(0.2, 0.3, 0.0, 0.9) == pytest.approx(0.366, abs=1e-12)
+    news = news_row(0.2, 0.3, 0.0, trust_limit(trust_threshold(0.2, 0.3)))
+    advantage, joins = lone_advantage(0, 0.0, 0.01, 0.9, news)
+    assert advantage == pytest.approx(0.366 - 0.24, abs=1e-12) and joins
 
 
 def test_user_utility_platform_indifferent_when_distrusting():
-    params = ModelParams(mu=0.2, p=0.9, b_a=0.3, b_b=0.7)
-    prof = UserProfile(c=0.3)
-    va = user_utility(prof, params, 0.99, Platform.A, Platform.B, 0, 0.0)
-    vb = user_utility(prof, params, 0.99, Platform.B, Platform.B, 0, 0.9)
-    assert va == pytest.approx(0.24, abs=1e-15)
-    assert vb == pytest.approx(0.24, abs=1e-15)
-
-
-def test_user_utility_contract_violation():
-    params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
-    with pytest.raises(ContractViolationError):
-        user_utility(UserProfile(c=0.3), params, 0.0, Platform.A, Platform.B, 1, 0.5)
+    # a distrusting user earns 0.24 on either platform; unattached, it stays put
+    news = news_row(0.2, 0.3, 0.99, trust_limit(trust_threshold(0.2, 0.3)))
+    assert news_payoff(0.2, 0.3, 0.99, 0.9) == pytest.approx(0.24, abs=1e-15)
+    assert lone_advantage(0, 0.7, 0.3, 0.9, news) == (0.0, False)
 
 
 def test_sender_utility_nobody_trusts():
@@ -215,6 +209,10 @@ def test_user_profile_validation():
 
 
 def test_scalar_views_equal_the_kernel_bit_for_bit():
+    # news_row is news_gain where a user trusts and 0 elsewhere, and one
+    # user's threshold and news_row, taken with a scalar c, are its entries
+    # of the rows; sender_payoff is the persuasion rate times the summed
+    # receive probability of the users who trust
     rng = np.random.default_rng(12)
     for _ in range(50):
         mu = float(rng.uniform(0.01, 0.45))
@@ -223,11 +221,13 @@ def test_scalar_views_equal_the_kernel_bit_for_bit():
         bp = trust_threshold(mu, c)
         # betas at, just around and away from the thresholds
         beta = np.clip(np.where(rng.random(16) < 0.3, bp, rng.uniform(0.0, 1.0, 16)), 0.0, 1.0)
-        news = (1.0 - mu) * c + np.where(trusts(beta, bp), p_recv * news_gain(mu, c, beta), 0.0)
+        row = news_row(mu, c, beta, trust_limit(bp))
+        assert row.tobytes() == np.where(trusts(beta, bp), news_gain(mu, c, beta), 0.0).tobytes()
         for i in range(16):
-            ci, bi, pi = float(c[i]), float(beta[i]), float(p_recv[i])
+            ci, bi = float(c[i]), float(beta[i])
             assert trust_threshold(mu, ci) == bp[i]
-            assert news_payoff(mu, ci, bi, pi) == news[i]
+            assert news_row(mu, ci, bi, trust_limit(trust_threshold(mu, ci))) == row[i]
         b = float(beta[0])
-        column = sender_payoff(mu, b, p_recv, trusts(b, bp))
-        assert sender_utility(mu, b, zip(p_recv.tolist(), bp.tolist())) == column
+        trusting = trusts(b, bp)
+        assert sender_payoff(mu, b, p_recv, trusting) == \
+            (mu + (1.0 - mu) * b) * float(p_recv[trusting].sum())

@@ -5,10 +5,13 @@ whose name starts with a single underscore is read somewhere in src/platmod
 besides its definition, so a leftover helper or record does not outlive its
 last caller. Every parameter of every def is read in its body (a name that
 starts with an underscore is exempt, and a zero-argument super() reads the
-first), so a caller never hands over what nobody reads; and every name a
-module other than __init__.py imports is read there."""
+first), so a caller never hands over what nobody reads; every name a
+module other than __init__.py imports is read there; and every name
+__init__.py exports is read by another module or named by README.md, a
+script or the benchmark."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "platmod"
@@ -90,3 +93,20 @@ def test_every_parameter_and_import_is_read():
         if path.name != "__init__.py":
             unread += [f"{path.name}: import {name}" for name in _unused_imports(tree)]
     assert not unread
+
+
+def test_every_public_name_is_reached():
+    # each name __init__.py imports is read by a src/platmod module besides
+    # __init__.py (a definition is no read), or named in README.md,
+    # scripts/ or bench/
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    exported = {alias.asname or alias.name for node in ast.walk(trees.pop("__init__.py"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = {name for tree in trees.values() for name in _read_names(tree)}
+    root = SRC.parents[1]
+    text = "\n".join(path.read_text() for path in (
+        root / "README.md", *root.glob("scripts/*.py"), *root.glob("bench/*.py"),
+        *root.glob("bench/*.md")))
+    unreached = sorted(name for name in exported - read
+                       if not re.search(rf"\b{re.escape(name)}\b", text))
+    assert not unreached

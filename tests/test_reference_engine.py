@@ -27,18 +27,12 @@ from platmod import (
     SbmSpec,
     gen_sbm,
 )
-from platmod.adoption import (
-    Assignment,
-    batch_final_b_sets,
-    best_response,
-    cascade_final_b_sets,
-    nash_check,
-)
-from platmod.graph import (UNREACHED, Columns, receive_map, receive_probs,
-                           through_platform_distances)
+from platmod.adoption import Assignment, batch_final_b_sets, cascade_final_b_sets
+from platmod.graph import UNREACHED, Columns, receive_map, through_platform_distances
 
-from conftest import (build_network, float64_neighbour_counts, random_sbm_instance,
-                      refuse_dense_operand, widened_sbm_instance)
+from conftest import (build_network, float64_neighbour_counts, kernel_deviators,
+                      kernel_unilateral, random_sbm_instance, refuse_dense_operand,
+                      widened_sbm_instance)
 
 TOL = 1e-12
 
@@ -188,14 +182,17 @@ def test_reference_confirms_star_chain_collapse_boundary():
 
 
 def test_reference_fixed_points_are_nash():
+    # no user gains by a unilateral switch, by the reference's own payoffs,
+    # at the fixed points the engine reaches
     rng = np.random.default_rng(123)
     for _ in range(20):
         network, params, beta = random_sbm_instance(rng)
         if network.n_users > 20:
             continue
-        ref_on_b, _ = ref_adoption(network, params, beta)
-        state = Assignment(np.array(ref_on_b), Platform.B)
-        assert nash_check(network, params, beta, state) == []
+        on_b = batch_final_b_sets(network, params.mu, np.array([beta]), params.p, params.b_a,
+                                  params.b_b)[0][:, 0].tolist()
+        on_side, ref = ref_unilateral(network, params, beta, on_b, Platform.B)
+        assert all(-TOL <= diff if side else diff <= TOL for side, (diff, _) in zip(on_side, ref))
 
 
 def _ref_distance_column(net, on_side):
@@ -243,22 +240,18 @@ def test_sparse_engine_agrees_with_dense_and_reference(monkeypatch, n_cols):
         ref_on_b, ref_trace = ref_adoption(sparse, params, beta)
         assert run_adoption(sparse, params, beta, Platform.B).trace == ref_trace
         assert run_adoption(dense, params, beta, Platform.B).trace == ref_trace
-        state = Assignment(np.array(ref_on_b), Platform.B)
-        assert nash_check(sparse, params, beta, state) == []
-        for user in range(sparse.n_users):
-            assert best_response(sparse, params, beta, state, user) is \
-                best_response(dense, params, beta, state, user)
+        for net in (sparse, dense):
+            assert kernel_deviators(net, params, beta, np.array(ref_on_b), Platform.B) == []
 
         # no social payoff and no trust at beta = 1: every user is exactly
-        # indifferent, so the tie rule's attachment test decides
+        # indifferent, so the tie rule's attachment test decides who moves
         tie_params = ModelParams(mu=params.mu, p=params.p, b_a=0.0, b_b=0.0)
-        on_b = rng.random(sparse.n_users) < 0.5
-        state = Assignment(on_b, Platform.B)
-        adj = _adjacency(sparse)
-        for user in range(sparse.n_users):
-            attached = user in sparse.sender_links or any(on_b[v] for v in adj[user])
-            want = Platform.B if attached else state.platform_of(user)
-            assert best_response(sparse, tie_params, 1.0, state, user) is want
+        ref_on_b, ref_trace = ref_adoption(sparse, tie_params, 1.0)
+        assert ref_trace  # the sender-linked users move in the first round
+        for net in (sparse, dense):
+            on_b, _, _, traces = batch_final_b_sets(net, params.mu, np.array([1.0]), params.p,
+                                                    0.0, 0.0, collect_trace=True)
+            assert on_b[:, 0].tolist() == ref_on_b and traces[0] == ref_trace
 
 
 def _check_one_column(net, on_side):
@@ -317,12 +310,12 @@ def test_one_column_queries_need_neither_matmul_nor_level_loop(monkeypatch):
 
     # the level loop, and every count, reaches through Columns.neighbour_counts
     monkeypatch.setattr(Columns, "neighbour_counts", refuse)
-    params = ModelParams(mu=0.2, p=0.9, b_a=0.01, b_b=0.0)
     for net in (gen_linear(12), gen_linear(300)):
-        state = Assignment(np.arange(net.n_users) < 5, Platform.B)
+        on_b = np.arange(net.n_users) < 5
         assert net.relay_distances.tolist() == list(range(net.n_users))
-        assert receive_probs(net, params, state).tolist() == [0.9**k for k in range(5)] + \
-            [0.0] * (net.n_users - 5)
+        dist = through_platform_distances(net, on_b[:, None])[:, 0]
+        assert np.where(on_b, receive_map(0.9, dist), 0.0).tolist() == \
+            [0.9**k for k in range(5)] + [0.0] * (net.n_users - 5)
 
 
 @pytest.mark.parametrize("n_cols", [1, 7], ids=["one-column", "batch"])
@@ -607,22 +600,17 @@ def test_best_response_and_nash_check_match_reference(monkeypatch, dense_max_use
 
 
 def _check_unilateral(net, params, beta, state):
-    """best_response of every user and nash_check agree with ref_unilateral."""
+    """model.sender_side_advantage, fed by the production distances and news
+    row and a float64 neighbour count (conftest.kernel_unilateral), agrees
+    with ref_unilateral for every user: its advantage, and whether the tie
+    rule sends it to the sender's platform."""
     sender = state.sender_platform
-    on_side, ref = ref_unilateral(net, params, beta, state.on_b.tolist(), sender)
+    on_side, advantage, joins = kernel_unilateral(net, params, beta, state.on_b, sender)
+    ref_side, ref = ref_unilateral(net, params, beta, state.on_b.tolist(), sender)
+    assert on_side.tolist() == ref_side
     for user, (diff, attached) in enumerate(ref):
-        if diff > TOL or (abs(diff) <= TOL and attached):
-            want = sender
-        elif diff < -TOL:
-            want = sender.other()
-        else:
-            want = state.platform_of(user)
-        assert best_response(net, params, beta, state, user) is want
-    unstable = [
-        user for user, (diff, _) in enumerate(ref)
-        if (diff < -TOL if on_side[user] else diff > TOL)
-    ]
-    assert nash_check(net, params, beta, state) == unstable
+        assert isclose(advantage[user], diff, rel_tol=0.0, abs_tol=1e-12)
+        assert joins[user] == (diff > TOL or (abs(diff) <= TOL and attached))
 
 
 @st.composite
@@ -652,9 +640,9 @@ def threshold_cases(draw):
 @given(case=threshold_cases())
 def test_engine_and_unilateral_checks_match_reference_at_trust_thresholds(case):
     # every column of one batch ends at the reference's set, with its trace
-    # and round count, and best_response and nash_check agree with the
-    # reference with the sender on either platform, where each user's trust
-    # gate opens or closes
+    # and round count, and the kernel's advantage and tie rule agree with
+    # the reference with the sender on either platform, where each user's
+    # trust gate opens or closes
     net, params, levels, on_b = case
     got, _, rounds, traces = batch_final_b_sets(net, params.mu, levels, params.p, params.b_a,
                                                 params.b_b, collect_trace=True)

@@ -29,7 +29,6 @@ from platmod import (
     strictest_effective_regulation,
     sweep,
     trust_threshold,
-    utility_on_A,
 )
 from platmod.analytic import big_f
 from platmod.experiments import _pool_results, validate_assumption1
@@ -78,6 +77,13 @@ def _piece_bits(pieces):
     their exact hex."""
     return [(top.hex(), on_b.tobytes(), [(b.hex(), u.hex()) for b, u in scored])
             for top, on_b, scored in pieces]
+
+
+def utility_on_A(network, params, beta):
+    """The sender's utility on A with every user there: (mu + (1-mu) beta)
+    times the all-A receive probabilities of the users who trust beta."""
+    bp, p_a = _all_a_tiers(network, params)
+    return (params.mu + (1.0 - params.mu) * beta) * float(p_a[beta <= bp + TIE_TOL].sum())
 
 
 def test_utility_on_a_linear_in_beta():
@@ -517,7 +523,6 @@ def test_one_relay_bfs_per_network(monkeypatch, make, cascade, dense_max_users):
     strictest_effective_regulation(net, params)
     optimal_B(net, params)
     sender_equilibrium(net, default_params(p=0.7, b_a=0.002, rho_a=0.0))
-    utility_on_A(net, params, 0.1)
     assert relay_runs == [[net]]
 
 
@@ -832,19 +837,23 @@ def cycles(draw):
                   draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)))
 
 
+# a same_size_networks sample (isolated users, one to four sender links,
+# per-user c), a cycle (cycles), or a line, star chain or regular tree,
+# which take the closed form
+oracle_networks = st.one_of(
+    same_size_networks().flatmap(st.sampled_from),
+    cycles(),
+    st.builds(gen_linear, st.integers(2, 12)),
+    st.builds(gen_star_chain, st.integers(1, 4), st.integers(1, 3)),
+    st.builds(gen_regular_tree, st.integers(1, 3), st.integers(1, 3)),
+)
+
+
 @st.composite
 def oracle_cases(draw):
-    """(network, cells): a same_size_networks sample (isolated users, one to
-    four sender links, per-user c), a cycle (cycles), or a line, star chain
-    or regular tree, which take the closed form; one to three cells at
-    mu = 0.2, b_B 0 or 0.01."""
-    network = draw(st.one_of(
-        same_size_networks().flatmap(st.sampled_from),
-        cycles(),
-        st.builds(gen_linear, st.integers(2, 12)),
-        st.builds(gen_star_chain, st.integers(1, 4), st.integers(1, 3)),
-        st.builds(gen_regular_tree, st.integers(1, 3), st.integers(1, 3)),
-    ))
+    """(network, cells): an oracle_networks network and one to three cells
+    at mu = 0.2, b_B 0 or 0.01."""
+    network = draw(oracle_networks)
     cells = draw(st.lists(st.builds(ModelParams, mu=st.just(0.2), p=st.floats(0.2, 0.95),
                                     b_a=st.floats(0.0, 0.05), b_b=st.sampled_from([0.0, 0.01])),
                           min_size=1, max_size=3))
@@ -869,6 +878,61 @@ def test_solves_equal_the_bisection_oracle(case):
         assert (res.rho_se is None) == (rho_se is None)
         if rho_se is not None:
             assert res.rho_se == pytest.approx(rho_se, abs=1e-6)
+
+
+def _rising(values, least: int, most: int):
+    """least to most distinct values, ascending."""
+    return st.lists(values, min_size=least, max_size=most, unique=True).map(sorted)
+
+
+@st.composite
+def statics_rows(draw):
+    """(network, ps, b_as, b_bs): an oracle_networks network and, each
+    ascending, one or two p, two to six b_A and one or two b_B."""
+    return (draw(oracle_networks), draw(_rising(st.floats(0.2, 0.95), 1, 2)),
+            draw(_rising(st.floats(0.0, 0.05), 2, 6)),
+            draw(_rising(st.sampled_from([0.0, 0.004, 0.01]), 1, 2)))
+
+
+def _widened_draw(k: int) -> Network:
+    """The network of the k-th draw (from 0) of widened_sbm_instance from
+    default_rng(7)."""
+    rng = np.random.default_rng(7)
+    for _ in range(k):
+        widened_sbm_instance(rng)
+    return Network(**widened_sbm_instance(rng)[0])
+
+
+KIND_ORDER = [RegulationKind.NO_EFFECTIVE_REGULATION, RegulationKind.MODERATE,
+              RegulationKind.ANY_REGULATION]
+
+
+@settings(max_examples=60)
+@given(case=statics_rows())
+# at p = 0.5 the walk's U*_B falls from b_B = 0 to 0.004, by 3.4e-12 on
+# draw 21 at b_A = 0.014 and by 1.5e-11 on draw 26 at b_A = 0.009 (as a
+# 51-point row over [0, 0.05] gives it), inside the tolerance
+@example(case=(_widened_draw(21), [0.5], [0.0, 0.014], [0.0, 0.004]))
+@example(case=(_widened_draw(26), [0.5], [0.0, 0.05 * 9 / 50], [0.0, 0.004]))
+def test_comparative_statics_hold_along_rows(case):
+    # along rising b_A, U*_B never rises, the kind runs NoEffective ->
+    # Moderate -> Any and never back, and rho_se (None above every cap)
+    # never rises; U*_B does not fall in p or in b_B. The tolerance is the
+    # bisection oracle's bound at width 1e-9, (1-mu) * 1e-9 * sum p_A, plus
+    # 1e-10
+    network, ps, b_as, b_bs = case
+    cells = [ModelParams(mu=0.2, p=p, b_a=b_a, b_b=b_b)
+             for p in ps for b_b in b_bs for b_a in b_as]
+    results = solve_cells(network, cells)
+    shape = (len(ps), len(b_bs), len(b_as))
+    u = np.reshape([r.u_star_b for r in results], shape)
+    kind = np.reshape([KIND_ORDER.index(r.kind) for r in results], shape)
+    rho = np.reshape([np.inf if r.rho_se is None else r.rho_se for r in results], shape)
+    tol = 0.8 * 1e-9 * max(r.sum_p_a for r in results) + 1e-10
+    assert (np.diff(u, axis=2) <= tol).all()
+    assert (np.diff(kind, axis=2) >= 0).all()
+    assert (rho[..., 1:] <= rho[..., :-1] + tol).all()
+    assert (np.diff(u, axis=0) >= -tol).all() and (np.diff(u, axis=1) >= -tol).all()
 
 
 def test_columns_need_same_size_networks():

@@ -82,11 +82,10 @@ def _beta_primes(network: Network, mu: float) -> np.ndarray:
     return trust_threshold(mu, network.c_values)
 
 
-def _trust_limits(cols: Columns, mu: float, made=None) -> np.ndarray:
+def _trust_limits(cols: Columns, mu: float) -> np.ndarray:
     """Each network's trust_limit of _beta_primes (a user trusts beta iff
-    beta <= its limit), stacked and kept by the pool; made, when given, is
-    that stack made already."""
-    return cols.rows(("trust_limit", mu), lambda net: trust_limit(_beta_primes(net, mu)), made)
+    beta <= its limit), stacked and kept by the pool."""
+    return cols.rows(("trust_limit", mu), lambda net: trust_limit(_beta_primes(net, mu)))
 
 
 def _int32_degrees(network: Network) -> np.ndarray:
@@ -108,12 +107,11 @@ def batch_final_b_sets(
     """Run the synchronous adoption (sender on B) for a batch of columns.
 
     network is the Network every column runs on, or Columns naming each
-    column's network, which the call takes over: it keeps the rows their
-    pool made, and the pool gives them up (Columns.merge). Column j runs at
-    deceit level betas[j] with diffusiveness p[j] and qualities b_a[j],
-    b_b[j]; each of p, b_a, b_b is one value per column or a scalar shared
-    by all. mu is shared: it fixes the trust thresholds. Callers validate p,
-    b_a and b_b (ModelParams does).
+    column's network, which the call merges (Columns.merge) into a pool of
+    its own. Column j runs at deceit level betas[j] with diffusiveness p[j]
+    and qualities b_a[j], b_b[j]; each of p, b_a, b_b is one value per
+    column or a scalar shared by all. mu is shared: it fixes the trust
+    thresholds. Callers validate p, b_a and b_b (ModelParams does).
     Every column starts from all-A: the sender's linked users at distance 0,
     everyone else UNREACHED, no B-neighbours.
 
@@ -139,9 +137,8 @@ def batch_final_b_sets(
     Once half the live columns are done they are set aside. admit, when
     given with step, is then called with the number of columns still live,
     and returns more columns, (Columns, betas, p, b_a, b_b) on networks of
-    the same size, or None; the rows their pool keeps are copied, not made
-    again. They are numbered on from the columns before them and start from
-    all-A in the next round.
+    the same size, or None. They are numbered on from the columns before
+    them and start from all-A in the next round.
 
     Returns (on_b, dist, productive_rounds, traces): each column's final
     membership and distance matrices of shape (n_users, columns), its
@@ -159,7 +156,6 @@ def batch_final_b_sets(
     """
     level = np.array(betas, dtype=np.float64)  # a copy: restarts overwrite it
     p, b_a, b_b = (np.full(level.shape, x, dtype=np.float64)[None, :] for x in (p, b_a, b_b))
-    # a pool of the call's own, whose rows go with it: a given one taken over
     cols = (network.merge() if isinstance(network, Columns)
             else Columns.repeat((network,), level.size))
     n = cols.n_users

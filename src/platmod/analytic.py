@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import ModelParams, news_gain, sender_weight, trust_threshold
+from .model import ModelParams, sender_weight, trust_threshold
 from .regulation import RegulationKind, RegulationResult
 
 ENVELOPE_EPS = 1e-15  # mu * p**K below this can no longer win a maximum
@@ -32,18 +32,6 @@ def big_f(k: int, params: ModelParams, c: float) -> float:
     _check_mu_c(params.mu, c)
     gap = params.b_a - params.b_b
     return (params.mu * (1.0 - c) - gap / params.p**k) / ((1.0 - params.mu) * c)
-
-
-def big_g(beta: float, params: ModelParams, c: float) -> float:
-    """Inverse of big_f: the farthest user index still following at beta."""
-    _check_mu_c(params.mu, c)
-    gap = params.b_a - params.b_b
-    if gap <= 0.0:
-        raise InvalidParamsError("G needs b_a > b_b")
-    denom = news_gain(params.mu, c, beta)
-    if denom <= 0.0:
-        raise InvalidParamsError(f"G undefined at beta={beta}: nonpositive log argument")
-    return math.log(gap / denom) / math.log(params.p)
 
 
 def f_k(k: int, p: float, mu: float = 0.2, c: float = 0.3) -> float:
@@ -333,59 +321,3 @@ def sbm_boundary_b_a(spec: SbmAnalyticSpec) -> float:
         (t + spec.b_b) / (spec.sizes[j] * spec.theta_diag[j])
         for j, t in enumerate(thresholds)
     )
-
-
-THETA_NEAR_ONE = 0.7  # operationalizes "nearly complete within community"
-THETA_NEAR_ZERO = 0.05
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Advisory pass/fail record for the community-layout conditions behind
-    the chain and star scalings; never blocking."""
-
-    chain_conditions: tuple[tuple[str, bool], ...]
-    star_conditions: tuple[tuple[str, bool], ...]
-
-    @property
-    def chain_ok(self) -> bool:
-        return all(ok for _, ok in self.chain_conditions)
-
-    @property
-    def star_ok(self) -> bool:
-        return all(ok for _, ok in self.star_conditions)
-
-
-def appendix_structure_check(theta, sizes) -> StructureReport:
-    """Evaluate the heuristic layout conditions on a concrete theta matrix."""
-    th = np.asarray(theta, dtype=np.float64)
-    n = np.asarray(sizes, dtype=np.float64)
-    m = len(sizes)
-    chain = [("theta_diag_near_one", bool((np.diag(th) >= THETA_NEAR_ONE).all()))]
-    ok_adj, ok_two_sided = True, True
-    for j in range(m):
-        for jp in (j - 1, j + 1):
-            if 0 <= jp < m:
-                v = th[j, jp]
-                if not (n[j] * v < 1.0 < n[j] * n[jp] * v):
-                    ok_adj = False
-        if 0 < j < m - 1:
-            if n[j] * n[j - 1] * th[j, j - 1] * n[j + 1] * th[j, j + 1] >= 1.0:
-                ok_two_sided = False
-    chain.append(("adjacent_links_sparse_but_present", ok_adj))
-    chain.append(("no_user_bridges_both_neighbors", ok_two_sided))
-
-    star = [("theta_diag_near_one", bool((np.diag(th) >= THETA_NEAR_ONE).all()))]
-    ok_hub = all(
-        n[0] * th[0, j] < 1.0 and n[j] * th[0, j] < 1.0 and n[0] * n[j] * th[0, j] > 1.0
-        for j in range(1, m)
-    )
-    ok_periph = all(
-        th[j, jp] <= THETA_NEAR_ZERO
-        for j in range(1, m)
-        for jp in range(1, m)
-        if j != jp
-    )
-    star.append(("hub_links_sparse_but_present", ok_hub))
-    star.append(("peripheral_links_negligible", ok_periph))
-    return StructureReport(tuple(chain), tuple(star))

@@ -18,7 +18,6 @@ of A1_GROUP, which may span tightnesses.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from collections import ChainMap, Counter
@@ -436,26 +435,6 @@ def a1_csv_text(report: A1Report) -> str:
 def emit_csv(grid: HeatmapGrid, path) -> None:
     """Write a sweep grid as CSV (sweep_csv_text)."""
     Path(path).write_text(sweep_csv_text(grid))
-
-
-def read_sweep_csv(path) -> list[dict]:
-    """Inverse of sweep_csv_text for round-trip checks."""
-    with open(path, newline="") as fh:
-        out = []
-        for rec in csv.DictReader(fh):
-            out.append(
-                {
-                    "p": float(rec["p"]),
-                    "b_A": float(rec["b_A"]),
-                    "samples": int(rec["samples"]),
-                    "n_no_effective": int(rec["n_no_effective"]),
-                    "n_any": int(rec["n_any"]),
-                    "n_moderate": int(rec["n_moderate"]),
-                    "mean_rho_se": float(rec["mean_rho_se"]) if rec["mean_rho_se"] else None,
-                    "seed_base": int(rec["seed_base"]),
-                }
-            )
-        return out
 
 
 def _cell_gray(cell: CellStats, beta_prime: float) -> int:

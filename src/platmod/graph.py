@@ -500,9 +500,8 @@ class Columns:
     networks share n_users, and column j runs on networks[owner[j]]; each
     network's columns are contiguous (owner is nondecreasing), so per-network
     work runs on column slices, in place. shared, common to a pool and every
-    take of it, keeps the pool's per-network rows (rows), and merge carries
-    them over to a pool of the networks that stay, with those of the
-    networks it adds copied from their own pool.
+    take of it, keeps the per-network rows (rows) the pool made from its own
+    networks.
 
     Columns does every neighbour count and relaxation (the module docstring
     names the paths). A pool's networks share n_users, so they are all
@@ -540,18 +539,14 @@ class Columns:
     def merge(self, other: "Columns | None" = None) -> "Columns":
         """These columns, then other's, on only the networks that hold one:
         these columns' networks, then those of other's columns that are new
-        (the same object is the same network). Every row either pool keeps
-        is carried over, so a pool fed this way builds each network's rows
-        once while it holds the network: the networks that stay keep theirs,
-        moved down in place where the array has room for every network (a
-        pool that only sheds networks never holds two stacks at once), and
-        the new ones' are copied from other's pool, which keeps its own; a
-        row only one of the two keeps is made for the other's networks. This
-        pool gives its rows up and makes them again if asked."""
+        (the same object is the same network). A merge that adds no network
+        keeps this pool's rows, moved down in place, so a pool that only
+        sheds networks never holds two stacks at once; one that adds a
+        network makes its rows when asked. Either way this pool gives its
+        rows up and makes them again if asked."""
         kept = np.unique(self.owner)
         networks = [self.networks[k] for k in kept.tolist()]
         owner = np.searchsorted(kept, self.owner)
-        added, theirs = [], {}  # other's new networks, by their number there; its rows
         if other is not None:
             if networks and other.n_users != self.n_users:
                 raise InvalidParamsError("networks batched together must have the same size")
@@ -562,49 +557,26 @@ class Columns:
                 if id(net) not in slot:
                     slot[id(net)] = len(networks)
                     networks.append(net)
-                    added.append(k)
                 moved[k] = slot[id(net)]
             owner = np.concatenate([owner, moved[other.owner]])
-            theirs = other.shared
         shared = {}
-        for key in [*self.shared, *(k for k in theirs if k not in self.shared)]:
-            make, rows = self.shared.get(key) or theirs[key]
-            if key not in self.shared or len(rows) < len(networks):
-                grown = np.empty((len(networks),) + rows.shape[1:], dtype=rows.dtype)
-                if key in self.shared:
-                    np.take(rows, kept, axis=0, out=grown[:kept.size])
-                else:
-                    _stacked(make, networks[:kept.size], out=grown)
-                rows = grown
-            else:
+        if len(networks) == kept.size:
+            for key, rows in self.shared.items():
                 for k, old in enumerate(kept.tolist()):  # kept ascends
                     if k != old:
                         rows[k] = rows[old]
-                rows = rows[:len(networks)]
-            if key in theirs:
-                np.take(theirs[key][1], added, axis=0, out=rows[kept.size:])
-            elif added:
-                _stacked(make, [other.networks[k] for k in added], out=rows[kept.size:])
-            shared[key] = make, rows
+                shared[key] = rows[:kept.size]
         self.shared.clear()
         return Columns(tuple(networks), owner, shared)
 
-    def copy(self) -> "Columns":
-        """These columns on only the networks that hold one, with copies of
-        the rows their pool keeps; the pool keeps its own."""
-        return Columns((), np.empty(0, dtype=np.intp)).merge(self)
-
-    def rows(self, key, per_network=None, made=None) -> np.ndarray:
+    def rows(self, key, per_network=None) -> np.ndarray:
         """per_network(net) of each network (by default its attribute named
-        key), stacked: made once for a pool and its takes, or given as made,
-        and kept in shared under key, so per_network must give a network the
-        same row whenever it is asked."""
-        kept = self.shared.get(key)
-        if kept is None:
-            per_network = per_network or attrgetter(key)
-            kept = self.shared[key] = per_network, (
-                _stacked(per_network, self.networks) if made is None else made)
-        return kept[1]
+        key), stacked: made once for a pool and its takes, and kept in
+        shared under key, so per_network must give a network the same row
+        whenever it is asked."""
+        if key not in self.shared:
+            self.shared[key] = _stacked(per_network or attrgetter(key), self.networks)
+        return self.shared[key]
 
     def spread(self, rows: np.ndarray) -> np.ndarray:
         """rows, one (n_users,) row per network, at each column: (n_users, n_cols)."""
@@ -689,12 +661,12 @@ class Columns:
         return dist
 
 
-def _stacked(per_network, networks, out=None) -> np.ndarray:
+def _stacked(per_network, networks) -> np.ndarray:
     """per_network(net) of each network, written one network at a time into
-    out or a new array."""
+    a new array."""
     for k, net in enumerate(networks):
         row = per_network(net)
-        if out is None:
+        if k == 0:
             out = np.empty((len(networks),) + row.shape, dtype=row.dtype)
         out[k] = row
     return out

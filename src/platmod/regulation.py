@@ -35,14 +35,14 @@ walk admits their columns, into one record each (_Side: the network, its
 trust test and its A sides priced so far), makes a cascade tree's pieces
 one cell at a time, and decides each cell (_decide) as soon as its column
 finishes, handing on the decision with the pieces. The networks the walk
-reads together share one pool of per-network rows (graph.Columns): degrees,
-sender links, c, the sides' trust limits and the float32 layer, each built
-once. Their relay distances come from one query over it
-(graph.pooled_relay_distances, kept on the networks, where the A side reads
-them), _seeds reads it, and the engine takes the rows of the columns it
-admits over (Columns.merge) instead of building them again; each makes its
-columns' news rows (model.news_row) from the rows of c and trust limits.
-The walk drops a network after its last column. solve_each (the same cells
+reads together make one pool (graph.Columns), which builds each per-network
+row (degrees, sender links, c, trust limits, the float32 layer) from its
+own networks when first asked. Their relay distances come from one query
+over it (graph.pooled_relay_distances, kept on the networks, where the A
+side reads them) and _seeds reads it. The engine works on the merge of the
+pools of the columns it admits (Columns.merge) and makes their news rows
+(model.news_row) from its rows of c and trust limits. The walk drops a
+network after its last column. solve_each (the same cells
 on several networks of one size, each result handed on as soon as it is
 known), solve_pool (its lists), sender_equilibria (one cell on each) and
 optimal_B read it; the other entry points are views of these.
@@ -56,6 +56,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -182,8 +183,8 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
     order: it reads sides until as many columns as there is room for are
     queued or read, so a network is read when its columns are next to be
     admitted, into one pool of the networks read together (seed), whose
-    rows its relay query, _seeds and the engine read; it is dropped after
-    its last column finishes. A column's first piece and breakpoint
+    rows its relay query and _seeds read; it is dropped after its last
+    column finishes. A column's first piece and breakpoint
     (_seeds) are worked out when its side is read; a column that does not
     start at the top has the piece (top, nobody, nothing scored), its empty
     set made once per side and read-only. The engine counts a start at the
@@ -203,12 +204,10 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
 
     def seed(fresh: list) -> None:
         """Seed the columns of the sides just read, one pool of them whose
-        rows the relay query, _seeds and the engine read: queue those that
-        enter the engine, as (side, cell number, pieces, level, pool, column
-        there), in order, and finish the others."""
+        rows the relay query and _seeds read: queue those that enter the
+        engine, as (side, cell number, pieces, level, pool, column there),
+        in order, and finish the others."""
         pool = Columns.repeat([side.network for side in fresh], len(cells))
-        _trust_limits(pool, mu, np.stack([side.limit for side in fresh]))
-        pool.layers()  # made here even where the relay query needs none
         pooled_relay_distances(pool)
         tops = [side.thresholds[-1] for side in fresh]
         joins, first = _seeds(pool, mu, np.repeat(tops, len(cells)),
@@ -230,8 +229,8 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
     def admit(n_live: int):
         """Up to room = POOL_COLUMNS - n_live more columns for the engine, or
         None: queued ones, after reading sides until room columns are
-        queued or read (and on, while none is queued). Their pool carries
-        the rows of their seed pools over, for the engine to take over."""
+        queued or read (and on, while none is queued), on the merge of
+        their seed pools."""
         nonlocal numbered
         room = POOL_COLUMNS - n_live
         while True:
@@ -252,14 +251,7 @@ def _walk(mu: float, cells: list, sides, finish) -> None:
             parts.setdefault(pool, []).append(j)
             live[numbered] = side, i, pieces
             numbered += 1
-        # every seed pool but the last has all its columns admitted and gives
-        # its rows up; the last keeps its own while it has columns queued
-        pools = list(parts)
-        cols = pools[0].take(parts[pools[0]])
-        if len(pools) == 1 and queued and queued[0][4] is pools[0]:
-            cols = cols.copy()
-        for pool in pools[1:]:
-            cols = cols.merge(pool.take(parts[pool]))
+        cols = reduce(Columns.merge, [pool.take(js) for pool, js in parts.items()])
         return cols, [x[3] for x in entering], *params[[x[1] for x in entering]].T
 
     def step(index, cols, beta, on_b, n_b, p_recv):

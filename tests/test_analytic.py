@@ -19,9 +19,7 @@ from platmod import (
     ustar_b_linear_infinite,
 )
 from platmod.analytic import (
-    appendix_structure_check,
     big_f,
-    big_g,
     f_k,
     f_nk,
     g_nk,
@@ -29,9 +27,9 @@ from platmod.analytic import (
     h_nk,
     k_cap,
 )
-from platmod.experiments import chain_theta
+from platmod.model import news_gain
 
-from conftest import complete_theta, default_params
+from conftest import default_params
 
 
 def test_big_f_at_zero():
@@ -40,30 +38,23 @@ def test_big_f_at_zero():
     assert big_f(0, params, 0.3) == pytest.approx(0.5416666666, abs=1e-9)
 
 
-def test_big_g_at_zero():
-    params = default_params(b_a=0.01, b_b=0.0)
-    expected = math.log(0.01 / 0.14) / math.log(0.9)
-    assert big_g(0.0, params, 0.3) == pytest.approx(expected, abs=1e-12)
-    assert 25.0 < big_g(0.0, params, 0.3) < 25.1
-
-
 def test_f_g_inverse_identities():
+    # G, the inverse of F: the farthest user index still following at beta,
+    # log((b_A - b_B) / news gain) / log p
     params = default_params(b_a=0.013, b_b=0.002)
     beta_prime = trust_threshold(0.2, 0.3)
+
+    def big_g(beta):
+        gain = news_gain(params.mu, 0.3, beta)
+        return math.log((params.b_a - params.b_b) / gain) / math.log(params.p)
+
     for k in range(0, 22, 3):
         beta = big_f(k, params, 0.3)
         if 0.0 < beta < beta_prime:
-            assert big_g(beta, params, 0.3) == pytest.approx(k, abs=1e-9)
+            assert big_g(beta) == pytest.approx(k, abs=1e-9)
     for beta in (0.05, 0.2, 0.4):
-        k = big_g(beta, params, 0.3)
+        k = big_g(beta)
         assert big_f(k, params, 0.3) == pytest.approx(beta, abs=1e-9)
-
-
-def test_big_g_domain_errors():
-    with pytest.raises(InvalidParamsError):
-        big_g(0.0, default_params(b_a=0.01, b_b=0.01), 0.3)
-    with pytest.raises(InvalidParamsError):
-        big_g(0.6, default_params(b_a=0.01, b_b=0.0), 0.3)  # denominator <= 0
 
 
 def test_f_k_value():
@@ -247,21 +238,6 @@ def test_sbm_threshold_sympathizer_sign():
         lo = sbm_boundary_b_a(SbmAnalyticSpec(p=p, c=(0.21, 0.3, 0.3), **kw))
         hi = sbm_boundary_b_a(SbmAnalyticSpec(p=p, c=(0.4, 0.3, 0.3), **kw))
         assert lo > hi
-
-
-def test_structure_check_chain_base():
-    report = appendix_structure_check(chain_theta((30, 30, 30), 0.75), (30, 30, 30))
-    assert report.chain_ok
-    # 30 * 4/900 < 1 < 900 * 4/900 and the two-sided bridge product 4 * 4/30 < 1
-    names = dict(report.chain_conditions)
-    assert names["adjacent_links_sparse_but_present"]
-    assert names["no_user_bridges_both_neighbors"]
-
-
-def test_structure_check_complete_graph():
-    sizes = (20, 30, 40, 50)
-    report = appendix_structure_check(complete_theta(sizes, 0.75), sizes)
-    assert report.star_ok
 
 
 def test_infinite_star_chain_threshold_corroborated_below_unit_reproduction():

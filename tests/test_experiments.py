@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import hashlib
 import os
 import subprocess
@@ -37,7 +38,6 @@ from platmod.experiments import (
     a1_csv_text,
     emit_csv,
     pgm_text,
-    read_sweep_csv,
     sweep_csv_text,
 )
 from platmod.graph import SbmSpec
@@ -264,17 +264,19 @@ def test_csv_round_trip(tmp_path):
     grid = sweep(spec)
     path = tmp_path / "grid.csv"
     emit_csv(grid, path)
-    rows = read_sweep_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == len(grid.cells)
     for rec, cell in zip(rows, grid.cells):
-        assert rec["p"] == cell.p
-        assert rec["b_A"] == cell.b_a
-        assert rec["samples"] == cell.samples
-        assert rec["n_no_effective"] == cell.n_no_effective
-        assert rec["n_any"] == cell.n_any
-        assert rec["n_moderate"] == cell.n_moderate
-        assert rec["mean_rho_se"] == cell.mean_rho_se
-        assert rec["seed_base"] == spec.base_seed
+        assert float(rec["p"]) == cell.p
+        assert float(rec["b_A"]) == cell.b_a
+        assert int(rec["samples"]) == cell.samples
+        assert int(rec["n_no_effective"]) == cell.n_no_effective
+        assert int(rec["n_any"]) == cell.n_any
+        assert int(rec["n_moderate"]) == cell.n_moderate
+        rho = rec["mean_rho_se"]
+        assert (float(rho) if rho else None) == cell.mean_rho_se
+        assert int(rec["seed_base"]) == spec.base_seed
 
 
 def test_pgm_format_and_extremes():

@@ -497,36 +497,42 @@ def test_relay_distances_are_read_only():
     assert net.relay_distances.tolist() == [0, 1, 2, 3]
 
 
-def test_merge_carries_each_pools_rows(monkeypatch):
-    # a merge keeps the rows of the networks that stay and copies the new
-    # networks' rows from the other pool, which keeps its own; a row only
-    # one pool kept is made for the other's networks; copy leaves its pool
-    # whole. Every carried row equals the one made from scratch, and the
-    # merge and the copy build no layer
+def test_merge_keeps_rows_only_when_it_adds_no_network(monkeypatch):
+    # a merge that only sheds networks keeps this pool's rows, moved down in
+    # place, builds no layer and leaves this pool no rows; a merge that adds
+    # a network starts with no rows and makes them when asked, while the
+    # other pool keeps its own. Either way every row and every count equals
+    # that of a fresh pool of the same columns, bit for bit
     nets = [gen_sbm(SbmSpec(sizes=(4, 4), theta=((0.8, 0.2), (0.2, 0.8)), seed=s))
             for s in range(5)]
     layers = []
     build = platmod.graph._adjacency_f32
     monkeypatch.setattr(platmod.graph, "_adjacency_f32",
                         lambda net: layers.append(net) or build(net))
-    first = Columns.repeat(nets[:3], 2)
-    second = Columns.repeat(nets[2:], 1)
-    first.layers()
-    first.rows("degrees")
-    second.layers()
-    second.rows("c_values")
-    assert len(layers) == 6  # each pool's own, nets[2] in both
-    merged = first.take([2, 3, 4, 5]).merge(second.take([0, 2]))
-    assert merged.networks == (nets[1], nets[2], nets[4])
-    assert merged.owner.tolist() == [0, 0, 1, 1, 1, 2]
-    assert set(merged.shared) == {"adjacency_f32", "degrees", "c_values"}
-    copied = second.take([1]).copy()
-    assert copied.networks == (nets[3],) and copied.owner.tolist() == [0]
-    assert second.layers()[1].tobytes() == copied.layers()[0].tobytes()
-    assert len(layers) == 6
-    for pool in (merged, copied):
+    keys = ("adjacency_f32", "degrees", "c_values")
+
+    def made(pool):
+        pool.layers()
+        pool.rows("degrees")
+        pool.rows("c_values")
+        return pool
+
+    first = made(Columns.repeat(nets[:3], 2))
+    # the other pool's network is one that stays
+    shed = first.take([2, 3, 4]).merge(Columns(nets[2:3], np.array([0])))
+    assert shed.networks == (nets[1], nets[2]) and shed.owner.tolist() == [0, 0, 1, 1]
+    assert not first.shared and set(shed.shared) == set(keys)
+    second = made(Columns.repeat(nets[2:], 1))
+    grown = made(Columns.repeat(nets[:3], 2)).take([4, 5]).merge(second.take([0, 2]))
+    assert grown.networks == (nets[2], nets[4]) and grown.owner.tolist() == [0, 0, 0, 1]
+    assert not grown.shared and set(second.shared) == set(keys)
+    assert len(layers) == 9  # three pools of made rows
+    marked = np.random.default_rng(0).random((8, 4)) < 0.5
+    for pool in (shed, grown):
+        counts = pool.neighbour_counts(marked)
         fresh = Columns(pool.networks, pool.owner)
-        for key in ("degrees", "c_values"):
+        assert pool.layers().tobytes() == fresh.layers().tobytes()
+        for key in keys[1:]:
             assert pool.rows(key).tobytes() == fresh.rows(key).tobytes()
-        assert pool.layers().tobytes() == np.stack([build(net) for net in pool.networks]).tobytes()
-    assert not first.shared and set(second.shared) == {"adjacency_f32", "c_values"}
+        assert counts.tobytes() == fresh.neighbour_counts(marked).tobytes()
+    assert len(layers) == 9 + 2 + 2 + 2  # grown's own, then each fresh pool's

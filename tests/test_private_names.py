@@ -7,8 +7,9 @@ last caller. Every parameter of every def is read in its body (a name that
 starts with an underscore is exempt, and a zero-argument super() reads the
 first), so a caller never hands over what nobody reads; every name a
 module other than __init__.py imports is read there; and every name
-__init__.py exports is read by another module or named by README.md, a
-script or the benchmark."""
+__init__.py exports and every public def, class and constant a module
+defines at its top level is read by a module other than __init__.py or
+named by README.md, a script or the benchmark."""
 
 import ast
 import re
@@ -17,8 +18,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "platmod"
 
 
-def _private_definitions(tree: ast.Module):
-    """The single-underscore names a module defines at its top level."""
+def _definitions(tree: ast.Module):
+    """The names a module defines at its top level, dunder names aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -27,7 +28,7 @@ def _private_definitions(tree: ast.Module):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+        yield from (name for name in names if not name.startswith("__"))
 
 
 def _read_names(tree: ast.Module):
@@ -46,7 +47,7 @@ def test_every_private_name_is_used():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
     defined = {(module, name) for module, tree in trees.items()
-               for name in _private_definitions(tree)}
+               for name in _definitions(tree) if name.startswith("_")}
     read = {name for tree in trees.values() for name in _read_names(tree)}
     # functions, classes and constants are all seen
     assert {("regulation.py", "_walk"), ("regulation.py", "_Side"),
@@ -96,12 +97,17 @@ def test_every_parameter_and_import_is_read():
 
 
 def test_every_public_name_is_reached():
-    # each name __init__.py imports is read by a src/platmod module besides
-    # __init__.py (a definition is no read), or named in README.md,
+    # each name __init__.py imports and each public def, class and constant
+    # a module defines at its top level is read by a src/platmod module
+    # besides __init__.py (a definition is no read), or named in README.md,
     # scripts/ or bench/
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
     exported = {alias.asname or alias.name for node in ast.walk(trees.pop("__init__.py"))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported |= {name for tree in trees.values() for name in _definitions(tree)
+                 if not name.startswith("_")}
+    # functions, classes and constants are all seen
+    assert {"through_platform_distances", "Columns", "DENSE_MAX_USERS"} <= exported
     read = {name for tree in trees.values() for name in _read_names(tree)}
     root = SRC.parents[1]
     text = "\n".join(path.read_text() for path in (

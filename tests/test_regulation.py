@@ -32,7 +32,7 @@ from platmod import (
 )
 from platmod.analytic import big_f
 from platmod.experiments import _pool_results, validate_assumption1
-from platmod.regulation import (_b_sides, _side, _walk, sender_equilibria, solve_cells, solve_each,
+from platmod.regulation import (_b_sides, _side, _walk, sender_equilibria, solve_cells,
                                  solve_pool)
 from platmod.adoption import Columns, _beta_primes, batch_final_b_sets
 from platmod.graph import pooled_relay_distances, receive_map, through_platform_distances
@@ -1120,11 +1120,10 @@ def test_walks_hold_at_most_pool_columns(monkeypatch):
 
 
 def test_walks_build_each_network_rows_once(monkeypatch):
-    # the relay query, the seeds and the engine of a walk read one pool of
-    # each network's rows: its float32 adjacency layer is built once, and its
-    # trust thresholds are worked out once (for its _Side), over one
-    # validate_assumption1 group and over a solve_each walk that admits
-    # several times, a pool whose columns are only partly admitted included
+    # the relay query, the seeds and the engine of a validate_assumption1
+    # group read one pool of each network's rows: its float32 adjacency
+    # layer is built once, and its trust thresholds twice, once for its
+    # _Side and once for the pool's trust limits
     built = {"layer": [], "thresholds": []}
     layer, thresholds = platmod.graph._adjacency_f32, platmod.adoption._beta_primes
 
@@ -1136,11 +1135,6 @@ def test_walks_build_each_network_rows_once(monkeypatch):
         built["thresholds"].append(net)
         return thresholds(net, mu)
 
-    def once_each(networks):
-        for made in built.values():
-            assert sorted(map(id, made)) == sorted(map(id, networks))
-            made.clear()
-
     monkeypatch.setattr(platmod.graph, "_adjacency_f32", counted_layer)
     for module in (platmod.adoption, platmod.regulation):
         monkeypatch.setattr(module, "_beta_primes", counted_thresholds)
@@ -1149,27 +1143,5 @@ def test_walks_build_each_network_rows_once(monkeypatch):
                         lambda spec: generated.append(gen_sbm(spec)) or generated[-1])
     report = validate_assumption1([0.75, 0.25], seeds=range(6), sizes=(10, 10, 10))
     assert len(report.rows) + len(report.skipped) == len(generated) == 12
-    once_each(generated)
-
-    engine = platmod.regulation.batch_final_b_sets
-    admitted = []
-
-    def counting_engine(*args, admit, **kwargs):
-        def counted(n_live):
-            more = admit(n_live)
-            admitted.append(more is not None)
-            return more
-        return engine(*args, admit=counted, **kwargs)
-
-    monkeypatch.setattr(platmod.regulation, "batch_final_b_sets", counting_engine)
-    monkeypatch.setattr(platmod.regulation, "POOL_COLUMNS", 7)
-    # with 6 cells the walk reads two networks at a time, with 9 one (whose
-    # pool needs no layer for its relay query)
-    for n_cells in (6, 9):
-        nets = [gen_sbm(SbmSpec(sizes=(6, 6), theta=((0.9, 0.08), (0.08, 0.9)), seed=s))
-                for s in range(6)]
-        admitted.clear()
-        solve_each(nets, _random_cells(np.random.default_rng(3), 0.2, n_cells),
-                   lambda k, i, result: None)
-        assert sum(admitted) >= 2
-        once_each(nets)
+    assert sorted(map(id, built["layer"])) == sorted(map(id, generated))
+    assert sorted(map(id, built["thresholds"])) == sorted(map(id, generated * 2))
